@@ -76,8 +76,6 @@ from .potential import (
     Potential,
     Tabulated,
     coercivity_check,
-    sample_potential,
-    v_infinity,
 )
 from .radial import RadialProfile, radial_ground_state, radial_solve_phi
 

@@ -5,7 +5,8 @@ Each run writes into <output_dir>/<mode>-<timestamp>/: a canonical echo
 of the effective configuration, the mode's CSV outputs and field dumps.
 Outputs are byte-deterministic for a fixed (config, seed) except for the
 single `# generated` timestamp line at the top of each CSV and the
-timestamp in the directory name.
+timestamp in the directory name.  `radial_profile.csv` (radial-crosscheck)
+is written by `radial.write_radial_csv` and has no `# generated` line.
 
 Exit codes: 0 ok, 2 config error, 3 solver error, 4 validation failure.
 Failures print one machine-readable line `ERROR <category>: <detail>` to
@@ -220,11 +221,7 @@ def _run_radial_crosscheck(cfg: RunConfig, outdir: Path) -> int:
         "c_3d,c_radial,rel_gap",
         [f"{result.c_estimate!r},{c_radial!r},{rel_gap!r}"],
     )
-    with open(outdir / "radial_profile.csv", "w", encoding="utf-8") as fh:
-        fh.write(_timestamp_line() + "\n")
-        fh.write("r,u,phi\n")
-        for r, uv, pv in zip(u_r.nodes, u_r.values, phi_r.values):
-            fh.write(f"{r!r},{uv!r},{pv!r}\n")
+    radial.write_radial_csv(u_r, phi_r, outdir / "radial_profile.csv")
     write_field(result.u, outdir / "u.field")
     write_field(result.phi, outdir / "phi.field")
     print(f"c_3d = {result.c_estimate!r}  c_radial = {c_radial!r}  rel_gap = {rel_gap!r}")

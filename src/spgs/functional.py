@@ -32,12 +32,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 import scipy.fft
 
-from .grid import GridSpec, ScalarField, dirichlet_energy, integrate, laplacian, lp_integral
+from .grid import (
+    GridSpec,
+    ScalarField,
+    dirichlet_eigenvalues,
+    dirichlet_energy,
+    integrate,
+    laplacian,
+    lp_integral,
+)
 from .poisson import solve_phi
 from .potential import Potential
 
@@ -81,13 +88,6 @@ class EnergyBreakdown:
         )
 
 
-@lru_cache(maxsize=8)
-def _sine_ksq(n: int, h: float) -> np.ndarray:
-    """|k|^2 of the DST-I sine modes on the zero-ghost box, (n + 1) h wide."""
-    k2 = (np.pi * np.arange(1, n + 1) / ((n + 1) * h)) ** 2
-    return k2[:, None, None] + k2[None, :, None] + k2[None, None, :]
-
-
 def kinetic_energy(u: ScalarField, kinetic: str = "fd") -> float:
     """Integral of |grad u|^2 in the selected discretization.
 
@@ -111,7 +111,7 @@ def minus_laplacian(u: ScalarField, kinetic: str = "fd") -> ScalarField:
     if kinetic == "spectral":
         g = u.grid
         coeff = scipy.fft.dstn(u.as3d, type=1)
-        coeff *= _sine_ksq(g.n, g.h)
+        coeff *= dirichlet_eigenvalues(g.n, g.h, "spectral")
         return ScalarField.from_3d(g, scipy.fft.idstn(coeff, type=1))
     raise ValueError(f"unknown kinetic variant {kinetic!r}; options: {_KINETIC_VARIANTS}")
 
@@ -176,16 +176,6 @@ def el_residual(
     return field, norm
 
 
-@lru_cache(maxsize=8)
-def _dst_shifted_eigs(n: int, h: float) -> np.ndarray:
-    """Eigenvalues of (-Lap_h + 1) with zero ghosts one node beyond the box."""
-    k = np.arange(1, n + 1)
-    lam1 = (4.0 / h**2) * np.sin(np.pi * k / (2.0 * (n + 1))) ** 2
-    return (
-        lam1[:, None, None] + lam1[None, :, None] + lam1[None, None, :]
-    ) + 1.0
-
-
 def precondition(r: ScalarField) -> ScalarField:
     """Sobolev smoothing (-Lap_h + 1)^(-1) r with zero Dirichlet ghosts.
 
@@ -194,5 +184,5 @@ def precondition(r: ScalarField) -> ScalarField:
     """
     g = r.grid
     coeff = scipy.fft.dstn(r.as3d, type=1)
-    coeff /= _dst_shifted_eigs(g.n, g.h)
+    coeff /= dirichlet_eigenvalues(g.n, g.h) + 1.0
     return ScalarField.from_3d(g, scipy.fft.idstn(coeff, type=1))

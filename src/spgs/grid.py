@@ -20,7 +20,7 @@ little-endian IEEE float64 values, x-fastest.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Callable
 
@@ -193,6 +193,27 @@ def laplacian(u: ScalarField) -> ScalarField:
         - 6.0 * a
     ) / h2
     return ScalarField.from_3d(u.grid, out)
+
+
+@lru_cache(maxsize=16)
+def dirichlet_eigenvalues(m: int, h: float, kinetic: str = "fd") -> np.ndarray:
+    """Eigenvalues of -Lap on an m^3 block of spacing h with zero ghosts beyond it.
+
+    The DST-I sine modes diagonalize both variants: "fd" (the 7-point
+    Laplacian) has sum_i (4/h^2) sin^2(pi k_i / (2(m+1))), "spectral" the
+    exact sum_i (pi k_i / ((m+1) h))^2, k_i = 1..m.  The cached table is
+    shared by every caller and read-only.
+    """
+    k = np.arange(1, m + 1)
+    if kinetic == "fd":
+        lam1 = (4.0 / h**2) * np.sin(np.pi * k / (2.0 * (m + 1))) ** 2
+    elif kinetic == "spectral":
+        lam1 = (np.pi * k / ((m + 1) * h)) ** 2
+    else:
+        raise ValueError(f"unknown kinetic variant {kinetic!r}")
+    table = lam1[:, None, None] + lam1[None, :, None] + lam1[None, None, :]
+    table.setflags(write=False)
+    return table
 
 
 def gradient_squared(u: ScalarField) -> ScalarField:

@@ -9,6 +9,11 @@ construction.  One Poisson solve per trial step is the dominant cost;
 the solve for the scaled field is obtained exactly from quadratic
 homogeneity of the nonlocal term rather than re-solved.
 
+`_descend` is the package's only descent loop.  It sees the
+discretisation through a few callables on its field type, so the 3-D box
+here and the independent radial mesh in `radial.py` run the same
+optimiser.
+
 Runs refuse to start when the potential fails its coercivity probe,
 unless explicitly overridden.  Results carry the full per-iteration
 trace and the shell-mass profile of the final state; for a converged
@@ -40,10 +45,11 @@ from .grid import (
 )
 from .nehari import _solve_fiber, nehari_project, ray_profile
 from .poisson import solve_phi
-from .potential import Constant, Potential, coercivity_check, v_infinity
+from .potential import Constant, Potential, coercivity_check
 from .sampling import gaussian_blob, random_smooth_field
 
 _STEP_FLOOR_FACTOR = 1e-12
+_COERCIVITY_TRIALS = 32
 
 
 @dataclass(frozen=True)
@@ -71,7 +77,6 @@ class SolverConfig:
     seed: int = 0
     starts: int = 1
     kinetic: str = "fd"
-    coercivity_trials: int = 32
 
     def __post_init__(self) -> None:
         if not 3.0 < self.p < 5.0:
@@ -157,17 +162,27 @@ def relative_asymmetry(u: ScalarField) -> float:
     return l2_norm(diff) / denom if denom > 0 else 0.0
 
 
-def _descend(
-    u0: ScalarField, v_field: ScalarField, cfg: SolverConfig, grid: GridSpec
-) -> tuple[ScalarField, EnergyBreakdown, ScalarField, float, int, list[TraceRow], bool, str]:
-    """Core loop from one start; returns the last on-manifold iterate."""
-    p = cfg.p
-    phi0 = solve_phi(u0, residual_correction=False).phi
-    eb0 = energy_breakdown(u0, v_field, p, phi=phi0, kinetic=cfg.kinetic)
-    t0, _, _ = _solve_fiber(eb0.A1, eb0.B, eb0.C, p)
-    u = u0.scaled(t0)
-    phi = ScalarField(grid, t0 * t0 * phi0.values)
-    eb = energy_breakdown(u, v_field, p, phi=phi, kinetic=cfg.kinetic)
+def _descend(u0, cfg: SolverConfig, *, field, solve, breakdown, residual, precondition, h1):
+    """Projected backtracking descent from u0; returns the last on-manifold iterate.
+
+    The one descent loop of the package: the 3-D box and the radial mesh
+    both run it.  The discretisation comes in as callables on its field
+    type: `field(values)` wraps node values, `solve(u)` is the raw Poisson
+    solve, `breakdown(u, phi)` gives the energies, `residual(u, phi)`
+    returns (r, norm), `precondition(r)` the step as node values and
+    `h1(u)` the Sobolev norm.  The fiber solve takes p from the breakdown,
+    so the caller's energies fix the exponent.  Only cfg.step,
+    cfg.tol_residual and cfg.max_iters are read here.
+
+    Returns (u, breakdown, phi, residual norm, iterations, trace,
+    converged, status).
+    """
+    phi = solve(u0)
+    eb = breakdown(u0, phi)
+    t0, _, _ = _solve_fiber(eb.A1, eb.B, eb.C, eb.p)
+    u = field(t0 * u0.values)
+    phi = field(t0 * t0 * phi.values)
+    eb = breakdown(u, phi)
 
     trace: list[TraceRow] = []
     alpha = cfg.step
@@ -179,12 +194,12 @@ def _descend(
     rnorm = math.inf
 
     for k in range(cfg.max_iters + 1):
-        r, rnorm = el_residual(u, v_field, p, phi=phi, kinetic=cfg.kinetic)
+        r, rnorm = residual(u, phi)
         trace.append(
             TraceRow(k, eb.I, eb.G, eb.A1, eb.B, eb.C, rnorm, last_step)
         )
         # stop on the residual relative to the Sobolev size of the iterate
-        if rnorm <= cfg.tol_residual * h1_norm(u):
+        if rnorm <= cfg.tol_residual * h1(u):
             converged = True
             status = "converged"
             iterations = k
@@ -197,18 +212,18 @@ def _descend(
         alpha = min(cfg.step, 2.0 * alpha)
         accepted = False
         while alpha >= step_floor:
-            u_c = ScalarField(grid, u.values - alpha * d.values)
-            phi_c = solve_phi(u_c, residual_correction=False).phi
-            eb_c = energy_breakdown(u_c, v_field, p, phi=phi_c, kinetic=cfg.kinetic)
+            u_c = field(u.values - alpha * d)
+            phi_c = solve(u_c)
+            eb_c = breakdown(u_c, phi_c)
             if eb_c.C > 0.0 and eb_c.A1 > 0.0:
-                t, _, _ = _solve_fiber(eb_c.A1, eb_c.B, eb_c.C, p)
+                t, _, _ = _solve_fiber(eb_c.A1, eb_c.B, eb_c.C, eb_c.p)
                 i_trial = float(ray_profile(eb_c, np.asarray(t)))
                 # ties accepted: near the rounding floor an exact match
                 # still makes progress through the re-projection
                 if i_trial <= eb.I:
-                    u = u_c.scaled(t)
-                    phi = ScalarField(grid, t * t * phi_c.values)
-                    eb = energy_breakdown(u, v_field, p, phi=phi, kinetic=cfg.kinetic)
+                    u = field(t * u_c.values)
+                    phi = field(t * t * phi_c.values)
+                    eb = breakdown(u, phi)
                     last_step = alpha
                     accepted = True
                     break
@@ -244,7 +259,7 @@ def find_ground_state(
     converged=False.
     """
     if not coercivity_override:
-        probe = coercivity_check(V, grid, trials=cfg.coercivity_trials, seed=cfg.seed)
+        probe = coercivity_check(V, grid, trials=_COERCIVITY_TRIALS, seed=cfg.seed)
         if not probe.ok:
             raise NonCoerciveError(
                 f"coercivity probe failed (estimate {probe.c_bar_est:.6g}); "
@@ -265,7 +280,18 @@ def find_ground_state(
 
     best = None
     for u0 in inits:
-        out = _descend(u0, v_field, cfg, grid)
+        # the hooks look solve_phi, energy_breakdown, el_residual and
+        # precondition up at call time, so those attributes stay replaceable
+        out = _descend(
+            u0,
+            cfg,
+            field=lambda values: ScalarField(grid, values),
+            solve=lambda u: solve_phi(u, residual_correction=False).phi,
+            breakdown=lambda u, phi: energy_breakdown(u, v_field, cfg.p, phi=phi, kinetic=cfg.kinetic),
+            residual=lambda u, phi: el_residual(u, v_field, cfg.p, phi=phi, kinetic=cfg.kinetic),
+            precondition=lambda r: precondition(r).values,
+            h1=h1_norm,
+        )
         if best is None or out[1].I < best[1].I:
             best = out
     u, eb, phi_conv, rnorm, iterations, trace, converged, status = best
@@ -325,7 +351,7 @@ def compare_with_vinf(
     the refined gap exceeds three times that movement.  For a constant
     potential the two problems coincide and strict is False.
     """
-    vinf = v_infinity(V)
+    vinf = V.v_infinity()
     if vinf <= 0:
         raise ValueError(f"comparison needs v_infinity > 0, got {vinf}")
     fine = _refined_grid(grid)

@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.fft
 
-from .grid import GridSpec, ScalarField, dirichlet_energy, integrate
+from .grid import GridSpec, ScalarField, dirichlet_eigenvalues, dirichlet_energy, integrate
 
 # Mean of 1/|xi| over the unit cell [-1/2, 1/2]^3 (closed form; equals the
 # high-resolution quadrature of the cell average to 1e-15).
@@ -101,21 +101,11 @@ def _convolve_direct(q: np.ndarray, grid: GridSpec, chunk: int = 512) -> np.ndar
     return grid.h**3 * KERNEL_CONSTANT * out.reshape((n, n, n))
 
 
-@lru_cache(maxsize=8)
-def _dst_eigenvalues(m: int, h: float) -> np.ndarray:
-    """Eigenvalues of -Lap_h with zero Dirichlet ghosts on an m^3 block."""
-    k = np.arange(1, m + 1)
-    lam1 = (4.0 / h**2) * np.sin(np.pi * k / (2.0 * (m + 1))) ** 2
-    return (
-        lam1[:, None, None] + lam1[None, :, None] + lam1[None, None, :]
-    )
-
-
 def _interior_dirichlet_solve(rhs: np.ndarray, h: float) -> np.ndarray:
     """Exact solve of -Lap_h psi = rhs with psi = 0 on the surrounding layer."""
     m = rhs.shape[0]
     coeff = scipy.fft.dstn(rhs, type=1)
-    coeff /= _dst_eigenvalues(m, h)
+    coeff /= dirichlet_eigenvalues(m, h)
     return scipy.fft.idstn(coeff, type=1)
 
 

@@ -126,16 +126,6 @@ class Tabulated(Potential):
         return float(np.mean(a[~inner]))
 
 
-def sample_potential(V: Potential, grid: GridSpec) -> ScalarField:
-    """Nodewise evaluation of the potential (exact, no smoothing)."""
-    return V.sample(grid)
-
-
-def v_infinity(V: Potential) -> float:
-    """Limit (or outer-shell estimate) of V at spatial infinity."""
-    return V.v_infinity()
-
-
 class CoercivityResult(NamedTuple):
     c_bar_est: float
     ok: bool

@@ -6,7 +6,9 @@ discretization: shell-theorem accumulation for the Poisson solve,
 r^2-weighted link sums for the kinetic term, trapezoid/midpoint radial
 quadrature for the energies, and a banded (tridiagonal) Sobolev
 preconditioner.  None of the 3-D grid code is reused, which is the point:
-agreement of the two ground levels validates both paths.
+agreement of the two ground levels validates both discretizations.  Only
+the optimiser is shared: `radial_ground_state` hands these operators to
+the projected descent `minimize._descend` that the 3-D path runs.
 
 The radial Poisson formula is the two-sided accumulation
 
@@ -24,12 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import NoDescentError, NonCoerciveError, ZeroFieldError
-from .minimize import SolverConfig, TraceRow
-from .nehari import _solve_fiber
+from .minimize import GaussianBlob, SolverConfig, _descend
 from .potential import Constant, CoulombSingular, Potential
 
-_STEP_FLOOR_FACTOR = 1e-12
 FOUR_PI = 4.0 * math.pi
 
 
@@ -181,6 +180,7 @@ def radial_ground_state(
     Returns (u, phi, c_radial).  The default initial profile is a
     Gaussian of width r_max/20; cfg controls p-independent knobs (step,
     tolerance, max_iters, init width through cfg.init when it is a blob).
+    The exponent is always this call's p, never cfg.p.
     """
     if cfg is None:
         cfg = SolverConfig(p=p)
@@ -192,55 +192,21 @@ def radial_ground_state(
     v_vals = _sample_radial_potential(V, nodes)
 
     width = r_max / 20.0
-    init = getattr(cfg, "init", None)
-    if init is not None and getattr(init, "width", None):
-        width = init.width
-    u = RadialProfile(r_max, n_r, np.exp(-(nodes**2) / (2.0 * width**2)))
+    if isinstance(cfg.init, GaussianBlob) and cfg.init.width:
+        width = cfg.init.width
+    u0 = RadialProfile(r_max, n_r, np.exp(-(nodes**2) / (2.0 * width**2)))
 
-    def breakdown_of(prof: RadialProfile, phi: RadialProfile):
-        return radial_energy_breakdown(prof, v_vals, p, phi)
-
-    phi = radial_solve_phi(u)
-    eb = breakdown_of(u, phi)
-    if eb.C <= 0.0:
-        raise ZeroFieldError("initial radial profile has no L^(p+1) mass")
-    if eb.A1 <= 0.0:
-        raise NonCoerciveError("radial quadratic form not positive at the initial profile")
-    t0, _, _ = _solve_fiber(eb.A1, eb.B, eb.C, p)
-    u = RadialProfile(r_max, n_r, t0 * u.values)
-    phi = RadialProfile(r_max, n_r, t0 * t0 * phi.values)
-    eb = breakdown_of(u, phi)
-
-    alpha = cfg.step
-    floor = _STEP_FLOOR_FACTOR * cfg.step
-    for k in range(cfg.max_iters + 1):
-        res, rnorm = _radial_residual(u, v_vals, p, phi)
-        if rnorm <= cfg.tol_residual * _radial_h1(u) or k == cfg.max_iters:
-            break
-        d = _radial_precondition(res, dr, nodes)
-        alpha = min(cfg.step, 2.0 * alpha)
-        accepted = False
-        while alpha >= floor:
-            cand = RadialProfile(r_max, n_r, u.values - alpha * d)
-            phi_c = radial_solve_phi(cand)
-            eb_c = breakdown_of(cand, phi_c)
-            if eb_c.C > 0.0 and eb_c.A1 > 0.0:
-                t, _, _ = _solve_fiber(eb_c.A1, eb_c.B, eb_c.C, p)
-                i_trial = (
-                    0.5 * t**2 * eb_c.A1
-                    + 0.25 * t**4 * eb_c.B
-                    - t ** (p + 1.0) * eb_c.C / (p + 1.0)
-                )
-                if i_trial <= eb.I:
-                    u = RadialProfile(r_max, n_r, t * cand.values)
-                    phi = RadialProfile(r_max, n_r, t * t * phi_c.values)
-                    eb = breakdown_of(u, phi)
-                    accepted = True
-                    break
-            alpha *= 0.5
-        if not accepted:
-            raise NoDescentError(f"radial backtracking stalled at iteration {k}")
-
+    # radial_solve_phi and radial_energy_breakdown are looked up at call time
+    u, eb, phi, *_ = _descend(
+        u0,
+        cfg,
+        field=lambda values: RadialProfile(r_max, n_r, values),
+        solve=lambda prof: radial_solve_phi(prof),
+        breakdown=lambda prof, phi: radial_energy_breakdown(prof, v_vals, p, phi),
+        residual=lambda prof, phi: _radial_residual(prof, v_vals, p, phi),
+        precondition=lambda res: _radial_precondition(res, dr, nodes),
+        h1=_radial_h1,
+    )
     return u, phi, eb.I
 
 

@@ -21,7 +21,7 @@ from .poisson import (
     nonlocal_energy,
     solve_phi,
 )
-from .potential import Constant, CoulombSingular, rayleigh_quotient, sample_potential
+from .potential import Constant, CoulombSingular, rayleigh_quotient
 from .sampling import random_smooth_field
 
 
@@ -41,7 +41,7 @@ def run_validation(seed: int = 0, n: int = 16, L: float = 6.0, p: float = 4.0) -
     grid = GridSpec(L=L, n=n)
     rng = np.random.default_rng(seed)
     fields = [random_smooth_field(grid, rng) for _ in range(8)]
-    v_const = sample_potential(Constant(1.0), grid)
+    v_const = Constant(1.0).sample(grid)
     results: list[CheckResult] = []
 
     # --- poisson ---
@@ -165,11 +165,11 @@ def run_validation(seed: int = 0, n: int = 16, L: float = 6.0, p: float = 4.0) -
 
     # --- potential ---
     sing = CoulombSingular(1.0, 0.1, 1)
-    v_sing = sample_potential(sing, grid)
+    v_sing = sing.sample(grid)
     u = fields[0]
     quotients = []
     for lam in (0.05, 0.1, 0.2):
-        v_lam = sample_potential(CoulombSingular(1.0, lam, 1), grid)
+        v_lam = CoulombSingular(1.0, lam, 1).sample(grid)
         quotients.append(rayleigh_quotient(u, v_lam))
     results.append(
         _check(

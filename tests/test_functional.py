@@ -15,7 +15,7 @@ from spgs.functional import (
     precondition,
 )
 from spgs.poisson import double_integral_oracle, solve_phi
-from spgs.potential import Constant, CoulombSingular, sample_potential
+from spgs.potential import Constant, CoulombSingular
 from spgs.sampling import random_smooth_field
 
 
@@ -26,7 +26,7 @@ def grid():
 
 @pytest.fixture(scope="module")
 def v_one(grid):
-    return sample_potential(Constant(1.0), grid)
+    return Constant(1.0).sample(grid)
 
 
 def fields(grid, count, seed=0):
@@ -73,7 +73,7 @@ class TestEnergyBreakdown:
         # one able to meet 1e-4 at this resolution
         g = GridSpec(L=10.0, n=40)
         u = ScalarField.from_function(g, lambda x, y, z: np.exp(-(x * x + y * y + z * z) / 2.0))
-        v = sample_potential(Constant(1.0), g)
+        v = Constant(1.0).sample(g)
         eb = energy_breakdown(u, v, 4.0, kinetic="spectral")
         # integral |grad u|^2 = (3/2) pi^(3/2); integral u^2 = pi^(3/2)
         a1_exact = 2.5 * math.pi**1.5
@@ -84,7 +84,7 @@ class TestEnergyBreakdown:
         u16 = ScalarField.from_function(
             g16, lambda x, y, z: np.exp(-(x * x + y * y + z * z) / 2.0)
         )
-        eb16 = energy_breakdown(u16, sample_potential(Constant(1.0), g16), 4.0)
+        eb16 = energy_breakdown(u16, Constant(1.0).sample(g16), 4.0)
         assert eb16.B == pytest.approx(double_integral_oracle(u16) / (4.0 * math.pi), rel=1e-10)
 
 
@@ -114,7 +114,7 @@ class TestResidual:
             assert fd == pytest.approx(ip, rel=1e-6)
 
     def test_gradient_with_singular_potential(self, grid):
-        v_sing = sample_potential(CoulombSingular(1.0, 0.05, 2), grid)
+        v_sing = CoulombSingular(1.0, 0.05, 2).sample(grid)
         rng = np.random.default_rng(77)
         u = random_smooth_field(grid, rng)
         v = random_smooth_field(grid, rng)

@@ -14,7 +14,7 @@ from spgs.nehari import (
     ray_max_check,
     ray_profile,
 )
-from spgs.potential import Constant, CoulombSingular, sample_potential
+from spgs.potential import Constant, CoulombSingular
 from spgs.sampling import random_smooth_field
 
 
@@ -25,7 +25,7 @@ def grid():
 
 @pytest.fixture(scope="module")
 def v_one(grid):
-    return sample_potential(Constant(1.0), grid)
+    return Constant(1.0).sample(grid)
 
 
 def bisection_oracle(A1, B, C, p, iters=300):
@@ -178,7 +178,7 @@ class TestManifoldFloor:
         assert f100 >= f50 / 2.0  # doubling trials moves the floor < 2x
 
     def test_floor_under_singular_potential(self, grid):
-        v_sing = sample_potential(CoulombSingular(1.0, 0.05, 1), grid)
+        v_sing = CoulombSingular(1.0, 0.05, 1).sample(grid)
         floor = manifold_floor_check(v_sing, 4.0, trials=30, seed=12)
         assert floor > 0.0
 

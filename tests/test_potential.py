@@ -11,8 +11,6 @@ from spgs.potential import (
     Tabulated,
     coercivity_check,
     rayleigh_quotient,
-    sample_potential,
-    v_infinity,
 )
 from spgs.sampling import gaussian_blob
 
@@ -24,11 +22,11 @@ def grid():
 
 class TestSampling:
     def test_constant(self, grid):
-        f = sample_potential(Constant(1.0), grid)
+        f = Constant(1.0).sample(grid)
         assert np.all(f.values == 1.0)
 
     def test_coulomb_zero_coupling_degenerates(self, grid):
-        f = sample_potential(CoulombSingular(1.0, 0.0, 1), grid)
+        f = CoulombSingular(1.0, 0.0, 1).sample(grid)
         assert np.all(f.values == 1.0)
 
     def test_coulomb_exact_at_node(self):
@@ -37,7 +35,7 @@ class TestSampling:
         # at distance 0.5 along an axis instead: h = 1, L = 4, node x =
         # (0.5, 0.5, 0.5)... use the formula directly on the first shell.
         g = GridSpec(L=4.0, n=8)
-        f = sample_potential(CoulombSingular(1.0, 0.1, 1), g)
+        f = CoulombSingular(1.0, 0.1, 1).sample(g)
         r = g.radius.ravel(order="F")
         k = int(np.argmin(r))
         assert f.values[k] == 1.0 - 0.1 / r[k]
@@ -45,7 +43,7 @@ class TestSampling:
     def test_coulomb_requires_staggered(self):
         g = GridSpec(L=4.0, n=9, staggered=False)
         with pytest.raises(ValueError):
-            sample_potential(CoulombSingular(1.0, 0.1, 1), g)
+            CoulombSingular(1.0, 0.1, 1).sample(g)
 
     def test_alpha_validation(self):
         with pytest.raises(ValueError):
@@ -59,30 +57,30 @@ class TestSampling:
             perturbation=lambda x, y, z: np.exp(-(x * x + y * y + z * z)),
             lam=0.2,
         )
-        f = sample_potential(comp, grid)
-        base = sample_potential(Constant(1.0), grid)
+        f = comp.sample(grid)
+        base = Constant(1.0).sample(grid)
         assert np.all(f.values <= base.values)
         assert f.values.min() < 0.9
 
     def test_composite_with_field(self, grid):
         pert = gaussian_blob(grid, width=2.0)
         comp = Composite(base=Constant(1.0), perturbation=pert, lam=0.5)
-        f = sample_potential(comp, grid)
+        f = comp.sample(grid)
         assert np.allclose(f.values, 1.0 - 0.5 * pert.values)
 
     def test_tabulated_grid_must_match(self, grid):
         other = GridSpec(L=6.0, n=24)
         tab = Tabulated(ScalarField.zeros(other))
         with pytest.raises(ValueError):
-            sample_potential(tab, grid)
+            tab.sample(grid)
 
 
 class TestVInfinity:
     def test_constant(self):
-        assert v_infinity(Constant(2.0)) == 2.0
+        assert Constant(2.0).v_infinity() == 2.0
 
     def test_coulomb(self):
-        assert v_infinity(CoulombSingular(1.0, 0.3, 2)) == 1.0
+        assert CoulombSingular(1.0, 0.3, 2).v_infinity() == 1.0
 
     def test_composite(self, grid):
         comp = Composite(
@@ -90,12 +88,12 @@ class TestVInfinity:
             perturbation=lambda x, y, z: np.exp(-(x * x + y * y + z * z)),
             lam=0.2,
         )
-        assert v_infinity(comp) == 1.0
+        assert comp.v_infinity() == 1.0
 
     def test_tabulated_outer_shell_estimate(self, grid):
         vals = np.full(grid.num_nodes, 3.0)
         tab = Tabulated(ScalarField(grid, vals))
-        assert v_infinity(tab) == pytest.approx(3.0)
+        assert tab.v_infinity() == pytest.approx(3.0)
         assert tab.v_infinity_is_estimate
         assert not Constant(1.0).v_infinity_is_estimate
 
@@ -128,7 +126,7 @@ class TestCoercivity:
     def test_quotient_monotone_in_lambda(self, grid):
         u = gaussian_blob(grid, width=1.0)
         quotients = [
-            rayleigh_quotient(u, sample_potential(CoulombSingular(1.0, lam, 1), grid))
+            rayleigh_quotient(u, CoulombSingular(1.0, lam, 1).sample(grid))
             for lam in (0.1, 0.3, 0.9)
         ]
         assert quotients[0] > quotients[1] > quotients[2]
@@ -137,8 +135,8 @@ class TestCoercivity:
 class TestBelowVinfSurrogate:
     def test_coulomb_everywhere_below(self, grid):
         V = CoulombSingular(1.0, 0.1, 1)
-        f = sample_potential(V, grid)
-        frac = np.mean(f.values < v_infinity(V) - 1e-12)
+        f = V.sample(grid)
+        frac = np.mean(f.values < V.v_infinity() - 1e-12)
         assert frac == 1.0
 
     def test_composite_at_least_ten_percent(self, grid):
@@ -147,6 +145,6 @@ class TestBelowVinfSurrogate:
             perturbation=lambda x, y, z: np.exp(-(x * x + y * y + z * z) / 8.0),
             lam=0.2,
         )
-        f = sample_potential(comp, grid)
-        frac = np.mean(f.values < v_infinity(comp) - 1e-12)
+        f = comp.sample(grid)
+        frac = np.mean(f.values < comp.v_infinity() - 1e-12)
         assert frac >= 0.10

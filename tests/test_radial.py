@@ -152,6 +152,15 @@ class TestRadialGroundState:
         assert c == pytest.approx(9.8635, rel=0.01)
 
 
+    def test_exponent_from_the_call_not_from_cfg(self):
+        u_cfg, _, c_cfg = radial_ground_state(
+            Constant(1.0), 3.5, n_r=1024, cfg=SolverConfig(p=4.0)
+        )
+        u_own, _, c_own = radial_ground_state(Constant(1.0), 3.5, n_r=1024)
+        assert c_cfg == c_own
+        assert np.array_equal(u_cfg.values, u_own.values)
+
+
 class TestRadialDump:
     def test_csv_header_and_rows(self, tmp_path):
         u = gaussian_profile(r_max=5.0, n_r=32)
