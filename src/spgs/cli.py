@@ -9,8 +9,11 @@ timestamp in the directory name.  `radial_profile.csv` (radial-crosscheck)
 is written by `radial.write_radial_csv` and has no `# generated` line.
 
 Exit codes: 0 ok, 2 config error, 3 solver error, 4 validation failure.
-Failures print one machine-readable line `ERROR <category>: <detail>` to
-stderr.
+A value rejected while the run's grid, solver settings, potential or
+initial field are built is a config error; any other error raised during
+the run, a ValueError from deep inside a solve included, is a solver
+error.  Failures print one machine-readable line `ERROR <category>:
+<detail>` to stderr.
 """
 
 from __future__ import annotations
@@ -24,9 +27,9 @@ from pathlib import Path
 from . import radial
 from .config import MODES, RunConfig, apply_assignments, canonical_text, describe_keys, parse_config
 from .errors import ConfigError, SpgsError
-from .grid import write_field
-from .minimize import GroundStateResult, compare_with_vinf, find_ground_state
-from .potential import Constant
+from .grid import GridSpec, write_field
+from .minimize import GroundStateResult, SolverConfig, compare_with_vinf, find_ground_state, initial_field
+from .potential import Constant, Potential
 from .validate import report_lines, run_validation
 
 TRACE_HEADER = "iter,I,G,A1,B,C,residual_l2,step"
@@ -99,12 +102,29 @@ def _write_trace(path: Path, result: GroundStateResult) -> None:
     _write_csv(path, TRACE_HEADER, rows)
 
 
+def _build(cfg: RunConfig) -> tuple[Potential, SolverConfig, GridSpec]:
+    """The run's potential, solver settings and grid.
+
+    The potential is sampled and the initial field built on the grid here,
+    so that every value they reject surfaces as a ConfigError before the
+    solve starts.  Like `RunConfig.validate`, this holds in every mode,
+    also in sweep-lambda, which replaces the potential by constants.
+    """
+    try:
+        grid = cfg.build_grid()
+        solver = cfg.build_solver()
+        potential = cfg.build_potential()
+        potential.sample(grid)
+        initial_field(solver.init, grid)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(str(exc)) from None
+    return potential, solver, grid
+
+
 def _run_solve(cfg: RunConfig, outdir: Path) -> int:
+    potential, solver, grid = _build(cfg)
     result = find_ground_state(
-        cfg.build_potential(),
-        cfg.build_solver(),
-        cfg.build_grid(),
-        coercivity_override=cfg.solver_coercivity_override,
+        potential, solver, grid, coercivity_override=cfg.solver_coercivity_override
     )
     _write_trace(outdir / "trace.csv", result)
     _write_csv(
@@ -121,20 +141,17 @@ def _run_solve(cfg: RunConfig, outdir: Path) -> int:
     return 0
 
 
-def _sweep_point(args: tuple[float, RunConfig]) -> tuple[float, GroundStateResult]:
-    lam, cfg = args
-    result = find_ground_state(
-        Constant(lam),
-        cfg.build_solver(),
-        cfg.build_grid(),
-        coercivity_override=cfg.solver_coercivity_override,
-    )
-    return lam, result
+def _sweep_point(
+    args: tuple[float, SolverConfig, GridSpec, bool]
+) -> tuple[float, GroundStateResult]:
+    lam, solver, grid, coercivity_override = args
+    return lam, find_ground_state(Constant(lam), solver, grid, coercivity_override=coercivity_override)
 
 
 def _run_sweep(cfg: RunConfig, outdir: Path) -> int:
+    _, solver, grid = _build(cfg)
     lams = sorted(cfg.sweep_lambdas)
-    points = [(lam, cfg) for lam in lams]
+    points = [(lam, solver, grid, cfg.solver_coercivity_override) for lam in lams]
     if cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             results = dict(pool.map(_sweep_point, points))
@@ -162,11 +179,12 @@ def _run_sweep(cfg: RunConfig, outdir: Path) -> int:
 
 
 def _run_compare(cfg: RunConfig, outdir: Path) -> int:
+    potential, solver, grid = _build(cfg)
+    vinf = potential.v_infinity()
+    if vinf <= 0:
+        raise ConfigError(f"potential: compare-vinf needs v_infinity > 0, got {vinf!r}")
     cmp_result = compare_with_vinf(
-        cfg.build_potential(),
-        cfg.build_solver(),
-        cfg.build_grid(),
-        coercivity_override=cfg.solver_coercivity_override,
+        potential, solver, grid, coercivity_override=cfg.solver_coercivity_override
     )
     _write_csv(
         outdir / "compare.csv",
@@ -196,18 +214,12 @@ def _run_validate(cfg: RunConfig, outdir: Path) -> int:
 
 
 def _run_radial_crosscheck(cfg: RunConfig, outdir: Path) -> int:
+    potential, solver, grid = _build(cfg)
     result = find_ground_state(
-        cfg.build_potential(),
-        cfg.build_solver(),
-        cfg.build_grid(),
-        coercivity_override=cfg.solver_coercivity_override,
+        potential, solver, grid, coercivity_override=cfg.solver_coercivity_override
     )
     u_r, phi_r, c_radial = radial.radial_ground_state(
-        cfg.build_potential(),
-        cfg.solver_p,
-        r_max=cfg.radial_r_max,
-        n_r=cfg.radial_n_r,
-        cfg=cfg.build_solver(),
+        potential, cfg.solver_p, r_max=cfg.radial_r_max, n_r=cfg.radial_n_r, cfg=solver
     )
     rel_gap = abs(result.c_estimate - c_radial) / abs(c_radial)
     _write_trace(outdir / "trace.csv", result)
@@ -320,12 +332,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"ERROR config: {exc}", file=sys.stderr)
         return 2
-    except SpgsError as exc:
+    except (SpgsError, ValueError) as exc:
         print(f"ERROR solver[{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
-        print(f"ERROR config: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

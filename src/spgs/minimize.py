@@ -119,7 +119,8 @@ class GroundStateResult:
         return self.breakdown.I
 
 
-def _initial_field(init: InitSpec, grid: GridSpec) -> ScalarField:
+def initial_field(init: InitSpec, grid: GridSpec) -> ScalarField:
+    """The descent's first field: the Gaussian blob, or a field dump on the run grid."""
     if isinstance(init, GaussianBlob):
         width = init.width if init.width is not None else grid.L / 6.0
         return gaussian_blob(grid, init.center, width, init.amplitude)
@@ -267,7 +268,7 @@ def find_ground_state(
             )
     v_field = V.sample(grid)
 
-    inits = [_initial_field(cfg.init, grid)]
+    inits = [initial_field(cfg.init, grid)]
     if cfg.starts > 1:
         rng = np.random.default_rng(cfg.seed)
         base_width = grid.L / 6.0

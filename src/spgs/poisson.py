@@ -10,6 +10,12 @@ kernel and agree to rounding.  The kernel's x = y value is the exact mean
 of 1/(4*pi*|xi|) over one cell, which removes the singularity with an
 O(h^2)-consistent correction.
 
+The FFT convolution is a pruned separable transform.  The forward pass
+transforms one axis at a time and only the planes of the (2n)^3 padded
+box that hold charge; the inverse pass crops each axis to its n wanted
+outputs before transforming the next.  No (2n)^3 real array is formed,
+and the result equals the full padded irfftn(rfftn(pad) * K) bit for bit.
+
 The raw kernel sum approximates the continuum operator, so its 7-point
 discrete residual is O(1) near the source.  `solve_phi` therefore adds a
 defect correction: a fast sine-transform Dirichlet solve on the interior
@@ -24,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.fft
@@ -48,13 +54,18 @@ class NonlocalSolve:
     """Result of a free-space Poisson solve for phi_u.
 
     residual_rel is ||-Lap_h(phi) - u^2||_2 / ||u^2||_2 over interior
-    nodes (the outermost layer has no complete stencil inside the box).
+    nodes (the outermost layer has no complete stencil inside the box);
+    it is computed from the source u on first access.
     """
 
     phi: ScalarField
     method_tag: str
-    residual_rel: float
+    u: ScalarField
     kernel_constant: float = field(default=KERNEL_CONSTANT)
+
+    @cached_property
+    def residual_rel(self) -> float:
+        return interior_residual(self.u, self.phi)
 
 
 @lru_cache(maxsize=8)
@@ -72,32 +83,56 @@ def _kernel_rfft(n: int, h: float) -> np.ndarray:
 
 
 def _convolve_fft(q: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """h^3 * (kernel * q) by zero-padded circular convolution."""
+    """h^3 * (kernel * q) by zero-padded circular convolution, pruned.
+
+    Equals h^3 * irfftn(rfftn(pad) * K)[:n, :n, :n] for q zero-padded to
+    (2n)^3, bit for bit: each 1-D pass is the one the padded transform
+    runs, in the same axis order, except that forward passes skip the
+    all-zero planes and inverse passes skip the planes that are cropped
+    away.  The 1/(2n)^3 normalisation is applied once, at the end, as the
+    padded inverse does.
+    """
     n = grid.n
     m = 2 * n
-    pad = np.zeros((m, m, m))
-    pad[:n, :n, :n] = q
-    out = scipy.fft.irfftn(scipy.fft.rfftn(pad) * _kernel_rfft(n, grid.h), s=(m, m, m))
-    return grid.h**3 * out[:n, :n, :n]
+    f = scipy.fft.rfft(q, n=m, axis=2)
+    f = scipy.fft.fft(f, n=m, axis=0, overwrite_x=True)
+    f = scipy.fft.fft(f, n=m, axis=1, overwrite_x=True)
+    f *= _kernel_rfft(n, grid.h)
+    f = scipy.fft.ifft(f, axis=0, norm="forward", overwrite_x=True)[:n]
+    f = scipy.fft.ifft(f, axis=1, norm="forward", overwrite_x=True)[:, :n]
+    out = scipy.fft.irfft(f, n=m, axis=2, norm="forward", overwrite_x=True)[:, :, :n]
+    out *= 1.0 / m**3
+    return grid.h**3 * out
 
 
-def _convolve_direct(q: np.ndarray, grid: GridSpec, chunk: int = 512) -> np.ndarray:
-    """Same lattice sum by brute-force pairwise summation (small grids)."""
-    n = grid.n
+def _inverse_distance_sums(grid: GridSpec, q: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """sum over j != i of q[j] / |x_i - x_j| for each flat node index i in rows.
+
+    Brute-force O(rows * N) pairwise summation in row chunks.  Node i is
+    entry i of grid.coords() raveled in C order; x-fastest (F-order)
+    values give the same sums, since the two orders differ by the x <-> z
+    swap, an isometry.
+    """
     x, y, z = grid.coords()
     pts = np.stack([x.ravel(), y.ravel(), z.ravel()], axis=1)
-    qf = q.reshape(-1)
-    out = np.empty(qf.size)
-    self_kernel = CELL_MEAN_INVERSE_DISTANCE / grid.h
-    for start in range(0, qf.size, chunk):
-        stop = min(start + chunk, qf.size)
-        diff = pts[start:stop, None, :] - pts[None, :, :]
+    out = np.empty(rows.size)
+    chunk = 512
+    for start in range(0, rows.size, chunk):
+        sel = rows[start : start + chunk]
+        diff = pts[sel, None, :] - pts[None, :, :]
         dist = np.sqrt(np.sum(diff * diff, axis=2))
         inv = np.zeros_like(dist)
         np.divide(1.0, dist, out=inv, where=dist > 0)
-        block = inv @ qf
-        block += self_kernel * qf[start:stop]
-        out[start:stop] = block
+        out[start : start + chunk] = inv @ q
+    return out
+
+
+def _convolve_direct(q: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Same lattice sum by brute-force pairwise summation (small grids)."""
+    n = grid.n
+    qf = q.reshape(-1)
+    out = _inverse_distance_sums(grid, qf, np.arange(qf.size))
+    out += CELL_MEAN_INVERSE_DISTANCE / grid.h * qf
     return grid.h**3 * KERNEL_CONSTANT * out.reshape((n, n, n))
 
 
@@ -155,7 +190,7 @@ def solve_phi(
     grid = u.grid
     q = u.as3d ** 2
     if not np.any(q):
-        return NonlocalSolve(ScalarField.zeros(grid), "zero field", 0.0)
+        return NonlocalSolve(ScalarField.zeros(grid), "zero field", u)
 
     if method == "auto":
         method = "direct" if grid.n <= _DIRECT_MAX_AUTO else "fft"
@@ -173,8 +208,7 @@ def solve_phi(
         phi = phi.copy()
         phi[1:-1, 1:-1, 1:-1] += psi
 
-    out = ScalarField.from_3d(grid, phi)
-    return NonlocalSolve(out, tag, interior_residual(u, out))
+    return NonlocalSolve(ScalarField.from_3d(grid, phi), tag, u)
 
 
 def nonlocal_energy(u: ScalarField, phi: ScalarField) -> float:
@@ -196,8 +230,6 @@ def double_integral_oracle(u: ScalarField, region_radius: float | None = None) -
         raise ValueError(
             f"direct double sum limited to n <= {ORACLE_MAX_N}, got n={grid.n}"
         )
-    x, y, z = grid.coords()
-    pts = np.stack([x.ravel(), y.ravel(), z.ravel()], axis=1)
     q = (u.values * u.values).astype(np.float64)
     if region_radius is None:
         rows = np.arange(q.size)
@@ -205,15 +237,7 @@ def double_integral_oracle(u: ScalarField, region_radius: float | None = None) -
         rows = np.nonzero(grid.radius.ravel(order="F") <= region_radius)[0]
 
     h = grid.h
-    total = 0.0
-    chunk = 512
-    for start in range(0, rows.size, chunk):
-        sel = rows[start : start + chunk]
-        diff = pts[sel, None, :] - pts[None, :, :]
-        dist = np.sqrt(np.sum(diff * diff, axis=2))
-        inv = np.zeros_like(dist)
-        np.divide(1.0, dist, out=inv, where=dist > 0)
-        total += float(q[sel] @ (inv @ q))
+    total = float(q[rows] @ _inverse_distance_sums(grid, q, rows))
     self_term = CELL_MEAN_INVERSE_DISTANCE / h * float(np.sum(q[rows] ** 2))
     return h**6 * (total + self_term)
 

@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from spgs.grid import GridSpec, ScalarField, integrate
 from spgs.poisson import (
     CELL_MEAN_INVERSE_DISTANCE,
     NonlocalSolve,
+    _convolve_fft,
+    _kernel_rfft,
     dirichlet_seminorm,
     double_integral_oracle,
     interior_residual,
@@ -90,6 +93,38 @@ class TestSolvePhi:
     def test_kernel_constant_recorded(self, small_grid):
         u = seeded_fields(small_grid, 1)[0]
         assert solve_phi(u).kernel_constant == pytest.approx(1.0 / (4.0 * math.pi))
+
+
+class TestPrunedConvolution:
+    @staticmethod
+    def padded_reference(q, grid):
+        # the unpruned transform: zero-pad to (2n)^3, full rfftn/irfftn, crop
+        n = grid.n
+        m = 2 * n
+        pad = np.zeros((m, m, m))
+        pad[:n, :n, :n] = q
+        out = scipy.fft.irfftn(scipy.fft.rfftn(pad) * _kernel_rfft(n, grid.h), s=(m, m, m))
+        return grid.h**3 * out[:n, :n, :n]
+
+    @pytest.mark.parametrize(
+        "grid",
+        [GridSpec(L=5.0, n=12), GridSpec(L=5.0, n=16), GridSpec(L=5.0, n=24),
+         GridSpec(L=5.0, n=13, staggered=False)],
+        ids=["n12", "n16", "n24", "n13-nodal"],
+    )
+    def test_bit_identical_to_padded_transform(self, grid):
+        rng = np.random.default_rng(grid.n)
+        q = rng.random((grid.n,) * 3)
+        for src in (q, np.asfortranarray(q)):
+            assert np.array_equal(_convolve_fft(src, grid), self.padded_reference(q, grid))
+
+    def test_self_adjoint(self):
+        g = GridSpec(L=5.0, n=16)
+        rng = np.random.default_rng(19)
+        a, b = rng.standard_normal((2, g.n, g.n, g.n))
+        lhs = float(np.sum(a * _convolve_fft(b, g)))
+        rhs = float(np.sum(_convolve_fft(a, g) * b))
+        assert abs(lhs - rhs) <= 1e-14 * abs(lhs)
 
 
 class TestNonlocalEnergy:
