@@ -154,10 +154,9 @@ def h1_norm(u: ScalarField) -> float:
     return float(np.sqrt(dirichlet_energy(u) + u.grid.h**3 * np.sum(u.values * u.values)))
 
 
-def _link_diffs(a: np.ndarray, axis: int) -> np.ndarray:
-    """Differences across all links along one axis, including the two
-    links into the zero ghost layer."""
-    return np.diff(a, axis=axis, prepend=0.0, append=0.0)
+def _sum_squares(d: np.ndarray) -> float:
+    v = d.ravel(order="K")
+    return float(v @ v)
 
 
 def dirichlet_energy(u: ScalarField) -> float:
@@ -167,14 +166,15 @@ def dirichlet_energy(u: ScalarField) -> float:
     h * sum over forward-difference links (including links into the zero
     ghost layer), which equals h^3 <u, -Lap_h u> exactly.  That exactness
     is what makes the energy functional differentiable with the 7-point
-    Laplacian as its gradient.
+    Laplacian as its gradient.  Per axis the sum is the interior link
+    differences plus the two faces next to the ghost layer, whose links
+    differ by the face values themselves.
     """
-    a = u.as3d
     h = u.grid.h
     total = 0.0
     for axis in range(3):
-        d = _link_diffs(a, axis)
-        total += float(np.sum(d * d))
+        a = np.moveaxis(u.as3d, axis, 0)
+        total += _sum_squares(a[1:] - a[:-1]) + _sum_squares(a[0]) + _sum_squares(a[-1])
     return h * total
 
 
@@ -214,6 +214,39 @@ def dirichlet_eigenvalues(m: int, h: float, kinetic: str = "fd") -> np.ndarray:
     table = lam1[:, None, None] + lam1[None, :, None] + lam1[None, None, :]
     table.setflags(write=False)
     return table
+
+
+@lru_cache(maxsize=8)
+def _sine_matrix(m: int) -> np.ndarray:
+    """S_jk = 2 sin(pi j k / (m + 1)), j, k = 1..m; cached and read-only."""
+    k = np.arange(1, m + 1)
+    s = 2.0 * np.sin(np.pi * np.outer(k, k) / (m + 1))
+    s.setflags(write=False)
+    return s
+
+
+def sine_transform(a: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """Unnormalised 3-D DST-I of an (m, m, m) block, scipy.fft.dstn(a, type=1).
+
+    Runs as three products with the sine matrix S of `_sine_matrix`, one
+    per axis.  S is symmetric and S S = 2(m + 1) I, so `inverse=True`
+    (idstn) is the same three products scaled by (2(m + 1))^-3.  The block
+    is read as a C-ordered [k, j, i] array (an F-ordered one through its
+    transpose, which is how x-fastest field storage comes in), where the
+    three products need no transpose or copy; the result has the input's
+    memory order.  The transform is the same along every axis, so the
+    axis order of the block does not matter.
+    """
+    m = a.shape[0]
+    s = _sine_matrix(m)
+    flip = a.flags.f_contiguous and not a.flags.c_contiguous
+    c = np.ascontiguousarray(a.T if flip else a)
+    out = np.matmul(c.reshape(m * m, m), s).reshape(m, m, m)
+    out = np.matmul(s, out)
+    out = np.matmul(s, out.reshape(m, m * m)).reshape(m, m, m)
+    if inverse:
+        out *= 1.0 / (2.0 * (m + 1)) ** 3
+    return out.T if flip else out
 
 
 def gradient_squared(u: ScalarField) -> ScalarField:

@@ -18,8 +18,10 @@ and the result equals the full padded irfftn(rfftn(pad) * K) bit for bit.
 
 The raw kernel sum approximates the continuum operator, so its 7-point
 discrete residual is O(1) near the source.  `solve_phi` therefore adds a
-defect correction: a fast sine-transform Dirichlet solve on the interior
-nodes, keeping the kernel values as boundary data.  The returned phi then
+defect correction: an exact Dirichlet solve on the interior nodes,
+diagonal in the DST-I sine modes (`grid.sine_transform`, three products
+with a cached sine matrix per transform), keeping the kernel values as
+boundary data.  The returned phi then
 satisfies -Lap_h(phi) = u^2 on interior nodes to rounding while retaining
 the free-space 1/|x| tail, and it stays positive by the discrete maximum
 principle.  The uncorrected sum (`residual_correction=False`) is exactly
@@ -35,7 +37,14 @@ from functools import cached_property, lru_cache
 import numpy as np
 import scipy.fft
 
-from .grid import GridSpec, ScalarField, dirichlet_eigenvalues, dirichlet_energy, integrate
+from .grid import (
+    GridSpec,
+    ScalarField,
+    dirichlet_eigenvalues,
+    dirichlet_energy,
+    integrate,
+    sine_transform,
+)
 
 # Mean of 1/|xi| over the unit cell [-1/2, 1/2]^3 (closed form; equals the
 # high-resolution quadrature of the cell average to 1e-15).
@@ -105,25 +114,43 @@ def _convolve_fft(q: np.ndarray, grid: GridSpec) -> np.ndarray:
     return grid.h**3 * out
 
 
+@lru_cache(maxsize=4)
+def _inverse_distance_table(n: int, h: float) -> np.ndarray:
+    """1 / (h |d|) for node-index differences d in [0, n)^3, zero at d = 0."""
+    d = np.arange(n, dtype=np.float64)
+    r = h * np.sqrt(d[:, None, None] ** 2 + d[None, :, None] ** 2 + d[None, None, :] ** 2)
+    with np.errstate(divide="ignore"):
+        table = 1.0 / r
+    table[0, 0, 0] = 0.0
+    table = table.ravel()
+    table.setflags(write=False)
+    return table
+
+
 def _inverse_distance_sums(grid: GridSpec, q: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """sum over j != i of q[j] / |x_i - x_j| for each flat node index i in rows.
 
-    Brute-force O(rows * N) pairwise summation in row chunks.  Node i is
-    entry i of grid.coords() raveled in C order; x-fastest (F-order)
-    values give the same sums, since the two orders differ by the x <-> z
-    swap, an isometry.
+    Brute-force O(rows * N) pairwise summation in row chunks; each chunk's
+    weights are gathered from the cached `_inverse_distance_table` by the
+    absolute node-index differences along each axis.  Node i is entry i
+    of grid.coords() raveled in C order; x-fastest (F-order) values give
+    the same sums, since the two orders differ by the x <-> z swap, an
+    isometry.
     """
-    x, y, z = grid.coords()
-    pts = np.stack([x.ravel(), y.ravel(), z.ravel()], axis=1)
+    n = grid.n
+    table = _inverse_distance_table(n, grid.h)
+    ix, iy, iz = np.unravel_index(rows, (n, n, n))
+    steps = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
     out = np.empty(rows.size)
     chunk = 512
     for start in range(0, rows.size, chunk):
-        sel = rows[start : start + chunk]
-        diff = pts[sel, None, :] - pts[None, :, :]
-        dist = np.sqrt(np.sum(diff * diff, axis=2))
-        inv = np.zeros_like(dist)
-        np.divide(1.0, dist, out=inv, where=dist > 0)
-        out[start : start + chunk] = inv @ q
+        sel = slice(start, start + chunk)
+        flat = (
+            (n * n) * steps[ix[sel]][:, :, None, None]
+            + n * steps[iy[sel]][:, None, :, None]
+            + steps[iz[sel]][:, None, None, :]
+        )
+        out[sel] = table.take(flat.reshape(flat.shape[0], -1)) @ q
     return out
 
 
@@ -139,9 +166,9 @@ def _convolve_direct(q: np.ndarray, grid: GridSpec) -> np.ndarray:
 def _interior_dirichlet_solve(rhs: np.ndarray, h: float) -> np.ndarray:
     """Exact solve of -Lap_h psi = rhs with psi = 0 on the surrounding layer."""
     m = rhs.shape[0]
-    coeff = scipy.fft.dstn(rhs, type=1)
+    coeff = sine_transform(rhs)
     coeff /= dirichlet_eigenvalues(m, h)
-    return scipy.fft.idstn(coeff, type=1)
+    return sine_transform(coeff, inverse=True)
 
 
 def _interior_defect(q: np.ndarray, phi: np.ndarray, h: float) -> np.ndarray:

@@ -193,6 +193,18 @@ class TestPrecondition:
             out = precondition(r)
             assert grid.h**3 * float(np.sum(out.values * r.values)) > 0.0
 
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_symmetric_and_positive_on_large_grids(self, n):
+        g = GridSpec(L=6.0, n=n)
+        rng = np.random.default_rng(n)
+        a, b = (ScalarField(g, rng.standard_normal(g.num_nodes)) for _ in range(2))
+        pa, pb = precondition(a), precondition(b)
+        paa = float(np.dot(pa.values, a.values))
+        pbb = float(np.dot(pb.values, b.values))
+        assert paa > 0.0 and pbb > 0.0
+        cross = float(np.dot(pa.values, b.values)) - float(np.dot(a.values, pb.values))
+        assert abs(cross) <= 1e-13 * math.sqrt(paa * pbb)
+
 
 class TestBreakdownDataclass:
     def test_from_scalars_formulas(self):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from spgs.grid import (
     GridSpec,
@@ -19,6 +20,7 @@ from spgs.grid import (
     lp_integral,
     radialize,
     read_field,
+    sine_transform,
     write_field,
 )
 
@@ -158,6 +160,23 @@ class TestDirichletEnergy:
         lhs = dirichlet_energy(u)
         rhs = -g.h**3 * float(np.sum(u.values * laplacian(u).values))
         assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+class TestSineTransform:
+    @pytest.mark.parametrize("m", [24, 30, 46, 62, 64, 96])
+    def test_matches_scipy_dst1_and_round_trips(self, m):
+        rng = np.random.default_rng(m)
+        a = rng.standard_normal((m, m, m))
+        fwd = scipy.fft.dstn(a, type=1)
+        inv = scipy.fft.idstn(a, type=1)
+        for src in (a, np.asfortranarray(a)):
+            got = sine_transform(src)
+            assert np.max(np.abs(got - fwd)) <= 1e-13 * np.max(np.abs(fwd))
+            got = sine_transform(src, inverse=True)
+            assert np.max(np.abs(got - inv)) <= 1e-13 * np.max(np.abs(inv))
+            back = sine_transform(sine_transform(src), inverse=True)
+            assert np.max(np.abs(back - a)) <= 1e-13 * np.max(np.abs(a))
+            assert sine_transform(src).flags.f_contiguous == src.flags.f_contiguous
 
 
 class TestLpIntegral:

@@ -76,8 +76,7 @@ class TestSolvePhi:
         assert raw.residual_rel > 1e-3
 
     def test_direct_and_fft_agree(self):
-        for n in (12, 16):
-            g = GridSpec(L=5.0, n=n)
+        for g in (GridSpec(L=5.0, n=12), GridSpec(L=5.0, n=16), GridSpec(L=5.0, n=13, staggered=False)):
             u = seeded_fields(g, 1, seed=9)[0]
             pd = solve_phi(u, method="direct").phi.values
             pf = solve_phi(u, method="fft").phi.values
