@@ -61,13 +61,7 @@ from .nehari import (
     nehari_project,
     ray_max_check,
 )
-from .poisson import (
-    NonlocalSolve,
-    double_integral_oracle,
-    nonlocal_energy,
-    phi_at_origin,
-    solve_phi,
-)
+from .poisson import double_integral_oracle, solve_phi
 from .potential import (
     CoercivityResult,
     Composite,

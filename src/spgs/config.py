@@ -9,6 +9,7 @@ order so that parse(canonical_text(cfg)) round-trips exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Any
 
@@ -35,9 +36,12 @@ def _parse_bool(key: str, raw: str) -> bool:
 
 def _parse_float(key: str, raw: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: expected a finite number, got {raw!r}")
+    return value
 
 
 def _parse_int(key: str, raw: str) -> int:
@@ -49,9 +53,12 @@ def _parse_int(key: str, raw: str) -> int:
 
 def _parse_floats(key: str, raw: str) -> tuple[float, ...]:
     try:
-        return tuple(float(tok) for tok in raw.split(",") if tok.strip())
+        values = tuple(float(tok) for tok in raw.split(",") if tok.strip())
     except ValueError:
         raise ConfigError(f"{key}: expected comma-separated numbers, got {raw!r}") from None
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"{key}: expected finite numbers, got {raw!r}")
+    return values
 
 
 @dataclass(frozen=True)
@@ -123,6 +130,10 @@ class RunConfig:
         if self.solver_init not in _INIT_KINDS:
             raise ConfigError(
                 f"solver.init: must be one of {_INIT_KINDS}, got {self.solver_init!r}"
+            )
+        if self.solver_init_width < 0:
+            raise ConfigError(
+                f"solver.init_width: must be nonnegative (0 means L/6), got {self.solver_init_width}"
             )
         if self.solver_init == "file" and not self.solver_init_path:
             raise ConfigError("solver.init_path: required when solver.init = file")

@@ -143,7 +143,7 @@ def energy_breakdown(
     u2 = u.values * u.values
     A1 = kinetic_energy(u, kinetic) + g.h**3 * float(np.sum(vvals * u2))
     if phi is None:
-        phi = solve_phi(u, residual_correction=False).phi
+        phi = solve_phi(u, residual_correction=False)
     B = g.h**3 * float(np.sum(phi.values * u2))
     C = lp_integral(u, p + 1.0)
     return EnergyBreakdown.from_scalars(A1, B, C, p)
@@ -168,7 +168,7 @@ def el_residual(
     g = u.grid
     vvals = _potential_values(V, g)
     if phi is None:
-        phi = solve_phi(u, residual_correction=False).phi
+        phi = solve_phi(u, residual_correction=False)
     nonlin = np.sign(u.values) * np.abs(u.values) ** p
     r = minus_laplacian(u, kinetic).values + (vvals + phi.values) * u.values - nonlin
     field = ScalarField(g, r)

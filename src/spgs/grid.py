@@ -8,9 +8,12 @@ the midpoint rule h^3 * sum, which is the natural rule on this node layout
 and converges fast for smooth decaying fields.
 
 Fields are stored flat in x-fastest order (the dump format below); the
-3-D view `as3d` has axes ordered (x, y, z).  Differential quantities use
-the 7-point second-order Laplacian with a zero ghost layer, i.e. fields
-are treated as negligible outside the box.
+3-D view `as3d` has axes ordered (x, y, z).  Fields are treated as zero
+outside the box (a zero ghost layer).  On that box the 7-point
+second-order Laplacian and the exact sine-spectral one share the DST-I
+sine modes as eigenvectors (`dirichlet_eigenvalues`, `sine_transform`):
+the kinetic term is either, and the Sobolev preconditioner and the
+Poisson defect correction are diagonal in those modes.
 
 Dump format (bit-exact round trip): one ASCII header line
 ``SPGS1 n=<n> L=<decimal> staggered=<0|1>\\n`` followed by n^3
@@ -326,6 +329,9 @@ def read_field(path: str | Path) -> ScalarField:
         if len(parts) != 4 or parts[0] != "SPGS1":
             raise ValueError(f"not a field dump: bad header {header!r}")
         fields = dict(p.split("=", 1) for p in parts[1:])
+        missing = [key for key in ("n", "L", "staggered") if key not in fields]
+        if missing:
+            raise ValueError(f"not a field dump: header {header!r} lacks {', '.join(missing)}")
         grid = GridSpec(
             L=float(fields["L"]),
             n=int(fields["n"]),

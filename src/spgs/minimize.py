@@ -287,7 +287,7 @@ def find_ground_state(
             u0,
             cfg,
             field=lambda values: ScalarField(grid, values),
-            solve=lambda u: solve_phi(u, residual_correction=False).phi,
+            solve=lambda u: solve_phi(u, residual_correction=False),
             breakdown=lambda u, phi: energy_breakdown(u, v_field, cfg.p, phi=phi, kinetic=cfg.kinetic),
             residual=lambda u, phi: el_residual(u, v_field, cfg.p, phi=phi, kinetic=cfg.kinetic),
             precondition=lambda r: precondition(r).values,
@@ -297,11 +297,11 @@ def find_ground_state(
             best = out
     u, eb, phi_conv, rnorm, iterations, trace, converged, status = best
 
-    full_solve = solve_phi(u)
-    profile = annulus_mass_profile(u, full_solve.phi)
+    phi = solve_phi(u)
+    profile = annulus_mass_profile(u, phi)
     return GroundStateResult(
         u=u,
-        phi=full_solve.phi,
+        phi=phi,
         breakdown=eb,
         residual_norm=rnorm,
         iterations=iterations,

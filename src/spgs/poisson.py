@@ -1,14 +1,12 @@
-"""Free-space Poisson solves -Lap(phi) = u^2 and the nonlocal energy.
+"""Free-space Poisson solves -Lap(phi) = u^2 for the nonlocal term phi_u u.
 
 The solution is the Coulomb sum
 
     phi(x) = sum_y h^3 * u^2(y) / (4*pi*|x - y|),
 
-realized by direct summation on small grids or by zero-padded (domain
-doubled) FFT convolution on large ones; both paths use the same lattice
-kernel and agree to rounding.  The kernel's x = y value is the exact mean
-of 1/(4*pi*|xi|) over one cell, which removes the singularity with an
-O(h^2)-consistent correction.
+realized by zero-padded (domain doubled) FFT convolution.  The kernel's
+x = y value is the exact mean of 1/(4*pi*|xi|) over one cell, which
+removes the singularity with an O(h^2)-consistent correction.
 
 The FFT convolution is a pruned separable transform.  The forward pass
 transforms one axis at a time and only the planes of the (2n)^3 padded
@@ -16,14 +14,18 @@ box that hold charge; the inverse pass crops each axis to its n wanted
 outputs before transforming the next.  No (2n)^3 real array is formed,
 and the result equals the full padded irfftn(rfftn(pad) * K) bit for bit.
 
+The same lattice sum by O(N^2) pairwise summation (`_convolve_direct`)
+is the reference the FFT path is tested against; its pairwise sums also
+serve `double_integral_oracle`, the brute-force check of the energy
+identity integral(phi_u u^2) = (1/4pi) * double sum of u^2 u^2 / |x - y|.
+
 The raw kernel sum approximates the continuum operator, so its 7-point
 discrete residual is O(1) near the source.  `solve_phi` therefore adds a
 defect correction: an exact Dirichlet solve on the interior nodes,
-diagonal in the DST-I sine modes (`grid.sine_transform`, three products
-with a cached sine matrix per transform), keeping the kernel values as
-boundary data.  The returned phi then
-satisfies -Lap_h(phi) = u^2 on interior nodes to rounding while retaining
-the free-space 1/|x| tail, and it stays positive by the discrete maximum
+diagonal in the DST-I sine modes (`grid.sine_transform`), keeping the
+kernel values as boundary data.  The returned phi then satisfies
+-Lap_h(phi) = u^2 on interior nodes to rounding while retaining the
+free-space 1/|x| tail, and it stays positive by the discrete maximum
 principle.  The uncorrected sum (`residual_correction=False`) is exactly
 self-adjoint in u^2 and is what the energy functional differentiates.
 """
@@ -31,8 +33,7 @@ self-adjoint in u^2 and is what the energy functional differentiates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 import scipy.fft
@@ -41,8 +42,7 @@ from .grid import (
     GridSpec,
     ScalarField,
     dirichlet_eigenvalues,
-    dirichlet_energy,
-    integrate,
+    laplacian,
     sine_transform,
 )
 
@@ -54,27 +54,6 @@ KERNEL_CONSTANT = 1.0 / (4.0 * math.pi)
 
 # Largest grid for which the O(N^2) direct double sum is allowed.
 ORACLE_MAX_N = 24
-
-_DIRECT_MAX_AUTO = 12
-
-
-@dataclass(frozen=True)
-class NonlocalSolve:
-    """Result of a free-space Poisson solve for phi_u.
-
-    residual_rel is ||-Lap_h(phi) - u^2||_2 / ||u^2||_2 over interior
-    nodes (the outermost layer has no complete stencil inside the box);
-    it is computed from the source u on first access.
-    """
-
-    phi: ScalarField
-    method_tag: str
-    u: ScalarField
-    kernel_constant: float = field(default=KERNEL_CONSTANT)
-
-    @cached_property
-    def residual_rel(self) -> float:
-        return interior_residual(self.u, self.phi)
 
 
 @lru_cache(maxsize=8)
@@ -155,7 +134,7 @@ def _inverse_distance_sums(grid: GridSpec, q: np.ndarray, rows: np.ndarray) -> n
 
 
 def _convolve_direct(q: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Same lattice sum by brute-force pairwise summation (small grids)."""
+    """Same lattice sum by brute-force pairwise summation: the FFT path's test reference."""
     n = grid.n
     qf = q.reshape(-1)
     out = _inverse_distance_sums(grid, qf, np.arange(qf.size))
@@ -171,76 +150,40 @@ def _interior_dirichlet_solve(rhs: np.ndarray, h: float) -> np.ndarray:
     return sine_transform(coeff, inverse=True)
 
 
-def _interior_defect(q: np.ndarray, phi: np.ndarray, h: float) -> np.ndarray:
+def _interior_defect(u: ScalarField, phi: ScalarField) -> np.ndarray:
     """u^2 + Lap_h(phi) on interior nodes (stencil fully inside the box)."""
-    lap = (
-        phi[2:, 1:-1, 1:-1]
-        + phi[:-2, 1:-1, 1:-1]
-        + phi[1:-1, 2:, 1:-1]
-        + phi[1:-1, :-2, 1:-1]
-        + phi[1:-1, 1:-1, 2:]
-        + phi[1:-1, 1:-1, :-2]
-        - 6.0 * phi[1:-1, 1:-1, 1:-1]
-    ) / h**2
-    return q[1:-1, 1:-1, 1:-1] + lap
+    inner = (slice(1, -1),) * 3
+    return u.as3d[inner] ** 2 + laplacian(phi).as3d[inner]
 
 
 def interior_residual(u: ScalarField, phi: ScalarField) -> float:
     """Relative 7-point residual ||-Lap_h phi - u^2||_2 / ||u^2||_2, interior nodes."""
-    q = u.as3d ** 2
-    defect = _interior_defect(q, phi.as3d, u.grid.h)
-    norm_q = float(np.sqrt(np.sum(q[1:-1, 1:-1, 1:-1] ** 2)))
+    q = u.as3d[1:-1, 1:-1, 1:-1] ** 2
+    norm_q = float(np.sqrt(np.sum(q**2)))
     if norm_q == 0.0:
         return 0.0
-    return float(np.sqrt(np.sum(defect**2))) / norm_q
+    return float(np.sqrt(np.sum(_interior_defect(u, phi) ** 2))) / norm_q
 
 
-def solve_phi(
-    u: ScalarField, method: str = "auto", residual_correction: bool = True
-) -> NonlocalSolve:
+def solve_phi(u: ScalarField, residual_correction: bool = True) -> ScalarField:
     """Solve -Lap(phi) = u^2 with free-space (decaying) behavior.
 
-    Parameters
-    ----------
-    u : ScalarField
-        Source field; the charge is u^2.
-    method : {"auto", "direct", "fft"}
-        Kernel-sum realization.  "auto" picks direct summation on small
-        grids and zero-padded FFT convolution otherwise; both agree to
-        rounding.
-    residual_correction : bool
-        When True (default), add the interior Dirichlet defect solve so
-        the 7-point residual vanishes to rounding on interior nodes.
-        When False, return the raw kernel quadrature sum, which is the
-        exactly self-adjoint realization used by the energy functional.
+    The kernel sum runs as the pruned zero-padded FFT convolution.  When
+    `residual_correction` is True (default), the interior Dirichlet defect
+    solve is added so the 7-point residual vanishes to rounding on interior
+    nodes.  When False, the raw kernel quadrature sum is returned, which is
+    the exactly self-adjoint realization the energy functional uses.
     """
     grid = u.grid
     q = u.as3d ** 2
     if not np.any(q):
-        return NonlocalSolve(ScalarField.zeros(grid), "zero field", u)
-
-    if method == "auto":
-        method = "direct" if grid.n <= _DIRECT_MAX_AUTO else "fft"
-    if method == "direct":
-        phi = _convolve_direct(q, grid)
-        tag = "free-space convolution"
-    elif method == "fft":
-        phi = _convolve_fft(q, grid)
-        tag = "zero-padded spectral"
-    else:
-        raise ValueError(f"unknown method {method!r}")
-
-    if residual_correction:
-        psi = _interior_dirichlet_solve(_interior_defect(q, phi, grid.h), grid.h)
-        phi = phi.copy()
-        phi[1:-1, 1:-1, 1:-1] += psi
-
-    return NonlocalSolve(ScalarField.from_3d(grid, phi), tag, u)
-
-
-def nonlocal_energy(u: ScalarField, phi: ScalarField) -> float:
-    """The scalar B = integral of phi * u^2 (nonnegative for phi = phi_u)."""
-    return integrate(ScalarField(u.grid, phi.values * u.values * u.values))
+        return ScalarField.zeros(grid)
+    phi = ScalarField.from_3d(grid, _convolve_fft(q, grid))
+    if not residual_correction:
+        return phi
+    out = phi.as3d.copy()
+    out[1:-1, 1:-1, 1:-1] += _interior_dirichlet_solve(_interior_defect(u, phi), grid.h)
+    return ScalarField.from_3d(grid, out)
 
 
 def double_integral_oracle(u: ScalarField, region_radius: float | None = None) -> float:
@@ -267,64 +210,3 @@ def double_integral_oracle(u: ScalarField, region_radius: float | None = None) -
     total = float(q[rows] @ _inverse_distance_sums(grid, q, rows))
     self_term = CELL_MEAN_INVERSE_DISTANCE / h * float(np.sum(q[rows] ** 2))
     return h**6 * (total + self_term)
-
-
-def _origin_kernel_sum(f: np.ndarray, grid: GridSpec) -> float:
-    """Lattice sum of f(y) / (4*pi*|y|) targeted at the origin.
-
-    The eight cells adjacent to the origin are integrated exactly (each
-    contributes the cell mean c0 * h^2 / 2 of the kernel) instead of
-    point-sampled.
-    """
-    r = grid.radius
-    h = grid.h
-    inner = r < h  # the 8 nodes at |x| = h*sqrt(3)/2
-    far_sum = float(np.sum((f / r)[~inner]))
-    inner_sum = float(np.sum(f[inner]))
-    return KERNEL_CONSTANT * (
-        h**3 * far_sum + 0.5 * CELL_MEAN_INVERSE_DISTANCE * h**2 * inner_sum
-    )
-
-
-def phi_at_origin(u: ScalarField) -> float:
-    """Evaluate the free-space solution at the origin (off-lattice point).
-
-    Staggered grids keep the origin between nodes, so the kernel sum is
-    finite.  On top of the exact treatment of the origin-adjacent cells,
-    the charge near the origin is matched by a Gaussian a*exp(-b r^2)
-    fitted to the two innermost node shells; the Gaussian's potential at
-    the origin is a/(2b) in closed form and only the smooth remainder is
-    summed on the lattice.  When the fit degenerates (flat, rising or
-    unresolved charge) the evaluation falls back to the kernel sum plus
-    the analytic midpoint flux correction h^2 * q(0) / 24.
-    """
-    grid = u.grid
-    if not grid.staggered:
-        raise ValueError("origin evaluation needs a staggered grid (no node at 0)")
-    q = u.as3d ** 2
-    r = grid.radius
-    h = grid.h
-    inner = r < h
-    shell2 = (r >= h) & (r < 1.9 * h)  # the 24 nodes at |x| = h*sqrt(11)/2
-    q1 = float(np.mean(q[inner]))
-    q2 = float(np.mean(q[shell2]))
-    r1sq = 0.75 * h * h
-    r2sq = 2.75 * h * h
-
-    if q1 > 0.0 and q2 > 0.0 and q1 > q2:
-        b = math.log(q1 / q2) / (r2sq - r1sq)
-        # model must be resolved by the grid and negligible at the boundary
-        if 30.0 / grid.L**2 <= b <= 1.0 / h**2:
-            a = q1 * math.exp(b * r1sq)
-            model = a * np.exp(-b * r * r)
-            return _origin_kernel_sum(q - model, grid) + a / (2.0 * b)
-
-    # quadratic extrapolation of the charge to the origin for the
-    # midpoint flux correction
-    q0 = max((11.0 * q1 - 3.0 * q2) / 8.0, 0.0)
-    return _origin_kernel_sum(q, grid) + h * h / 24.0 * q0
-
-
-def dirichlet_seminorm(phi: ScalarField) -> float:
-    """The D^{1,2} norm sqrt(integral |grad phi|^2) of a potential field."""
-    return math.sqrt(dirichlet_energy(phi))

@@ -45,9 +45,33 @@ def test_nonfinite_step_mid_descent_is_a_solver_error(tmp_path, monkeypatch, cap
         ["solve", "--set", "grid.staggered=false", "--set", "grid.n=15",
          "--set", "potential.kind=coulomb_singular"],
         ["compare-vinf", "--set", "potential.V1=-1.0"],
+        ["solve", "--set", "solver.tol=nan"],
+        ["solve", "--set", "solver.step=inf"],
+        ["solve", "--set", "solver.init_width=-1.0"],
+        ["sweep-lambda", "--set", "sweep.lambdas=1.0,nan"],
     ],
-    ids=["singular-on-nodal-grid", "nonpositive-vinf"],
+    ids=[
+        "singular-on-nodal-grid", "nonpositive-vinf", "nan-tol", "infinite-step",
+        "negative-init-width", "nan-in-list",
+    ],
 )
 def test_rejected_run_inputs_are_config_errors(tmp_path, capsys, args):
     assert main(args + ["--output", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("ERROR config:")
+
+
+def test_malformed_init_dump_is_a_config_error(tmp_path, capsys):
+    dump = tmp_path / "init.field"
+    dump.write_bytes(b"SPGS1 a=1 b=2 c=3\n")
+    argv = [
+        "solve",
+        "--set", "grid.L=4.0",
+        "--set", "grid.n=16",
+        "--set", "solver.init=file",
+        "--set", f"solver.init_path={dump}",
+        "--output", str(tmp_path / "out"),
+    ]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR config:")
+    assert "lacks n, L, staggered" in err

@@ -14,7 +14,7 @@ from spgs.functional import (
     minus_laplacian,
     precondition,
 )
-from spgs.poisson import double_integral_oracle, solve_phi
+from spgs.poisson import double_integral_oracle
 from spgs.potential import Constant, CoulombSingular
 from spgs.sampling import random_smooth_field
 

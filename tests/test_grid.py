@@ -283,11 +283,13 @@ class TestFieldDump:
         g = GridSpec(L=12.0, n=8)
         path = tmp_path / "field.spgs"
         write_field(ScalarField.zeros(g), path)
-        header = open(path, "rb").readline().decode("ascii")
+        with open(path, "rb") as fh:
+            header = fh.readline().decode("ascii")
         assert header == "SPGS1 n=8 L=12.0 staggered=1\n"
 
     def test_rejects_bad_header(self, tmp_path):
         path = tmp_path / "junk.spgs"
-        path.write_bytes(b"NOPE 1 2 3\n")
-        with pytest.raises(ValueError):
-            read_field(path)
+        for header in (b"NOPE 1 2 3\n", b"SPGS1 a=1 b=2 c=3\n"):
+            path.write_bytes(header)
+            with pytest.raises(ValueError):
+                read_field(path)
