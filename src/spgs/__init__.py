@@ -56,7 +56,6 @@ from .minimize import (
 )
 from .nehari import (
     FiberScaling,
-    fiber_root,
     manifold_floor_check,
     nehari_project,
     ray_max_check,

@@ -106,18 +106,21 @@ def _build(cfg: RunConfig) -> tuple[Potential, SolverConfig, GridSpec]:
     """The run's potential, solver settings and grid.
 
     The potential is sampled and the initial field built on the grid here,
-    so that every value they reject surfaces as a ConfigError before the
-    solve starts.  Like `RunConfig.validate`, this holds in every mode,
-    also in sweep-lambda, which replaces the potential by constants.
+    so that every value they reject, and an initial field that is zero on
+    every node, surfaces as a ConfigError before the solve starts.  Like
+    `RunConfig.validate`, this holds in every mode, also in sweep-lambda,
+    which replaces the potential by constants.
     """
     try:
         grid = cfg.build_grid()
         solver = cfg.build_solver()
         potential = cfg.build_potential()
         potential.sample(grid)
-        initial_field(solver.init, grid)
+        u0 = initial_field(solver.init, grid)
     except (OSError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
+    if not u0.values.any():
+        raise ConfigError("solver.init: the initial field is zero on every node of the grid")
     return potential, solver, grid
 
 

@@ -139,6 +139,11 @@ class RunConfig:
             raise ConfigError("solver.init_path: required when solver.init = file")
         if self.mode not in MODES:
             raise ConfigError(f"mode: must be one of {MODES}, got {self.mode!r}")
+        if self.mode == "radial-crosscheck" and self.potential_kind == "tabulated":
+            raise ConfigError(
+                "potential.kind: radial-crosscheck needs a radially symmetric potential "
+                "(constant or coulomb_singular), got 'tabulated'"
+            )
         if self.jobs < 1:
             raise ConfigError(f"jobs: must be at least 1, got {self.jobs}")
         if not self.sweep_lambdas:

@@ -15,17 +15,17 @@ and the derived values
 
 which satisfy I - J = G/(p+1) identically, so I = J on the manifold.
 
-Every term is an exact function of the node values: the kinetic part is a
-quadratic form with a symmetric operator, the nonlocal part uses the
-uncorrected convolution solve (exactly self-adjoint in u^2), so the
-Euler-Lagrange residual returned here is the exact L^2 gradient of I up
-to rounding.  That exactness is relied on by the descent loop and is
+Every term is an exact function of the node values: the kinetic part is
+the quadratic form h^3 <u, -Lap u> of a symmetric operator, the nonlocal
+part uses the uncorrected convolution solve (exactly self-adjoint in u^2),
+so the Euler-Lagrange residual returned here is the exact L^2 gradient of
+I up to rounding.  That exactness is relied on by the descent loop and is
 testable by central differences.
 
-The kinetic discretization is selectable; both variants take fields to
-vanish one node beyond the box, as the Poisson solve and the
-preconditioner do.  "fd" (baseline) is the 7-point Laplacian pair of the
-link-sum Dirichlet form; "spectral" is the sine-spectral (DST-I) Laplacian.
+One operator, `minus_laplacian`, forms -Lap u in the selected kinetic
+discretization, once per evaluated field: "fd" (baseline) is the 7-point
+`grid.laplacian`, "spectral" the sine-spectral (DST-I) Laplacian, both
+with fields vanishing one node beyond the box, as in the Poisson solve.
 """
 
 from __future__ import annotations
@@ -39,8 +39,6 @@ from .grid import (
     GridSpec,
     ScalarField,
     dirichlet_eigenvalues,
-    dirichlet_energy,
-    integrate,
     laplacian,
     lp_integral,
     sine_transform,
@@ -58,7 +56,7 @@ def _check_p(p: float) -> None:
 
 @dataclass(frozen=True)
 class EnergyBreakdown:
-    """The scalars A1, B, C with the derived action values at one field."""
+    """A1, B, C, the derived action values and the H^1 norm (NaN if not given) at one field."""
 
     A1: float
     B: float
@@ -67,6 +65,7 @@ class EnergyBreakdown:
     G: float
     J: float
     p: float
+    h1: float = math.nan
 
     @property
     def magnitude(self) -> float:
@@ -74,34 +73,27 @@ class EnergyBreakdown:
         return abs(self.A1) + self.B + self.C
 
     @classmethod
-    def from_scalars(cls, A1: float, B: float, C: float, p: float) -> "EnergyBreakdown":
+    def from_scalars(cls, A1: float, B: float, C: float, p: float, h1: float = math.nan) -> "EnergyBreakdown":
         _check_p(p)
         I = 0.5 * A1 + 0.25 * B - C / (p + 1.0)
         G = A1 + B - C
         J = (0.5 - 1.0 / (p + 1.0)) * A1 + (0.25 - 1.0 / (p + 1.0)) * B
-        return cls(A1=A1, B=B, C=C, I=I, G=G, J=J, p=p)
+        return cls(A1=A1, B=B, C=C, I=I, G=G, J=J, p=p, h1=h1)
 
     def at_scale(self, t: float) -> "EnergyBreakdown":
         """Breakdown of the scaled field t*u via exact homogeneity."""
         return EnergyBreakdown.from_scalars(
-            t**2 * self.A1, t**4 * self.B, t ** (self.p + 1.0) * self.C, self.p
+            t**2 * self.A1, t**4 * self.B, t ** (self.p + 1.0) * self.C, self.p, abs(t) * self.h1
         )
 
 
 def kinetic_energy(u: ScalarField, kinetic: str = "fd") -> float:
-    """Integral of |grad u|^2 in the selected discretization.
-
-    For "spectral" this is h^3 <u, -Lap u> with `minus_laplacian`.
-    """
-    if kinetic == "fd":
-        return dirichlet_energy(u)
-    if kinetic == "spectral":
-        return u.grid.h**3 * float(np.sum(u.values * minus_laplacian(u, "spectral").values))
-    raise ValueError(f"unknown kinetic variant {kinetic!r}; options: {_KINETIC_VARIANTS}")
+    """Integral of |grad u|^2: the quadratic form h^3 <u, -Lap u> of `minus_laplacian`."""
+    return u.grid.h**3 * float(np.sum(u.values * minus_laplacian(u, kinetic).values))
 
 
 def minus_laplacian(u: ScalarField, kinetic: str = "fd") -> ScalarField:
-    """-Lap u in the discretization matching `kinetic_energy`.
+    """-Lap u in the selected discretization; "fd" is the 7-point `grid.laplacian`.
 
     "spectral" is the DST-I operator: each sine mode that vanishes one node
     beyond the box gets its exact eigenvalue sum_i (pi k_i / ((n + 1) h))^2.
@@ -124,6 +116,26 @@ def _potential_values(V: Potential | ScalarField, grid: GridSpec) -> np.ndarray:
     return V.sample(grid).values
 
 
+def _evaluate(u: ScalarField, V: Potential | ScalarField, p: float, phi: ScalarField | None, kinetic: str):
+    """(breakdown, -Lap u, V values, phi) at u from one application of -Lap.
+
+    The breakdown's h1 is sqrt(h^3 <u, -Lap u> + h^3 sum u^2)."""
+    _check_p(p)
+    g = u.grid
+    w = g.h**3
+    vvals = _potential_values(V, g)
+    if phi is None:
+        phi = solve_phi(u, residual_correction=False)
+    mlap = minus_laplacian(u, kinetic).values
+    u2 = u.values * u.values
+    kin = w * float(np.sum(u.values * mlap))
+    A1 = kin + w * float(np.sum(vvals * u2))
+    B = w * float(np.sum(phi.values * u2))
+    C = lp_integral(u, p + 1.0)
+    h1 = math.sqrt(kin + w * float(np.sum(u2)))
+    return EnergyBreakdown.from_scalars(A1, B, C, p, h1), mlap, vvals, phi
+
+
 def energy_breakdown(
     u: ScalarField,
     V: Potential | ScalarField,
@@ -131,22 +143,13 @@ def energy_breakdown(
     phi: ScalarField | None = None,
     kinetic: str = "fd",
 ) -> EnergyBreakdown:
-    """Evaluate A1, B, C and the derived I, G, J at the field u.
+    """Evaluate A1, B, C, the derived I, G, J and the H^1 norm at the field u.
 
     The potential may be passed pre-sampled.  `phi` short-circuits the
     internal Poisson solve when the caller already holds the uncorrected
     convolution solution for this u.
     """
-    _check_p(p)
-    g = u.grid
-    vvals = _potential_values(V, g)
-    u2 = u.values * u.values
-    A1 = kinetic_energy(u, kinetic) + g.h**3 * float(np.sum(vvals * u2))
-    if phi is None:
-        phi = solve_phi(u, residual_correction=False)
-    B = g.h**3 * float(np.sum(phi.values * u2))
-    C = lp_integral(u, p + 1.0)
-    return EnergyBreakdown.from_scalars(A1, B, C, p)
+    return _evaluate(u, V, p, phi, kinetic)[0]
 
 
 def el_residual(
@@ -155,25 +158,21 @@ def el_residual(
     p: float,
     phi: ScalarField | None = None,
     kinetic: str = "fd",
-) -> tuple[ScalarField, float]:
+) -> tuple[ScalarField, float, EnergyBreakdown]:
     """Euler-Lagrange residual -Lap u + V u + phi_u u - |u|^(p-1) u.
 
-    Returns the residual field and its quadrature-weighted L^2 norm.  The
-    residual is the exact L^2-metric gradient of the action at u (the
-    nonlocal term differentiates to phi_u u because the convolution is
-    self-adjoint), so central differences of I along any direction v
-    reproduce <r, v> to rounding.
+    Returns the residual field, its quadrature-weighted L^2 norm and the
+    `energy_breakdown` at u, all from the same -Lap u.  The residual is
+    the exact L^2-metric gradient of the action at u (the nonlocal term
+    differentiates to phi_u u because the convolution is self-adjoint), so
+    central differences of I along any direction v reproduce <r, v> to
+    rounding.
     """
-    _check_p(p)
-    g = u.grid
-    vvals = _potential_values(V, g)
-    if phi is None:
-        phi = solve_phi(u, residual_correction=False)
-    nonlin = np.sign(u.values) * np.abs(u.values) ** p
-    r = minus_laplacian(u, kinetic).values + (vvals + phi.values) * u.values - nonlin
-    field = ScalarField(g, r)
-    norm = math.sqrt(g.h**3 * float(np.sum(r * r)))
-    return field, norm
+    eb, mlap, vvals, phi = _evaluate(u, V, p, phi, kinetic)
+    r = mlap + (vvals + phi.values) * u.values
+    r -= np.sign(u.values) * np.abs(u.values) ** p
+    norm = math.sqrt(u.grid.h**3 * float(np.sum(r * r)))
+    return ScalarField(u.grid, r), norm, eb
 
 
 def precondition(r: ScalarField) -> ScalarField:

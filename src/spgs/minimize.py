@@ -38,7 +38,6 @@ from .grid import (
     annulus_integral,
     boundary_mass_fraction,
     gradient_squared,
-    h1_norm,
     l2_norm,
     radialize,
     read_field,
@@ -163,27 +162,29 @@ def relative_asymmetry(u: ScalarField) -> float:
     return l2_norm(diff) / denom if denom > 0 else 0.0
 
 
-def _descend(u0, cfg: SolverConfig, *, field, solve, breakdown, residual, precondition, h1):
+def _descend(u0, cfg: SolverConfig, *, field, solve, breakdown, residual, precondition):
     """Projected backtracking descent from u0; returns the last on-manifold iterate.
 
     The one descent loop of the package: the 3-D box and the radial mesh
     both run it.  The discretisation comes in as callables on its field
     type: `field(values)` wraps node values, `solve(u)` is the raw Poisson
-    solve, `breakdown(u, phi)` gives the energies, `residual(u, phi)`
-    returns (r, norm), `precondition(r)` the step as node values and
-    `h1(u)` the Sobolev norm.  The fiber solve takes p from the breakdown,
-    so the caller's energies fix the exponent.  Only cfg.step,
-    cfg.tol_residual and cfg.max_iters are read here.
+    solve, `breakdown(u, phi)` gives the energies of u0 and of each trial
+    field, `residual(u, phi)` returns (r, norm, breakdown) of an iterate,
+    the breakdown's h1 being the Sobolev norm of the stop test, and
+    `precondition(r)` gives the step as node values.  So each field is
+    evaluated once: a trial field by `breakdown`, an iterate by `residual`.
+    The fiber solve takes p from the breakdown, so the caller's energies
+    fix the exponent.  Only cfg.step, cfg.tol_residual and cfg.max_iters
+    are read here.
 
     Returns (u, breakdown, phi, residual norm, iterations, trace,
     converged, status).
     """
     phi = solve(u0)
     eb = breakdown(u0, phi)
-    t0, _, _ = _solve_fiber(eb.A1, eb.B, eb.C, eb.p)
+    t0 = _solve_fiber(eb.A1, eb.B, eb.C, eb.p)
     u = field(t0 * u0.values)
     phi = field(t0 * t0 * phi.values)
-    eb = breakdown(u, phi)
 
     trace: list[TraceRow] = []
     alpha = cfg.step
@@ -195,12 +196,12 @@ def _descend(u0, cfg: SolverConfig, *, field, solve, breakdown, residual, precon
     rnorm = math.inf
 
     for k in range(cfg.max_iters + 1):
-        r, rnorm = residual(u, phi)
+        r, rnorm, eb = residual(u, phi)
         trace.append(
             TraceRow(k, eb.I, eb.G, eb.A1, eb.B, eb.C, rnorm, last_step)
         )
         # stop on the residual relative to the Sobolev size of the iterate
-        if rnorm <= cfg.tol_residual * h1(u):
+        if rnorm <= cfg.tol_residual * eb.h1:
             converged = True
             status = "converged"
             iterations = k
@@ -217,14 +218,13 @@ def _descend(u0, cfg: SolverConfig, *, field, solve, breakdown, residual, precon
             phi_c = solve(u_c)
             eb_c = breakdown(u_c, phi_c)
             if eb_c.C > 0.0 and eb_c.A1 > 0.0:
-                t, _, _ = _solve_fiber(eb_c.A1, eb_c.B, eb_c.C, eb_c.p)
+                t = _solve_fiber(eb_c.A1, eb_c.B, eb_c.C, eb_c.p)
                 i_trial = float(ray_profile(eb_c, np.asarray(t)))
                 # ties accepted: near the rounding floor an exact match
                 # still makes progress through the re-projection
                 if i_trial <= eb.I:
                     u = field(t * u_c.values)
                     phi = field(t * t * phi_c.values)
-                    eb = breakdown(u, phi)
                     last_step = alpha
                     accepted = True
                     break
@@ -291,7 +291,6 @@ def find_ground_state(
             breakdown=lambda u, phi: energy_breakdown(u, v_field, cfg.p, phi=phi, kinetic=cfg.kinetic),
             residual=lambda u, phi: el_residual(u, v_field, cfg.p, phi=phi, kinetic=cfg.kinetic),
             precondition=lambda r: precondition(r).values,
-            h1=h1_norm,
         )
         if best is None or out[1].I < best[1].I:
             best = out

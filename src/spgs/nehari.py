@@ -32,8 +32,12 @@ _REL_TOL_S = 1e-13
 _MAX_NEWTON = 200
 
 
-def _solve_fiber(A1: float, B: float, C: float, p: float) -> tuple[float, tuple[float, float], int]:
-    """Root of q(s) = A1 + s B - s^((p-1)/2) C; returns (t, bracket, iterations)."""
+def _solve_fiber(A1: float, B: float, C: float, p: float) -> float:
+    """The unique t > 0 with t^2 A1 + t^4 B = t^(p+1) C, as the root s = t^2 of q.
+
+    q(s) = A1 + s B - s^((p-1)/2) C.  Raises ZeroFieldError when C = 0 and
+    NonCoerciveError when A1 <= 0.
+    """
     if C <= 0.0:
         raise ZeroFieldError(f"projection needs C > 0, got C={C}")
     if A1 <= 0.0:
@@ -64,11 +68,9 @@ def _solve_fiber(A1: float, B: float, C: float, p: float) -> tuple[float, tuple[
             if s_lo < 1e-120:
                 raise ArithmeticError("fiber root bracket vanished")
         s_hi = s_lo * 2.0
-    bracket = (s_lo, s_hi)
 
     s = 0.5 * (s_lo + s_hi)
-    iters = 0
-    for iters in range(1, _MAX_NEWTON + 1):
+    for _ in range(_MAX_NEWTON):
         val = q(s)
         if val > 0.0:
             s_lo = s
@@ -86,16 +88,7 @@ def _solve_fiber(A1: float, B: float, C: float, p: float) -> tuple[float, tuple[
         s = s_new
         if done:
             break
-    return math.sqrt(s), bracket, iters
-
-
-def fiber_root(A1: float, B: float, C: float, p: float) -> float:
-    """The unique t > 0 with t^2 A1 + t^4 B = t^(p+1) C.
-
-    Raises ZeroFieldError when C = 0 and NonCoerciveError when A1 <= 0.
-    """
-    t, _, _ = _solve_fiber(A1, B, C, p)
-    return t
+    return math.sqrt(s)
 
 
 @dataclass(frozen=True)
@@ -104,15 +97,12 @@ class FiberScaling:
 
     t_bar: float
     scaled_breakdown: EnergyBreakdown
-    bracket: tuple[float, float]
-    iterations: int
 
 
 def nehari_project(
     u: ScalarField,
     V: Potential | ScalarField,
     p: float,
-    breakdown: EnergyBreakdown | None = None,
     kinetic: str = "fd",
 ) -> FiberScaling:
     """Scale u onto the manifold and recompute its energies there.
@@ -121,11 +111,10 @@ def nehari_project(
     ray algebra), so the on-manifold invariant |G| <= 1e-10 (|A1|+B+C) is
     a genuine check of the whole pipeline, not of the root solver alone.
     """
-    if breakdown is None:
-        breakdown = energy_breakdown(u, V, p, kinetic=kinetic)
-    t, bracket, iters = _solve_fiber(breakdown.A1, breakdown.B, breakdown.C, p)
+    breakdown = energy_breakdown(u, V, p, kinetic=kinetic)
+    t = _solve_fiber(breakdown.A1, breakdown.B, breakdown.C, p)
     scaled = energy_breakdown(u.scaled(t), V, p, kinetic=kinetic)
-    return FiberScaling(t_bar=t, scaled_breakdown=scaled, bracket=bracket, iterations=iters)
+    return FiberScaling(t_bar=t, scaled_breakdown=scaled)
 
 
 def ray_profile(breakdown: EnergyBreakdown, t: np.ndarray) -> np.ndarray:

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from .functional import EnergyBreakdown
 from .minimize import GaussianBlob, SolverConfig, _descend
 from .potential import Constant, CoulombSingular, Potential
 
@@ -126,25 +127,24 @@ def _radial_minus_laplacian(vals: np.ndarray, dr: float, r: np.ndarray) -> np.nd
 
 
 def radial_energy_breakdown(u: RadialProfile, v_vals: np.ndarray, p: float, phi: RadialProfile):
-    from .functional import EnergyBreakdown
-
     q = u.values * u.values
-    a1 = radial_kinetic_energy(u) + radial_quadrature(u, v_vals * q)
+    kin = radial_kinetic_energy(u)
+    a1 = kin + radial_quadrature(u, v_vals * q)
     b = radial_quadrature(u, phi.values * q)
     c = radial_quadrature(u, np.abs(u.values) ** (p + 1.0))
-    return EnergyBreakdown.from_scalars(a1, b, c, p)
+    h1 = math.sqrt(kin + radial_quadrature(u, q))
+    return EnergyBreakdown.from_scalars(a1, b, c, p, h1)
 
 
-def _radial_residual(
-    u: RadialProfile, v_vals: np.ndarray, p: float, phi: RadialProfile
-) -> tuple[np.ndarray, float]:
+def _radial_residual(u: RadialProfile, v_vals: np.ndarray, p: float, phi: RadialProfile):
+    """(residual, its weighted L^2 norm, `radial_energy_breakdown`) at u."""
     r = (
         _radial_minus_laplacian(u.values, u.dr, u.nodes)
         + (v_vals + phi.values) * u.values
         - np.sign(u.values) * np.abs(u.values) ** p
     )
     norm = math.sqrt(FOUR_PI * u.dr * float(np.sum(r * r * u.nodes**2)))
-    return r, norm
+    return r, norm, radial_energy_breakdown(u, v_vals, p, phi)
 
 
 def _radial_precondition(res: np.ndarray, dr: float, r: np.ndarray) -> np.ndarray:
@@ -160,12 +160,6 @@ def _radial_precondition(res: np.ndarray, dr: float, r: np.ndarray) -> np.ndarra
     # symmetrize with the sqrt(r^2) similarity: solve D A D^-1 (D x) = D res
     scaled = scipy.linalg.solveh_banded(ab, res * r)
     return scaled / r
-
-
-def _radial_h1(u: RadialProfile) -> float:
-    return math.sqrt(
-        radial_kinetic_energy(u) + radial_quadrature(u, u.values * u.values)
-    )
 
 
 def radial_ground_state(
@@ -205,7 +199,6 @@ def radial_ground_state(
         breakdown=lambda prof, phi: radial_energy_breakdown(prof, v_vals, p, phi),
         residual=lambda prof, phi: _radial_residual(prof, v_vals, p, phi),
         precondition=lambda res: _radial_precondition(res, dr, nodes),
-        h1=_radial_h1,
     )
     return u, phi, eb.I
 

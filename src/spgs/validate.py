@@ -107,8 +107,7 @@ def run_validation(seed: int = 0, n: int = 16, L: float = 6.0, p: float = 4.0) -
 
     worst = 0.0
     for u in fields[:4]:
-        eb = energy_breakdown(u, v_const, p)
-        r, _ = el_residual(u, v_const, p)
+        r, _, eb = el_residual(u, v_const, p)
         ip = grid.h**3 * float(np.sum(r.values * u.values))
         worst = max(worst, abs(eb.G - ip) / max(abs(eb.G), 1e-30))
     results.append(_check("functional.radial-derivative", worst < 1e-10, f"max rel dev {worst:.2e}"))
@@ -116,7 +115,7 @@ def run_validation(seed: int = 0, n: int = 16, L: float = 6.0, p: float = 4.0) -
     worst = 0.0
     for u in fields[:3]:
         v = random_smooth_field(grid, rng)
-        r, _ = el_residual(u, v_const, p)
+        r, _, _ = el_residual(u, v_const, p)
         ip = grid.h**3 * float(np.sum(r.values * v.values))
         eps = 1e-5
         i_plus = energy_breakdown(ScalarField(grid, u.values + eps * v.values), v_const, p).I
@@ -127,7 +126,7 @@ def run_validation(seed: int = 0, n: int = 16, L: float = 6.0, p: float = 4.0) -
 
     ok = True
     for u in fields[:3]:
-        r, _ = el_residual(u, v_const, p)
+        r, _, _ = el_residual(u, v_const, p)
         pr = precondition(r)
         ok = ok and grid.h**3 * float(np.sum(pr.values * r.values)) > 0.0
     results.append(_check("functional.precondition-positive", ok, "inner products positive"))

@@ -7,6 +7,7 @@ import pytest
 
 import spgs.minimize
 from spgs.cli import main
+from spgs.grid import GridSpec, ScalarField, write_field
 
 
 def test_radial_crosscheck_profile_rows_parse_as_floats(tmp_path):
@@ -49,10 +50,13 @@ def test_nonfinite_step_mid_descent_is_a_solver_error(tmp_path, monkeypatch, cap
         ["solve", "--set", "solver.step=inf"],
         ["solve", "--set", "solver.init_width=-1.0"],
         ["sweep-lambda", "--set", "sweep.lambdas=1.0,nan"],
+        # initial fields that are zero on every node: by amplitude, by underflow
+        ["solve", "--set", "grid.L=4.0", "--set", "grid.n=16", "--set", "solver.init_amplitude=0"],
+        ["solve", "--set", "grid.L=4.0", "--set", "grid.n=16", "--set", "solver.init_center=100,0,0"],
     ],
     ids=[
         "singular-on-nodal-grid", "nonpositive-vinf", "nan-tol", "infinite-step",
-        "negative-init-width", "nan-in-list",
+        "negative-init-width", "nan-in-list", "zero-init", "underflowed-init",
     ],
 )
 def test_rejected_run_inputs_are_config_errors(tmp_path, capsys, args):
@@ -75,3 +79,22 @@ def test_malformed_init_dump_is_a_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("ERROR config:")
     assert "lacks n, L, staggered" in err
+
+
+def test_tabulated_radial_crosscheck_is_a_config_error(tmp_path, capsys):
+    # a real table: the run must be refused for its potential kind, not a missing file
+    table = tmp_path / "v.field"
+    write_field(ScalarField.from_function(GridSpec(L=4.0, n=16), lambda x, y, z: np.ones_like(x)), table)
+    argv = [
+        "radial-crosscheck",
+        "--set", "grid.L=4.0",
+        "--set", "grid.n=16",
+        "--set", "radial.n_r=256",
+        "--set", "potential.kind=tabulated",
+        "--set", f"potential.table_path={table}",
+        "--output", str(tmp_path / "out"),
+    ]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR config: potential.kind:")
+    assert not (tmp_path / "out").exists()

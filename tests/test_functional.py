@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from spgs.grid import GridSpec, ScalarField, integrate
+from spgs.grid import GridSpec, ScalarField, h1_norm, integrate
 from spgs.functional import (
     EnergyBreakdown,
     el_residual,
@@ -66,6 +66,18 @@ class TestEnergyBreakdown:
                 ray = eb.at_scale(t)
                 assert fresh.I == pytest.approx(ray.I, rel=1e-10)
                 assert fresh.G == pytest.approx(ray.G, rel=1e-10, abs=1e-10)
+                assert fresh.h1 == pytest.approx(ray.h1, rel=1e-10)
+
+    def test_h1_is_the_grid_h1_norm(self, grid, v_one):
+        for u in fields(grid, 3, seed=9):
+            assert energy_breakdown(u, v_one, 4.0).h1 == h1_norm(u)
+
+    @pytest.mark.parametrize("kinetic", ["fd", "spectral"])
+    def test_residual_carries_the_breakdown(self, grid, v_one, kinetic):
+        u = fields(grid, 1, seed=10)[0]
+        assert el_residual(u, v_one, 4.0, kinetic=kinetic)[2] == energy_breakdown(
+            u, v_one, 4.0, kinetic=kinetic
+        )
 
     def test_quadratures_against_closed_forms(self):
         # gaussian exp(-r^2/2): A1 and C have closed forms, B cross-checks
@@ -90,7 +102,7 @@ class TestEnergyBreakdown:
 
 class TestResidual:
     def test_zero_field(self, grid, v_one):
-        r, norm = el_residual(ScalarField.zeros(grid), v_one, 4.0)
+        r, norm, _ = el_residual(ScalarField.zeros(grid), v_one, 4.0)
         assert norm == 0.0
         assert np.all(r.values == 0.0)
 
@@ -101,7 +113,7 @@ class TestResidual:
         for _ in range(3):
             u = random_smooth_field(grid, rng)
             v = random_smooth_field(grid, rng)
-            r, _ = el_residual(u, v_one, p, kinetic=kinetic)
+            r, _, _ = el_residual(u, v_one, p, kinetic=kinetic)
             ip = grid.h**3 * float(np.sum(r.values * v.values))
             eps = 1e-5
             i_plus = energy_breakdown(
@@ -118,7 +130,7 @@ class TestResidual:
         rng = np.random.default_rng(77)
         u = random_smooth_field(grid, rng)
         v = random_smooth_field(grid, rng)
-        r, _ = el_residual(u, v_sing, 4.0)
+        r, _, _ = el_residual(u, v_sing, 4.0)
         ip = grid.h**3 * float(np.sum(r.values * v.values))
         eps = 1e-5
         i_plus = energy_breakdown(ScalarField(grid, u.values + eps * v.values), v_sing, 4.0).I
@@ -128,13 +140,13 @@ class TestResidual:
     def test_g_equals_residual_pairing_with_u(self, grid, v_one):
         for u in fields(grid, 5, seed=4):
             eb = energy_breakdown(u, v_one, 4.0)
-            r, _ = el_residual(u, v_one, 4.0)
+            r, _, _ = el_residual(u, v_one, 4.0)
             ip = grid.h**3 * float(np.sum(r.values * u.values))
             assert eb.G == pytest.approx(ip, rel=1e-10)
 
     def test_norm_is_weighted_l2(self, grid, v_one):
         u = fields(grid, 1, seed=5)[0]
-        r, norm = el_residual(u, v_one, 4.0)
+        r, norm, _ = el_residual(u, v_one, 4.0)
         assert norm == pytest.approx(math.sqrt(integrate(ScalarField(grid, r.values**2))))
 
 
@@ -147,10 +159,12 @@ class TestKineticVariants:
         assert t_sp == pytest.approx(t_fd, rel=0.01)
 
     def test_spectral_is_quadratic_form_of_its_laplacian(self, grid):
+        # both kinetics: the energy is the quadratic form of its -Lap
         u = fields(grid, 1, seed=6)[0]
-        t = kinetic_energy(u, "spectral")
-        ip = grid.h**3 * float(np.sum(u.values * minus_laplacian(u, "spectral").values))
-        assert t == pytest.approx(ip, rel=1e-12)
+        for kinetic in ("fd", "spectral"):
+            t = kinetic_energy(u, kinetic)
+            ip = grid.h**3 * float(np.sum(u.values * minus_laplacian(u, kinetic).values))
+            assert t == pytest.approx(ip, rel=1e-12)
 
     def test_unknown_variant_rejected(self, grid):
         u = fields(grid, 1)[0]

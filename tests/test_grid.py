@@ -16,7 +16,6 @@ from spgs.grid import (
     h1_norm,
     integrate,
     l2_norm,
-    laplacian,
     lp_integral,
     radialize,
     read_field,
@@ -151,15 +150,6 @@ class TestDirichletEnergy:
         assert errs[1] < errs[0] / 3.0
         extrapolated = (4.0 * vals[96] - vals[48]) / 3.0
         assert extrapolated == pytest.approx(oracle, rel=1e-4)
-
-    def test_summation_by_parts_identity(self):
-        # the link-sum Dirichlet form equals h^3 <u, -Lap u> exactly
-        g = GridSpec(L=4.0, n=16)
-        rng = np.random.default_rng(1)
-        u = ScalarField(g, rng.standard_normal(g.num_nodes))
-        lhs = dirichlet_energy(u)
-        rhs = -g.h**3 * float(np.sum(u.values * laplacian(u).values))
-        assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 class TestSineTransform:

@@ -1,8 +1,11 @@
 """Descent loop, ground levels, comparisons, diagnostics."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+import spgs.minimize
 from spgs.errors import NonCoerciveError, ZeroFieldError
 from spgs.grid import GridSpec, ScalarField
 from spgs.minimize import (
@@ -17,6 +20,7 @@ from spgs.minimize import (
     shell_decay_ok,
 )
 from spgs.potential import Constant, CoulombSingular
+from spgs.radial import radial_ground_state
 
 
 @pytest.fixture(scope="module")
@@ -211,3 +215,39 @@ class TestAnnulusProfile:
     def test_decay_checker_spots_growth(self):
         profile = [(0, 1.0), (1, 0.9), (2, 0.8), (3, 0.7)]
         assert not shell_decay_ok(profile, 4.0)
+
+
+def test_each_field_evaluated_once(monkeypatch):
+    # a trial field is evaluated by one breakdown, an iterate by one residual
+    calls = Counter()
+
+    def count(attr):
+        fn = getattr(spgs.minimize, attr)
+
+        def counted(*args, **kwargs):
+            calls[attr] += 1
+            if kwargs.get("residual_correction") is False:
+                calls["raw solves"] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(spgs.minimize, attr, counted)
+
+    for attr in ("solve_phi", "energy_breakdown", "el_residual"):
+        count(attr)
+    res = find_ground_state(Constant(1.0), SolverConfig(p=4.0), GridSpec(L=4.0, n=24))
+    assert res.converged
+    assert calls["energy_breakdown"] == calls["raw solves"]
+    assert calls["el_residual"] == res.iterations + 1
+
+
+def test_pinned_levels():
+    # a level that drifts fails here in seconds, not only in the benchmark
+    fd = find_ground_state(Constant(1.0), SolverConfig(p=4.0), GridSpec(L=4.0, n=24))
+    assert fd.iterations == 12
+    assert fd.c_estimate == pytest.approx(10.081832424298153, rel=1e-12)
+    sp_cfg = SolverConfig(p=4.0, kinetic="spectral")
+    sp = find_ground_state(Constant(1.0), sp_cfg, GridSpec(L=2.5, n=24))
+    assert sp.iterations == 22
+    assert sp.c_estimate == pytest.approx(10.430528088539063, rel=1e-12)
+    _, _, c_radial = radial_ground_state(Constant(1.0), 4.0, r_max=30.0, n_r=1024)
+    assert c_radial == pytest.approx(9.865473295903342, rel=1e-12)

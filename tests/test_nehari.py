@@ -8,7 +8,7 @@ import pytest
 from spgs.errors import NonCoerciveError, ZeroFieldError
 from spgs.grid import GridSpec, lp_integral
 from spgs.nehari import (
-    fiber_root,
+    _solve_fiber,
     manifold_floor_check,
     nehari_project,
     ray_max_check,
@@ -51,12 +51,12 @@ def bisection_oracle(A1, B, C, p, iters=300):
 class TestFiberRoot:
     def test_closed_form_when_b_zero(self):
         # t = (A1/C)^(1/(p-1))
-        assert fiber_root(1.0, 0.0, 1.0, 4.0) == pytest.approx(1.0, abs=1e-12)
-        assert fiber_root(8.0, 0.0, 1.0, 4.0) == pytest.approx(2.0, rel=1e-12)
+        assert _solve_fiber(1.0, 0.0, 1.0, 4.0) == pytest.approx(1.0, abs=1e-12)
+        assert _solve_fiber(8.0, 0.0, 1.0, 4.0) == pytest.approx(2.0, rel=1e-12)
 
     def test_supergolden_case(self):
         # (A1, B, C) = (1, 1, 1), p = 4: t^3 = t^2 + 1
-        t = fiber_root(1.0, 1.0, 1.0, 4.0)
+        t = _solve_fiber(1.0, 1.0, 1.0, 4.0)
         assert t == pytest.approx(1.4655712318767682, abs=1e-12)
         assert t == pytest.approx(bisection_oracle(1.0, 1.0, 1.0, 4.0), abs=1e-12)
 
@@ -67,14 +67,14 @@ class TestFiberRoot:
             A1 = float(rng.uniform(0.1, 10.0))
             B = float(rng.uniform(0.0, 10.0))
             C = float(rng.uniform(0.1, 10.0))
-            t = fiber_root(A1, B, C, p)
+            t = _solve_fiber(A1, B, C, p)
             assert t == pytest.approx(bisection_oracle(A1, B, C, p), rel=1e-11)
 
     def test_errors(self):
         with pytest.raises(ZeroFieldError):
-            fiber_root(1.0, 1.0, 0.0, 4.0)
+            _solve_fiber(1.0, 1.0, 0.0, 4.0)
         with pytest.raises(NonCoerciveError):
-            fiber_root(-0.5, 1.0, 1.0, 4.0)
+            _solve_fiber(-0.5, 1.0, 1.0, 4.0)
 
     def test_unimodal_sign_pattern(self):
         # q(s) on a log-spaced scan is positive then negative, one change
@@ -85,7 +85,7 @@ class TestFiberRoot:
             C = float(rng.uniform(0.1, 5.0))
             p = float(rng.uniform(3.1, 4.9))
             m = 0.5 * (p - 1.0)
-            t = fiber_root(A1, B, C, p)
+            t = _solve_fiber(A1, B, C, p)
             s_root = t * t
             scan = np.geomspace(s_root * 1e-6, s_root * 1e3, 64)
             signs = np.sign(A1 + scan * B - scan**m * C)

@@ -106,6 +106,11 @@ class TestRadialEnergies:
         eb = radial_energy_breakdown(u, np.ones(u.n_r), 4.0, phi)
         assert abs(eb.I - eb.J - eb.G / 5.0) <= 1e-12 * max(abs(eb.I), 1.0)
 
+    def test_breakdown_h1_is_the_radial_sobolev_norm(self):
+        u = gaussian_profile(r_max=20.0, n_r=1024)
+        eb = radial_energy_breakdown(u, np.ones(u.n_r), 4.0, radial_solve_phi(u))
+        assert eb.h1 == math.sqrt(radial_kinetic_energy(u) + radial_quadrature(u, u.values * u.values))
+
 
 class TestRadialGroundState:
     def test_level_and_refinement_stability(self):
