@@ -1,11 +1,15 @@
-"""Ground levels by projected, preconditioned descent.
+"""Ground levels by projected, preconditioned L-BFGS descent.
 
-Each iteration takes a Sobolev-gradient step and pulls the trial field
-back onto the constraint manifold by the scalar fiber solve, so every
-accepted iterate satisfies G = 0 to rounding and the reported level is
-the action there.  Backtracking halves the step until the re-projected
-action strictly decreases, which makes the level trace monotone by
-construction.  One Poisson solve per trial step is the dominant cost;
+Each iteration steps along a quasi-Newton direction and pulls the trial
+field back onto the constraint manifold by the scalar fiber solve, so
+every accepted iterate satisfies G = 0 to rounding and the reported level
+is the action there.  The direction is the two-loop L-BFGS product over
+the last three curvature pairs, taken between projected iterates, with
+the Sobolev preconditioner as the initial inverse Hessian; it falls back
+to the preconditioned gradient when it is not a descent direction or when
+its line search fails.  Backtracking halves the step until the
+re-projected action does not rise, which makes the level trace monotone
+by construction.  One Poisson solve per trial step is the dominant cost;
 the solve for the scaled field is obtained exactly from quadratic
 homogeneity of the nonlocal term rather than re-solved.
 
@@ -49,6 +53,8 @@ from .sampling import gaussian_blob, random_smooth_field
 
 _STEP_FLOOR_FACTOR = 1e-12
 _COERCIVITY_TRIALS = 32
+# curvature pairs (s, y) kept by the L-BFGS direction
+_LBFGS_MEMORY = 3
 
 
 @dataclass(frozen=True)
@@ -162,20 +168,55 @@ def relative_asymmetry(u: ScalarField) -> float:
     return l2_norm(diff) / denom if denom > 0 else 0.0
 
 
-def _descend(u0, cfg: SolverConfig, *, field, solve, breakdown, residual, precondition):
-    """Projected backtracking descent from u0; returns the last on-manifold iterate.
+def _lbfgs_direction(r, pairs, precondition, inner):
+    """Two-loop recursion: H r for the L-BFGS inverse Hessian H with H0 = precondition.
+
+    Nocedal & Wright, Numerical Optimization, 2nd ed., Algorithm 7.4, with
+    scaling gamma = 1.  Each pair is (u_old, u_new, r_old, r_new, rho),
+    rho = 1 / <s, y>; s = u_new - u_old and y = r_new - r_old are formed
+    here, so the pairs hold only the iterate and residual arrays.  The
+    temporaries die on return, before the trial solves.
+    """
+    q = r
+    alphas = []
+    for u_old, u_new, r_old, r_new, rho in reversed(pairs):
+        a = rho * inner(u_new - u_old, q)
+        q = q - a * (r_new - r_old)
+        alphas.append(a)
+    z = precondition(q)
+    for (u_old, u_new, r_old, r_new, rho), a in zip(pairs, reversed(alphas)):
+        b = rho * inner(r_new - r_old, z)
+        z = z + (a - b) * (u_new - u_old)
+    return z
+
+
+def _descend(u0, cfg: SolverConfig, *, field, solve, breakdown, residual, precondition, inner):
+    """Projected L-BFGS descent from u0; returns the last on-manifold iterate.
 
     The one descent loop of the package: the 3-D box and the radial mesh
     both run it.  The discretisation comes in as callables on its field
     type: `field(values)` wraps node values, `solve(u)` is the raw Poisson
     solve, `breakdown(u, phi)` gives the energies of u0 and of each trial
-    field, `residual(u, phi)` returns (r, norm, breakdown) of an iterate,
-    the breakdown's h1 being the Sobolev norm of the stop test, and
-    `precondition(r)` gives the step as node values.  So each field is
+    field, `residual(u, phi)` returns (r, norm, breakdown) of an iterate
+    with r as node values, the breakdown's h1 being the Sobolev norm of the
+    stop test, `precondition(r)` gives the Sobolev gradient as node values,
+    and `inner(a, b)` is the duality pairing of node values, in which the
+    residual is the exact gradient of the action.  So each field is
     evaluated once: a trial field by `breakdown`, an iterate by `residual`.
     The fiber solve takes p from the breakdown, so the caller's energies
     fix the exponent.  Only cfg.step, cfg.tol_residual and cfg.max_iters
     are read here.
+
+    The direction is the two-loop L-BFGS product (`_lbfgs_direction`) over
+    the last _LBFGS_MEMORY curvature pairs, with `precondition` as the
+    initial inverse Hessian.  A pair s = u_(k+1) - u_k, y = r_(k+1) - r_k is
+    taken between projected iterates, the fiber projection serving as the
+    retraction, and skipped when <s, y> <= 0.  The preconditioned gradient
+    replaces a direction with <d, r> <= 0.  Every iteration backtracks from
+    alpha = cfg.step until the re-projected action does not rise; when the
+    quasi-Newton direction reaches the step floor, the memory is cleared
+    and the iteration retried from the preconditioned gradient, and only a
+    failed retry raises NoDescentError.
 
     Returns (u, breakdown, phi, residual norm, iterations, trace,
     converged, status).
@@ -186,9 +227,27 @@ def _descend(u0, cfg: SolverConfig, *, field, solve, breakdown, residual, precon
     u = field(t0 * u0.values)
     phi = field(t0 * t0 * phi.values)
 
-    trace: list[TraceRow] = []
-    alpha = cfg.step
     step_floor = _STEP_FLOOR_FACTOR * cfg.step
+
+    def line_search(u, d, level):
+        """(u, phi, alpha) of the first step along -d whose projection keeps I <= level, or None."""
+        alpha = cfg.step
+        while alpha >= step_floor:
+            u_c = field(u.values - alpha * d)
+            phi_c = solve(u_c)
+            eb_c = breakdown(u_c, phi_c)
+            if eb_c.C > 0.0 and eb_c.A1 > 0.0:
+                t = _solve_fiber(eb_c.A1, eb_c.B, eb_c.C, eb_c.p)
+                # ties accepted: near the rounding floor an exact match
+                # still makes progress through the re-projection
+                if float(ray_profile(eb_c, np.asarray(t))) <= level:
+                    return field(t * u_c.values), field(t * t * phi_c.values), alpha
+            alpha *= 0.5
+        return None
+
+    trace: list[TraceRow] = []
+    pairs: list[tuple] = []
+    previous = None
     last_step = 0.0
     converged = False
     status = "max-iters"
@@ -210,30 +269,29 @@ def _descend(u0, cfg: SolverConfig, *, field, solve, breakdown, residual, precon
             iterations = k
             break
 
-        d = precondition(r)
-        alpha = min(cfg.step, 2.0 * alpha)
-        accepted = False
-        while alpha >= step_floor:
-            u_c = field(u.values - alpha * d)
-            phi_c = solve(u_c)
-            eb_c = breakdown(u_c, phi_c)
-            if eb_c.C > 0.0 and eb_c.A1 > 0.0:
-                t = _solve_fiber(eb_c.A1, eb_c.B, eb_c.C, eb_c.p)
-                i_trial = float(ray_profile(eb_c, np.asarray(t)))
-                # ties accepted: near the rounding floor an exact match
-                # still makes progress through the re-projection
-                if i_trial <= eb.I:
-                    u = field(t * u_c.values)
-                    phi = field(t * t * phi_c.values)
-                    last_step = alpha
-                    accepted = True
-                    break
-            alpha *= 0.5
-        if not accepted:
+        if previous is not None:
+            sy = inner(u.values - previous[0], r - previous[1])
+            if sy > 0.0:
+                pairs.append((previous[0], u.values, previous[1], r, 1.0 / sy))
+                del pairs[:-_LBFGS_MEMORY]
+        previous = (u.values, r)
+
+        d = _lbfgs_direction(r, pairs, precondition, inner) if pairs else None
+        quasi = d is not None and inner(d, r) > 0.0
+        if not quasi:
+            d = precondition(r)
+        step = line_search(u, d, eb.I)
+        if step is None and quasi:
+            # the curvature model misled the search: forget it, retry the gradient
+            pairs.clear()
+            d = precondition(r)
+            step = line_search(u, d, eb.I)
+        if step is None:
             raise NoDescentError(
                 f"backtracking reached its floor at iteration {k} "
                 f"(residual {rnorm:.3e}, level {eb.I:.12g})"
             )
+        u, phi, last_step = step
 
     return u, eb, phi, rnorm, iterations, trace, converged, status
 
@@ -248,16 +306,16 @@ def find_ground_state(
 
     Starts from the configured initial field (default: unit Gaussian blob
     at the origin, width L/6), projects onto the manifold, and descends
-    with preconditioned gradient steps plus re-projection until the
+    with preconditioned L-BFGS steps plus re-projection until the
     relative Euler-Lagrange residual drops below tol_residual.  With
     cfg.starts > 1 the descent is repeated from seeded jittered initial
     blobs and the lowest level wins.
 
     Raises NonCoerciveError when the potential fails its coercivity probe
     (bypass with coercivity_override=True), ZeroFieldError for a zero
-    initial field, NoDescentError when backtracking stalls.  Hitting
-    max_iters is not an error: the best iterate is returned flagged
-    converged=False.
+    initial field, NoDescentError when backtracking stalls along the
+    preconditioned gradient.  Hitting max_iters is not an error: the best
+    iterate is returned flagged converged=False.
     """
     if not coercivity_override:
         probe = coercivity_check(V, grid, trials=_COERCIVITY_TRIALS, seed=cfg.seed)
@@ -279,6 +337,10 @@ def find_ground_state(
             width = base_width * float(rng.uniform(0.7, 1.4))
             inits.append(gaussian_blob(grid, center, width, 1.0))
 
+    def residual(u, phi):
+        r, rnorm, eb = el_residual(u, v_field, cfg.p, phi=phi, kinetic=cfg.kinetic)
+        return r.values, rnorm, eb
+
     best = None
     for u0 in inits:
         # the hooks look solve_phi, energy_breakdown, el_residual and
@@ -289,8 +351,11 @@ def find_ground_state(
             field=lambda values: ScalarField(grid, values),
             solve=lambda u: solve_phi(u, residual_correction=False),
             breakdown=lambda u, phi: energy_breakdown(u, v_field, cfg.p, phi=phi, kinetic=cfg.kinetic),
-            residual=lambda u, phi: el_residual(u, v_field, cfg.p, phi=phi, kinetic=cfg.kinetic),
-            precondition=lambda r: precondition(r).values,
+            residual=residual,
+            precondition=lambda r: precondition(ScalarField(grid, r)).values,
+            # an elementwise sum, not a BLAS dot, whose rounding depends on
+            # the thread count
+            inner=lambda a, b: float(np.sum(a * b)),
         )
         if best is None or out[1].I < best[1].I:
             best = out

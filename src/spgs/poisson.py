@@ -58,7 +58,12 @@ ORACLE_MAX_N = 24
 
 @lru_cache(maxsize=8)
 def _kernel_rfft(n: int, h: float) -> np.ndarray:
-    """rfftn of the Coulomb kernel on the doubled (2n)^3 lattice."""
+    """rfftn of the Coulomb kernel on the doubled (2n)^3 lattice, as a real array.
+
+    The kernel is even on the doubled lattice, so its transform is real;
+    the imaginary part rfftn returns is rounding noise and is dropped,
+    which halves the table and turns the product into a real scaling.
+    """
     m = 2 * n
     idx = np.arange(m)
     d = np.where(idx <= n, idx, idx - m).astype(np.float64)
@@ -67,7 +72,7 @@ def _kernel_rfft(n: int, h: float) -> np.ndarray:
     with np.errstate(divide="ignore"):
         k = KERNEL_CONSTANT / r
     k[0, 0, 0] = KERNEL_CONSTANT * CELL_MEAN_INVERSE_DISTANCE / h
-    return scipy.fft.rfftn(k)
+    return np.ascontiguousarray(scipy.fft.rfftn(k).real)
 
 
 def _convolve_fft(q: np.ndarray, grid: GridSpec) -> np.ndarray:

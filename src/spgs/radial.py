@@ -2,20 +2,23 @@
 
 For radially symmetric potentials the ground state can be computed on a
 staggered radial mesh r_j = (j + 1/2) dr with a completely separate
-discretization: shell-theorem accumulation for the Poisson solve,
-r^2-weighted link sums for the kinetic term, trapezoid/midpoint radial
-quadrature for the energies, and a banded (tridiagonal) Sobolev
-preconditioner.  None of the 3-D grid code is reused, which is the point:
-agreement of the two ground levels validates both discretizations.  Only
-the optimiser is shared: `radial_ground_state` hands these operators to
-the projected descent `minimize._descend` that the 3-D path runs.
+discretization: shell-theorem sums for the Poisson solve, r^2-weighted
+link sums for the kinetic term, midpoint radial quadrature for the
+energies, and a banded (tridiagonal) Sobolev preconditioner.  None of
+the 3-D grid code is reused, which is the point: agreement of the two
+ground levels validates both discretizations.  Only the optimiser is
+shared: `radial_ground_state` hands these operators to the projected
+descent `minimize._descend` that the 3-D path runs.
 
 The radial Poisson formula is the two-sided accumulation
 
     phi(r) = (1/r) * int_0^r s^2 u(s)^2 ds + int_r^rmax s u(s)^2 ds,
 
-whose output is nonnegative and non-increasing by construction and whose
-exterior value equals (enclosed mass)/r exactly in the discrete sums.
+summed by the same midpoint rule as the energies.  Its output is
+nonnegative and non-increasing by construction, its exterior value equals
+(enclosed mass)/r exactly in the discrete sums, and it is self-adjoint in
+the r^2-weighted pairing, so the radial residual is the exact gradient of
+the radial action, as the descent's curvature pairs require.
 """
 
 from __future__ import annotations
@@ -62,23 +65,21 @@ class RadialProfile:
 
 
 def radial_solve_phi(u: RadialProfile) -> RadialProfile:
-    """Shell-theorem Poisson solve by trapezoid accumulation."""
+    """Shell-theorem Poisson solve by midpoint shell sums.
+
+    phi_i = (1/r_i) sum_{j<=i} dr r_j^2 q_j + sum_{j>i} dr r_j q_j with
+    q = u^2, the quadrature of `radial_quadrature`.  Its kernel
+    r_i r_j min(r_i, r_j) is symmetric, so the map q -> phi is
+    self-adjoint in the r^2-weighted pairing and phi u is the exact
+    gradient of the B/4 term of the radial action.
+    """
     r = u.nodes
     dr = u.dr
     q = u.values * u.values
-    f_in = r * r * q  # integrand of the enclosed-mass integral
-    f_out = r * q  # integrand of the exterior integral
-
-    # M_j = int_0^{r_j} s^2 q ds: initial segment [0, r_0] uses q(r_0)
-    m = np.empty(u.n_r)
-    m[0] = q[0] * r[0] ** 3 / 3.0
-    m[1:] = m[0] + np.cumsum(0.5 * dr * (f_in[:-1] + f_in[1:]))
-
-    # T_j = int_{r_j}^{r_max} s q ds: the mesh end carries no tail (u ~ 0)
+    # enclosed mass through shell i, and the exterior sum beyond it
+    m = np.cumsum(dr * r * r * q)
     t = np.zeros(u.n_r)
-    seg = 0.5 * dr * (f_out[:-1] + f_out[1:])
-    t[:-1] = np.cumsum(seg[::-1])[::-1]
-
+    t[:-1] = np.cumsum((dr * r * q)[:0:-1])[::-1]
     return RadialProfile(u.r_max, u.n_r, m / r + t)
 
 
@@ -183,6 +184,7 @@ def radial_ground_state(
 
     dr = r_max / n_r
     nodes = (np.arange(n_r) + 0.5) * dr
+    r2 = nodes * nodes
     v_vals = _sample_radial_potential(V, nodes)
 
     width = r_max / 20.0
@@ -199,6 +201,7 @@ def radial_ground_state(
         breakdown=lambda prof, phi: radial_energy_breakdown(prof, v_vals, p, phi),
         residual=lambda prof, phi: _radial_residual(prof, v_vals, p, phi),
         precondition=lambda res: _radial_precondition(res, dr, nodes),
+        inner=lambda a, b: float(np.sum(r2 * a * b)),
     )
     return u, phi, eb.I
 

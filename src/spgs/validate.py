@@ -1,8 +1,8 @@
 """Seeded invariant suite behind the `validate` run mode.
 
-Each check exercises one structural property of the Poisson, functional
-or projection machinery on random fields and reports pass/fail with a
-one-line detail.  The suite is deterministic per seed.
+Each check exercises one structural property of the Poisson, functional,
+radial or projection machinery on random fields and reports pass/fail
+with a one-line detail.  The suite is deterministic per seed.
 """
 
 from __future__ import annotations
@@ -17,6 +17,13 @@ from .grid import GridSpec, ScalarField, dirichlet_energy, h1_norm
 from .nehari import nehari_project, ray_max_check
 from .poisson import double_integral_oracle, interior_residual, solve_phi
 from .potential import Constant, CoulombSingular, rayleigh_quotient
+from .radial import (
+    RadialProfile,
+    _radial_residual,
+    radial_energy_breakdown,
+    radial_quadrature,
+    radial_solve_phi,
+)
 from .sampling import random_smooth_field
 
 
@@ -123,6 +130,27 @@ def run_validation(seed: int = 0, n: int = 16, L: float = 6.0, p: float = 4.0) -
         fd = (i_plus - i_minus) / (2.0 * eps)
         worst = max(worst, abs(fd - ip) / max(abs(ip), 1e-30))
     results.append(_check("functional.gradient", worst < 1e-6, f"max rel dev {worst:.2e}"))
+
+    # the radial residual is the gradient of the radial action in the r^2 pairing
+    r_max, n_r = 15.0, 512
+    nodes = (np.arange(n_r) + 0.5) * (r_max / n_r)
+    ones = np.ones(n_r)
+
+    def radial_action(values: np.ndarray) -> float:
+        prof = RadialProfile(r_max, n_r, values)
+        return radial_energy_breakdown(prof, ones, p, radial_solve_phi(prof)).I
+
+    worst = 0.0
+    for _ in range(3):
+        width = rng.uniform(1.0, 2.0)
+        u = RadialProfile(r_max, n_r, rng.uniform(0.5, 2.0) * np.exp(-((nodes / width) ** 2) / 2.0))
+        v = rng.standard_normal(n_r) * np.exp(-nodes / rng.uniform(1.0, 4.0))
+        r, _, _ = _radial_residual(u, ones, p, radial_solve_phi(u))
+        ip = radial_quadrature(u, r * v)
+        eps = 1e-5
+        fd = (radial_action(u.values + eps * v) - radial_action(u.values - eps * v)) / (2.0 * eps)
+        worst = max(worst, abs(fd - ip) / max(abs(ip), 1e-30))
+    results.append(_check("radial.gradient", worst < 1e-6, f"max rel dev {worst:.2e}"))
 
     ok = True
     for u in fields[:3]:

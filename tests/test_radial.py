@@ -9,6 +9,7 @@ from spgs.minimize import SolverConfig, GaussianBlob
 from spgs.potential import Composite, Constant, CoulombSingular
 from spgs.radial import (
     RadialProfile,
+    _radial_residual,
     radial_energy_breakdown,
     radial_ground_state,
     radial_kinetic_energy,
@@ -16,6 +17,7 @@ from spgs.radial import (
     radial_solve_phi,
     write_radial_csv,
 )
+from spgs.validate import run_validation
 
 
 def gaussian_profile(r_max=30.0, n_r=4096, width=1.0):
@@ -57,8 +59,7 @@ class TestRadialSolvePhi:
         u = RadialProfile(r_max, n_r, vals)
         phi = radial_solve_phi(u)
         q = u.values**2
-        f = nodes**2 * q
-        m_total = q[0] * nodes[0] ** 3 / 3.0 + np.sum(0.5 * dr * (f[:-1] + f[1:]))
+        m_total = np.sum(dr * nodes**2 * q)
         outside = nodes > 2.5
         assert np.allclose(phi.values[outside], m_total / nodes[outside], rtol=1e-8)
 
@@ -74,6 +75,19 @@ class TestRadialSolvePhi:
         r = u.nodes
         exact = math.sqrt(math.pi) / 4.0 * np.array([math.erf(x) for x in r]) / r
         assert np.max(np.abs(phi.values - exact)) < 1e-6
+
+    def test_self_adjoint_in_the_r2_pairing(self):
+        # q -> phi is linear in q = u^2 and symmetric in sum r^2 a b
+        r_max, n_r = 15.0, 512
+        nodes = (np.arange(n_r) + 0.5) * (r_max / n_r)
+        rng = np.random.default_rng(5)
+        qa = np.abs(rng.standard_normal(n_r)) * np.exp(-nodes)
+        qb = np.abs(rng.standard_normal(n_r)) * np.exp(-nodes / 3.0)
+        pa = radial_solve_phi(RadialProfile(r_max, n_r, np.sqrt(qa))).values
+        pb = radial_solve_phi(RadialProfile(r_max, n_r, np.sqrt(qb))).values
+        lhs = float(np.sum(nodes**2 * pa * qb))
+        rhs = float(np.sum(nodes**2 * qa * pb))
+        assert lhs == pytest.approx(rhs, rel=1e-13)
 
     def test_nonnegative_and_nonincreasing(self):
         rng = np.random.default_rng(0)
@@ -112,6 +126,36 @@ class TestRadialEnergies:
         assert eb.h1 == math.sqrt(radial_kinetic_energy(u) + radial_quadrature(u, u.values * u.values))
 
 
+class TestRadialResidual:
+    @pytest.mark.parametrize("direction", ["core bump", "wide gaussian", "random decaying"])
+    def test_directional_derivative(self, direction):
+        # <r, v> in the r^2-weighted quadrature is the derivative of I along v
+        r_max, n_r, p = 15.0, 512, 4.0
+        nodes = (np.arange(n_r) + 0.5) * (r_max / n_r)
+        ones = np.ones(n_r)
+        v = {
+            "core bump": np.exp(-((nodes / 0.3) ** 2)),
+            "wide gaussian": np.exp(-((nodes / 4.0) ** 2) / 2.0),
+            "random decaying": np.random.default_rng(3).standard_normal(n_r) * np.exp(-nodes / 2.0),
+        }[direction]
+        u = RadialProfile(r_max, n_r, 1.3 * np.exp(-((nodes / 1.5) ** 2) / 2.0))
+        r, _, _ = _radial_residual(u, ones, p, radial_solve_phi(u))
+        ip = radial_quadrature(u, r * v)
+
+        def action(values):
+            prof = RadialProfile(r_max, n_r, values)
+            return radial_energy_breakdown(prof, ones, p, radial_solve_phi(prof)).I
+
+        eps = 1e-5
+        fd = (action(u.values + eps * v) - action(u.values - eps * v)) / (2.0 * eps)
+        assert fd == pytest.approx(ip, rel=1e-6)
+
+
+def test_validate_suite_checks_the_radial_gradient():
+    checks = {c.name: c for c in run_validation(seed=0)}
+    assert checks["radial.gradient"].passed
+
+
 class TestRadialGroundState:
     def test_level_and_refinement_stability(self):
         cfg = SolverConfig(p=4.0, tol_residual=1e-8, max_iters=600)
@@ -139,6 +183,11 @@ class TestRadialGroundState:
         )
         _, _, c_one = radial_ground_state(Constant(1.0), 4.0, r_max=30.0, n_r=1024, cfg=cfg)
         assert c_sing < c_one
+
+    def test_fine_mesh_converges_to_the_reference(self):
+        # this point ended in NoDescentError at iteration 85 under steepest descent
+        _, _, c = radial_ground_state(Constant(1.0), 4.0, r_max=15.0, n_r=32768)
+        assert abs(c - 9.863277389) <= 1e-6
 
     def test_rejects_nonradial_potential(self):
         comp = Composite(Constant(1.0), lambda x, y, z: x, 0.1)
