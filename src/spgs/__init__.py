@@ -6,9 +6,10 @@ The package computes approximate ground levels and ground-state pairs
     -Lap u + V(x) u + phi u = |u|^(p-1) u,   -Lap phi = u^2   on R^3,
 
 for 3 < p < 5, by minimizing the reduced action over the constraint
-manifold G = 0 with projected, Sobolev-preconditioned descent on a
-truncated staggered grid, and cross-validates against an independent
-1-D radial implementation.
+manifold G = 0 with projected L-BFGS descent, preconditioned in the
+Sobolev metric, on a truncated staggered grid, and cross-validates
+against an independent 1-D radial discretisation that shares only the
+optimiser.
 """
 
 from .errors import (
@@ -22,7 +23,6 @@ from .functional import (
     EnergyBreakdown,
     el_residual,
     energy_breakdown,
-    kinetic_energy,
     precondition,
 )
 from .grid import (
@@ -35,8 +35,8 @@ from .grid import (
     h1_norm,
     integrate,
     l2_norm,
-    laplacian,
     lp_integral,
+    minus_laplacian,
     radialize,
     read_field,
     write_field,

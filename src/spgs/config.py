@@ -14,14 +14,13 @@ from dataclasses import dataclass, replace
 from typing import Any
 
 from .errors import ConfigError
-from .grid import GridSpec
+from .grid import KINETICS, GridSpec
 from .minimize import GaussianBlob, SolverConfig
 from .potential import Constant, CoulombSingular, Potential, Tabulated
 
 MODES = ("solve", "sweep-lambda", "compare-vinf", "validate", "radial-crosscheck")
 
 _POTENTIAL_KINDS = ("constant", "coulomb_singular", "tabulated")
-_KINETIC_KINDS = ("fd", "spectral")
 _INIT_KINDS = ("gaussian", "file")
 
 
@@ -121,11 +120,13 @@ class RunConfig:
             raise ConfigError(f"solver.tol: must be positive, got {self.solver_tol}")
         if self.solver_max_iters < 1:
             raise ConfigError(f"solver.max_iters: must be at least 1, got {self.solver_max_iters}")
+        if self.solver_seed < 0:
+            raise ConfigError(f"solver.seed: must be nonnegative, got {self.solver_seed}")
         if self.solver_starts < 1:
             raise ConfigError(f"solver.starts: must be at least 1, got {self.solver_starts}")
-        if self.solver_kinetic not in _KINETIC_KINDS:
+        if self.solver_kinetic not in KINETICS:
             raise ConfigError(
-                f"solver.kinetic: must be one of {_KINETIC_KINDS}, got {self.solver_kinetic!r}"
+                f"solver.kinetic: must be one of {KINETICS}, got {self.solver_kinetic!r}"
             )
         if self.solver_init not in _INIT_KINDS:
             raise ConfigError(

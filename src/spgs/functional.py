@@ -22,10 +22,9 @@ so the Euler-Lagrange residual returned here is the exact L^2 gradient of
 I up to rounding.  That exactness is relied on by the descent loop and is
 testable by central differences.
 
-One operator, `minus_laplacian`, forms -Lap u in the selected kinetic
-discretization, once per evaluated field: "fd" (baseline) is the 7-point
-`grid.laplacian`, "spectral" the sine-spectral (DST-I) Laplacian, both
-with fields vanishing one node beyond the box, as in the Poisson solve.
+Each evaluated field gets one -Lap u, from `grid.minus_laplacian` in the
+run's kinetic, and the kinetic energy, the H^1 norm and the residual all
+come from it.  The kinetic name is passed through, never branched on.
 """
 
 from __future__ import annotations
@@ -39,14 +38,12 @@ from .grid import (
     GridSpec,
     ScalarField,
     dirichlet_eigenvalues,
-    laplacian,
     lp_integral,
+    minus_laplacian,
     sine_transform,
 )
 from .poisson import solve_phi
 from .potential import Potential
-
-_KINETIC_VARIANTS = ("fd", "spectral")
 
 
 def _check_p(p: float) -> None:
@@ -85,27 +82,6 @@ class EnergyBreakdown:
         return EnergyBreakdown.from_scalars(
             t**2 * self.A1, t**4 * self.B, t ** (self.p + 1.0) * self.C, self.p, abs(t) * self.h1
         )
-
-
-def kinetic_energy(u: ScalarField, kinetic: str = "fd") -> float:
-    """Integral of |grad u|^2: the quadratic form h^3 <u, -Lap u> of `minus_laplacian`."""
-    return u.grid.h**3 * float(np.sum(u.values * minus_laplacian(u, kinetic).values))
-
-
-def minus_laplacian(u: ScalarField, kinetic: str = "fd") -> ScalarField:
-    """-Lap u in the selected discretization; "fd" is the 7-point `grid.laplacian`.
-
-    "spectral" is the DST-I operator: each sine mode that vanishes one node
-    beyond the box gets its exact eigenvalue sum_i (pi k_i / ((n + 1) h))^2.
-    """
-    if kinetic == "fd":
-        return ScalarField(u.grid, -laplacian(u).values)
-    if kinetic == "spectral":
-        g = u.grid
-        coeff = sine_transform(u.as3d)
-        coeff *= dirichlet_eigenvalues(g.n, g.h, "spectral")
-        return ScalarField.from_3d(g, sine_transform(coeff, inverse=True))
-    raise ValueError(f"unknown kinetic variant {kinetic!r}; options: {_KINETIC_VARIANTS}")
 
 
 def _potential_values(V: Potential | ScalarField, grid: GridSpec) -> np.ndarray:

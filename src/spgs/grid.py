@@ -9,11 +9,14 @@ and converges fast for smooth decaying fields.
 
 Fields are stored flat in x-fastest order (the dump format below); the
 3-D view `as3d` has axes ordered (x, y, z).  Fields are treated as zero
-outside the box (a zero ghost layer).  On that box the 7-point
-second-order Laplacian and the exact sine-spectral one share the DST-I
-sine modes as eigenvectors (`dirichlet_eigenvalues`, `sine_transform`):
-the kinetic term is either, and the Sobolev preconditioner and the
-Poisson defect correction are diagonal in those modes.
+outside the box (a zero ghost layer).  `minus_laplacian` is the
+package's one -Lap on that box, in one of the `KINETICS`: the 7-point
+second-order stencil ("fd") or the exact sine-spectral operator
+("spectral").  Both have the DST-I sine modes as eigenvectors
+(`dirichlet_eigenvalues`, `sine_transform`), so the Sobolev
+preconditioner and the Poisson defect correction are diagonal in those
+modes, and `dirichlet_energy` is the quadratic form of either.  Only
+this module maps a kinetic name to an operator or a table.
 
 Dump format (bit-exact round trip): one ASCII header line
 ``SPGS1 n=<n> L=<decimal> staggered=<0|1>\\n`` followed by n^3
@@ -28,6 +31,9 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
+
+# kinetic discretisations of -Lap, all diagonal in the DST-I sine modes
+KINETICS = ("fd", "spectral")
 
 
 @dataclass(frozen=True)
@@ -157,30 +163,13 @@ def h1_norm(u: ScalarField) -> float:
     return float(np.sqrt(dirichlet_energy(u) + u.grid.h**3 * np.sum(u.values * u.values)))
 
 
-def dirichlet_energy(u: ScalarField) -> float:
-    """Discrete Dirichlet form h^3 <u, -Lap_h u>: integral of |grad u|^2.
+def dirichlet_energy(u: ScalarField, kinetic: str = "fd") -> float:
+    """Discrete Dirichlet form h^3 <u, -Lap u>: integral of |grad u|^2.
 
-    Lap_h is the zero-ghost 7-point `laplacian`, which is symmetric, so the
-    form is exactly quadratic in u and its L^2 gradient is -2 Lap_h u.
+    -Lap is `minus_laplacian` in the given kinetic; both are symmetric, so
+    the form is exactly quadratic in u and its L^2 gradient is -2 Lap u.
     """
-    return -u.grid.h**3 * float(np.sum(u.values * laplacian(u).values))
-
-
-def laplacian(u: ScalarField) -> ScalarField:
-    """7-point second-order Laplacian with a zero ghost layer."""
-    a = u.as3d
-    h2 = u.grid.h**2
-    p = np.pad(a, 1)
-    out = (
-        p[2:, 1:-1, 1:-1]
-        + p[:-2, 1:-1, 1:-1]
-        + p[1:-1, 2:, 1:-1]
-        + p[1:-1, :-2, 1:-1]
-        + p[1:-1, 1:-1, 2:]
-        + p[1:-1, 1:-1, :-2]
-        - 6.0 * a
-    ) / h2
-    return ScalarField.from_3d(u.grid, out)
+    return u.grid.h**3 * float(np.sum(u.values * minus_laplacian(u, kinetic).values))
 
 
 @lru_cache(maxsize=16)
@@ -198,7 +187,7 @@ def dirichlet_eigenvalues(m: int, h: float, kinetic: str = "fd") -> np.ndarray:
     elif kinetic == "spectral":
         lam1 = (np.pi * k / ((m + 1) * h)) ** 2
     else:
-        raise ValueError(f"unknown kinetic variant {kinetic!r}")
+        raise ValueError(f"unknown kinetic variant {kinetic!r}; options: {KINETICS}")
     table = lam1[:, None, None] + lam1[None, :, None] + lam1[None, None, :]
     table.setflags(write=False)
     return table
@@ -237,11 +226,38 @@ def sine_transform(a: np.ndarray, inverse: bool = False) -> np.ndarray:
     return out.T if flip else out
 
 
+def minus_laplacian(u: ScalarField, kinetic: str = "fd") -> ScalarField:
+    """-Lap u with a zero ghost layer, in one of the `KINETICS`.
+
+    "fd" is the 7-point stencil, "spectral" the DST-I operator with the
+    exact eigenvalue of each sine mode; both have the sine modes as
+    eigenvectors and `dirichlet_eigenvalues` as eigenvalues.
+    """
+    g = u.grid
+    if kinetic == "fd":
+        a = u.as3d
+        p = np.pad(a, 1)
+        out = (
+            p[2:, 1:-1, 1:-1]
+            + p[:-2, 1:-1, 1:-1]
+            + p[1:-1, 2:, 1:-1]
+            + p[1:-1, :-2, 1:-1]
+            + p[1:-1, 1:-1, 2:]
+            + p[1:-1, 1:-1, :-2]
+            - 6.0 * a
+        ) / -(g.h**2)
+        return ScalarField.from_3d(g, out)
+    lam = dirichlet_eigenvalues(g.n, g.h, kinetic)
+    coeff = sine_transform(u.as3d)
+    coeff *= lam
+    return ScalarField.from_3d(g, sine_transform(coeff, inverse=True))
+
+
 def gradient_squared(u: ScalarField) -> ScalarField:
     """Pointwise |grad u|^2 from centered differences (zero ghost layer).
 
-    Diagnostic integrand (annulus mass profiles); the Dirichlet energy of
-    the functional uses the link form above instead.
+    Diagnostic integrand (annulus mass profiles) only; the kinetic energy
+    is `dirichlet_energy`, the quadratic form of `minus_laplacian`.
     """
     a = u.as3d
     two_h = 2.0 * u.grid.h

@@ -172,21 +172,19 @@ def _lbfgs_direction(r, pairs, precondition, inner):
     """Two-loop recursion: H r for the L-BFGS inverse Hessian H with H0 = precondition.
 
     Nocedal & Wright, Numerical Optimization, 2nd ed., Algorithm 7.4, with
-    scaling gamma = 1.  Each pair is (u_old, u_new, r_old, r_new, rho),
-    rho = 1 / <s, y>; s = u_new - u_old and y = r_new - r_old are formed
-    here, so the pairs hold only the iterate and residual arrays.  The
-    temporaries die on return, before the trial solves.
+    scaling gamma = 1.  Each pair is (s, y, rho) with rho = 1 / <s, y>, as
+    `_descend` stores it.  The temporaries die on return, before the trial
+    solves.
     """
     q = r
     alphas = []
-    for u_old, u_new, r_old, r_new, rho in reversed(pairs):
-        a = rho * inner(u_new - u_old, q)
-        q = q - a * (r_new - r_old)
+    for s, y, rho in reversed(pairs):
+        a = rho * inner(s, q)
+        q = q - a * y
         alphas.append(a)
     z = precondition(q)
-    for (u_old, u_new, r_old, r_new, rho), a in zip(pairs, reversed(alphas)):
-        b = rho * inner(r_new - r_old, z)
-        z = z + (a - b) * (u_new - u_old)
+    for (s, y, rho), a in zip(pairs, reversed(alphas)):
+        z = z + (a - rho * inner(y, z)) * s
     return z
 
 
@@ -211,12 +209,12 @@ def _descend(u0, cfg: SolverConfig, *, field, solve, breakdown, residual, precon
     the last _LBFGS_MEMORY curvature pairs, with `precondition` as the
     initial inverse Hessian.  A pair s = u_(k+1) - u_k, y = r_(k+1) - r_k is
     taken between projected iterates, the fiber projection serving as the
-    retraction, and skipped when <s, y> <= 0.  The preconditioned gradient
-    replaces a direction with <d, r> <= 0.  Every iteration backtracks from
-    alpha = cfg.step until the re-projected action does not rise; when the
-    quasi-Newton direction reaches the step floor, the memory is cleared
-    and the iteration retried from the preconditioned gradient, and only a
-    failed retry raises NoDescentError.
+    retraction, skipped when <s, y> <= 0, and stored as (s, y, 1 / <s, y>).
+    The preconditioned gradient replaces a direction with <d, r> <= 0.
+    Every iteration backtracks from alpha = cfg.step until the re-projected
+    action does not rise; when the quasi-Newton direction reaches the step
+    floor, the memory is cleared and the iteration retried from the
+    preconditioned gradient, and only a failed retry raises NoDescentError.
 
     Returns (u, breakdown, phi, residual norm, iterations, trace,
     converged, status).
@@ -270,10 +268,12 @@ def _descend(u0, cfg: SolverConfig, *, field, solve, breakdown, residual, precon
             break
 
         if previous is not None:
-            sy = inner(u.values - previous[0], r - previous[1])
+            s, y = u.values - previous[0], r - previous[1]
+            sy = inner(s, y)
             if sy > 0.0:
-                pairs.append((previous[0], u.values, previous[1], r, 1.0 / sy))
+                pairs.append((s, y, 1.0 / sy))
                 del pairs[:-_LBFGS_MEMORY]
+            del s, y  # a skipped pair's arrays do not live through the trial solves
         previous = (u.values, r)
 
         d = _lbfgs_direction(r, pairs, precondition, inner) if pairs else None

@@ -42,7 +42,7 @@ from .grid import (
     GridSpec,
     ScalarField,
     dirichlet_eigenvalues,
-    laplacian,
+    minus_laplacian,
     sine_transform,
 )
 
@@ -156,9 +156,9 @@ def _interior_dirichlet_solve(rhs: np.ndarray, h: float) -> np.ndarray:
 
 
 def _interior_defect(u: ScalarField, phi: ScalarField) -> np.ndarray:
-    """u^2 + Lap_h(phi) on interior nodes (stencil fully inside the box)."""
+    """u^2 - (-Lap_h phi) on interior nodes (stencil fully inside the box)."""
     inner = (slice(1, -1),) * 3
-    return u.as3d[inner] ** 2 + laplacian(phi).as3d[inner]
+    return u.as3d[inner] ** 2 - minus_laplacian(phi).as3d[inner]
 
 
 def interior_residual(u: ScalarField, phi: ScalarField) -> float:

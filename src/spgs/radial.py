@@ -2,13 +2,14 @@
 
 For radially symmetric potentials the ground state can be computed on a
 staggered radial mesh r_j = (j + 1/2) dr with a completely separate
-discretization: shell-theorem sums for the Poisson solve, r^2-weighted
-link sums for the kinetic term, midpoint radial quadrature for the
-energies, and a banded (tridiagonal) Sobolev preconditioner.  None of
-the 3-D grid code is reused, which is the point: agreement of the two
-ground levels validates both discretizations.  Only the optimiser is
-shared: `radial_ground_state` hands these operators to the projected
-descent `minimize._descend` that the 3-D path runs.
+discretization: shell-theorem sums for the Poisson solve, one link
+difference u' per profile for the kinetic energy and its flux-form -Lap_r,
+midpoint radial quadrature for the energies, and a banded (tridiagonal)
+Sobolev preconditioner.  None of the 3-D grid code is reused, which is
+the point: agreement of the two ground levels validates both
+discretizations.  Only the optimiser is shared: `radial_ground_state`
+hands these operators to the projected descent `minimize._descend` that
+the 3-D path runs.
 
 The radial Poisson formula is the two-sided accumulation
 
@@ -104,48 +105,51 @@ def _kinetic_link_weights(r: np.ndarray, dr: float) -> np.ndarray:
     return (np.arange(1, r.size + 1) * dr) ** 2
 
 
-def radial_kinetic_energy(u: RadialProfile) -> float:
-    """4*pi * int u'(r)^2 r^2 dr as an r^2-weighted link sum.
+def _radial_kinetic(u: RadialProfile) -> tuple[float, np.ndarray]:
+    """(4*pi * int u'^2 r^2 dr, -Lap_r u) from one link difference u' of u.
 
-    The link at r = 0 has weight zero (symmetry, u'(0) = 0) and the mesh
-    end is closed by a zero ghost value (u(r_max) = 0).
+    u' lives on the links j*dr, j = 1..n_r, with no flux at r = 0 and a
+    zero ghost value at r_max; -Lap_r u = -(1/r^2)(r^2 u')' in flux form.
+    By summation by parts the r^2-weighted link sum of u'^2 equals the
+    quadrature of u (-Lap_r u), so 2 (-Lap_r u) is its exact gradient in
+    the r^2-weighted pairing.  The link sum is the one evaluated: its
+    positive terms round better at the descent's rounding floor.
     """
+    r = u.nodes
     dr = u.dr
-    w = _kinetic_link_weights(u.nodes, dr)
-    dv = np.diff(u.values, append=0.0)
-    return FOUR_PI * dr * float(np.sum(w * (dv / dr) ** 2))
-
-
-def _radial_minus_laplacian(vals: np.ndarray, dr: float, r: np.ndarray) -> np.ndarray:
-    """-(u'' + (2/r) u') = -(1/r^2)(r^2 u')' in flux form matching the link energy."""
     w = _kinetic_link_weights(r, dr)
-    dv = np.diff(vals, append=0.0) / dr
-    flux = w * dv
-    out = np.empty_like(vals)
-    out[0] = -flux[0] / (dr * r[0] ** 2)
-    out[1:] = -(flux[1:] - flux[:-1]) / (dr * r[1:] ** 2)
-    return out
+    grad = np.diff(u.values, append=0.0) / dr
+    energy = FOUR_PI * dr * float(np.sum(w * grad**2))
+    return energy, -np.diff(w * grad, prepend=0.0) / (dr * r**2)
 
 
-def radial_energy_breakdown(u: RadialProfile, v_vals: np.ndarray, p: float, phi: RadialProfile):
+def radial_kinetic_energy(u: RadialProfile) -> float:
+    """4*pi * int u'(r)^2 r^2 dr as an r^2-weighted link sum (see `_radial_kinetic`)."""
+    return _radial_kinetic(u)[0]
+
+
+def _radial_evaluate(u: RadialProfile, v_vals: np.ndarray, p: float, phi: RadialProfile):
+    """(breakdown, -Lap_r u) at u from one evaluation of the kinetic term."""
+    kin, mlap = _radial_kinetic(u)
     q = u.values * u.values
-    kin = radial_kinetic_energy(u)
     a1 = kin + radial_quadrature(u, v_vals * q)
     b = radial_quadrature(u, phi.values * q)
     c = radial_quadrature(u, np.abs(u.values) ** (p + 1.0))
     h1 = math.sqrt(kin + radial_quadrature(u, q))
-    return EnergyBreakdown.from_scalars(a1, b, c, p, h1)
+    return EnergyBreakdown.from_scalars(a1, b, c, p, h1), mlap
+
+
+def radial_energy_breakdown(u: RadialProfile, v_vals: np.ndarray, p: float, phi: RadialProfile):
+    """A1, B, C, the derived action values and the H^1 norm of the profile u."""
+    return _radial_evaluate(u, v_vals, p, phi)[0]
 
 
 def _radial_residual(u: RadialProfile, v_vals: np.ndarray, p: float, phi: RadialProfile):
-    """(residual, its weighted L^2 norm, `radial_energy_breakdown`) at u."""
-    r = (
-        _radial_minus_laplacian(u.values, u.dr, u.nodes)
-        + (v_vals + phi.values) * u.values
-        - np.sign(u.values) * np.abs(u.values) ** p
-    )
+    """(residual, its weighted L^2 norm, breakdown) at u, sharing one -Lap_r u."""
+    eb, mlap = _radial_evaluate(u, v_vals, p, phi)
+    r = mlap + (v_vals + phi.values) * u.values - np.sign(u.values) * np.abs(u.values) ** p
     norm = math.sqrt(FOUR_PI * u.dr * float(np.sum(r * r * u.nodes**2)))
-    return r, norm, radial_energy_breakdown(u, v_vals, p, phi)
+    return r, norm, eb
 
 
 def _radial_precondition(res: np.ndarray, dr: float, r: np.ndarray) -> np.ndarray:

@@ -53,10 +53,11 @@ def test_nonfinite_step_mid_descent_is_a_solver_error(tmp_path, monkeypatch, cap
         # initial fields that are zero on every node: by amplitude, by underflow
         ["solve", "--set", "grid.L=4.0", "--set", "grid.n=16", "--set", "solver.init_amplitude=0"],
         ["solve", "--set", "grid.L=4.0", "--set", "grid.n=16", "--set", "solver.init_center=100,0,0"],
+        ["solve", "--set", "grid.L=4.0", "--set", "grid.n=16", "--seed", "-1"],
     ],
     ids=[
         "singular-on-nodal-grid", "nonpositive-vinf", "nan-tol", "infinite-step",
-        "negative-init-width", "nan-in-list", "zero-init", "underflowed-init",
+        "negative-init-width", "nan-in-list", "zero-init", "underflowed-init", "negative-seed",
     ],
 )
 def test_rejected_run_inputs_are_config_errors(tmp_path, capsys, args):

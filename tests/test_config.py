@@ -1,0 +1,100 @@
+"""Config text: round trip, unknown and missing keys, key help."""
+
+from dataclasses import fields
+
+import pytest
+
+from spgs.config import (
+    REQUIRED_KEYS,
+    _SCHEMA,
+    RunConfig,
+    canonical_text,
+    describe_keys,
+    parse_config,
+)
+from spgs.errors import ConfigError
+
+# one valid value per schema attribute, each different from its default
+NON_DEFAULT = {
+    "grid_L": 7.25,
+    "grid_n": 24,
+    "grid_staggered": False,
+    "potential_kind": "coulomb_singular",
+    "potential_V1": 1.5,
+    "potential_lambda": 0.375,
+    "potential_alpha": 2,
+    "potential_table_path": "tables/v.field",
+    "solver_p": 3.5,
+    "solver_step": 2.0,
+    "solver_tol": 3e-9,
+    "solver_max_iters": 77,
+    "solver_seed": 11,
+    "solver_starts": 3,
+    "solver_kinetic": "spectral",
+    "solver_init": "file",
+    "solver_init_width": 0.625,
+    "solver_init_center": (0.5, -0.25, 0.125),
+    "solver_init_amplitude": 2.5,
+    "solver_init_path": "init/u.field",
+    "solver_coercivity_override": True,
+    "mode": "radial-crosscheck",
+    "output_dir": "out/runs",
+    "jobs": 2,
+    "sweep_lambdas": (0.5, 3.0),
+    "radial_r_max": 20.0,
+    "radial_n_r": 4096,
+}
+
+
+def minimal_text(skip=()):
+    values = {
+        "grid.L": "4.0",
+        "grid.n": "16",
+        "potential.kind": "constant",
+        "potential.V1": "1.0",
+        "solver.p": "4.0",
+    }
+    return "".join(f"{key} = {raw}\n" for key, raw in values.items() if key not in skip)
+
+
+def test_non_default_config_sets_every_schema_key():
+    assert set(NON_DEFAULT) == {attr for attr, _, _ in _SCHEMA.values()}
+    assert {f.name for f in fields(RunConfig)} == set(NON_DEFAULT)
+    defaults = RunConfig()
+    for attr, value in NON_DEFAULT.items():
+        assert getattr(defaults, attr) != value, attr
+
+
+@pytest.mark.parametrize("cfg", [RunConfig(), RunConfig(**NON_DEFAULT)], ids=["defaults", "non-default"])
+def test_canonical_text_round_trips(cfg):
+    cfg.validate()
+    assert parse_config(canonical_text(cfg)) == cfg
+
+
+def test_unknown_key_is_named_with_its_line():
+    text = minimal_text() + "# a comment\nsolver.tolerance = 1e-6\n"
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert "line 7" in str(exc.value)
+    assert "'solver.tolerance'" in str(exc.value)
+
+
+@pytest.mark.parametrize("key", REQUIRED_KEYS)
+def test_missing_required_key_is_listed(key):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(minimal_text(skip=(key,)))
+    assert str(exc.value) == f"missing required keys: {key}"
+
+
+def test_all_missing_required_keys_are_listed():
+    with pytest.raises(ConfigError) as exc:
+        parse_config("jobs = 2\n")
+    assert str(exc.value) == f"missing required keys: {', '.join(REQUIRED_KEYS)}"
+
+
+def test_describe_keys_gives_one_line_per_schema_key():
+    lines = describe_keys()
+    assert len(lines) == len(_SCHEMA)
+    for line, key in zip(lines, _SCHEMA):
+        assert line.startswith(f"{key} (default: ")
+        assert "\n" not in line

@@ -5,13 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from spgs.grid import GridSpec, ScalarField, h1_norm, integrate
+from spgs.grid import GridSpec, ScalarField, dirichlet_energy, h1_norm, integrate, minus_laplacian
 from spgs.functional import (
     EnergyBreakdown,
     el_residual,
     energy_breakdown,
-    kinetic_energy,
-    minus_laplacian,
     precondition,
 )
 from spgs.poisson import double_integral_oracle
@@ -154,22 +152,22 @@ class TestKineticVariants:
     def test_spectral_matches_fd_for_smooth_field(self):
         g = GridSpec(L=8.0, n=48)
         u = ScalarField.from_function(g, lambda x, y, z: np.exp(-(x * x + y * y + z * z) / 4.0))
-        t_fd = kinetic_energy(u, "fd")
-        t_sp = kinetic_energy(u, "spectral")
+        t_fd = dirichlet_energy(u, "fd")
+        t_sp = dirichlet_energy(u, "spectral")
         assert t_sp == pytest.approx(t_fd, rel=0.01)
 
     def test_spectral_is_quadratic_form_of_its_laplacian(self, grid):
         # both kinetics: the energy is the quadratic form of its -Lap
         u = fields(grid, 1, seed=6)[0]
         for kinetic in ("fd", "spectral"):
-            t = kinetic_energy(u, kinetic)
+            t = dirichlet_energy(u, kinetic)
             ip = grid.h**3 * float(np.sum(u.values * minus_laplacian(u, kinetic).values))
             assert t == pytest.approx(ip, rel=1e-12)
 
     def test_unknown_variant_rejected(self, grid):
         u = fields(grid, 1)[0]
         with pytest.raises(ValueError):
-            kinetic_energy(u, "secret")
+            dirichlet_energy(u, "secret")
 
 
 class TestPrecondition:

@@ -11,12 +11,14 @@ from spgs.grid import (
     ScalarField,
     annulus_integral,
     boundary_mass_fraction,
+    dirichlet_eigenvalues,
     dirichlet_energy,
     gradient_squared,
     h1_norm,
     integrate,
     l2_norm,
     lp_integral,
+    minus_laplacian,
     radialize,
     read_field,
     sine_transform,
@@ -167,6 +169,20 @@ class TestSineTransform:
             back = sine_transform(sine_transform(src), inverse=True)
             assert np.max(np.abs(back - a)) <= 1e-13 * np.max(np.abs(a))
             assert sine_transform(src).flags.f_contiguous == src.flags.f_contiguous
+
+    @pytest.mark.parametrize(
+        "g",
+        [GridSpec(L=4.0, n=24), GridSpec(L=5.0, n=32), GridSpec(L=3.0, n=13, staggered=False)],
+        ids=["staggered-24", "staggered-32", "nodal-13"],
+    )
+    @pytest.mark.parametrize("kinetic", ["fd", "spectral"])
+    def test_one_table_diagonalises_each_kinetic(self, g, kinetic):
+        # the preconditioner and the Poisson defect solve invert -Lap through this table
+        u = ScalarField(g, np.random.default_rng(g.n).standard_normal(g.num_nodes))
+        direct = minus_laplacian(u, kinetic).as3d
+        lam = dirichlet_eigenvalues(g.n, g.h, kinetic)
+        modal = sine_transform(lam * sine_transform(u.as3d), inverse=True)
+        assert np.max(np.abs(direct - modal)) <= 1e-12 * np.max(np.abs(direct))
 
 
 class TestLpIntegral:

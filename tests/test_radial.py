@@ -152,8 +152,12 @@ class TestRadialResidual:
 
 
 def test_validate_suite_checks_the_radial_gradient():
-    checks = {c.name: c for c in run_validation(seed=0)}
+    results = run_validation(seed=0)
+    checks = {c.name: c for c in results}
     assert checks["radial.gradient"].passed
+    # the whole invariant suite of `spgs validate`, so any regression fails here
+    assert len(checks) == len(results) == 18
+    assert [c.name for c in results if not c.passed] == []
 
 
 class TestRadialGroundState:
