@@ -18,8 +18,8 @@ discretisation through a few callables on its field type, so the 3-D box
 here and the independent radial mesh in `radial.py` run the same
 optimiser.
 
-Runs refuse to start when the potential fails its coercivity probe,
-unless explicitly overridden.  Results carry the full per-iteration
+Runs refuse to start when the potential fails its coercivity probe (in
+the run's kinetic), unless explicitly overridden.  Results carry the full per-iteration
 trace and the shell-mass profile of the final state; for a converged
 localized state the shell masses decay geometrically in the outer half
 of the box.
@@ -318,7 +318,9 @@ def find_ground_state(
     iterate is returned flagged converged=False.
     """
     if not coercivity_override:
-        probe = coercivity_check(V, grid, trials=_COERCIVITY_TRIALS, seed=cfg.seed)
+        probe = coercivity_check(
+            V, grid, trials=_COERCIVITY_TRIALS, seed=cfg.seed, kinetic=cfg.kinetic
+        )
         if not probe.ok:
             raise NonCoerciveError(
                 f"coercivity probe failed (estimate {probe.c_bar_est:.6g}); "

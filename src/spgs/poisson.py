@@ -60,19 +60,24 @@ ORACLE_MAX_N = 24
 def _kernel_rfft(n: int, h: float) -> np.ndarray:
     """rfftn of the Coulomb kernel on the doubled (2n)^3 lattice, as a real array.
 
-    The kernel is even on the doubled lattice, so its transform is real;
-    the imaginary part rfftn returns is rounding noise and is dropped,
-    which halves the table and turns the product into a real scaling.
+    The kernel depends on |d| only, so it is even along each axis of the
+    doubled lattice and its transform is real: per axis, the DFT of an
+    even sequence of length 2n is the DCT-I of its first n + 1 entries.
+    So the (2n, 2n, n + 1) table is the DCT-I of the (n + 1)^3 octant
+    d in [0, n]^3, mirrored (index j -> 2n - j) along the two full axes;
+    the product with it is a real scaling.
     """
-    m = 2 * n
-    idx = np.arange(m)
-    d = np.where(idx <= n, idx, idx - m).astype(np.float64)
-    dx, dy, dz = np.meshgrid(d, d, d, indexing="ij", sparse=True)
-    r = h * np.sqrt(dx * dx + dy * dy + dz * dz)
+    d = np.arange(n + 1, dtype=np.float64)
+    r = h * np.sqrt(d[:, None, None] ** 2 + d[None, :, None] ** 2 + d[None, None, :] ** 2)
     with np.errstate(divide="ignore"):
         k = KERNEL_CONSTANT / r
     k[0, 0, 0] = KERNEL_CONSTANT * CELL_MEAN_INVERSE_DISTANCE / h
-    return np.ascontiguousarray(scipy.fft.rfftn(k).real)
+    octant = scipy.fft.dctn(k, type=1)
+    j = np.arange(2 * n)
+    fold = np.minimum(j, 2 * n - j)
+    table = octant[fold][:, fold]
+    table.setflags(write=False)
+    return table
 
 
 def _convolve_fft(q: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -87,9 +92,11 @@ def _convolve_fft(q: np.ndarray, grid: GridSpec) -> np.ndarray:
     """
     n = grid.n
     m = 2 * n
-    f = scipy.fft.rfft(q, n=m, axis=2)
-    f = scipy.fft.fft(f, n=m, axis=0, overwrite_x=True)
-    f = scipy.fft.fft(f, n=m, axis=1, overwrite_x=True)
+    # one zeroed padded buffer; the complex forward passes run in place in it
+    f = np.zeros((m, m, n + 1), dtype=np.complex128)
+    f[:n, :n] = scipy.fft.rfft(q, n=m, axis=2)
+    f[:, :n] = scipy.fft.fft(f[:, :n], axis=0, overwrite_x=True)
+    f = scipy.fft.fft(f, axis=1, overwrite_x=True)
     f *= _kernel_rfft(n, grid.h)
     f = scipy.fft.ifft(f, axis=0, norm="forward", overwrite_x=True)[:n]
     f = scipy.fft.ifft(f, axis=1, norm="forward", overwrite_x=True)[:, :n]

@@ -11,7 +11,11 @@ against the H^1 norm with a seeded family of random test fields (centered
 narrow Gaussians, offset Gaussians, and low-frequency mixtures) and
 reports the smallest Rayleigh quotient seen.  A negative estimate signals
 that the coupling lam is too large for the well to be coercive; solvers
-refuse to start in that case unless overridden.
+refuse to start in that case unless overridden, and probe with the
+kinetic they minimise.  The trial fields are separable, so the probe takes
+their mass and Dirichlet form from their 1-D factors and builds their
+node values once per trial, for integral V u^2 alone; `rayleigh_quotient`
+is the fd quotient on node values.
 """
 
 from __future__ import annotations
@@ -21,8 +25,8 @@ from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
-from .grid import GridSpec, ScalarField, dirichlet_energy, integrate
-from .sampling import coercivity_test_field
+from .grid import GridSpec, ScalarField, dirichlet_energy, integrate, separable_forms
+from .sampling import coercivity_trial, separable_values
 
 
 class Potential:
@@ -141,7 +145,7 @@ def rayleigh_quotient(u: ScalarField, v_field: ScalarField) -> float:
 
 
 def coercivity_check(
-    V: Potential, grid: GridSpec, trials: int = 64, seed: int = 0
+    V: Potential, grid: GridSpec, trials: int = 64, seed: int = 0, kinetic: str = "fd"
 ) -> CoercivityResult:
     """Estimate the coercivity constant of the form grad^2 + V.
 
@@ -151,13 +155,22 @@ def coercivity_check(
     probe the singularity), offset Gaussians, and few-blob mixtures with
     a slow cosine modulation.  A negative estimate is a valid answer: it
     certifies a field on which the form is negative at this coupling.
+
+    The quotient is `rayleigh_quotient` with the Dirichlet form of the
+    given kinetic.  Each trial is separable (`coercivity_trial`), so its
+    mass and Dirichlet form come from its 1-D factors
+    (`grid.separable_forms`); only integral V u^2 needs the node values.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got trials={trials}")
     rng = np.random.default_rng(seed)
-    v_field = V.sample(grid)
+    v = V.sample(grid).values
+    h3 = grid.h**3
     best = np.inf
     for k in range(trials):
-        u = coercivity_test_field(grid, rng, k)
-        best = min(best, rayleigh_quotient(u, v_field))
+        factors = coercivity_trial(grid, rng, k)
+        mass, dirichlet = separable_forms(grid, *factors, kinetic)
+        u = separable_values(*factors)
+        potential = h3 * float(np.einsum("i,i,i->", v, u, u))
+        best = min(best, (dirichlet + potential) / (dirichlet + mass))
     return CoercivityResult(float(best), bool(best > 0.0))

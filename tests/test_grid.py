@@ -170,6 +170,19 @@ class TestSineTransform:
             assert np.max(np.abs(back - a)) <= 1e-13 * np.max(np.abs(a))
             assert sine_transform(src).flags.f_contiguous == src.flags.f_contiguous
 
+    @pytest.mark.parametrize("m", [24, 32, 48])
+    def test_bit_identical_to_single_axis_products(self, m):
+        # small blocks run slab by slab; the values are those of one
+        # (m^2, m) product per axis
+        k = np.arange(1, m + 1)
+        s = 2.0 * np.sin(np.pi * np.outer(k, k) / (m + 1))
+        a = np.random.default_rng(m).standard_normal((m, m, m))
+        ref = np.matmul(a.reshape(m * m, m), s).reshape(m, m, m)
+        ref = np.matmul(s, ref)
+        ref = np.matmul(s, ref.reshape(m, m * m)).reshape(m, m, m)
+        assert np.array_equal(sine_transform(a), ref)
+        assert np.array_equal(sine_transform(np.asfortranarray(a.T)), ref.T)
+
     @pytest.mark.parametrize(
         "g",
         [GridSpec(L=4.0, n=24), GridSpec(L=5.0, n=32), GridSpec(L=3.0, n=13, staggered=False)],

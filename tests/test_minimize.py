@@ -20,7 +20,7 @@ from spgs.minimize import (
     relative_asymmetry,
     shell_decay_ok,
 )
-from spgs.potential import Constant, CoulombSingular
+from spgs.potential import CoercivityResult, Constant, CoulombSingular
 from spgs.radial import radial_ground_state
 
 
@@ -108,6 +108,18 @@ class TestFindGroundState:
         cfg = SolverConfig(p=4.0, max_iters=10)
         with pytest.raises(NonCoerciveError):
             find_ground_state(CoulombSingular(1.0, 10.0, 2), cfg, quick_grid)
+
+    def test_probe_uses_the_run_kinetic(self, quick_cfg, quick_grid, monkeypatch):
+        seen = []
+
+        def probe(V, grid, trials, seed, kinetic):
+            seen.append(kinetic)
+            return CoercivityResult(-1.0, False)
+
+        monkeypatch.setattr(spgs.minimize, "coercivity_check", probe)
+        with pytest.raises(NonCoerciveError):
+            find_ground_state(Constant(1.0), quick_cfg, quick_grid)
+        assert seen == ["spectral"]
 
     def test_override_gets_past_gate(self, quick_cfg, quick_grid):
         # a coercive singular potential with the probe bypassed still runs

@@ -10,6 +10,7 @@ from spgs.functional import energy_breakdown
 from spgs.grid import GridSpec, ScalarField, dirichlet_energy, h1_norm
 from spgs.poisson import (
     CELL_MEAN_INVERSE_DISTANCE,
+    KERNEL_CONSTANT,
     _convolve_direct,
     _convolve_fft,
     _kernel_rfft,
@@ -78,6 +79,24 @@ class TestSolvePhi:
             pd = ScalarField.from_3d(g, _convolve_direct(u.as3d**2, g)).values
             pf = solve_phi(u, residual_correction=False).values
             assert np.max(np.abs(pd - pf)) <= 1e-8 * np.max(np.abs(pf))
+
+
+class TestKernelTable:
+    @pytest.mark.parametrize("n", [12, 13, 32])
+    def test_octant_dct_equals_full_rfftn(self, n):
+        # the kernel on the whole doubled (2n)^3 lattice, d taken mod 2n into (-n, n]
+        h = 0.3
+        m = 2 * n
+        d = np.arange(m)
+        d = np.where(d <= n, d, d - m).astype(np.float64)
+        r = h * np.sqrt(d[:, None, None] ** 2 + d[None, :, None] ** 2 + d[None, None, :] ** 2)
+        with np.errstate(divide="ignore"):
+            k = KERNEL_CONSTANT / r
+        k[0, 0, 0] = KERNEL_CONSTANT * CELL_MEAN_INVERSE_DISTANCE / h
+        ref = scipy.fft.rfftn(k).real
+        table = _kernel_rfft(n, h)
+        assert table.shape == ref.shape
+        assert np.max(np.abs(table - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
 class TestPrunedConvolution:

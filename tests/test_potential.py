@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from spgs.grid import GridSpec, ScalarField
+import spgs.grid
+from spgs.grid import GridSpec, ScalarField, dirichlet_energy, separable_forms
 from spgs.potential import (
     Composite,
     Constant,
@@ -12,7 +13,12 @@ from spgs.potential import (
     coercivity_check,
     rayleigh_quotient,
 )
-from spgs.sampling import gaussian_blob
+from spgs.sampling import (
+    coercivity_trial,
+    gaussian_blob,
+    random_smooth_field,
+    separable_values,
+)
 
 
 @pytest.fixture(scope="module")
@@ -130,6 +136,82 @@ class TestCoercivity:
             for lam in (0.1, 0.3, 0.9)
         ]
         assert quotients[0] > quotients[1] > quotients[2]
+
+
+def log_uniform(rng, lo, hi):
+    lo, hi = sorted((lo, hi))
+    return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+
+
+def n3_trial(grid, rng, k):
+    """Probe trial k built node by node, with the probe's draws in the probe's order."""
+    kind = k % 3
+    if kind == 0:
+        w = log_uniform(rng, 1.5 * grid.h, grid.L / 3.0)
+        vals = gaussian_blob(grid, (0.0, 0.0, 0.0), w).as3d
+    elif kind == 1:
+        c = rng.uniform(-grid.L / 3.0, grid.L / 3.0, size=3)
+        w = log_uniform(rng, 3.0 * grid.h, grid.L / 4.0)
+        vals = gaussian_blob(grid, tuple(c), w).as3d
+    else:
+        vals = random_smooth_field(grid, rng).as3d.copy()
+        kvec = rng.integers(0, 3, size=3)
+        x, y, z = grid.coords()
+        vals *= 1.0 + 0.5 * np.cos(np.pi * (kvec[0] * x + kvec[1] * y + kvec[2] * z) / grid.L)
+    return ScalarField.from_3d(grid, vals)
+
+
+PROBE_GRIDS = [GridSpec(L=6.0, n=16), GridSpec(L=4.0, n=24), GridSpec(L=3.0, n=13, staggered=False)]
+PROBE_GRID_IDS = ["staggered-16", "staggered-24", "nodal-13"]
+
+
+class TestFactoredProbe:
+    @pytest.mark.parametrize("g", PROBE_GRIDS, ids=PROBE_GRID_IDS)
+    def test_trial_values_match_n3_builder(self, g):
+        ref_rng, rng = np.random.default_rng(5), np.random.default_rng(5)
+        for k in range(9):
+            ref = n3_trial(g, ref_rng, k).values
+            got = separable_values(*coercivity_trial(g, rng, k))
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("kinetic", ["fd", "spectral"])
+    @pytest.mark.parametrize("g", PROBE_GRIDS, ids=PROBE_GRID_IDS)
+    def test_factored_forms_match_node_sums(self, g, kinetic):
+        rng = np.random.default_rng(7)
+        for k in range(9):
+            factors = coercivity_trial(g, rng, k)
+            u = ScalarField(g, separable_values(*factors))
+            mass, dirichlet = separable_forms(g, *factors, kinetic)
+            assert mass == pytest.approx(g.h**3 * float(np.sum(u.values**2)), rel=1e-12)
+            assert dirichlet == pytest.approx(dirichlet_energy(u, kinetic), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "V, g",
+        [(CoulombSingular(1.0, 0.5, 1), GridSpec(L=6.0, n=16)), (Constant(1.0), GridSpec(L=3.0, n=13, staggered=False))],
+        ids=["coulomb-16", "constant-nodal-13"],
+    )
+    def test_estimate_matches_n3_quotients(self, V, g):
+        rng = np.random.default_rng(11)
+        v_field = V.sample(g)
+        ref = min(rayleigh_quotient(n3_trial(g, rng, k), v_field) for k in range(24))
+        est, _ = coercivity_check(V, g, trials=24, seed=11)
+        assert est == pytest.approx(ref, rel=1e-12)
+
+    def test_probe_forms_no_stencil(self, grid, monkeypatch):
+        def no_stencil(*args, **kwargs):
+            raise AssertionError("the probe must not form -Lap on the node values")
+
+        monkeypatch.setattr(spgs.grid, "minus_laplacian", no_stencil)
+        est, ok = coercivity_check(CoulombSingular(1.0, 0.5, 1), grid, trials=24, seed=9)
+        assert ok and 0.0 < est < 1.0
+
+    def test_spectral_estimate_bounds_fd(self, grid):
+        # spectral sine-mode eigenvalues bound the fd ones from above, and for
+        # V <= 1 each quotient grows with the kinetic term
+        V = CoulombSingular(1.0, 0.5, 1)
+        fd, _ = coercivity_check(V, grid, trials=24, seed=9, kinetic="fd")
+        spectral, _ = coercivity_check(V, grid, trials=24, seed=9, kinetic="spectral")
+        assert spectral >= fd
 
 
 class TestBelowVinfSurrogate:
