@@ -34,7 +34,8 @@ from .validate import report_lines, run_validation
 
 TRACE_HEADER = "iter,I,G,A1,B,C,residual_l2,step"
 SUMMARY_HEADER = (
-    "L,n,staggered,potential,p,tol,max_iters,seed,kinetic,c_estimate,residual_norm,iterations,converged"
+    "L,n,staggered,potential,p,tol,max_iters,seed,kinetic,c_estimate,residual_norm,iterations,converged,"
+    "boundary_mass"
 )
 
 
@@ -82,6 +83,7 @@ def _summary_row(cfg: RunConfig, potential_echo: str, result: GroundStateResult)
             repr(result.residual_norm),
             str(result.iterations),
             "1" if result.converged else "0",
+            repr(result.boundary_mass),
         ]
     )
 

@@ -38,12 +38,6 @@ import numpy as np
 # kinetic discretisations of -Lap, all diagonal in the DST-I sine modes
 KINETICS = ("fd", "spectral")
 
-# Largest block edge that `sine_transform` runs as per-slab products: there
-# a single (m^2, m) product gains nothing, and BLAS may spread it over
-# threads that stall on a busy host.
-_SLAB_PRODUCT_MAX = 32
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """Cubic box [-L, L]^3 with n nodes per axis and spacing h = 2L/n.
@@ -227,8 +221,8 @@ def sine_transform(a: np.ndarray, inverse: bool = False) -> np.ndarray:
     """Unnormalised 3-D DST-I of an (m, m, m) block, scipy.fft.dstn(a, type=1).
 
     Runs as three products with the sine matrix S of `_sine_matrix`, one
-    per axis; up to m = `_SLAB_PRODUCT_MAX` each is m slab-by-slab
-    products, which BLAS does not spread over threads.  S is symmetric and
+    per axis, each as m slab-by-slab products, which BLAS does not spread
+    over threads that can stall on a busy host.  S is symmetric and
     S S = 2(m + 1) I, so `inverse=True` (idstn) is the same three products
     scaled by (2(m + 1))^-3.  The block
     is read as a C-ordered [k, j, i] array (an F-ordered one through its
@@ -241,15 +235,9 @@ def sine_transform(a: np.ndarray, inverse: bool = False) -> np.ndarray:
     s = _sine_matrix(m)
     flip = a.flags.f_contiguous and not a.flags.c_contiguous
     c = np.ascontiguousarray(a.T if flip else a)
-    if m <= _SLAB_PRODUCT_MAX:
-        out = np.matmul(s, np.matmul(c, s))
-        res = np.empty_like(out)
-        np.matmul(s, out.transpose(1, 0, 2), out=res.transpose(1, 0, 2))
-        out = res
-    else:
-        out = np.matmul(c.reshape(m * m, m), s).reshape(m, m, m)
-        out = np.matmul(s, out)
-        out = np.matmul(s, out.reshape(m, m * m)).reshape(m, m, m)
+    t = np.matmul(s, np.matmul(c, s))
+    out = np.empty_like(t)
+    np.matmul(s, t.transpose(1, 0, 2), out=out.transpose(1, 0, 2))
     if inverse:
         out *= 1.0 / (2.0 * (m + 1)) ** 3
     return out.T if flip else out

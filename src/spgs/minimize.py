@@ -8,10 +8,13 @@ the last three curvature pairs, taken between projected iterates, with
 the Sobolev preconditioner as the initial inverse Hessian; it falls back
 to the preconditioned gradient when it is not a descent direction or when
 its line search fails.  Backtracking halves the step until the
-re-projected action does not rise, which makes the level trace monotone
-by construction.  One Poisson solve per trial step is the dominant cost;
-the solve for the scaled field is obtained exactly from quadratic
-homogeneity of the nonlocal term rather than re-solved.
+re-projected action, taken on the trial field's ray (`ray_profile`), does
+not rise.  The trace records the action re-evaluated at the accepted
+iterate, which differs from that value by rounding, so the traced level
+is not monotone: at the rounding floor it can rise by a few ulps.  One
+Poisson solve per trial step is the dominant cost; the solve for the
+scaled field is obtained exactly from quadratic homogeneity of the
+nonlocal term rather than re-solved.
 
 `_descend` is the package's only descent loop.  It sees the
 discretisation through a few callables on its field type, so the 3-D box

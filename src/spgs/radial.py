@@ -4,8 +4,11 @@ For radially symmetric potentials the ground state can be computed on a
 staggered radial mesh r_j = (j + 1/2) dr with a completely separate
 discretization: shell-theorem sums for the Poisson solve, one link
 difference u' per profile for the kinetic energy and its flux-form -Lap_r,
-midpoint radial quadrature for the energies, and a banded (tridiagonal)
-Sobolev preconditioner.  None of the 3-D grid code is reused, which is
+midpoint radial quadrature for the energies, and a tridiagonal Sobolev
+preconditioner.  The mesh constants (nodes r, r^2 and the link weights
+(j dr)^2) and the LAPACK factor of the preconditioner depend only on
+(r_max, n_r); `_mesh` builds them once per mesh and every profile on
+that mesh shares them.  None of the 3-D grid code is reused, which is
 the point: agreement of the two ground levels validates both
 discretizations.  Only the optimiser is shared: `radial_ground_state`
 hands these operators to the projected descent `minimize._descend` that
@@ -24,17 +27,50 @@ the radial action, as the descent's curvature pairs require.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .functional import EnergyBreakdown
 from .minimize import GaussianBlob, SolverConfig, _descend
 from .potential import Constant, CoulombSingular, Potential
 
 FOUR_PI = 4.0 * math.pi
+
+
+@dataclass(frozen=True)
+class _Mesh:
+    """Read-only constants of one staggered radial mesh, shared by its profiles."""
+
+    r: np.ndarray  # nodes (j + 1/2) dr
+    r2: np.ndarray  # r^2 at the nodes
+    w: np.ndarray  # r^2 at the link midpoints j*dr, j = 1..n_r (zero-flux at r = 0)
+    sobolev: tuple[np.ndarray, np.ndarray]  # dpttrf factor (d, e) of -lap_r + 1, symmetrized
+
+
+@functools.lru_cache(maxsize=4)
+def _mesh(r_max: float, n_r: int) -> _Mesh:
+    """The constants of the mesh (r_max, n_r); the last few meshes used stay cached.
+
+    The Sobolev matrix -lap_r + 1 is made symmetric by the sqrt(r^2)
+    similarity D A D^-1 and factored by LAPACK dpttrf; `_radial_precondition`
+    applies the factor with dpttrs, the two steps of the dptsv solve.
+    """
+    dr = r_max / n_r
+    r = (np.arange(n_r) + 0.5) * dr
+    r2 = r * r
+    w = (np.arange(1, n_r + 1) * dr) ** 2
+    diag = (w + np.concatenate(([0.0], w[:-1]))) / (dr * dr * r2) + 1.0
+    upper = -w[:-1] / (dr * dr * np.sqrt(r2[:-1] * r2[1:]))
+    d, e, info = dpttrf(diag, upper)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"radial Sobolev matrix not positive definite (dpttrf info {info})")
+    for a in (r, r2, w, d, e):
+        a.setflags(write=False)
+    return _Mesh(r, r2, w, (d, e))
 
 
 @dataclass(frozen=True)
@@ -61,8 +97,12 @@ class RadialProfile:
         return self.r_max / self.n_r
 
     @property
+    def mesh(self) -> _Mesh:
+        return _mesh(self.r_max, self.n_r)
+
+    @property
     def nodes(self) -> np.ndarray:
-        return (np.arange(self.n_r) + 0.5) * self.dr
+        return self.mesh.r
 
 
 def radial_solve_phi(u: RadialProfile) -> RadialProfile:
@@ -86,7 +126,7 @@ def radial_solve_phi(u: RadialProfile) -> RadialProfile:
 
 def radial_quadrature(u: RadialProfile, integrand: np.ndarray) -> float:
     """4*pi * int f(r) r^2 dr by the midpoint rule on the staggered mesh."""
-    return FOUR_PI * u.dr * float(np.sum(integrand * u.nodes**2))
+    return FOUR_PI * u.dr * float(np.sum(integrand * u.mesh.r2))
 
 
 def _sample_radial_potential(V: Potential, nodes: np.ndarray) -> np.ndarray:
@@ -100,11 +140,6 @@ def _sample_radial_potential(V: Potential, nodes: np.ndarray) -> np.ndarray:
     )
 
 
-def _kinetic_link_weights(r: np.ndarray, dr: float) -> np.ndarray:
-    """r^2 at the link midpoints j*dr for j = 1..n_r (zero-flux at r = 0)."""
-    return (np.arange(1, r.size + 1) * dr) ** 2
-
-
 def _radial_kinetic(u: RadialProfile) -> tuple[float, np.ndarray]:
     """(4*pi * int u'^2 r^2 dr, -Lap_r u) from one link difference u' of u.
 
@@ -115,12 +150,11 @@ def _radial_kinetic(u: RadialProfile) -> tuple[float, np.ndarray]:
     the r^2-weighted pairing.  The link sum is the one evaluated: its
     positive terms round better at the descent's rounding floor.
     """
-    r = u.nodes
+    mesh = u.mesh
     dr = u.dr
-    w = _kinetic_link_weights(r, dr)
     grad = np.diff(u.values, append=0.0) / dr
-    energy = FOUR_PI * dr * float(np.sum(w * grad**2))
-    return energy, -np.diff(w * grad, prepend=0.0) / (dr * r**2)
+    energy = FOUR_PI * dr * float(np.sum(mesh.w * grad**2))
+    return energy, -np.diff(mesh.w * grad, prepend=0.0) / (dr * mesh.r2)
 
 
 def radial_kinetic_energy(u: RadialProfile) -> float:
@@ -148,23 +182,15 @@ def _radial_residual(u: RadialProfile, v_vals: np.ndarray, p: float, phi: Radial
     """(residual, its weighted L^2 norm, breakdown) at u, sharing one -Lap_r u."""
     eb, mlap = _radial_evaluate(u, v_vals, p, phi)
     r = mlap + (v_vals + phi.values) * u.values - np.sign(u.values) * np.abs(u.values) ** p
-    norm = math.sqrt(FOUR_PI * u.dr * float(np.sum(r * r * u.nodes**2)))
+    norm = math.sqrt(FOUR_PI * u.dr * float(np.sum(r * r * u.mesh.r2)))
     return r, norm, eb
 
 
-def _radial_precondition(res: np.ndarray, dr: float, r: np.ndarray) -> np.ndarray:
-    """( -lap_r + 1 )^{-1} res via a symmetrized tridiagonal solve."""
-    n = res.size
-    w = _kinetic_link_weights(r, dr)
-    r2 = r * r
-    diag = (w + np.concatenate(([0.0], w[:-1]))) / (dr * dr * r2) + 1.0
-    upper = -w[:-1] / (dr * dr * np.sqrt(r2[:-1] * r2[1:]))
-    ab = np.zeros((2, n))
-    ab[0, 1:] = upper
-    ab[1, :] = diag
-    # symmetrize with the sqrt(r^2) similarity: solve D A D^-1 (D x) = D res
-    scaled = scipy.linalg.solveh_banded(ab, res * r)
-    return scaled / r
+def _radial_precondition(res: np.ndarray, mesh: _Mesh) -> np.ndarray:
+    """( -lap_r + 1 )^{-1} res by the mesh's factored tridiagonal."""
+    # solve D A D^-1 (D x) = D res with D = diag(r)
+    scaled, _ = dpttrs(*mesh.sobolev, res * mesh.r)
+    return scaled / mesh.r
 
 
 def radial_ground_state(
@@ -186,15 +212,13 @@ def radial_ground_state(
     if not 3.0 < p < 5.0:
         raise ValueError(f"exponent must lie in (3, 5), got p={p}")
 
-    dr = r_max / n_r
-    nodes = (np.arange(n_r) + 0.5) * dr
-    r2 = nodes * nodes
-    v_vals = _sample_radial_potential(V, nodes)
+    mesh = _mesh(r_max, n_r)
+    v_vals = _sample_radial_potential(V, mesh.r)
 
     width = r_max / 20.0
     if isinstance(cfg.init, GaussianBlob) and cfg.init.width:
         width = cfg.init.width
-    u0 = RadialProfile(r_max, n_r, np.exp(-(nodes**2) / (2.0 * width**2)))
+    u0 = RadialProfile(r_max, n_r, np.exp(-mesh.r2 / (2.0 * width**2)))
 
     # radial_solve_phi and radial_energy_breakdown are looked up at call time
     u, eb, phi, *_ = _descend(
@@ -204,8 +228,8 @@ def radial_ground_state(
         solve=lambda prof: radial_solve_phi(prof),
         breakdown=lambda prof, phi: radial_energy_breakdown(prof, v_vals, p, phi),
         residual=lambda prof, phi: _radial_residual(prof, v_vals, p, phi),
-        precondition=lambda res: _radial_precondition(res, dr, nodes),
-        inner=lambda a, b: float(np.sum(r2 * a * b)),
+        precondition=lambda res: _radial_precondition(res, mesh),
+        inner=lambda a, b: float(np.sum(mesh.r2 * a * b)),
     )
     return u, phi, eb.I
 

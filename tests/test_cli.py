@@ -1,5 +1,6 @@
 """The command-line entry point, end to end on tiny runs."""
 
+import csv
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 import spgs.minimize
 from spgs.cli import main
-from spgs.grid import GridSpec, ScalarField, write_field
+from spgs.grid import GridSpec, ScalarField, boundary_mass_fraction, read_field, write_field
 
 
 def test_radial_crosscheck_profile_rows_parse_as_floats(tmp_path):
@@ -99,3 +100,14 @@ def test_tabulated_radial_crosscheck_is_a_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("ERROR config: potential.kind:")
     assert not (tmp_path / "out").exists()
+
+
+def test_summary_csv_carries_the_boundary_mass(tmp_path):
+    argv = ["solve", "--set", "grid.L=4.0", "--set", "grid.n=16", "--output", str(tmp_path)]
+    assert main(argv) == 0
+    (run_dir,) = tmp_path.iterdir()
+    text = (run_dir / "summary.csv").read_text(encoding="utf-8")
+    (row,) = csv.DictReader(line for line in text.splitlines() if not line.startswith("#"))
+    # the truncation diagnostic of the reported state, exactly
+    assert float(row["boundary_mass"]) == boundary_mass_fraction(read_field(run_dir / "u.field"))
+    assert 0.0 < float(row["boundary_mass"]) < 1e-3

@@ -170,10 +170,10 @@ class TestSineTransform:
             assert np.max(np.abs(back - a)) <= 1e-13 * np.max(np.abs(a))
             assert sine_transform(src).flags.f_contiguous == src.flags.f_contiguous
 
-    @pytest.mark.parametrize("m", [24, 32, 48])
+    @pytest.mark.parametrize("m", [24, 32, 48, 64])
     def test_bit_identical_to_single_axis_products(self, m):
-        # small blocks run slab by slab; the values are those of one
-        # (m^2, m) product per axis
+        # every block runs slab by slab; where m is a multiple of 8 the
+        # values are those of one (m^2, m) product per axis
         k = np.arange(1, m + 1)
         s = 2.0 * np.sin(np.pi * np.outer(k, k) / (m + 1))
         a = np.random.default_rng(m).standard_normal((m, m, m))

@@ -4,11 +4,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+import spgs.radial
 from spgs.minimize import SolverConfig, GaussianBlob
 from spgs.potential import Composite, Constant, CoulombSingular
 from spgs.radial import (
     RadialProfile,
+    _mesh,
+    _radial_precondition,
     _radial_residual,
     radial_energy_breakdown,
     radial_ground_state,
@@ -158,6 +162,70 @@ def test_validate_suite_checks_the_radial_gradient():
     # the whole invariant suite of `spgs validate`, so any regression fails here
     assert len(checks) == len(results) == 18
     assert [c.name for c in results if not c.passed] == []
+
+
+class TestRadialMesh:
+    @pytest.mark.parametrize("r_max, n_r", [(15.0, 512), (30.0, 8192)])
+    def test_factored_preconditioner_equals_the_banded_solve(self, r_max, n_r):
+        # the per-call assembly and solveh_banded (LAPACK ptsv) that the
+        # mesh's dpttrf factor and dpttrs replace, to the last bit
+        dr = r_max / n_r
+        r = (np.arange(n_r) + 0.5) * dr
+        w = (np.arange(1, n_r + 1) * dr) ** 2
+        r2 = r * r
+        ab = np.zeros((2, n_r))
+        ab[0, 1:] = -w[:-1] / (dr * dr * np.sqrt(r2[:-1] * r2[1:]))
+        ab[1, :] = (w + np.concatenate(([0.0], w[:-1]))) / (dr * dr * r2) + 1.0
+        rng = np.random.default_rng(n_r)
+        for _ in range(3):
+            res = rng.standard_normal(n_r) * np.exp(-r / rng.uniform(1.0, 5.0))
+            old = scipy.linalg.solveh_banded(ab, res * r) / r
+            assert np.array_equal(_radial_precondition(res, _mesh(r_max, n_r)), old)
+
+    def test_mesh_constants_are_read_only(self):
+        mesh = RadialProfile(10.0, 16, np.zeros(16)).mesh
+        for a in (mesh.r, mesh.r2, mesh.w, *mesh.sobolev):
+            assert not a.flags.writeable
+
+    def test_meshes_sharing_n_r_do_not_share_constants(self):
+        # same n_r, different r_max: each level is the same whichever mesh is built first
+        cfg = SolverConfig(p=4.0, tol_residual=1e-7, max_iters=600)
+
+        def solve(r_max):
+            u, _, c = radial_ground_state(Constant(1.0), 4.0, r_max=r_max, n_r=512, cfg=cfg)
+            return c, u.values
+
+        _mesh.cache_clear()
+        first = {r_max: solve(r_max) for r_max in (15.0, 30.0)}
+        _mesh.cache_clear()
+        second = {r_max: solve(r_max) for r_max in (30.0, 15.0)}
+        assert first[15.0][0] != first[30.0][0]
+        for r_max in (15.0, 30.0):
+            assert first[r_max][0] == second[r_max][0]
+            assert np.array_equal(first[r_max][1], second[r_max][1])
+
+
+def test_descent_looks_up_the_traced_layers_at_call_time(monkeypatch):
+    # the bench's per-layer radial metrics wrap these two module attributes
+    cfg = SolverConfig(p=4.0, tol_residual=1e-7, max_iters=600)
+    _, _, c_plain = radial_ground_state(Constant(1.0), 4.0, r_max=30.0, n_r=512, cfg=cfg)
+    calls = {"radial_solve_phi": 0, "radial_energy_breakdown": 0}
+
+    def counting(name):
+        original = getattr(spgs.radial, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(spgs.radial, name, counting(name))
+    _, _, c_traced = radial_ground_state(Constant(1.0), 4.0, r_max=30.0, n_r=512, cfg=cfg)
+    assert calls["radial_solve_phi"] > 0
+    assert calls["radial_energy_breakdown"] > 0
+    assert c_traced == c_plain
 
 
 class TestRadialGroundState:
