@@ -141,7 +141,8 @@ def _run_solve(cfg: RunConfig, outdir: Path) -> int:
     write_field(result.phi, outdir / "phi.field")
     print(
         f"c_estimate = {result.c_estimate!r}  residual = {result.residual_norm:.3e}  "
-        f"iterations = {result.iterations}  converged = {result.converged}"
+        f"iterations = {result.iterations}  converged = {result.converged}  "
+        f"boundary_mass = {result.boundary_mass:.3e}"
     )
     return 0
 

@@ -366,7 +366,8 @@ def find_ground_state(
             best = out
     u, eb, phi_conv, rnorm, iterations, trace, converged, status = best
 
-    phi = solve_phi(u)
+    # the descent's raw sum for u, so the corrected phi runs no second convolution
+    phi = solve_phi(u, raw=phi_conv)
     profile = annulus_mass_profile(u, phi)
     return GroundStateResult(
         u=u,

@@ -11,8 +11,12 @@ removes the singularity with an O(h^2)-consistent correction.
 The FFT convolution is a pruned separable transform.  The forward pass
 transforms one axis at a time and only the planes of the (2n)^3 padded
 box that hold charge; the inverse pass crops each axis to its n wanted
-outputs before transforming the next.  No (2n)^3 real array is formed,
-and the result equals the full padded irfftn(rfftn(pad) * K) bit for bit.
+outputs before transforming the next.  After the rfft along z the work
+runs plane by plane in k_z: blocks of about a megabyte of (2n)^2 planes
+pass through one reused buffer, each cropped back to n^2 in place, so
+no array of the padded box's size is formed.  The kernel's transform is
+cached as its (n + 1)^3 DCT-I octant and mirrored through views.  The
+result equals the full padded irfftn(rfftn(pad) * K) bit for bit.
 
 The same lattice sum by O(N^2) pairwise summation (`_convolve_direct`)
 is the reference the FFT path is tested against; its pairwise sums also
@@ -57,27 +61,34 @@ ORACLE_MAX_N = 24
 
 
 @lru_cache(maxsize=8)
-def _kernel_rfft(n: int, h: float) -> np.ndarray:
-    """rfftn of the Coulomb kernel on the doubled (2n)^3 lattice, as a real array.
+def _kernel_octant(n: int, h: float) -> np.ndarray:
+    """The real rfftn of the Coulomb kernel on the doubled (2n)^3 lattice, as its octant.
 
     The kernel depends on |d| only, so it is even along each axis of the
     doubled lattice and its transform is real: per axis, the DFT of an
     even sequence of length 2n is the DCT-I of its first n + 1 entries.
-    So the (2n, 2n, n + 1) table is the DCT-I of the (n + 1)^3 octant
-    d in [0, n]^3, mirrored (index j -> 2n - j) along the two full axes;
-    the product with it is a real scaling.
+    So the full (2n, 2n, n + 1) table is the DCT-I of the (n + 1)^3 octant
+    d in [0, n]^3, mirrored (index j -> 2n - j) along the two full axes.
+    Only the octant is kept, laid out [k2, d1, d0] as the plane blocks of
+    `_convolve_fft` read it; the mirror is applied there through views.
     """
     d = np.arange(n + 1, dtype=np.float64)
     r = h * np.sqrt(d[:, None, None] ** 2 + d[None, :, None] ** 2 + d[None, None, :] ** 2)
     with np.errstate(divide="ignore"):
         k = KERNEL_CONSTANT / r
     k[0, 0, 0] = KERNEL_CONSTANT * CELL_MEAN_INVERSE_DISTANCE / h
-    octant = scipy.fft.dctn(k, type=1)
-    j = np.arange(2 * n)
-    fold = np.minimum(j, 2 * n - j)
-    table = octant[fold][:, fold]
+    table = np.ascontiguousarray(scipy.fft.dctn(k, type=1).T)
     table.setflags(write=False)
     return table
+
+
+# bytes of the complex (b, 2n, 2n) plane block that `_convolve_fft` reuses
+_BLOCK_BYTES = 1 << 20
+
+
+def _planes_per_block(n: int) -> int:
+    """Planes in one plane block of `_convolve_fft` on an n^3 grid: about _BLOCK_BYTES."""
+    return min(n + 1, max(1, _BLOCK_BYTES // (16 * (2 * n) ** 2)))
 
 
 def _convolve_fft(q: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -89,20 +100,50 @@ def _convolve_fft(q: np.ndarray, grid: GridSpec) -> np.ndarray:
     all-zero planes and inverse passes skip the planes that are cropped
     away.  The 1/(2n)^3 normalisation is applied once, at the end, as the
     padded inverse does.
+
+    Axes 0, 1, 2 are x, y, z; the work runs on the transposed [z, y, x]
+    layout, in which an F-ordered (x-fastest) field is C-ordered.  The
+    rfft along z fills an (n + 1, n, n) spectrum, one (y, x) plane per k2,
+    slab by slab.  Blocks of `_planes_per_block` planes then go through one
+    reused (b, 2n, 2n) buffer: forward along x on the n charged rows, then
+    along y; the kernel product, read from the cached octant through its
+    four mirrored quadrants; inverse along x and then y, each cropped to
+    n; the n x n corner goes back into its spectrum plane.  The irfft
+    along k2 writes slab by slab into the F-ordered result.  So a call
+    holds the spectrum and the result, about three fields' worth, and one
+    block, where the padded spectrum alone is eight fields' worth.
     """
     n = grid.n
     m = 2 * n
-    # one zeroed padded buffer; the complex forward passes run in place in it
-    f = np.zeros((m, m, n + 1), dtype=np.complex128)
-    f[:n, :n] = scipy.fft.rfft(q, n=m, axis=2)
-    f[:, :n] = scipy.fft.fft(f[:, :n], axis=0, overwrite_x=True)
-    f = scipy.fft.fft(f, axis=1, overwrite_x=True)
-    f *= _kernel_rfft(n, grid.h)
-    f = scipy.fft.ifft(f, axis=0, norm="forward", overwrite_x=True)[:n]
-    f = scipy.fft.ifft(f, axis=1, norm="forward", overwrite_x=True)[:, :n]
-    out = scipy.fft.irfft(f, n=m, axis=2, norm="forward", overwrite_x=True)[:, :, :n]
+    b = _planes_per_block(n)
+    octant = _kernel_octant(n, grid.h)
+    mirror = slice(n - 1, 0, -1)
+    spec = np.empty((n + 1, n, n), dtype=np.complex128)
+    for s in range(0, n, b):
+        spec[:, s : s + b] = scipy.fft.rfft(q.T[:, s : s + b], n=m, axis=0)
+    buf = np.empty((b, m, m), dtype=np.complex128)
+    for s in range(0, n + 1, b):
+        blk = spec[s : s + b]
+        k = octant[s : s + b]
+        # the padded planes, zero beyond the n x n charged corner; the passes run in place
+        f = buf[: len(blk)]
+        f[:, :n, :n] = blk
+        f[:, :n, n:] = 0.0
+        f[:, n:] = 0.0
+        f[:, :n] = scipy.fft.fft(f[:, :n], axis=2, overwrite_x=True)
+        f = scipy.fft.fft(f, axis=1, overwrite_x=True)
+        f[:, : n + 1, : n + 1] *= k
+        f[:, : n + 1, n + 1 :] *= k[:, :, mirror]
+        f[:, n + 1 :, : n + 1] *= k[:, mirror]
+        f[:, n + 1 :, n + 1 :] *= k[:, mirror, mirror]
+        f = scipy.fft.ifft(f, axis=2, norm="forward", overwrite_x=True)
+        blk[...] = scipy.fft.ifft(f[:, :, :n], axis=1, norm="forward", overwrite_x=True)[:, :n]
+    out = np.empty((n, n, n), order="F")
+    for s in range(0, n, b):
+        out.T[:, s : s + b] = scipy.fft.irfft(spec[:, s : s + b], n=m, axis=0, norm="forward")[:n]
     out *= 1.0 / m**3
-    return grid.h**3 * out
+    out *= grid.h**3
+    return out
 
 
 @lru_cache(maxsize=4)
@@ -177,7 +218,9 @@ def interior_residual(u: ScalarField, phi: ScalarField) -> float:
     return float(np.sqrt(np.sum(_interior_defect(u, phi) ** 2))) / norm_q
 
 
-def solve_phi(u: ScalarField, residual_correction: bool = True) -> ScalarField:
+def solve_phi(
+    u: ScalarField, residual_correction: bool = True, raw: ScalarField | None = None
+) -> ScalarField:
     """Solve -Lap(phi) = u^2 with free-space (decaying) behavior.
 
     The kernel sum runs as the pruned zero-padded FFT convolution.  When
@@ -185,12 +228,16 @@ def solve_phi(u: ScalarField, residual_correction: bool = True) -> ScalarField:
     solve is added so the 7-point residual vanishes to rounding on interior
     nodes.  When False, the raw kernel quadrature sum is returned, which is
     the exactly self-adjoint realization the energy functional uses.
+    `raw` short-circuits the convolution when the caller already holds
+    that raw sum for this u; the defect correction then starts from it.
     """
     grid = u.grid
-    q = u.as3d ** 2
-    if not np.any(q):
-        return ScalarField.zeros(grid)
-    phi = ScalarField.from_3d(grid, _convolve_fft(q, grid))
+    phi = raw
+    if phi is None:
+        q = u.as3d ** 2
+        if not np.any(q):
+            return ScalarField.zeros(grid)
+        phi = ScalarField.from_3d(grid, _convolve_fft(q, grid))
     if not residual_correction:
         return phi
     out = phi.as3d.copy()

@@ -205,12 +205,17 @@ def radial_ground_state(
     Returns (u, phi, c_radial).  The default initial profile is a
     Gaussian of width r_max/20; cfg controls p-independent knobs (step,
     tolerance, max_iters, init width through cfg.init when it is a blob).
-    The exponent is always this call's p, never cfg.p.
+    The exponent is always this call's p, never cfg.p.  Raises ValueError
+    for p outside (3, 5), r_max <= 0 or n_r < 16 (the CLI's bounds).
     """
     if cfg is None:
         cfg = SolverConfig(p=p)
     if not 3.0 < p < 5.0:
         raise ValueError(f"exponent must lie in (3, 5), got p={p}")
+    if not r_max > 0:
+        raise ValueError(f"r_max must be positive, got r_max={r_max}")
+    if n_r < 16:
+        raise ValueError(f"n_r must be at least 16, got n_r={n_r}")
 
     mesh = _mesh(r_max, n_r)
     v_vals = _sample_radial_potential(V, mesh.r)

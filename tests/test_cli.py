@@ -102,7 +102,7 @@ def test_tabulated_radial_crosscheck_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_summary_csv_carries_the_boundary_mass(tmp_path):
+def test_summary_csv_carries_the_boundary_mass(tmp_path, capsys):
     argv = ["solve", "--set", "grid.L=4.0", "--set", "grid.n=16", "--output", str(tmp_path)]
     assert main(argv) == 0
     (run_dir,) = tmp_path.iterdir()
@@ -111,3 +111,6 @@ def test_summary_csv_carries_the_boundary_mass(tmp_path):
     # the truncation diagnostic of the reported state, exactly
     assert float(row["boundary_mass"]) == boundary_mass_fraction(read_field(run_dir / "u.field"))
     assert 0.0 < float(row["boundary_mass"]) < 1e-3
+    # and on the terminal line, to four digits
+    (line,) = capsys.readouterr().out.splitlines()
+    assert line.endswith(f"  boundary_mass = {float(row['boundary_mass']):.3e}")

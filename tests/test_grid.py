@@ -154,6 +154,26 @@ class TestDirichletEnergy:
         assert extrapolated == pytest.approx(oracle, rel=1e-4)
 
 
+    @pytest.mark.parametrize(
+        "g", [GridSpec(L=4.0, n=24), GridSpec(L=3.0, n=13, staggered=False)], ids=["staggered-24", "nodal-13"]
+    )
+    def test_fd_stencil_bit_identical_to_padded_sum(self, g):
+        # the in-place stencil keeps the neighbour order of the zero-padded expression
+        u = ScalarField(g, np.random.default_rng(g.n).standard_normal(g.num_nodes))
+        a = u.as3d
+        p = np.pad(a, 1)
+        ref = (
+            p[2:, 1:-1, 1:-1]
+            + p[:-2, 1:-1, 1:-1]
+            + p[1:-1, 2:, 1:-1]
+            + p[1:-1, :-2, 1:-1]
+            + p[1:-1, 1:-1, 2:]
+            + p[1:-1, 1:-1, :-2]
+            - 6.0 * a
+        ) / -(g.h**2)
+        assert np.array_equal(minus_laplacian(u).as3d, ref)
+
+
 class TestSineTransform:
     @pytest.mark.parametrize("m", [24, 30, 46, 62, 64, 96])
     def test_matches_scipy_dst1_and_round_trips(self, m):

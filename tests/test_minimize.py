@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import spgs.minimize
+import spgs.poisson
 from spgs.errors import NoDescentError, NonCoerciveError, ZeroFieldError
 from spgs.grid import GridSpec, ScalarField
 from spgs.minimize import (
@@ -251,6 +252,28 @@ def test_each_field_evaluated_once(monkeypatch):
     assert res.converged
     assert calls["energy_breakdown"] == calls["raw solves"]
     assert calls["el_residual"] == res.iterations + 1
+
+
+def test_output_phi_reuses_the_descents_raw_sum(monkeypatch):
+    # the corrected phi starts from the last iterate's raw sum: one convolution per raw solve
+    calls = Counter()
+    convolve, solve = spgs.poisson._convolve_fft, spgs.minimize.solve_phi
+
+    def counted_convolve(q, grid):
+        calls["convolutions"] += 1
+        return convolve(q, grid)
+
+    def counted_solve(*args, **kwargs):
+        if kwargs.get("residual_correction") is False:
+            calls["raw solves"] += 1
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(spgs.poisson, "_convolve_fft", counted_convolve)
+    monkeypatch.setattr(spgs.minimize, "solve_phi", counted_solve)
+    res = find_ground_state(Constant(1.0), SolverConfig(p=4.0), GridSpec(L=4.0, n=24))
+    assert calls["convolutions"] == calls["raw solves"] > 0
+    fresh = solve(res.u).values
+    assert np.max(np.abs(res.phi.values - fresh)) <= 1e-13 * np.max(fresh)
 
 
 def test_pinned_levels():

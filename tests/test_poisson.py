@@ -1,6 +1,7 @@
 """Free-space Poisson solve tests: law, scaling, positivity, oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from spgs.poisson import (
     KERNEL_CONSTANT,
     _convolve_direct,
     _convolve_fft,
-    _kernel_rfft,
+    _kernel_octant,
+    _planes_per_block,
     double_integral_oracle,
     interior_residual,
     solve_phi,
@@ -30,6 +32,13 @@ def small_grid():
 def seeded_fields(grid, count, seed=0):
     rng = np.random.default_rng(seed)
     return [random_smooth_field(grid, rng) for _ in range(count)]
+
+
+def full_kernel_table(n, h):
+    """The (2n, 2n, n + 1) kernel transform, [j0, j1, k2], unfolded from the cached octant."""
+    j = np.arange(2 * n)
+    fold = np.minimum(j, 2 * n - j)
+    return _kernel_octant(n, h)[:, fold][:, :, fold].T
 
 
 class TestSelfCellConstant:
@@ -94,7 +103,7 @@ class TestKernelTable:
             k = KERNEL_CONSTANT / r
         k[0, 0, 0] = KERNEL_CONSTANT * CELL_MEAN_INVERSE_DISTANCE / h
         ref = scipy.fft.rfftn(k).real
-        table = _kernel_rfft(n, h)
+        table = full_kernel_table(n, h)
         assert table.shape == ref.shape
         assert np.max(np.abs(table - ref)) <= 1e-15 * np.max(np.abs(ref))
 
@@ -107,20 +116,38 @@ class TestPrunedConvolution:
         m = 2 * n
         pad = np.zeros((m, m, m))
         pad[:n, :n, :n] = q
-        out = scipy.fft.irfftn(scipy.fft.rfftn(pad) * _kernel_rfft(n, grid.h), s=(m, m, m))
+        out = scipy.fft.irfftn(scipy.fft.rfftn(pad) * full_kernel_table(n, grid.h), s=(m, m, m))
         return grid.h**3 * out[:n, :n, :n]
 
     @pytest.mark.parametrize(
         "grid",
         [GridSpec(L=5.0, n=12), GridSpec(L=5.0, n=16), GridSpec(L=5.0, n=24),
-         GridSpec(L=5.0, n=13, staggered=False)],
-        ids=["n12", "n16", "n24", "n13-nodal"],
+         GridSpec(L=5.0, n=13, staggered=False), GridSpec(L=5.0, n=40)],
+        ids=["n12", "n16", "n24", "n13-nodal", "n40"],
     )
     def test_bit_identical_to_padded_transform(self, grid):
         rng = np.random.default_rng(grid.n)
         q = rng.random((grid.n,) * 3)
         for src in (q, np.asfortranarray(q)):
             assert np.array_equal(_convolve_fft(src, grid), self.padded_reference(q, grid))
+
+    def test_n40_runs_several_plane_blocks_the_last_partial(self):
+        # keeps the n40 case above on the multi-block path; the n <= 24 grids run one block
+        b = _planes_per_block(40)
+        assert 41 // b >= 2 and 41 % b != 0
+
+    def test_peak_memory_below_the_padded_spectrum(self):
+        # the unblocked transform held one (2n, 2n, n + 1) complex buffer: 7.2 MB at n = 48
+        g = GridSpec(L=5.0, n=48)
+        q = np.asfortranarray(np.random.default_rng(48).random((g.n,) * 3))
+        _convolve_fft(q, g)  # caches the kernel octant
+        tracemalloc.start()
+        try:
+            _convolve_fft(q, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * (2 * g.n) ** 2 * (g.n + 1)
 
     def test_self_adjoint(self):
         g = GridSpec(L=5.0, n=16)

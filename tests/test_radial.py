@@ -270,6 +270,17 @@ class TestRadialGroundState:
         with pytest.raises(ValueError):
             radial_ground_state(Constant(1.0), 5.5, n_r=128)
 
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [({"n_r": 2}, "n_r"), ({"n_r": 1}, "n_r"), ({"n_r": 0}, "n_r"), ({"r_max": 0.0}, "r_max")],
+        ids=["n_r=2", "n_r=1", "n_r=0", "r_max=0"],
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_rejects_a_mesh_the_cli_rejects(self, kwargs, name):
+        # the CLI's bounds: radial.r_max > 0, radial.n_r >= 16, checked before any mesh arithmetic
+        with pytest.raises(ValueError, match=name):
+            radial_ground_state(Constant(1.0), 4.0, **kwargs)
+
     def test_init_width_from_config(self):
         cfg = SolverConfig(
             p=4.0, tol_residual=1e-7, max_iters=600, init=GaussianBlob(width=0.7)
