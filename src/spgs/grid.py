@@ -15,11 +15,8 @@ second-order stencil ("fd") or the exact sine-spectral operator
 ("spectral").  Both have the DST-I sine modes as eigenvectors
 (`dirichlet_eigenvalues`, `sine_transform`), so the Sobolev
 preconditioner and the Poisson defect correction are diagonal in those
-modes, and `dirichlet_energy` is the quadratic form of either.  Each is
-the Kronecker sum of a 1-D operator (`axis_eigenvalues`), so
-`separable_forms` evaluates the mass and Dirichlet form of a sum of
-products of 1-D factors from the factors alone.  Only this module maps a
-kinetic name to an operator or a table.
+modes, and `dirichlet_energy` is the quadratic form of either.  Only
+this module maps a kinetic name to an operator or a table.
 
 Dump format (bit-exact round trip): one ASCII header line
 ``SPGS1 n=<n> L=<decimal> staggered=<0|1>\\n`` followed by n^3
@@ -175,13 +172,13 @@ def dirichlet_energy(u: ScalarField, kinetic: str = "fd") -> float:
 
 
 @lru_cache(maxsize=16)
-def axis_eigenvalues(m: int, h: float, kinetic: str = "fd") -> np.ndarray:
-    """Eigenvalues of the 1-D -d^2/dx^2 on m nodes of spacing h with zero ghosts.
+def dirichlet_eigenvalues(m: int, h: float, kinetic: str = "fd") -> np.ndarray:
+    """Eigenvalues of -Lap on an m^3 block of spacing h with zero ghosts beyond it.
 
-    Entry k - 1 belongs to the sine mode sin(pi j k / (m + 1)), k = 1..m:
-    (4/h^2) sin^2(pi k / (2(m+1))) for "fd" (the 3-point stencil), the
-    exact (pi k / ((m+1) h))^2 for "spectral".  `minus_laplacian` is the
-    Kronecker sum of this operator over the three axes.  Cached, read-only.
+    The DST-I sine modes diagonalize both variants: "fd" (the 7-point
+    Laplacian) has sum_i (4/h^2) sin^2(pi k_i / (2(m+1))), "spectral" the
+    exact sum_i (pi k_i / ((m+1) h))^2, k_i = 1..m.  The cached table is
+    shared by every caller and read-only.
     """
     k = np.arange(1, m + 1)
     if kinetic == "fd":
@@ -190,19 +187,6 @@ def axis_eigenvalues(m: int, h: float, kinetic: str = "fd") -> np.ndarray:
         lam1 = (np.pi * k / ((m + 1) * h)) ** 2
     else:
         raise ValueError(f"unknown kinetic variant {kinetic!r}; options: {KINETICS}")
-    lam1.setflags(write=False)
-    return lam1
-
-
-@lru_cache(maxsize=16)
-def dirichlet_eigenvalues(m: int, h: float, kinetic: str = "fd") -> np.ndarray:
-    """Eigenvalues of -Lap on an m^3 block of spacing h with zero ghosts beyond it.
-
-    The DST-I sine modes diagonalize both variants; the eigenvalue of mode
-    (k_1, k_2, k_3) is the sum of the three `axis_eigenvalues`.  The cached
-    table is shared by every caller and read-only.
-    """
-    lam1 = axis_eigenvalues(m, h, kinetic)
     table = lam1[:, None, None] + lam1[None, :, None] + lam1[None, None, :]
     table.setflags(write=False)
     return table
@@ -270,30 +254,6 @@ def minus_laplacian(u: ScalarField, kinetic: str = "fd") -> ScalarField:
     coeff = sine_transform(u.as3d)
     coeff *= lam
     return ScalarField.from_3d(g, sine_transform(coeff, inverse=True))
-
-
-def separable_forms(
-    grid: GridSpec, c: np.ndarray, X: np.ndarray, Y: np.ndarray, Z: np.ndarray, kinetic: str = "fd"
-) -> tuple[float, float]:
-    """Mass h^3 sum u^2 and Dirichlet form `dirichlet_energy(u, kinetic)` of a separable u.
-
-    u = sum_r c[r] X[r] (x) Y[r] (x) Z[r], with the rows of the (R, n)
-    arrays X, Y, Z the 1-D factors along x, y and z.  Both forms come from
-    R x R Gram matrices of the factors, without the n^3 node values: with
-    G = X X^T and T = X T1 X^T per axis, T1 the 1-D operator of
-    `axis_eigenvalues` (applied in its sine basis), the mass is
-    h^3 c^T (Gx*Gy*Gz) c and the Dirichlet form
-    h^3 c^T (Tx*Gy*Gz + Gx*Ty*Gz + Gx*Gy*Tz) c, products elementwise.
-    """
-    m = grid.n
-    s = _sine_matrix(m)
-    lam1 = axis_eigenvalues(m, grid.h, kinetic) / (2.0 * (m + 1))
-    gx, gy, gz = (f @ f.T for f in (X, Y, Z))
-    tx, ty, tz = ((fs * lam1) @ fs.T for fs in (X @ s, Y @ s, Z @ s))
-    h3 = grid.h**3
-    mass = h3 * float(c @ (gx * gy * gz) @ c)
-    dirichlet = h3 * float(c @ (tx * gy * gz + gx * ty * gz + gx * gy * tz) @ c)
-    return mass, dirichlet
 
 
 def gradient_squared(u: ScalarField) -> ScalarField:

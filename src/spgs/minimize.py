@@ -21,8 +21,9 @@ discretisation through a few callables on its field type, so the 3-D box
 here and the independent radial mesh in `radial.py` run the same
 optimiser.
 
-Runs refuse to start when the potential fails its coercivity probe (in
-the run's kinetic), unless explicitly overridden.  Results carry the full per-iteration
+Runs refuse to start when the potential's coercivity constant c_bar
+(`potential.coercivity_check`, in the run's kinetic) is not positive,
+unless explicitly overridden.  Results carry the full per-iteration
 trace and the shell-mass profile of the final state; for a converged
 localized state the shell masses decay geometrically in the outer half
 of the box.
@@ -55,7 +56,6 @@ from .potential import Constant, Potential, coercivity_check
 from .sampling import gaussian_blob, random_smooth_field
 
 _STEP_FLOOR_FACTOR = 1e-12
-_COERCIVITY_TRIALS = 32
 # curvature pairs (s, y) kept by the L-BFGS direction
 _LBFGS_MEMORY = 3
 
@@ -314,19 +314,18 @@ def find_ground_state(
     cfg.starts > 1 the descent is repeated from seeded jittered initial
     blobs and the lowest level wins.
 
-    Raises NonCoerciveError when the potential fails its coercivity probe
-    (bypass with coercivity_override=True), ZeroFieldError for a zero
-    initial field, NoDescentError when backtracking stalls along the
-    preconditioned gradient.  Hitting max_iters is not an error: the best
+    Raises NonCoerciveError, before any Poisson solve, when the potential's
+    coercivity constant c_bar is not positive (bypass with
+    coercivity_override=True), ZeroFieldError for a zero initial field,
+    NoDescentError when backtracking stalls along the preconditioned
+    gradient.  Hitting max_iters is not an error: the best
     iterate is returned flagged converged=False.
     """
     if not coercivity_override:
-        probe = coercivity_check(
-            V, grid, trials=_COERCIVITY_TRIALS, seed=cfg.seed, kinetic=cfg.kinetic
-        )
-        if not probe.ok:
+        coercivity = coercivity_check(V, grid, kinetic=cfg.kinetic)
+        if not coercivity.ok:
             raise NonCoerciveError(
-                f"coercivity probe failed (estimate {probe.c_bar_est:.6g}); "
+                f"potential is not coercive (c_bar = {coercivity.c_bar:.6g} <= 0); "
                 "pass coercivity_override=True to run anyway"
             )
     v_field = V.sample(grid)

@@ -240,7 +240,7 @@ def solve_phi(
         phi = ScalarField.from_3d(grid, _convolve_fft(q, grid))
     if not residual_correction:
         return phi
-    out = phi.as3d.copy()
+    out = phi.as3d.copy(order="F")
     out[1:-1, 1:-1, 1:-1] += _interior_dirichlet_solve(_interior_defect(u, phi), grid.h)
     return ScalarField.from_3d(grid, out)
 

@@ -6,27 +6,29 @@ base - lam * V2 with a decaying perturbation V2, and tabulated fields.
 Singular kinds may only be sampled on staggered grids, where every node
 keeps |x| >= h/2.
 
-`coercivity_check` probes the quadratic form integral(|grad u|^2 + V u^2)
-against the H^1 norm with a seeded family of random test fields (centered
-narrow Gaussians, offset Gaussians, and low-frequency mixtures) and
-reports the smallest Rayleigh quotient seen.  A negative estimate signals
-that the coupling lam is too large for the well to be coercive; solvers
-refuse to start in that case unless overridden, and probe with the
-kinetic they minimise.  The trial fields are separable, so the probe takes
-their mass and Dirichlet form from their 1-D factors and builds their
-node values once per trial, for integral V u^2 alone; `rayleigh_quotient`
-is the fd quotient on node values.
+`coercivity_check` reports the coercivity constant c_bar of the form
+integral(|grad u|^2 + V u^2) against the H^1 norm, the paper's hypothesis
+on V; solvers refuse to start when c_bar <= 0 unless overridden.  Each
+kind gives its own constant (`Potential.coercivity_constant`): constant
+and Coulomb-type wells the exact value on R^3, from the hydrogen bound
+(alpha = 1) or the Hardy inequality (alpha = 2); tabulated and composite
+potentials the lowest generalised eigenvalue of (-Lap + V, -Lap + 1) on
+the run grid, in the run's kinetic.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
-from .grid import GridSpec, ScalarField, dirichlet_energy, integrate, separable_forms
-from .sampling import coercivity_trial, separable_values
+from .grid import GridSpec, ScalarField, minus_laplacian
+
+# residual tolerance and iteration cap of the grid eigen-solve
+_EIGEN_TOL = 1e-6
+_EIGEN_MAXITER = 100
 
 
 class Potential:
@@ -41,6 +43,40 @@ class Potential:
     def v_infinity(self) -> float:
         raise NotImplementedError
 
+    def coercivity_constant(self, grid: GridSpec, kinetic: str = "fd") -> float:
+        """Lowest generalised eigenvalue of (-Lap + V, -Lap + 1) on `grid`.
+
+        That is the minimum over grid fields of
+        (<u, -Lap u> + <V u, u>) / (<u, -Lap u> + <u, u>), with -Lap the
+        `grid.minus_laplacian` of `kinetic`.  Preconditioned LOBPCG on the
+        shifted pencil (V - 1, -Lap + 1), one -Lap and one Sobolev
+        preconditioner per iteration, started from the lowest sine mode;
+        its Ritz value bounds the eigenvalue from above.  Kinds with an
+        exact constant on R^3 override this.
+        """
+        # imported here: functional imports this module, and scipy.sparse
+        # stays off the import path of runs that never call this
+        from scipy.sparse.linalg import lobpcg
+
+        from .functional import precondition
+
+        def blockwise(op):
+            return lambda X: np.column_stack([op(ScalarField(grid, x)) for x in X.T])
+
+        shift = self.sample(grid).values - 1.0
+        s = np.sin(np.pi * np.arange(1, grid.n + 1) / (grid.n + 1))
+        x0 = (s[:, None, None] * s[:, None] * s).reshape(-1, 1)
+        nu, _ = lobpcg(
+            lambda X: shift[:, None] * X,
+            x0,
+            B=blockwise(lambda u: minus_laplacian(u, kinetic).values + u.values),
+            M=blockwise(lambda u: precondition(u).values),
+            largest=False,
+            tol=_EIGEN_TOL,
+            maxiter=_EIGEN_MAXITER,
+        )
+        return 1.0 + float(nu[0])
+
 
 @dataclass(frozen=True)
 class Constant(Potential):
@@ -51,6 +87,9 @@ class Constant(Potential):
 
     def v_infinity(self) -> float:
         return float(self.V1)
+
+    def coercivity_constant(self, grid: GridSpec, kinetic: str = "fd") -> float:
+        return min(float(self.V1), 1.0)
 
 
 @dataclass(frozen=True)
@@ -77,6 +116,18 @@ class CoulombSingular(Potential):
 
     def v_infinity(self) -> float:
         return float(self.V1)
+
+    def coercivity_constant(self, grid: GridSpec, kinetic: str = "fd") -> float:
+        """The exact constant on R^3, whatever the grid.
+
+        alpha = 1: the hydrogen bound -Lap - g/|x| >= -g^2/4 gives
+        ((1 + V1) - sqrt((1 - V1)^2 + lam^2)) / 2.  alpha = 2: the Hardy
+        inequality -Lap >= 1/(4|x|^2), sharp and scale-free, gives
+        min(V1, 1 - 4 lam).
+        """
+        if self.alpha == 1:
+            return 0.5 * ((1.0 + self.V1) - math.hypot(1.0 - self.V1, self.lam))
+        return min(float(self.V1), 1.0 - 4.0 * self.lam)
 
 
 PerturbationLike = Union[ScalarField, Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]]
@@ -131,46 +182,16 @@ class Tabulated(Potential):
 
 
 class CoercivityResult(NamedTuple):
-    c_bar_est: float
+    c_bar: float
     ok: bool
 
 
-def rayleigh_quotient(u: ScalarField, v_field: ScalarField) -> float:
-    """(integral |grad u|^2 + V u^2) / (integral |grad u|^2 + u^2)."""
-    kinetic = dirichlet_energy(u)
-    u2 = ScalarField(u.grid, u.values * u.values)
-    num = kinetic + integrate(ScalarField(u.grid, v_field.values * u2.values))
-    den = kinetic + integrate(u2)
-    return num / den
+def coercivity_check(V: Potential, grid: GridSpec, kinetic: str = "fd") -> CoercivityResult:
+    """The coercivity constant c_bar of V, with ok = (c_bar > 0).
 
-
-def coercivity_check(
-    V: Potential, grid: GridSpec, trials: int = 64, seed: int = 0, kinetic: str = "fd"
-) -> CoercivityResult:
-    """Estimate the coercivity constant of the form grad^2 + V.
-
-    Draws `trials` seeded random test fields and returns the minimum
-    Rayleigh quotient over the sample, together with ok = (minimum > 0).
-    The family mixes centered Gaussians with widths down to ~1.5 h (these
-    probe the singularity), offset Gaussians, and few-blob mixtures with
-    a slow cosine modulation.  A negative estimate is a valid answer: it
-    certifies a field on which the form is negative at this coupling.
-
-    The quotient is `rayleigh_quotient` with the Dirichlet form of the
-    given kinetic.  Each trial is separable (`coercivity_trial`), so its
-    mass and Dirichlet form come from its 1-D factors
-    (`grid.separable_forms`); only integral V u^2 needs the node values.
+    c_bar is the largest c with integral(|grad u|^2 + V u^2) >= c ||u||_{H^1}^2,
+    from `V.coercivity_constant(grid, kinetic)`: exact on R^3 for constant
+    and Coulomb-type wells, the grid eigenvalue for the other kinds.
     """
-    if trials < 1:
-        raise ValueError(f"need at least one trial, got trials={trials}")
-    rng = np.random.default_rng(seed)
-    v = V.sample(grid).values
-    h3 = grid.h**3
-    best = np.inf
-    for k in range(trials):
-        factors = coercivity_trial(grid, rng, k)
-        mass, dirichlet = separable_forms(grid, *factors, kinetic)
-        u = separable_values(*factors)
-        potential = h3 * float(np.einsum("i,i,i->", v, u, u))
-        best = min(best, (dirichlet + potential) / (dirichlet + mass))
-    return CoercivityResult(float(best), bool(best > 0.0))
+    c_bar = V.coercivity_constant(grid, kinetic)
+    return CoercivityResult(c_bar, c_bar > 0.0)

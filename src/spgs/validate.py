@@ -16,7 +16,7 @@ from .functional import el_residual, energy_breakdown, precondition
 from .grid import GridSpec, ScalarField, dirichlet_energy, h1_norm
 from .nehari import nehari_project, ray_max_check
 from .poisson import double_integral_oracle, interior_residual, solve_phi
-from .potential import Constant, CoulombSingular, rayleigh_quotient
+from .potential import Constant, CoulombSingular, Tabulated
 from .radial import (
     RadialProfile,
     _radial_residual,
@@ -187,16 +187,16 @@ def run_validation(seed: int = 0, n: int = 16, L: float = 6.0, p: float = 4.0) -
     # --- potential ---
     sing = CoulombSingular(1.0, 0.1, 1)
     v_sing = sing.sample(grid)
-    u = fields[0]
-    quotients = []
-    for lam in (0.05, 0.1, 0.2):
-        v_lam = CoulombSingular(1.0, lam, 1).sample(grid)
-        quotients.append(rayleigh_quotient(u, v_lam))
+    # the grid eigen-solve on tabulated copies, not the closed form
+    c = [
+        Tabulated(CoulombSingular(1.0, lam, 1).sample(grid)).coercivity_constant(grid)
+        for lam in (0.05, 0.1, 0.2)
+    ]
     results.append(
         _check(
             "potential.lambda-monotone",
-            quotients[0] > quotients[1] > quotients[2],
-            f"quotients {quotients[0]:.4f} > {quotients[1]:.4f} > {quotients[2]:.4f}",
+            c[0] > c[1] > c[2],
+            f"grid c_bar {c[0]:.4f} > {c[1]:.4f} > {c[2]:.4f}",
         )
     )
     below = float(np.mean(v_sing.values < sing.v_infinity() - 1e-12))

@@ -1,6 +1,10 @@
 """The command-line entry point, end to end on tiny runs."""
 
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,6 +13,16 @@ import pytest
 import spgs.minimize
 from spgs.cli import main
 from spgs.grid import GridSpec, ScalarField, boundary_mass_fraction, read_field, write_field
+
+
+def test_cli_import_loads_no_scipy_sparse():
+    # scipy.sparse costs RSS and import time on every run; only the grid
+    # eigen-solve of tabulated and composite potentials imports it, lazily
+    src = str(Path(spgs.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, spgs.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_radial_crosscheck_profile_rows_parse_as_floats(tmp_path):

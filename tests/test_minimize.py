@@ -113,14 +113,24 @@ class TestFindGroundState:
     def test_probe_uses_the_run_kinetic(self, quick_cfg, quick_grid, monkeypatch):
         seen = []
 
-        def probe(V, grid, trials, seed, kinetic):
+        def check(V, grid, kinetic):
             seen.append(kinetic)
             return CoercivityResult(-1.0, False)
 
-        monkeypatch.setattr(spgs.minimize, "coercivity_check", probe)
+        monkeypatch.setattr(spgs.minimize, "coercivity_check", check)
         with pytest.raises(NonCoerciveError):
             find_ground_state(Constant(1.0), quick_cfg, quick_grid)
         assert seen == ["spectral"]
+
+    def test_hydrogen_bound_refuses_before_any_poisson_solve(self, monkeypatch):
+        # 1 - 2.1/|x| has c_bar = 1 - 2.1/2 < 0 on R^3 (the hydrogen bound)
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the coercivity gate must refuse before the descent")
+
+        monkeypatch.setattr(spgs.minimize, "solve_phi", no_solve)
+        cfg = SolverConfig(p=4.0, kinetic="spectral")
+        with pytest.raises(NonCoerciveError, match="c_bar = -0.05"):
+            find_ground_state(CoulombSingular(1.0, 2.1, 1), cfg, GridSpec(L=6.0, n=32))
 
     def test_override_gets_past_gate(self, quick_cfg, quick_grid):
         # a coercive singular potential with the probe bypassed still runs

@@ -1,24 +1,20 @@
-"""Potential classes, v-infinity extraction, coercivity probe."""
+"""Potential classes, v-infinity extraction, coercivity constants."""
+
+import math
 
 import numpy as np
 import pytest
 
-import spgs.grid
-from spgs.grid import GridSpec, ScalarField, dirichlet_energy, separable_forms
+from spgs.grid import GridSpec, ScalarField
 from spgs.potential import (
     Composite,
     Constant,
     CoulombSingular,
+    Potential,
     Tabulated,
     coercivity_check,
-    rayleigh_quotient,
 )
-from spgs.sampling import (
-    coercivity_trial,
-    gaussian_blob,
-    random_smooth_field,
-    separable_values,
-)
+from spgs.sampling import gaussian_blob
 
 
 @pytest.fixture(scope="module")
@@ -106,112 +102,80 @@ class TestVInfinity:
 
 class TestCoercivity:
     def test_constant_is_exactly_one(self, grid):
-        est, ok = coercivity_check(Constant(1.0), grid, trials=16, seed=3)
+        est, ok = coercivity_check(Constant(1.0), grid)
         assert ok
         assert est == pytest.approx(1.0, abs=1e-10)
 
     def test_small_coupling_positive(self):
         g = GridSpec(L=12.0, n=32)
-        est, ok = coercivity_check(CoulombSingular(1.0, 0.05, 2), g, trials=48, seed=3)
+        est, ok = coercivity_check(CoulombSingular(1.0, 0.05, 2), g)
         assert ok and est > 0.0
 
     def test_large_coupling_negative(self):
         g = GridSpec(L=12.0, n=32)
-        est, ok = coercivity_check(CoulombSingular(1.0, 10.0, 2), g, trials=48, seed=3)
+        est, ok = coercivity_check(CoulombSingular(1.0, 10.0, 2), g)
         assert not ok and est < 0.0
 
     def test_deterministic_under_seed(self, grid):
-        a = coercivity_check(CoulombSingular(1.0, 0.5, 1), grid, trials=24, seed=9)
-        b = coercivity_check(CoulombSingular(1.0, 0.5, 1), grid, trials=24, seed=9)
-        assert a == b
-
-    def test_trials_validated(self, grid):
-        with pytest.raises(ValueError):
-            coercivity_check(Constant(1.0), grid, trials=0)
-
-    def test_quotient_monotone_in_lambda(self, grid):
-        u = gaussian_blob(grid, width=1.0)
-        quotients = [
-            rayleigh_quotient(u, CoulombSingular(1.0, lam, 1).sample(grid))
-            for lam in (0.1, 0.3, 0.9)
-        ]
-        assert quotients[0] > quotients[1] > quotients[2]
-
-
-def log_uniform(rng, lo, hi):
-    lo, hi = sorted((lo, hi))
-    return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
-
-
-def n3_trial(grid, rng, k):
-    """Probe trial k built node by node, with the probe's draws in the probe's order."""
-    kind = k % 3
-    if kind == 0:
-        w = log_uniform(rng, 1.5 * grid.h, grid.L / 3.0)
-        vals = gaussian_blob(grid, (0.0, 0.0, 0.0), w).as3d
-    elif kind == 1:
-        c = rng.uniform(-grid.L / 3.0, grid.L / 3.0, size=3)
-        w = log_uniform(rng, 3.0 * grid.h, grid.L / 4.0)
-        vals = gaussian_blob(grid, tuple(c), w).as3d
-    else:
-        vals = random_smooth_field(grid, rng).as3d.copy()
-        kvec = rng.integers(0, 3, size=3)
-        x, y, z = grid.coords()
-        vals *= 1.0 + 0.5 * np.cos(np.pi * (kvec[0] * x + kvec[1] * y + kvec[2] * z) / grid.L)
-    return ScalarField.from_3d(grid, vals)
-
-
-PROBE_GRIDS = [GridSpec(L=6.0, n=16), GridSpec(L=4.0, n=24), GridSpec(L=3.0, n=13, staggered=False)]
-PROBE_GRID_IDS = ["staggered-16", "staggered-24", "nodal-13"]
-
-
-class TestFactoredProbe:
-    @pytest.mark.parametrize("g", PROBE_GRIDS, ids=PROBE_GRID_IDS)
-    def test_trial_values_match_n3_builder(self, g):
-        ref_rng, rng = np.random.default_rng(5), np.random.default_rng(5)
-        for k in range(9):
-            ref = n3_trial(g, ref_rng, k).values
-            got = separable_values(*coercivity_trial(g, rng, k))
-            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
-
-    @pytest.mark.parametrize("kinetic", ["fd", "spectral"])
-    @pytest.mark.parametrize("g", PROBE_GRIDS, ids=PROBE_GRID_IDS)
-    def test_factored_forms_match_node_sums(self, g, kinetic):
-        rng = np.random.default_rng(7)
-        for k in range(9):
-            factors = coercivity_trial(g, rng, k)
-            u = ScalarField(g, separable_values(*factors))
-            mass, dirichlet = separable_forms(g, *factors, kinetic)
-            assert mass == pytest.approx(g.h**3 * float(np.sum(u.values**2)), rel=1e-12)
-            assert dirichlet == pytest.approx(dirichlet_energy(u, kinetic), rel=1e-12)
+        # the grid eigen-solve starts from the lowest sine mode, not a random block
+        V = Tabulated(CoulombSingular(1.0, 0.5, 1).sample(grid))
+        assert coercivity_check(V, grid) == coercivity_check(V, grid)
 
     @pytest.mark.parametrize(
-        "V, g",
-        [(CoulombSingular(1.0, 0.5, 1), GridSpec(L=6.0, n=16)), (Constant(1.0), GridSpec(L=3.0, n=13, staggered=False))],
-        ids=["coulomb-16", "constant-nodal-13"],
+        "V, c_bar",
+        [
+            (Constant(0.5), 0.5),
+            (Constant(2.0), 1.0),
+            (CoulombSingular(1.0, 2.1, 1), -0.05),
+            (CoulombSingular(2.0, 0.0, 1), 1.0),
+            (CoulombSingular(0.5, 1.0, 1), (1.5 - math.sqrt(1.25)) / 2.0),
+            (CoulombSingular(1.0, 0.3, 2), -0.2),
+            (CoulombSingular(0.5, 0.05, 2), 0.5),
+        ],
     )
-    def test_estimate_matches_n3_quotients(self, V, g):
-        rng = np.random.default_rng(11)
-        v_field = V.sample(g)
-        ref = min(rayleigh_quotient(n3_trial(g, rng, k), v_field) for k in range(24))
-        est, _ = coercivity_check(V, g, trials=24, seed=11)
-        assert est == pytest.approx(ref, rel=1e-12)
+    def test_closed_forms(self, grid, V, c_bar):
+        assert coercivity_check(V, grid).c_bar == pytest.approx(c_bar, abs=1e-15)
 
-    def test_probe_forms_no_stencil(self, grid, monkeypatch):
-        def no_stencil(*args, **kwargs):
-            raise AssertionError("the probe must not form -Lap on the node values")
+    def test_built_in_kinds_run_no_eigen_solve(self, grid, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a built-in kind must not run the grid eigen-solve")
 
-        monkeypatch.setattr(spgs.grid, "minus_laplacian", no_stencil)
-        est, ok = coercivity_check(CoulombSingular(1.0, 0.5, 1), grid, trials=24, seed=9)
-        assert ok and 0.0 < est < 1.0
+        monkeypatch.setattr(Potential, "coercivity_constant", no_solve)
+        assert coercivity_check(Constant(1.0), grid).ok
+        assert coercivity_check(CoulombSingular(1.0, 0.5, 1), grid).ok
+        assert not coercivity_check(CoulombSingular(1.0, 0.5, 2), grid).ok
 
-    def test_spectral_estimate_bounds_fd(self, grid):
-        # spectral sine-mode eigenvalues bound the fd ones from above, and for
-        # V <= 1 each quotient grows with the kinetic term
-        V = CoulombSingular(1.0, 0.5, 1)
-        fd, _ = coercivity_check(V, grid, trials=24, seed=9, kinetic="fd")
-        spectral, _ = coercivity_check(V, grid, trials=24, seed=9, kinetic="spectral")
+    def test_composite_runs_the_grid_eigen_solve(self, grid):
+        comp = Composite(
+            base=Constant(1.0),
+            perturbation=lambda x, y, z: np.exp(-(x * x + y * y + z * z)),
+            lam=0.5,
+        )
+        c_bar = coercivity_check(comp, grid).c_bar
+        assert c_bar == pytest.approx(coercivity_check(Tabulated(comp.sample(grid)), grid).c_bar)
+        assert 0.5 < c_bar < 1.0
+
+    def test_spectral_c_bar_bounds_fd(self, grid):
+        # the spectral sine-mode eigenvalues bound the fd ones from above, and
+        # for V <= 1 the quotient grows with the kinetic term
+        V = Tabulated(CoulombSingular(1.0, 0.5, 1).sample(grid))
+        fd = coercivity_check(V, grid, kinetic="fd").c_bar
+        spectral = coercivity_check(V, grid, kinetic="spectral").c_bar
         assert spectral >= fd
+
+    @pytest.mark.parametrize("lam", [0.5, 1.9, 2.1, 2.5])
+    def test_closed_form_is_the_grid_limit(self, lam):
+        # alpha = 1: the grid eigenvalue of a tabulated copy has the closed
+        # form's sign, and refining the grid closes the gap
+        V = CoulombSingular(1.0, lam, 1)
+        exact = coercivity_check(V, GridSpec(L=6.0, n=32)).c_bar
+        gaps = []
+        for n in (32, 48):
+            g = GridSpec(L=6.0, n=n)
+            on_grid = coercivity_check(Tabulated(V.sample(g)), g, kinetic="spectral").c_bar
+            assert (on_grid > 0.0) == (exact > 0.0)
+            gaps.append(abs(on_grid - exact))
+        assert gaps[1] < gaps[0]
 
 
 class TestBelowVinfSurrogate:
