@@ -28,10 +28,8 @@ from .functional import (
 from .grid import (
     GridSpec,
     ScalarField,
-    annulus_integral,
     boundary_mass_fraction,
     dirichlet_energy,
-    gradient_squared,
     h1_norm,
     integrate,
     l2_norm,
@@ -46,13 +44,11 @@ from .minimize import (
     GroundStateResult,
     SolverConfig,
     VinfComparison,
-    annulus_mass_profile,
     compare_with_vinf,
     find_ground_state,
     ground_level_constant,
     mountain_pass_crosscheck,
     relative_asymmetry,
-    shell_decay_ok,
 )
 from .nehari import (
     FiberScaling,

@@ -35,7 +35,7 @@ from .validate import report_lines, run_validation
 TRACE_HEADER = "iter,I,G,A1,B,C,residual_l2,step"
 SUMMARY_HEADER = (
     "L,n,staggered,potential,p,tol,max_iters,seed,kinetic,c_estimate,residual_norm,iterations,converged,"
-    "boundary_mass"
+    "boundary_mass,pohozaev"
 )
 
 
@@ -84,6 +84,7 @@ def _summary_row(cfg: RunConfig, potential_echo: str, result: GroundStateResult)
             str(result.iterations),
             "1" if result.converged else "0",
             repr(result.boundary_mass),
+            repr(result.pohozaev),
         ]
     )
 
@@ -142,7 +143,7 @@ def _run_solve(cfg: RunConfig, outdir: Path) -> int:
     print(
         f"c_estimate = {result.c_estimate!r}  residual = {result.residual_norm:.3e}  "
         f"iterations = {result.iterations}  converged = {result.converged}  "
-        f"boundary_mass = {result.boundary_mass:.3e}"
+        f"boundary_mass = {result.boundary_mass:.3e}  pohozaev = {result.pohozaev:+.3e}"
     )
     return 0
 

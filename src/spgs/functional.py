@@ -77,6 +77,23 @@ class EnergyBreakdown:
         J = (0.5 - 1.0 / (p + 1.0)) * A1 + (0.25 - 1.0 / (p + 1.0)) * B
         return cls(A1=A1, B=B, C=C, I=I, G=G, J=J, p=p, h1=h1)
 
+    def pohozaev(self, v_mass: float, virial: float) -> float:
+        """Pohozaev defect P = d/dlam I(u(./lam)) at lam = 1, in absolute units.
+
+        With v_mass = integral V u^2 and virial = integral (x . grad V) u^2,
+
+            P = A1/2 + v_mass + virial/2 + (5/4) B - 3 C/(p+1),
+
+        since under u(x/lam) the gradient energy scales as lam, the mass
+        and the local term as lam^3 and B as lam^5.  It vanishes at every
+        critical point of the continuum action; the constraint G = 0 does
+        not impose it, so on a discrete constrained minimiser it measures
+        the discretisation and truncation error.
+        """
+        return (
+            0.5 * self.A1 + v_mass + 0.5 * virial + 1.25 * self.B - 3.0 * self.C / (self.p + 1.0)
+        )
+
     def at_scale(self, t: float) -> "EnergyBreakdown":
         """Breakdown of the scaled field t*u via exact homogeneity."""
         return EnergyBreakdown.from_scalars(

@@ -149,7 +149,9 @@ def lp_integral(u: ScalarField, s: float) -> float:
     """Integral of |u|^s for s >= 1."""
     if s < 1:
         raise ValueError(f"exponent must satisfy s >= 1, got s={s}")
-    return u.grid.h**3 * float(np.sum(np.abs(u.values) ** s))
+    a = np.abs(u.values)
+    a **= s  # in place: one field-size temporary, not two
+    return u.grid.h**3 * float(np.sum(a))
 
 
 def l2_norm(u: ScalarField) -> float:
@@ -254,38 +256,6 @@ def minus_laplacian(u: ScalarField, kinetic: str = "fd") -> ScalarField:
     coeff = sine_transform(u.as3d)
     coeff *= lam
     return ScalarField.from_3d(g, sine_transform(coeff, inverse=True))
-
-
-def gradient_squared(u: ScalarField) -> ScalarField:
-    """Pointwise |grad u|^2 from centered differences (zero ghost layer).
-
-    Diagnostic integrand (annulus mass profiles) only; the kinetic energy
-    is `dirichlet_energy`, the quadratic form of `minus_laplacian`.
-    """
-    a = u.as3d
-    two_h = 2.0 * u.grid.h
-    out = np.zeros_like(a)
-    for axis in range(3):
-        p = np.pad(a, [(1, 1) if ax == axis else (0, 0) for ax in range(3)])
-        hi = [slice(2, None) if ax == axis else slice(None) for ax in range(3)]
-        lo = [slice(None, -2) if ax == axis else slice(None) for ax in range(3)]
-        g = (p[tuple(hi)] - p[tuple(lo)]) / two_h
-        out += g * g
-    return ScalarField.from_3d(u.grid, out)
-
-
-def annulus_integral(u: ScalarField, r: float) -> float:
-    """h^3 * sum of u over nodes with r <= |x| <= r + 1."""
-    if r < 0:
-        raise ValueError(f"annulus inner radius must be nonnegative, got r={r}")
-    g = u.grid
-    if r + 1.0 > g.L * np.sqrt(3.0):
-        raise ValueError(
-            f"annulus [r, r+1] with r={r} lies beyond the box corner radius {g.L * np.sqrt(3.0):.6g}"
-        )
-    rad = g.radius
-    mask = (rad >= r) & (rad <= r + 1.0)
-    return g.h**3 * float(np.sum(u.as3d[mask]))
 
 
 def boundary_mass_fraction(u: ScalarField) -> float:

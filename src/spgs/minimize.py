@@ -24,9 +24,9 @@ optimiser.
 Runs refuse to start when the potential's coercivity constant c_bar
 (`potential.coercivity_check`, in the run's kinetic) is not positive,
 unless explicitly overridden.  Results carry the full per-iteration
-trace and the shell-mass profile of the final state; for a converged
-localized state the shell masses decay geometrically in the outer half
-of the box.
+trace and two a-posteriori checks of the final state: the share of its
+mass on the box's outer node layer, and its Pohozaev defect, which the
+constraint does not impose and which vanishes for a continuum solution.
 """
 
 from __future__ import annotations
@@ -40,16 +40,7 @@ import numpy as np
 
 from .errors import NoDescentError, NonCoerciveError
 from .functional import EnergyBreakdown, el_residual, energy_breakdown, precondition
-from .grid import (
-    GridSpec,
-    ScalarField,
-    annulus_integral,
-    boundary_mass_fraction,
-    gradient_squared,
-    l2_norm,
-    radialize,
-    read_field,
-)
+from .grid import GridSpec, ScalarField, boundary_mass_fraction, l2_norm, radialize, read_field
 from .nehari import _solve_fiber, nehari_project, ray_profile
 from .poisson import solve_phi
 from .potential import Constant, Potential, coercivity_check
@@ -111,16 +102,27 @@ class TraceRow:
 
 @dataclass(frozen=True)
 class GroundStateResult:
+    """The reported state u, its corrected phi, the descent's record and two checks.
+
+    boundary_mass is `grid.boundary_mass_fraction(u)`.  pohozaev is the
+    Pohozaev defect `EnergyBreakdown.pohozaev` of u divided by the
+    breakdown's magnitude: d/dlam I(u(./lam)) at lam = 1, positive when
+    dilating the state would raise the action.  It is zero for a
+    continuum solution, so its size measures the discretisation error;
+    NaN for potential kinds without a closed-form x . grad V (`Tabulated`,
+    `Composite`).
+    """
+
     u: ScalarField
     phi: ScalarField
     breakdown: EnergyBreakdown
     residual_norm: float
     iterations: int
     trace: tuple[TraceRow, ...]
-    annulus_profile: tuple[tuple[int, float], ...]
     converged: bool
     status: str
     boundary_mass: float
+    pohozaev: float
 
     @property
     def c_estimate(self) -> float:
@@ -138,30 +140,6 @@ def initial_field(init: InitSpec, grid: GridSpec) -> ScalarField:
             f"initial field grid (L={u.grid.L}, n={u.grid.n}) does not match the run grid"
         )
     return u
-
-
-def annulus_mass_profile(u: ScalarField, phi: ScalarField) -> list[tuple[int, float]]:
-    """Shell masses rho(A_r) of |grad u|^2 + u^2 + phi u^2 for r = 0..floor(L)-1."""
-    g = u.grid
-    density = ScalarField(
-        g, gradient_squared(u).values + u.values**2 + phi.values * u.values**2
-    )
-    out = []
-    for r in range(int(math.floor(g.L))):
-        out.append((r, annulus_integral(density, float(r))))
-    return out
-
-
-def shell_decay_ok(profile: list[tuple[int, float]], L: float, ratio: float = 0.5) -> bool:
-    """Geometric-decay check: each shell beyond r = L/2 at most `ratio` of the one before."""
-    vals = dict(profile)
-    radii = sorted(vals)
-    for r_prev, r_next in zip(radii, radii[1:]):
-        if r_next <= L / 2.0:
-            continue
-        if vals[r_next] > ratio * vals[r_prev]:
-            return False
-    return True
 
 
 def relative_asymmetry(u: ScalarField) -> float:
@@ -365,9 +343,14 @@ def find_ground_state(
             best = out
     u, eb, phi_conv, rnorm, iterations, trace, converged, status = best
 
+    # the Pohozaev defect from the breakdown eb of u and two more weighted sums of u^2
+    w = grid.h**3
+    u2 = u.as3d * u.as3d
+    xdv = V.virial(grid.radius)
+    virial = math.nan if xdv is None else w * float(np.sum(xdv * u2))
+    pohozaev = eb.pohozaev(w * float(np.sum(v_field.as3d * u2)), virial) / eb.magnitude
     # the descent's raw sum for u, so the corrected phi runs no second convolution
     phi = solve_phi(u, raw=phi_conv)
-    profile = annulus_mass_profile(u, phi)
     return GroundStateResult(
         u=u,
         phi=phi,
@@ -375,10 +358,10 @@ def find_ground_state(
         residual_norm=rnorm,
         iterations=iterations,
         trace=tuple(trace),
-        annulus_profile=tuple(profile),
         converged=converged,
         status=status,
         boundary_mass=boundary_mass_fraction(u),
+        pohozaev=pohozaev,
     )
 
 

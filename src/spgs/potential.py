@@ -43,6 +43,14 @@ class Potential:
     def v_infinity(self) -> float:
         raise NotImplementedError
 
+    def virial(self, r: np.ndarray) -> np.ndarray | None:
+        """x . grad V at distances r from the origin, or None without a closed form.
+
+        Only kinds that depend on |x| alone in closed form give it; the
+        Pohozaev defect of a ground state needs it.
+        """
+        return None
+
     def coercivity_constant(self, grid: GridSpec, kinetic: str = "fd") -> float:
         """Lowest generalised eigenvalue of (-Lap + V, -Lap + 1) on `grid`.
 
@@ -88,6 +96,9 @@ class Constant(Potential):
     def v_infinity(self) -> float:
         return float(self.V1)
 
+    def virial(self, r: np.ndarray) -> np.ndarray:
+        return np.zeros_like(r)
+
     def coercivity_constant(self, grid: GridSpec, kinetic: str = "fd") -> float:
         return min(float(self.V1), 1.0)
 
@@ -116,6 +127,9 @@ class CoulombSingular(Potential):
 
     def v_infinity(self) -> float:
         return float(self.V1)
+
+    def virial(self, r: np.ndarray) -> np.ndarray:
+        return self.lam * self.alpha * r ** (-float(self.alpha))
 
     def coercivity_constant(self, grid: GridSpec, kinetic: str = "fd") -> float:
         """The exact constant on R^3, whatever the grid.

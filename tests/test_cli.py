@@ -125,6 +125,10 @@ def test_summary_csv_carries_the_boundary_mass(tmp_path, capsys):
     # the truncation diagnostic of the reported state, exactly
     assert float(row["boundary_mass"]) == boundary_mass_fraction(read_field(run_dir / "u.field"))
     assert 0.0 < float(row["boundary_mass"]) < 1e-3
-    # and on the terminal line, to four digits
+    # the Pohozaev defect of the reported state (measured +8.42e-2)
+    assert 0.0 < float(row["pohozaev"]) < 0.2
+    # both on the terminal line, to four digits, the defect last
     (line,) = capsys.readouterr().out.splitlines()
-    assert line.endswith(f"  boundary_mass = {float(row['boundary_mass']):.3e}")
+    assert line.endswith(
+        f"  boundary_mass = {float(row['boundary_mass']):.3e}  pohozaev = {float(row['pohozaev']):+.3e}"
+    )
