@@ -10,6 +10,13 @@ manifold G = 0 with projected L-BFGS descent, preconditioned in the
 Sobolev metric, on a truncated staggered grid, and cross-validates
 against an independent 1-D radial discretisation that shares only the
 optimiser.
+
+Importing the package, or `spgs.cli`, loads numpy and no scipy: the 3-D
+path takes its FFTs from numpy.fft.  scipy has two users.  `spgs.radial`
+factors its tridiagonal systems with scipy's LAPACK; the package imports
+it on the first lookup of `RadialProfile`, `radial_ground_state` or
+`radial_solve_phi`.  The grid eigen-solve of `Tabulated` and `Composite`
+potentials imports scipy.sparse.linalg's lobpcg when it runs.
 """
 
 from .errors import (
@@ -66,6 +73,16 @@ from .potential import (
     Tabulated,
     coercivity_check,
 )
-from .radial import RadialProfile, radial_ground_state, radial_solve_phi
 
 __version__ = "0.1.0"
+
+_RADIAL_NAMES = frozenset({"RadialProfile", "radial_ground_state", "radial_solve_phi"})
+
+
+def __getattr__(name: str):
+    # PEP 562: the radial solver, and with it scipy, loads on first use
+    if name in _RADIAL_NAMES:
+        from . import radial
+
+        return getattr(radial, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -21,16 +21,13 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from . import radial
 from .config import MODES, RunConfig, apply_assignments, canonical_text, describe_keys, parse_config
 from .errors import ConfigError, SpgsError
 from .grid import GridSpec, write_field
 from .minimize import GroundStateResult, SolverConfig, compare_with_vinf, find_ground_state, initial_field
 from .potential import Constant, Potential
-from .validate import report_lines, run_validation
 
 TRACE_HEADER = "iter,I,G,A1,B,C,residual_l2,step"
 SUMMARY_HEADER = (
@@ -160,6 +157,8 @@ def _run_sweep(cfg: RunConfig, outdir: Path) -> int:
     lams = sorted(cfg.sweep_lambdas)
     points = [(lam, solver, grid, cfg.solver_coercivity_override) for lam in lams]
     if cfg.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             results = dict(pool.map(_sweep_point, points))
     else:
@@ -206,6 +205,8 @@ def _run_compare(cfg: RunConfig, outdir: Path) -> int:
 
 
 def _run_validate(cfg: RunConfig, outdir: Path) -> int:
+    from .validate import report_lines, run_validation
+
     results = run_validation(seed=cfg.solver_seed, p=cfg.solver_p)
     lines = report_lines(results)
     with open(outdir / "report.txt", "w", encoding="utf-8") as fh:
@@ -221,6 +222,8 @@ def _run_validate(cfg: RunConfig, outdir: Path) -> int:
 
 
 def _run_radial_crosscheck(cfg: RunConfig, outdir: Path) -> int:
+    from . import radial
+
     potential, solver, grid = _build(cfg)
     result = find_ground_state(
         potential, solver, grid, coercivity_override=cfg.solver_coercivity_override

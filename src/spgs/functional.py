@@ -162,9 +162,14 @@ def el_residual(
     rounding.
     """
     eb, mlap, vvals, phi = _evaluate(u, V, p, phi, kinetic)
-    r = mlap + (vvals + phi.values) * u.values
-    r -= np.sign(u.values) * np.abs(u.values) ** p
-    norm = math.sqrt(u.grid.h**3 * float(np.sum(r * r)))
+    r = vvals + phi.values
+    r *= u.values
+    r += mlap
+    g = np.abs(u.values)
+    g **= p
+    np.copysign(g, u.values, out=g)
+    r -= g
+    norm = math.sqrt(u.grid.h**3 * float(np.sum(np.multiply(r, r, out=g))))
     return ScalarField(u.grid, r), norm, eb
 
 

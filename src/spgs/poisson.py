@@ -15,8 +15,11 @@ outputs before transforming the next.  After the rfft along z the work
 runs plane by plane in k_z: blocks of about a megabyte of (2n)^2 planes
 pass through one reused buffer, each cropped back to n^2 in place, so
 no array of the padded box's size is formed.  The kernel's transform is
-cached as its (n + 1)^3 DCT-I octant and mirrored through views.  The
-result equals the full padded irfftn(rfftn(pad) * K) bit for bit.
+cached as its (n + 1)^3 DCT-I octant and mirrored through views; the
+DCT-I of each axis is the rfft of that axis's even extension.  Every
+pass runs on numpy.fft, whose pocketfft gives scipy.fft's results bit
+for bit.  The result equals the full padded irfftn(rfftn(pad) * K) bit
+for bit.
 
 The same lattice sum by O(N^2) pairwise summation (`_convolve_direct`)
 is the reference the FFT path is tested against; its pairwise sums also
@@ -40,7 +43,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-import scipy.fft
 
 from .grid import (
     GridSpec,
@@ -69,15 +71,23 @@ def _kernel_octant(n: int, h: float) -> np.ndarray:
     even sequence of length 2n is the DCT-I of its first n + 1 entries.
     So the full (2n, 2n, n + 1) table is the DCT-I of the (n + 1)^3 octant
     d in [0, n]^3, mirrored (index j -> 2n - j) along the two full axes.
-    Only the octant is kept, laid out [k2, d1, d0] as the plane blocks of
-    `_convolve_fft` read it; the mirror is applied there through views.
+    The DCT-I runs axis by axis, in order 0, 1, 2, as the real part of the
+    rfft of the axis's even extension (x_0, ..., x_n, x_(n-1), ..., x_1),
+    the length-2n sequence whose DFT it is; this equals
+    scipy.fft.dctn(k, type=1) bit for bit.  Only the octant is kept, laid
+    out [k2, d1, d0] as the plane blocks of `_convolve_fft` read it; the
+    mirror is applied there through views.
     """
     d = np.arange(n + 1, dtype=np.float64)
     r = h * np.sqrt(d[:, None, None] ** 2 + d[None, :, None] ** 2 + d[None, None, :] ** 2)
     with np.errstate(divide="ignore"):
         k = KERNEL_CONSTANT / r
     k[0, 0, 0] = KERNEL_CONSTANT * CELL_MEAN_INVERSE_DISTANCE / h
-    table = np.ascontiguousarray(scipy.fft.dctn(k, type=1).T)
+    for axis in range(3):
+        mirror = [slice(None)] * 3
+        mirror[axis] = slice(n - 1, 0, -1)
+        k = np.fft.rfft(np.concatenate([k, k[tuple(mirror)]], axis=axis), axis=axis).real
+    table = np.ascontiguousarray(k.T)
     table.setflags(write=False)
     return table
 
@@ -120,7 +130,7 @@ def _convolve_fft(q: np.ndarray, grid: GridSpec) -> np.ndarray:
     mirror = slice(n - 1, 0, -1)
     spec = np.empty((n + 1, n, n), dtype=np.complex128)
     for s in range(0, n, b):
-        spec[:, s : s + b] = scipy.fft.rfft(q.T[:, s : s + b], n=m, axis=0)
+        np.fft.rfft(q.T[:, s : s + b], n=m, axis=0, out=spec[:, s : s + b])
     buf = np.empty((b, m, m), dtype=np.complex128)
     for s in range(0, n + 1, b):
         blk = spec[s : s + b]
@@ -130,17 +140,17 @@ def _convolve_fft(q: np.ndarray, grid: GridSpec) -> np.ndarray:
         f[:, :n, :n] = blk
         f[:, :n, n:] = 0.0
         f[:, n:] = 0.0
-        f[:, :n] = scipy.fft.fft(f[:, :n], axis=2, overwrite_x=True)
-        f = scipy.fft.fft(f, axis=1, overwrite_x=True)
+        np.fft.fft(f[:, :n], axis=2, out=f[:, :n])
+        np.fft.fft(f, axis=1, out=f)
         f[:, : n + 1, : n + 1] *= k
         f[:, : n + 1, n + 1 :] *= k[:, :, mirror]
         f[:, n + 1 :, : n + 1] *= k[:, mirror]
         f[:, n + 1 :, n + 1 :] *= k[:, mirror, mirror]
-        f = scipy.fft.ifft(f, axis=2, norm="forward", overwrite_x=True)
-        blk[...] = scipy.fft.ifft(f[:, :, :n], axis=1, norm="forward", overwrite_x=True)[:, :n]
+        np.fft.ifft(f, axis=2, norm="forward", out=f)
+        blk[...] = np.fft.ifft(f[:, :, :n], axis=1, norm="forward", out=f[:, :, :n])[:, :n]
     out = np.empty((n, n, n), order="F")
     for s in range(0, n, b):
-        out.T[:, s : s + b] = scipy.fft.irfft(spec[:, s : s + b], n=m, axis=0, norm="forward")[:n]
+        out.T[:, s : s + b] = np.fft.irfft(spec[:, s : s + b], n=m, axis=0, norm="forward")[:n]
     out *= 1.0 / m**3
     out *= grid.h**3
     return out

@@ -15,14 +15,36 @@ from spgs.cli import main
 from spgs.grid import GridSpec, ScalarField, boundary_mass_fraction, read_field, write_field
 
 
+def _fresh_python(code: str) -> str:
+    """Stdout of `code` run by a fresh interpreter that imports spgs from these sources."""
+    src = str(Path(spgs.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return out.stdout.strip()
+
+
 def test_cli_import_loads_no_scipy_sparse():
     # scipy.sparse costs RSS and import time on every run; only the grid
     # eigen-solve of tabulated and composite potentials imports it, lazily
-    src = str(Path(spgs.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = "import sys, spgs.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert _fresh_python(code) == "[]"
+
+
+def test_cli_import_loads_no_scipy():
+    # the 3-D path takes its FFTs from numpy.fft; the radial solver's LAPACK
+    # loads on the first lookup of a radial name in the package
+    code = """
+import sys, spgs, spgs.cli
+print(sorted(m for m in sys.modules if m.startswith('scipy')))
+print(spgs.radial_ground_state is spgs.radial.radial_ground_state)
+from spgs import RadialProfile
+print(RadialProfile is spgs.radial.RadialProfile)
+try:
+    spgs.no_such_name
+except AttributeError:
+    print('AttributeError')
+"""
+    assert _fresh_python(code).splitlines() == ["[]", "True", "True", "AttributeError"]
 
 
 def test_radial_crosscheck_profile_rows_parse_as_floats(tmp_path):

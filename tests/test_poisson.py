@@ -107,6 +107,17 @@ class TestKernelTable:
         assert table.shape == ref.shape
         assert np.max(np.abs(table - ref)) <= 1e-15 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("n", [12, 13, 32, 64])
+    def test_octant_is_scipy_dct1_bit_for_bit(self, n):
+        # the per-axis rfft of the even extension is the DCT-I scipy.fft.dctn runs
+        h = 0.3
+        d = np.arange(n + 1, dtype=np.float64)
+        r = h * np.sqrt(d[:, None, None] ** 2 + d[None, :, None] ** 2 + d[None, None, :] ** 2)
+        with np.errstate(divide="ignore"):
+            k = KERNEL_CONSTANT / r
+        k[0, 0, 0] = KERNEL_CONSTANT * CELL_MEAN_INVERSE_DISTANCE / h
+        assert np.array_equal(_kernel_octant(n, h), scipy.fft.dctn(k, type=1).T)
+
 
 class TestPrunedConvolution:
     @staticmethod
@@ -122,8 +133,8 @@ class TestPrunedConvolution:
     @pytest.mark.parametrize(
         "grid",
         [GridSpec(L=5.0, n=12), GridSpec(L=5.0, n=16), GridSpec(L=5.0, n=24),
-         GridSpec(L=5.0, n=13, staggered=False), GridSpec(L=5.0, n=40)],
-        ids=["n12", "n16", "n24", "n13-nodal", "n40"],
+         GridSpec(L=5.0, n=13, staggered=False), GridSpec(L=5.0, n=40), GridSpec(L=5.0, n=64)],
+        ids=["n12", "n16", "n24", "n13-nodal", "n40", "n64"],
     )
     def test_bit_identical_to_padded_transform(self, grid):
         rng = np.random.default_rng(grid.n)
