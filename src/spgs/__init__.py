@@ -7,7 +7,7 @@ The package computes approximate ground levels and ground-state pairs
 
 for 3 < p < 5, by minimizing the reduced action over the constraint
 manifold G = 0 with projected L-BFGS descent, preconditioned in the
-Sobolev metric, on a truncated staggered grid, and cross-validates
+Sobolev metric, on a truncated cell-centred grid, and cross-validates
 against an independent 1-D radial discretisation that shares only the
 optimiser.
 

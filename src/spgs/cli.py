@@ -31,7 +31,7 @@ from .potential import Constant, Potential
 
 TRACE_HEADER = "iter,I,G,A1,B,C,residual_l2,step"
 SUMMARY_HEADER = (
-    "L,n,staggered,potential,p,tol,max_iters,seed,kinetic,c_estimate,residual_norm,iterations,converged,"
+    "L,n,potential,p,tol,max_iters,seed,kinetic,c_estimate,residual_norm,iterations,converged,"
     "boundary_mass,pohozaev"
 )
 
@@ -69,7 +69,6 @@ def _summary_row(cfg: RunConfig, potential_echo: str, result: GroundStateResult)
         [
             repr(cfg.grid_L),
             str(cfg.grid_n),
-            "1" if cfg.grid_staggered else "0",
             potential_echo,
             repr(cfg.solver_p),
             repr(cfg.solver_tol),
@@ -102,6 +101,14 @@ def _write_trace(path: Path, result: GroundStateResult) -> None:
     _write_csv(path, TRACE_HEADER, rows)
 
 
+def _write_result(cfg: RunConfig, outdir: Path, result: GroundStateResult) -> None:
+    """trace.csv, summary.csv, u.field and phi.field of one ground-state solve."""
+    _write_trace(outdir / "trace.csv", result)
+    _write_csv(outdir / "summary.csv", SUMMARY_HEADER, [_summary_row(cfg, _potential_echo(cfg), result)])
+    write_field(result.u, outdir / "u.field")
+    write_field(result.phi, outdir / "phi.field")
+
+
 def _build(cfg: RunConfig) -> tuple[Potential, SolverConfig, GridSpec]:
     """The run's potential, solver settings and grid.
 
@@ -129,14 +136,7 @@ def _run_solve(cfg: RunConfig, outdir: Path) -> int:
     result = find_ground_state(
         potential, solver, grid, coercivity_override=cfg.solver_coercivity_override
     )
-    _write_trace(outdir / "trace.csv", result)
-    _write_csv(
-        outdir / "summary.csv",
-        SUMMARY_HEADER,
-        [_summary_row(cfg, _potential_echo(cfg), result)],
-    )
-    write_field(result.u, outdir / "u.field")
-    write_field(result.phi, outdir / "phi.field")
+    _write_result(cfg, outdir, result)
     print(
         f"c_estimate = {result.c_estimate!r}  residual = {result.residual_norm:.3e}  "
         f"iterations = {result.iterations}  converged = {result.converged}  "
@@ -232,20 +232,13 @@ def _run_radial_crosscheck(cfg: RunConfig, outdir: Path) -> int:
         potential, cfg.solver_p, r_max=cfg.radial_r_max, n_r=cfg.radial_n_r, cfg=solver
     )
     rel_gap = abs(result.c_estimate - c_radial) / abs(c_radial)
-    _write_trace(outdir / "trace.csv", result)
-    _write_csv(
-        outdir / "summary.csv",
-        SUMMARY_HEADER,
-        [_summary_row(cfg, _potential_echo(cfg), result)],
-    )
+    _write_result(cfg, outdir, result)
     _write_csv(
         outdir / "crosscheck.csv",
         "c_3d,c_radial,rel_gap",
         [f"{result.c_estimate!r},{c_radial!r},{rel_gap!r}"],
     )
     radial.write_radial_csv(u_r, phi_r, outdir / "radial_profile.csv")
-    write_field(result.u, outdir / "u.field")
-    write_field(result.phi, outdir / "phi.field")
     print(f"c_3d = {result.c_estimate!r}  c_radial = {c_radial!r}  rel_gap = {rel_gap!r}")
     return 0
 

@@ -66,7 +66,6 @@ class RunConfig:
 
     grid_L: float = 12.0
     grid_n: int = 32
-    grid_staggered: bool = True
 
     potential_kind: str = "constant"
     potential_V1: float = 1.0
@@ -100,8 +99,8 @@ class RunConfig:
             raise ConfigError(f"grid.L: must be positive, got {self.grid_L}")
         if self.grid_n < 8:
             raise ConfigError(f"grid.n: must be at least 8, got {self.grid_n}")
-        if self.grid_staggered and self.grid_n % 2:
-            raise ConfigError(f"grid.n: staggered grids need even n, got {self.grid_n}")
+        if self.grid_n % 2:
+            raise ConfigError(f"grid.n: must be even, got {self.grid_n}")
         if self.potential_kind not in _POTENTIAL_KINDS:
             raise ConfigError(
                 f"potential.kind: must be one of {_POTENTIAL_KINDS}, got {self.potential_kind!r}"
@@ -151,6 +150,8 @@ class RunConfig:
             raise ConfigError("sweep.lambdas: need at least one value")
         if any(lam <= 0 for lam in self.sweep_lambdas):
             raise ConfigError(f"sweep.lambdas: values must be positive, got {self.sweep_lambdas}")
+        if len(set(self.sweep_lambdas)) != len(self.sweep_lambdas):
+            raise ConfigError(f"sweep.lambdas: values must be distinct, got {self.sweep_lambdas}")
         if self.radial_r_max <= 0:
             raise ConfigError(f"radial.r_max: must be positive, got {self.radial_r_max}")
         if self.radial_n_r < 16:
@@ -159,7 +160,7 @@ class RunConfig:
     # object builders -------------------------------------------------
 
     def build_grid(self) -> GridSpec:
-        return GridSpec(L=self.grid_L, n=self.grid_n, staggered=self.grid_staggered)
+        return GridSpec(L=self.grid_L, n=self.grid_n)
 
     def build_potential(self) -> Potential:
         if self.potential_kind == "constant":
@@ -218,7 +219,6 @@ def _parse_center(key: str, raw: str) -> tuple[float, float, float]:
 _SCHEMA: dict[str, tuple[str, Any, Any]] = {
     "grid.L": ("grid_L", _parse_float, _fmt_float),
     "grid.n": ("grid_n", _parse_int, _fmt_plain),
-    "grid.staggered": ("grid_staggered", _parse_bool, _fmt_bool),
     "potential.kind": ("potential_kind", lambda k, r: r.strip(), _fmt_plain),
     "potential.V1": ("potential_V1", _parse_float, _fmt_float),
     "potential.lambda": ("potential_lambda", _parse_float, _fmt_float),

@@ -1,8 +1,8 @@
 """Uniform truncated-box discretization of R^3.
 
 The unbounded domain is replaced by the cube [-L, L]^3 sampled on n nodes
-per axis with spacing h = 2L/n.  Grids are staggered by default: nodes sit
-at cell midpoints (j + 1/2)h - L, so no node coincides with the origin and
+per axis with spacing h = 2L/n.  Nodes sit at cell midpoints
+(j + 1/2)h - L and n is even, so no node coincides with the origin and
 singular Coulomb-type potentials stay finite at every node.  Quadrature is
 the midpoint rule h^3 * sum, which is the natural rule on this node layout
 and converges fast for smooth decaying fields.
@@ -19,12 +19,14 @@ modes, and `dirichlet_energy` is the quadratic form of either.  Only
 this module maps a kinetic name to an operator or a table.
 
 Dump format (bit-exact round trip): one ASCII header line
-``SPGS1 n=<n> L=<decimal> staggered=<0|1>\\n`` followed by n^3
-little-endian IEEE float64 values, x-fastest.
+``SPGS1 n=<n> L=<decimal> staggered=1\\n`` followed by n^3
+little-endian IEEE float64 values, x-fastest.  Dumps of the retired
+nodal layout, headed ``staggered=0``, are refused.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from pathlib import Path
@@ -37,32 +39,27 @@ KINETICS = ("fd", "spectral")
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Cubic box [-L, L]^3 with n nodes per axis and spacing h = 2L/n.
+    """Cubic box [-L, L]^3 with n nodes per axis at the cell midpoints.
 
     Parameters
     ----------
     L : float
         Half-width of the box.
     n : int
-        Nodes per axis, at least 8.  Staggered grids need even n so the
-        origin falls between nodes.
-    staggered : bool
-        Nodes at cell midpoints when True (default), at -L + j*h otherwise.
+        Nodes per axis, even and at least 8, so the origin falls between
+        nodes.
     """
 
     L: float
     n: int
-    staggered: bool = True
 
     def __post_init__(self) -> None:
-        if not self.L > 0:
-            raise ValueError(f"half-width must be positive, got L={self.L}")
+        if not 0 < self.L < np.inf:
+            raise ValueError(f"half-width must be positive and finite, got L={self.L}")
         if self.n < 8:
             raise ValueError(f"need at least 8 nodes per axis, got n={self.n}")
-        if self.staggered and self.n % 2 != 0:
-            raise ValueError(
-                "staggered grids need even n, otherwise a node lands on the origin"
-            )
+        if self.n % 2 != 0:
+            raise ValueError(f"need even n, otherwise a node lands on the origin; got n={self.n}")
 
     @property
     def h(self) -> float:
@@ -76,8 +73,7 @@ class GridSpec:
     def axis(self) -> np.ndarray:
         """Node coordinates along one axis (shared by x, y, z)."""
         j = np.arange(self.n, dtype=np.float64)
-        offset = 0.5 if self.staggered else 0.0
-        c = -self.L + (j + offset) * self.h
+        c = -self.L + (j + 0.5) * self.h
         c.setflags(write=False)
         return c
 
@@ -289,14 +285,18 @@ def radialize(u: ScalarField) -> ScalarField:
 def write_field(u: ScalarField, path: str | Path) -> None:
     """Dump a field: ASCII header then raw little-endian float64, x-fastest."""
     g = u.grid
-    header = f"SPGS1 n={g.n} L={g.L!r} staggered={1 if g.staggered else 0}\n"
+    header = f"SPGS1 n={g.n} L={g.L!r} staggered=1\n"
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
         fh.write(u.values.astype("<f8", copy=False).tobytes())
 
 
 def read_field(path: str | Path) -> ScalarField:
-    """Read a field written by `write_field` (bit-exact round trip)."""
+    """Read a field written by `write_field` (bit-exact round trip).
+
+    The file must hold exactly the header and the 8 n^3 payload bytes its
+    n announces; anything else is a ValueError, as is a bad header.
+    """
     with open(path, "rb") as fh:
         header = fh.readline().decode("ascii").strip()
         parts = header.split()
@@ -306,10 +306,16 @@ def read_field(path: str | Path) -> ScalarField:
         missing = [key for key in ("n", "L", "staggered") if key not in fields]
         if missing:
             raise ValueError(f"not a field dump: header {header!r} lacks {', '.join(missing)}")
-        grid = GridSpec(
-            L=float(fields["L"]),
-            n=int(fields["n"]),
-            staggered=fields["staggered"] == "1",
-        )
-        data = np.frombuffer(fh.read(8 * grid.num_nodes), dtype="<f8")
+        if fields["staggered"] != "1":
+            raise ValueError(
+                f"field dump {header!r}: staggered=1 is the only layout; "
+                "the nodal layout (staggered=0) is retired"
+            )
+        grid = GridSpec(L=float(fields["L"]), n=int(fields["n"]))
+        payload = os.fstat(fh.fileno()).st_size - fh.tell()
+        if payload != 8 * grid.num_nodes:
+            raise ValueError(
+                f"field dump {header!r}: expected {8 * grid.num_nodes} payload bytes, found {payload}"
+            )
+        data = np.frombuffer(fh.read(payload), dtype="<f8")
     return ScalarField(grid, data)

@@ -80,8 +80,12 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if not 3.0 < self.p < 5.0:
             raise ValueError(f"exponent must lie in (3, 5), got p={self.p}")
-        if self.step <= 0:
-            raise ValueError(f"initial step must be positive, got step={self.step}")
+        if not 0 < self.step < math.inf:
+            raise ValueError(f"initial step must be positive and finite, got step={self.step}")
+        if not 0 < self.tol_residual < math.inf:
+            raise ValueError(
+                f"residual tolerance must be positive and finite, got tol_residual={self.tol_residual}"
+            )
         if self.max_iters < 1:
             raise ValueError(f"need max_iters >= 1, got {self.max_iters}")
         if self.starts < 1:
@@ -376,9 +380,8 @@ def ground_level_constant(
 
 def _refined_grid(grid: GridSpec, factor: float = 1.5) -> GridSpec:
     n = int(math.ceil(grid.n * factor))
-    if grid.staggered and n % 2:
-        n += 1
-    return GridSpec(L=grid.L, n=n, staggered=grid.staggered)
+    n += n % 2
+    return GridSpec(L=grid.L, n=n)
 
 
 @dataclass(frozen=True)

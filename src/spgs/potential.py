@@ -3,8 +3,7 @@
 Four families are supported: constant potentials, Coulomb-type singular
 wells V1 - lam * |x|^(-alpha) with alpha in {1, 2}, composites
 base - lam * V2 with a decaying perturbation V2, and tabulated fields.
-Singular kinds may only be sampled on staggered grids, where every node
-keeps |x| >= h/2.
+Singular kinds stay finite on the grid, whose nodes all keep |x| >= h/2.
 
 `coercivity_check` reports the coercivity constant c_bar of the form
 integral(|grad u|^2 + V u^2) against the H^1 norm, the paper's hypothesis
@@ -118,10 +117,6 @@ class CoulombSingular(Potential):
             raise ValueError(f"coupling must be nonnegative, got lam={self.lam}")
 
     def sample(self, grid: GridSpec) -> ScalarField:
-        if not grid.staggered:
-            raise ValueError(
-                "singular potentials need a staggered grid (a node would hit the origin)"
-            )
         vals = self.V1 - self.lam * grid.radius ** (-float(self.alpha))
         return ScalarField.from_3d(grid, vals)
 

@@ -79,22 +79,22 @@ def test_nonfinite_step_mid_descent_is_a_solver_error(tmp_path, monkeypatch, cap
 @pytest.mark.parametrize(
     "args",
     [
-        # the singular potential rejects a grid with a node at the origin
-        ["solve", "--set", "grid.staggered=false", "--set", "grid.n=15",
-         "--set", "potential.kind=coulomb_singular"],
+        # the nodal layout is retired, and its key with it
+        ["solve", "--set", "grid.staggered=false"],
         ["compare-vinf", "--set", "potential.V1=-1.0"],
         ["solve", "--set", "solver.tol=nan"],
         ["solve", "--set", "solver.step=inf"],
         ["solve", "--set", "solver.init_width=-1.0"],
         ["sweep-lambda", "--set", "sweep.lambdas=1.0,nan"],
+        ["sweep-lambda", "--set", "sweep.lambdas=1.0,1.0"],
         # initial fields that are zero on every node: by amplitude, by underflow
         ["solve", "--set", "grid.L=4.0", "--set", "grid.n=16", "--set", "solver.init_amplitude=0"],
         ["solve", "--set", "grid.L=4.0", "--set", "grid.n=16", "--set", "solver.init_center=100,0,0"],
         ["solve", "--set", "grid.L=4.0", "--set", "grid.n=16", "--seed", "-1"],
     ],
     ids=[
-        "singular-on-nodal-grid", "nonpositive-vinf", "nan-tol", "infinite-step",
-        "negative-init-width", "nan-in-list", "zero-init", "underflowed-init", "negative-seed",
+        "retired-staggered-key", "nonpositive-vinf", "nan-tol", "infinite-step",
+        "negative-init-width", "nan-in-list", "repeated-lambda", "zero-init", "underflowed-init", "negative-seed",
     ],
 )
 def test_rejected_run_inputs_are_config_errors(tmp_path, capsys, args):
@@ -102,9 +102,10 @@ def test_rejected_run_inputs_are_config_errors(tmp_path, capsys, args):
     assert capsys.readouterr().err.startswith("ERROR config:")
 
 
-def test_malformed_init_dump_is_a_config_error(tmp_path, capsys):
+def _config_error_from_init_dump(tmp_path, capsys, data):
+    """stderr of a solve started from a dump holding `data`, which must exit 2."""
     dump = tmp_path / "init.field"
-    dump.write_bytes(b"SPGS1 a=1 b=2 c=3\n")
+    dump.write_bytes(data)
     argv = [
         "solve",
         "--set", "grid.L=4.0",
@@ -116,7 +117,23 @@ def test_malformed_init_dump_is_a_config_error(tmp_path, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("ERROR config:")
-    assert "lacks n, L, staggered" in err
+    return err
+
+
+def test_malformed_init_dump_is_a_config_error(tmp_path, capsys):
+    assert "lacks n, L, staggered" in _config_error_from_init_dump(tmp_path, capsys, b"SPGS1 a=1 b=2 c=3\n")
+
+
+@pytest.mark.parametrize(
+    "header, detail",
+    [
+        (b"SPGS1 n=16 L=4.0 staggered=0\n", "nodal layout"),
+        (b"SPGS1 n=2000000 L=4.0 staggered=1\n", "payload bytes"),
+    ],
+    ids=["nodal-layout", "oversize-n"],
+)
+def test_refused_init_dump_is_a_config_error(tmp_path, capsys, header, detail):
+    assert detail in _config_error_from_init_dump(tmp_path, capsys, header + bytes(8 * 16**3))
 
 
 def test_tabulated_radial_crosscheck_is_a_config_error(tmp_path, capsys):

@@ -18,7 +18,6 @@ from spgs.errors import ConfigError
 NON_DEFAULT = {
     "grid_L": 7.25,
     "grid_n": 24,
-    "grid_staggered": False,
     "potential_kind": "coulomb_singular",
     "potential_V1": 1.5,
     "potential_lambda": 0.375,

@@ -41,15 +41,11 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(L=1.0, n=4)
         with pytest.raises(ValueError):
-            GridSpec(L=1.0, n=9, staggered=True)
+            GridSpec(L=1.0, n=9)
 
     def test_staggered_keeps_origin_clear(self):
         g = GridSpec(L=4.0, n=16)
         assert g.min_radius() >= g.h / 2.0
-
-    def test_unstaggered_contains_origin(self):
-        g = GridSpec(L=4.0, n=16, staggered=False)
-        assert g.min_radius() == 0.0
 
 
 class TestScalarField:
@@ -152,9 +148,7 @@ class TestDirichletEnergy:
         assert extrapolated == pytest.approx(oracle, rel=1e-4)
 
 
-    @pytest.mark.parametrize(
-        "g", [GridSpec(L=4.0, n=24), GridSpec(L=3.0, n=13, staggered=False)], ids=["staggered-24", "nodal-13"]
-    )
+    @pytest.mark.parametrize("g", [GridSpec(L=4.0, n=24)], ids=["staggered-24"])
     def test_fd_stencil_bit_identical_to_padded_sum(self, g):
         # the in-place stencil keeps the neighbour order of the zero-padded expression
         u = ScalarField(g, np.random.default_rng(g.n).standard_normal(g.num_nodes))
@@ -203,8 +197,8 @@ class TestSineTransform:
 
     @pytest.mark.parametrize(
         "g",
-        [GridSpec(L=4.0, n=24), GridSpec(L=5.0, n=32), GridSpec(L=3.0, n=13, staggered=False)],
-        ids=["staggered-24", "staggered-32", "nodal-13"],
+        [GridSpec(L=4.0, n=24), GridSpec(L=5.0, n=32)],
+        ids=["staggered-24", "staggered-32"],
     )
     @pytest.mark.parametrize("kinetic", ["fd", "spectral"])
     def test_one_table_diagonalises_each_kinetic(self, g, kinetic):
@@ -304,4 +298,16 @@ class TestFieldDump:
         for header in (b"NOPE 1 2 3\n", b"SPGS1 a=1 b=2 c=3\n"):
             path.write_bytes(header)
             with pytest.raises(ValueError):
+                read_field(path)
+        payload = bytes(8 * 8**3)
+        for data, match in [
+            # a header n that announces 6.4e19 payload bytes; 4 KB follow
+            (b"SPGS1 n=2000000 L=4.0 staggered=1\n" + payload, "payload bytes"),
+            (b"SPGS1 n=8 L=4.0 staggered=1\n" + payload[:-8], "payload bytes"),
+            (b"SPGS1 n=8 L=4.0 staggered=1\n" + payload + b"\0", "payload bytes"),
+            (b"SPGS1 n=8 L=4.0 staggered=0\n" + payload, "nodal layout"),
+            (b"SPGS1 n=8 L=inf staggered=1\n" + payload, "half-width"),
+        ]:
+            path.write_bytes(data)
+            with pytest.raises(ValueError, match=match):
                 read_field(path)

@@ -49,8 +49,12 @@ class TestSolverConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(p=5.5)
-        with pytest.raises(ValueError):
-            SolverConfig(step=-1.0)
+        for step in (-1.0, 0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="step"):
+                SolverConfig(step=step)
+        for tol in (-1e-7, 0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="tol_residual"):
+                SolverConfig(tol_residual=tol)
         with pytest.raises(ValueError):
             SolverConfig(max_iters=0)
         with pytest.raises(ValueError):

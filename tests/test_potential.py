@@ -42,11 +42,6 @@ class TestSampling:
         k = int(np.argmin(r))
         assert f.values[k] == 1.0 - 0.1 / r[k]
 
-    def test_coulomb_requires_staggered(self):
-        g = GridSpec(L=4.0, n=9, staggered=False)
-        with pytest.raises(ValueError):
-            CoulombSingular(1.0, 0.1, 1).sample(g)
-
     def test_alpha_validation(self):
         with pytest.raises(ValueError):
             CoulombSingular(1.0, 0.1, 3)
