@@ -53,7 +53,6 @@ from .minimize import (
     VinfComparison,
     compare_with_vinf,
     find_ground_state,
-    ground_level_constant,
     mountain_pass_crosscheck,
     relative_asymmetry,
 )

@@ -21,15 +21,24 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 from .config import MODES, RunConfig, apply_assignments, canonical_text, describe_keys, parse_config
 from .errors import ConfigError, SpgsError
 from .grid import GridSpec, write_field
-from .minimize import GroundStateResult, SolverConfig, compare_with_vinf, find_ground_state, initial_field
+from .minimize import (
+    GroundStateResult,
+    SolverConfig,
+    TraceRow,
+    compare_with_vinf,
+    find_ground_state,
+    initial_field,
+)
 from .potential import Constant, Potential
 
-TRACE_HEADER = "iter,I,G,A1,B,C,residual_l2,step"
+# trace.csv has one column per TraceRow field, in field order
+_TRACE_FIELDS = tuple(f.name for f in fields(TraceRow))
 SUMMARY_HEADER = (
     "L,n,potential,p,tol,max_iters,seed,kinetic,c_estimate,residual_norm,iterations,converged,"
     "boundary_mass,pohozaev"
@@ -94,11 +103,8 @@ def _write_csv(path: Path, header: str, rows: list[str]) -> None:
 
 
 def _write_trace(path: Path, result: GroundStateResult) -> None:
-    rows = [
-        f"{t.iter},{t.I!r},{t.G!r},{t.A1!r},{t.B!r},{t.C!r},{t.residual_l2!r},{t.step!r}"
-        for t in result.trace
-    ]
-    _write_csv(path, TRACE_HEADER, rows)
+    rows = [",".join(repr(getattr(t, name)) for name in _TRACE_FIELDS) for t in result.trace]
+    _write_csv(path, ",".join(_TRACE_FIELDS), rows)
 
 
 def _write_result(cfg: RunConfig, outdir: Path, result: GroundStateResult) -> None:
@@ -133,9 +139,7 @@ def _build(cfg: RunConfig) -> tuple[Potential, SolverConfig, GridSpec]:
 
 def _run_solve(cfg: RunConfig, outdir: Path) -> int:
     potential, solver, grid = _build(cfg)
-    result = find_ground_state(
-        potential, solver, grid, coercivity_override=cfg.solver_coercivity_override
-    )
+    result = find_ground_state(potential, solver, grid)
     _write_result(cfg, outdir, result)
     print(
         f"c_estimate = {result.c_estimate!r}  residual = {result.residual_norm:.3e}  "
@@ -145,17 +149,15 @@ def _run_solve(cfg: RunConfig, outdir: Path) -> int:
     return 0
 
 
-def _sweep_point(
-    args: tuple[float, SolverConfig, GridSpec, bool]
-) -> tuple[float, GroundStateResult]:
-    lam, solver, grid, coercivity_override = args
-    return lam, find_ground_state(Constant(lam), solver, grid, coercivity_override=coercivity_override)
+def _sweep_point(args: tuple[float, SolverConfig, GridSpec]) -> tuple[float, GroundStateResult]:
+    lam, solver, grid = args
+    return lam, find_ground_state(Constant(lam), solver, grid)
 
 
 def _run_sweep(cfg: RunConfig, outdir: Path) -> int:
     _, solver, grid = _build(cfg)
     lams = sorted(cfg.sweep_lambdas)
-    points = [(lam, solver, grid, cfg.solver_coercivity_override) for lam in lams]
+    points = [(lam, solver, grid) for lam in lams]
     if cfg.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -189,9 +191,7 @@ def _run_compare(cfg: RunConfig, outdir: Path) -> int:
     vinf = potential.v_infinity()
     if vinf <= 0:
         raise ConfigError(f"potential: compare-vinf needs v_infinity > 0, got {vinf!r}")
-    cmp_result = compare_with_vinf(
-        potential, solver, grid, coercivity_override=cfg.solver_coercivity_override
-    )
+    cmp_result = compare_with_vinf(potential, solver, grid)
     _write_csv(
         outdir / "compare.csv",
         "c,c_inf,strict",
@@ -225,9 +225,7 @@ def _run_radial_crosscheck(cfg: RunConfig, outdir: Path) -> int:
     from . import radial
 
     potential, solver, grid = _build(cfg)
-    result = find_ground_state(
-        potential, solver, grid, coercivity_override=cfg.solver_coercivity_override
-    )
+    result = find_ground_state(potential, solver, grid)
     u_r, phi_r, c_radial = radial.radial_ground_state(
         potential, cfg.solver_p, r_max=cfg.radial_r_max, n_r=cfg.radial_n_r, cfg=solver
     )

@@ -189,6 +189,7 @@ class RunConfig:
             seed=self.solver_seed,
             starts=self.solver_starts,
             kinetic=self.solver_kinetic,
+            coercivity_override=self.solver_coercivity_override,
         )
 
 

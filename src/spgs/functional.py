@@ -25,6 +25,8 @@ testable by central differences.
 Each evaluated field gets one -Lap u, from `grid.minus_laplacian` in the
 run's kinetic, and the kinetic energy, the H^1 norm and the residual all
 come from it.  The kinetic name is passed through, never branched on.
+The potential comes in sampled, as a `ScalarField` on u's grid
+(`Potential.sample`); nothing here samples it.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import (
-    GridSpec,
     ScalarField,
     dirichlet_eigenvalues,
     lp_integral,
@@ -43,7 +44,6 @@ from .grid import (
     sine_transform,
 )
 from .poisson import solve_phi
-from .potential import Potential
 
 
 def _check_p(p: float) -> None:
@@ -101,22 +101,16 @@ class EnergyBreakdown:
         )
 
 
-def _potential_values(V: Potential | ScalarField, grid: GridSpec) -> np.ndarray:
-    if isinstance(V, ScalarField):
-        if V.grid != grid:
-            raise ValueError("potential field lives on a different grid")
-        return V.values
-    return V.sample(grid).values
-
-
-def _evaluate(u: ScalarField, V: Potential | ScalarField, p: float, phi: ScalarField | None, kinetic: str):
+def _evaluate(u: ScalarField, V: ScalarField, p: float, phi: ScalarField | None, kinetic: str):
     """(breakdown, -Lap u, V values, phi) at u from one application of -Lap.
 
     The breakdown's h1 is sqrt(h^3 <u, -Lap u> + h^3 sum u^2)."""
     _check_p(p)
     g = u.grid
     w = g.h**3
-    vvals = _potential_values(V, g)
+    if V.grid != g:
+        raise ValueError("potential field lives on a different grid")
+    vvals = V.values
     if phi is None:
         phi = solve_phi(u, residual_correction=False)
     mlap = minus_laplacian(u, kinetic).values
@@ -131,14 +125,14 @@ def _evaluate(u: ScalarField, V: Potential | ScalarField, p: float, phi: ScalarF
 
 def energy_breakdown(
     u: ScalarField,
-    V: Potential | ScalarField,
+    V: ScalarField,
     p: float,
     phi: ScalarField | None = None,
     kinetic: str = "fd",
 ) -> EnergyBreakdown:
     """Evaluate A1, B, C, the derived I, G, J and the H^1 norm at the field u.
 
-    The potential may be passed pre-sampled.  `phi` short-circuits the
+    V is the potential sampled on u's grid.  `phi` short-circuits the
     internal Poisson solve when the caller already holds the uncorrected
     convolution solution for this u.
     """
@@ -147,7 +141,7 @@ def energy_breakdown(
 
 def el_residual(
     u: ScalarField,
-    V: Potential | ScalarField,
+    V: ScalarField,
     p: float,
     phi: ScalarField | None = None,
     kinetic: str = "fd",

@@ -81,16 +81,16 @@ class GridSpec:
         """Meshgrid coordinate arrays X, Y, Z with axes (x, y, z)."""
         return np.meshgrid(self.axis, self.axis, self.axis, indexing="ij")
 
-    @cached_property
+    @property
     def radius(self) -> np.ndarray:
-        """|x| at every node, shape (n, n, n)."""
-        x, y, z = self.coords()
-        r = np.sqrt(x * x + y * y + z * z)
-        r.setflags(write=False)
-        return r
+        """|x| at every node, shape (n, n, n), axes (x, y, z).
 
-    def min_radius(self) -> float:
-        return float(self.radius.min())
+        Built on each use from the squared axis, so no n^3 array outlives
+        its caller; the sums run in the order x^2 + y^2 + z^2.
+        """
+        a2 = self.axis * self.axis
+        r = (a2[:, None, None] + a2[:, None]) + a2
+        return np.sqrt(r, out=r)
 
 
 @dataclass(frozen=True)

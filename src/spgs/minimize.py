@@ -23,10 +23,12 @@ optimiser.
 
 Runs refuse to start when the potential's coercivity constant c_bar
 (`potential.coercivity_check`, in the run's kinetic) is not positive,
-unless explicitly overridden.  Results carry the full per-iteration
-trace and two a-posteriori checks of the final state: the share of its
-mass on the box's outer node layer, and its Pohozaev defect, which the
-constraint does not impose and which vanishes for a continuum solution.
+unless `SolverConfig.coercivity_override` is set.  That field is the one
+place the override lives: every entry point here reads it from the
+config it is given.  Results carry the full per-iteration trace and two
+a-posteriori checks of the final state: the share of its mass on the
+box's outer node layer, and its Pohozaev defect, which the constraint
+does not impose and which vanishes for a continuum solution.
 """
 
 from __future__ import annotations
@@ -76,6 +78,7 @@ class SolverConfig:
     seed: int = 0
     starts: int = 1
     kinetic: str = "fd"
+    coercivity_override: bool = False
 
     def __post_init__(self) -> None:
         if not 3.0 < self.p < 5.0:
@@ -281,12 +284,7 @@ def _descend(u0, cfg: SolverConfig, *, field, solve, breakdown, residual, precon
     return u, eb, phi, rnorm, iterations, trace, converged, status
 
 
-def find_ground_state(
-    V: Potential,
-    cfg: SolverConfig,
-    grid: GridSpec,
-    coercivity_override: bool = False,
-) -> GroundStateResult:
+def find_ground_state(V: Potential, cfg: SolverConfig, grid: GridSpec) -> GroundStateResult:
     """Minimize the action over the constraint manifold.
 
     Starts from the configured initial field (default: unit Gaussian blob
@@ -298,17 +296,17 @@ def find_ground_state(
 
     Raises NonCoerciveError, before any Poisson solve, when the potential's
     coercivity constant c_bar is not positive (bypass with
-    coercivity_override=True), ZeroFieldError for a zero initial field,
+    cfg.coercivity_override), ZeroFieldError for a zero initial field,
     NoDescentError when backtracking stalls along the preconditioned
     gradient.  Hitting max_iters is not an error: the best
     iterate is returned flagged converged=False.
     """
-    if not coercivity_override:
+    if not cfg.coercivity_override:
         coercivity = coercivity_check(V, grid, kinetic=cfg.kinetic)
         if not coercivity.ok:
             raise NonCoerciveError(
                 f"potential is not coercive (c_bar = {coercivity.c_bar:.6g} <= 0); "
-                "pass coercivity_override=True to run anyway"
+                "set SolverConfig.coercivity_override (key solver.coercivity_override) to run anyway"
             )
     v_field = V.sample(grid)
 
@@ -369,15 +367,6 @@ def find_ground_state(
     )
 
 
-def ground_level_constant(
-    lam: float, cfg: SolverConfig, grid: GridSpec, coercivity_override: bool = False
-) -> float:
-    """Ground level c(lam) for the constant potential V = lam > 0."""
-    if lam <= 0:
-        raise ValueError(f"constant level needs lam > 0, got lam={lam}")
-    return find_ground_state(Constant(lam), cfg, grid, coercivity_override).c_estimate
-
-
 def _refined_grid(grid: GridSpec, factor: float = 1.5) -> GridSpec:
     n = int(math.ceil(grid.n * factor))
     n += n % 2
@@ -393,9 +382,7 @@ class VinfComparison:
     refinement_delta: float
 
 
-def compare_with_vinf(
-    V: Potential, cfg: SolverConfig, grid: GridSpec, coercivity_override: bool = False
-) -> VinfComparison:
+def compare_with_vinf(V: Potential, cfg: SolverConfig, grid: GridSpec) -> VinfComparison:
     """Compare the ground level of V against the constant limit problem.
 
     Solves both problems on the run grid and on a 1.5x-refined grid.  The
@@ -411,10 +398,10 @@ def compare_with_vinf(
     if vinf <= 0:
         raise ValueError(f"comparison needs v_infinity > 0, got {vinf}")
     fine = _refined_grid(grid)
-    c_coarse = find_ground_state(V, cfg, grid, coercivity_override).c_estimate
-    c_fine = find_ground_state(V, cfg, fine, coercivity_override).c_estimate
-    ci_coarse = ground_level_constant(vinf, cfg, grid)
-    ci_fine = ground_level_constant(vinf, cfg, fine)
+    c_coarse = find_ground_state(V, cfg, grid).c_estimate
+    c_fine = find_ground_state(V, cfg, fine).c_estimate
+    ci_coarse = find_ground_state(Constant(vinf), cfg, grid).c_estimate
+    ci_fine = find_ground_state(Constant(vinf), cfg, fine).c_estimate
     delta = abs((ci_fine - c_fine) - (ci_coarse - c_coarse))
     margin = 3.0 * delta
     return VinfComparison(
@@ -432,7 +419,6 @@ def mountain_pass_crosscheck(
     grid: GridSpec,
     trials: int = 20,
     seed: int = 0,
-    coercivity_override: bool = False,
 ) -> tuple[float, float]:
     """Cross-check the constrained level against ray maxima.
 
@@ -443,7 +429,7 @@ def mountain_pass_crosscheck(
     """
     if trials < 10:
         raise ValueError(f"need at least 10 trials, got trials={trials}")
-    result = find_ground_state(V, cfg, grid, coercivity_override)
+    result = find_ground_state(V, cfg, grid)
     c_nehari = result.c_estimate
     v_field = V.sample(grid)
     rng = np.random.default_rng(seed)

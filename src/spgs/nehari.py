@@ -13,6 +13,8 @@ safeguarded Newton with bisection fallback to 1e-13 relative in s.
 The scaled field maximizes the action along its ray, which makes the
 projection a stable ingredient of descent: any nonzero step can be pulled
 back onto the manifold by one scalar solve.
+
+The potential comes in sampled, as a `ScalarField` on the field's grid.
 """
 
 from __future__ import annotations
@@ -24,8 +26,7 @@ import numpy as np
 
 from .errors import NonCoerciveError, ZeroFieldError
 from .functional import EnergyBreakdown, energy_breakdown
-from .grid import GridSpec, ScalarField, lp_integral
-from .potential import Potential
+from .grid import ScalarField
 from .sampling import random_smooth_field
 
 _REL_TOL_S = 1e-13
@@ -101,7 +102,7 @@ class FiberScaling:
 
 def nehari_project(
     u: ScalarField,
-    V: Potential | ScalarField,
+    V: ScalarField,
     p: float,
     kinetic: str = "fd",
 ) -> FiberScaling:
@@ -130,22 +131,21 @@ def ray_profile(breakdown: EnergyBreakdown, t: np.ndarray) -> np.ndarray:
 def ray_max_check(
     u: ScalarField,
     fs: FiberScaling,
-    V: Potential | ScalarField,
+    V: ScalarField,
     p: float,
-    samples: int = 50,
     kinetic: str = "fd",
 ) -> bool:
     """Verify I(t u) <= I(t_bar u) on a log-spaced sample of t.
 
-    Samples t in [t_bar/10, 10 t_bar] on a log grid plus a fine local
-    scan within 2% of t_bar (so sub-percent misplacements of the claimed
-    maximum are detected); passes when no sample exceeds the claimed ray
-    maximum by more than 1e-12 relative.
+    Samples t at 50 log-spaced points of [t_bar/10, 10 t_bar] plus a
+    fine local scan within 2% of t_bar (so sub-percent misplacements of
+    the claimed maximum are detected); passes when no sample exceeds the
+    claimed ray maximum by more than 1e-12 relative.
     """
     breakdown = energy_breakdown(u, V, p, kinetic=kinetic)
     ts = np.concatenate(
         [
-            np.geomspace(fs.t_bar / 10.0, fs.t_bar * 10.0, samples),
+            np.geomspace(fs.t_bar / 10.0, fs.t_bar * 10.0, 50),
             fs.t_bar * np.linspace(0.98, 1.02, 17),
         ]
     )
@@ -154,32 +154,19 @@ def ray_max_check(
     return bool(np.all(profile <= i_max + 1e-12 * abs(i_max)))
 
 
-def manifold_floor_check(
-    V: Potential | ScalarField,
-    p: float,
-    trials: int,
-    seed: int,
-    grid: GridSpec | None = None,
-    kinetic: str = "fd",
-) -> float:
-    """Empirical floor of the L^(p+1) norm over projected random fields.
+def manifold_floor_check(V: ScalarField, p: float, trials: int, seed: int, kinetic: str = "fd") -> float:
+    """Empirical floor of the L^(p+1) norm over projected random fields on V's grid.
 
     Projects `trials` seeded random nonzero fields and returns the
-    smallest ||t_bar u||_(p+1) seen; the value is strictly positive and
-    stable (within a factor ~2) under doubling the trial count.
+    smallest ||t_bar u||_(p+1) seen, read from the projected breakdown's
+    C; the value is strictly positive and stable (within a factor ~2)
+    under doubling the trial count.
     """
     if trials < 10:
         raise ValueError(f"need at least 10 trials, got trials={trials}")
-    if grid is None:
-        if isinstance(V, ScalarField):
-            grid = V.grid
-        else:
-            raise ValueError("pass a grid when the potential is not pre-sampled")
     rng = np.random.default_rng(seed)
     floor = math.inf
     for _ in range(trials):
-        u = random_smooth_field(grid, rng)
-        fs = nehari_project(u, V, p, kinetic=kinetic)
-        norm = lp_integral(u.scaled(fs.t_bar), p + 1.0) ** (1.0 / (p + 1.0))
-        floor = min(floor, norm)
+        fs = nehari_project(random_smooth_field(V.grid, rng), V, p, kinetic=kinetic)
+        floor = min(floor, fs.scaled_breakdown.C ** (1.0 / (p + 1.0)))
     return floor

@@ -5,6 +5,11 @@ wells V1 - lam * |x|^(-alpha) with alpha in {1, 2}, composites
 base - lam * V2 with a decaying perturbation V2, and tabulated fields.
 Singular kinds stay finite on the grid, whose nodes all keep |x| >= h/2.
 
+The radial kinds write V once, as `Potential.profile(r)`, a function of
+the distance r from the origin: their 3-D `sample` evaluates it at the
+grid radii and the radial solver at its mesh nodes.  Tabulated and
+composite potentials have no profile and are sampled on the grid only.
+
 `coercivity_check` reports the coercivity constant c_bar of the form
 integral(|grad u|^2 + V u^2) against the H^1 norm, the paper's hypothesis
 on V; solvers refuse to start when c_bar <= 0 unless overridden.  Each
@@ -37,10 +42,15 @@ class Potential:
     v_infinity_is_estimate: bool = False
 
     def sample(self, grid: GridSpec) -> ScalarField:
-        raise NotImplementedError
+        """V at every node of `grid`; radial kinds evaluate their profile at the node radii."""
+        return ScalarField.from_3d(grid, self.profile(grid.radius))
 
     def v_infinity(self) -> float:
         raise NotImplementedError
+
+    def profile(self, r: np.ndarray) -> np.ndarray | None:
+        """V at distances r from the origin, or None for kinds not given as a function of |x|."""
+        return None
 
     def virial(self, r: np.ndarray) -> np.ndarray | None:
         """x . grad V at distances r from the origin, or None without a closed form.
@@ -89,8 +99,8 @@ class Potential:
 class Constant(Potential):
     V1: float
 
-    def sample(self, grid: GridSpec) -> ScalarField:
-        return ScalarField(grid, np.full(grid.num_nodes, float(self.V1)))
+    def profile(self, r: np.ndarray) -> np.ndarray:
+        return np.full(np.shape(r), float(self.V1))
 
     def v_infinity(self) -> float:
         return float(self.V1)
@@ -116,9 +126,8 @@ class CoulombSingular(Potential):
         if self.lam < 0:
             raise ValueError(f"coupling must be nonnegative, got lam={self.lam}")
 
-    def sample(self, grid: GridSpec) -> ScalarField:
-        vals = self.V1 - self.lam * grid.radius ** (-float(self.alpha))
-        return ScalarField.from_3d(grid, vals)
+    def profile(self, r: np.ndarray) -> np.ndarray:
+        return self.V1 - self.lam * r ** (-float(self.alpha))
 
     def v_infinity(self) -> float:
         return float(self.V1)

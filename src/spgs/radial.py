@@ -12,7 +12,9 @@ that mesh shares them.  None of the 3-D grid code is reused, which is
 the point: agreement of the two ground levels validates both
 discretizations.  Only the optimiser is shared: `radial_ground_state`
 hands these operators to the projected descent `minimize._descend` that
-the 3-D path runs.
+the 3-D path runs.  The potential enters only as `Potential.profile` at
+the mesh nodes, the formula the 3-D grid samples at its node radii; a
+kind without a profile (tabulated, composite) is refused.
 
 The radial Poisson formula is the two-sided accumulation
 
@@ -36,7 +38,7 @@ from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .functional import EnergyBreakdown
 from .minimize import GaussianBlob, SolverConfig, _descend
-from .potential import Constant, CoulombSingular, Potential
+from .potential import Potential
 
 FOUR_PI = 4.0 * math.pi
 
@@ -129,17 +131,6 @@ def radial_quadrature(u: RadialProfile, integrand: np.ndarray) -> float:
     return FOUR_PI * u.dr * float(np.sum(integrand * u.mesh.r2))
 
 
-def _sample_radial_potential(V: Potential, nodes: np.ndarray) -> np.ndarray:
-    if isinstance(V, Constant):
-        return np.full(nodes.size, float(V.V1))
-    if isinstance(V, CoulombSingular):
-        return V.V1 - V.lam * nodes ** (-float(V.alpha))
-    raise ValueError(
-        "the radial path handles radially symmetric potentials only "
-        f"(Constant or CoulombSingular), got {type(V).__name__}"
-    )
-
-
 def _radial_kinetic(u: RadialProfile) -> tuple[float, np.ndarray]:
     """(4*pi * int u'^2 r^2 dr, -Lap_r u) from one link difference u' of u.
 
@@ -155,11 +146,6 @@ def _radial_kinetic(u: RadialProfile) -> tuple[float, np.ndarray]:
     grad = np.diff(u.values, append=0.0) / dr
     energy = FOUR_PI * dr * float(np.sum(mesh.w * grad**2))
     return energy, -np.diff(mesh.w * grad, prepend=0.0) / (dr * mesh.r2)
-
-
-def radial_kinetic_energy(u: RadialProfile) -> float:
-    """4*pi * int u'(r)^2 r^2 dr as an r^2-weighted link sum (see `_radial_kinetic`)."""
-    return _radial_kinetic(u)[0]
 
 
 def _radial_evaluate(u: RadialProfile, v_vals: np.ndarray, p: float, phi: RadialProfile):
@@ -218,7 +204,12 @@ def radial_ground_state(
         raise ValueError(f"n_r must be at least 16, got n_r={n_r}")
 
     mesh = _mesh(r_max, n_r)
-    v_vals = _sample_radial_potential(V, mesh.r)
+    v_vals = V.profile(mesh.r)
+    if v_vals is None:
+        raise ValueError(
+            "the radial path handles radially symmetric potentials only "
+            f"(Constant or CoulombSingular), got {type(V).__name__}"
+        )
 
     width = r_max / 20.0
     if isinstance(cfg.init, GaussianBlob) and cfg.init.width:

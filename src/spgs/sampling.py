@@ -39,22 +39,14 @@ def gaussian_blob(
 
 
 def random_smooth_field(
-    grid: GridSpec,
-    rng: np.random.Generator,
-    max_blobs: int = 3,
-    min_width: float | None = None,
-    max_width: float | None = None,
-    signed: bool = True,
+    grid: GridSpec, rng: np.random.Generator, min_width: float | None = None
 ) -> ScalarField:
-    """Sum of 1..max_blobs random Gaussians, optionally sign-mixed."""
+    """Sum of one to three random Gaussians of random sign, widths up to L/3."""
     lo = 2.0 * grid.h if min_width is None else min_width
-    hi = grid.L / 3.0 if max_width is None else max_width
     out = np.zeros((grid.n,) * 3, order="F")
-    for _ in range(int(rng.integers(1, max_blobs + 1))):
+    for _ in range(int(rng.integers(1, 4))):
         c = rng.uniform(-grid.L / 4.0, grid.L / 4.0, size=3)
-        w = _log_uniform(rng, lo, hi)
-        a = float(rng.uniform(0.5, 1.5))
-        if signed:
-            a *= float(rng.choice([-1.0, 1.0]))
+        w = _log_uniform(rng, lo, grid.L / 3.0)
+        a = float(rng.uniform(0.5, 1.5)) * float(rng.choice([-1.0, 1.0]))
         out += a * _gaussian(grid, c, w)
     return ScalarField.from_3d(grid, out)

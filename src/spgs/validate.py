@@ -38,9 +38,9 @@ def _check(name: str, passed: bool, detail: str) -> CheckResult:
     return CheckResult(name, bool(passed), detail)
 
 
-def run_validation(seed: int = 0, n: int = 16, L: float = 6.0, p: float = 4.0) -> list[CheckResult]:
-    """Run the full invariant suite; returns one CheckResult per check."""
-    grid = GridSpec(L=L, n=n)
+def run_validation(seed: int = 0, p: float = 4.0) -> list[CheckResult]:
+    """Run the full invariant suite on the L = 6, n = 16 box; one CheckResult per check."""
+    grid = GridSpec(L=6.0, n=16)
     rng = np.random.default_rng(seed)
     fields = [random_smooth_field(grid, rng) for _ in range(8)]
     v_const = Constant(1.0).sample(grid)

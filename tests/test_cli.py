@@ -1,6 +1,7 @@
 """The command-line entry point, end to end on tiny runs."""
 
 import csv
+import dataclasses
 import os
 import subprocess
 import sys
@@ -10,9 +11,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import spgs.cli
 import spgs.minimize
 from spgs.cli import main
 from spgs.grid import GridSpec, ScalarField, boundary_mass_fraction, read_field, write_field
+from spgs.minimize import TraceRow
 
 
 def _fresh_python(code: str) -> str:
@@ -171,3 +174,48 @@ def test_summary_csv_carries_the_boundary_mass(tmp_path, capsys):
     assert line.endswith(
         f"  boundary_mass = {float(row['boundary_mass']):.3e}  pohozaev = {float(row['pohozaev']):+.3e}"
     )
+
+
+def test_trace_csv_rows_are_the_result_trace(tmp_path, monkeypatch):
+    results = []
+    solve = spgs.cli.find_ground_state
+
+    def recording(*args):
+        results.append(solve(*args))
+        return results[-1]
+
+    monkeypatch.setattr(spgs.cli, "find_ground_state", recording)
+    argv = ["solve", "--set", "grid.L=4.0", "--set", "grid.n=16", "--output", str(tmp_path)]
+    assert main(argv) == 0
+    (result,) = results
+    (run_dir,) = tmp_path.iterdir()
+    text = (run_dir / "trace.csv").read_text(encoding="utf-8")
+    lines = [line for line in text.splitlines() if not line.startswith("#")]
+    assert lines[0] == "iter,I,G,A1,B,C,residual_l2,step"
+    rows = [TraceRow(int(k), *map(float, rest)) for k, *rest in (line.split(",") for line in lines[1:])]
+
+    def bits(row):
+        return np.array(dataclasses.astuple(row), dtype=np.float64).tobytes()
+
+    assert [bits(row) for row in rows] == [bits(row) for row in result.trace]
+
+
+@pytest.mark.parametrize("override, checks", [("true", 0), ("false", 1)])
+def test_coercivity_override_key_reaches_the_solve(tmp_path, monkeypatch, override, checks):
+    calls = []
+    check = spgs.minimize.coercivity_check
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(spgs.minimize, "coercivity_check", counting)
+    argv = [
+        "solve",
+        "--set", "grid.L=4.0",
+        "--set", "grid.n=16",
+        "--set", f"solver.coercivity_override={override}",
+        "--output", str(tmp_path),
+    ]
+    assert main(argv) == 0
+    assert len(calls) == checks

@@ -239,7 +239,8 @@ def test_pohozaev_is_the_dilation_derivative(V, kinetic):
         g = GridSpec(L=6.0, n=n)
 
         def breakdown(width):
-            return energy_breakdown(gaussian_blob(g, width=width, amplitude=1.3), V, 4.0, kinetic=kinetic)
+            u = gaussian_blob(g, width=width, amplitude=1.3)
+            return energy_breakdown(u, V.sample(g), 4.0, kinetic=kinetic)
 
         dilation = (breakdown(1.0 + eps).I - breakdown(1.0 - eps).I) / (2.0 * eps)
         eb = breakdown(1.0)

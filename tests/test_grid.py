@@ -45,7 +45,14 @@ class TestGridSpec:
 
     def test_staggered_keeps_origin_clear(self):
         g = GridSpec(L=4.0, n=16)
-        assert g.min_radius() >= g.h / 2.0
+        assert g.radius.min() >= g.h / 2.0
+
+    @pytest.mark.parametrize("L, n", [(2.5, 24), (4.0, 64), (6.0, 48)])
+    def test_radius_is_the_norm_of_the_node_coordinates(self, L, n):
+        # bit for bit: the broadcast sum keeps the order x^2 + y^2 + z^2
+        g = GridSpec(L=L, n=n)
+        x, y, z = g.coords()
+        assert g.radius.tobytes() == np.sqrt(x * x + y * y + z * z).tobytes()
 
 
 class TestScalarField:

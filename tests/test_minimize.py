@@ -2,6 +2,7 @@
 
 import math
 from collections import Counter
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,7 +17,6 @@ from spgs.minimize import (
     SolverConfig,
     compare_with_vinf,
     find_ground_state,
-    ground_level_constant,
     mountain_pass_crosscheck,
     relative_asymmetry,
 )
@@ -138,7 +138,7 @@ class TestFindGroundState:
     def test_override_gets_past_gate(self, quick_cfg, quick_grid):
         # a coercive singular potential with the probe bypassed still runs
         res = find_ground_state(
-            CoulombSingular(1.0, 0.05, 1), quick_cfg, quick_grid, coercivity_override=True
+            CoulombSingular(1.0, 0.05, 1), replace(quick_cfg, coercivity_override=True), quick_grid
         )
         assert res.converged
 
@@ -202,13 +202,9 @@ class TestFindGroundState:
 
 
 class TestGroundLevelConstant:
-    def test_rejects_nonpositive(self, quick_cfg, quick_grid):
-        with pytest.raises(ValueError):
-            ground_level_constant(0.0, quick_cfg, quick_grid)
-
     def test_level_ordering_small_case(self, quick_cfg, quick_grid):
-        c1 = ground_level_constant(1.0, quick_cfg, quick_grid)
-        c2 = ground_level_constant(2.0, quick_cfg, quick_grid)
+        c1 = find_ground_state(Constant(1.0), quick_cfg, quick_grid).c_estimate
+        c2 = find_ground_state(Constant(2.0), quick_cfg, quick_grid).c_estimate
         assert c1 < c2
 
 
@@ -224,7 +220,7 @@ class TestCompareWithVinf:
 
     def test_rejects_nonpositive_vinf(self, quick_cfg, quick_grid):
         with pytest.raises(ValueError):
-            compare_with_vinf(Constant(-1.0), quick_cfg, quick_grid, coercivity_override=True)
+            compare_with_vinf(Constant(-1.0), replace(quick_cfg, coercivity_override=True), quick_grid)
 
 
 class TestMountainPass:

@@ -171,12 +171,13 @@ class TestPrunedConvolution:
 
 def breakdown_b(u, phi):
     """B of the energy breakdown, evaluated with the given phi."""
-    return energy_breakdown(u, Constant(1.0), 4.0, phi=phi).B
+    return energy_breakdown(u, Constant(1.0).sample(u.grid), 4.0, phi=phi).B
 
 
 class TestNonlocalEnergy:
     def test_zero(self, small_grid):
-        assert energy_breakdown(ScalarField.zeros(small_grid), Constant(1.0), 4.0).B == 0.0
+        zero = ScalarField.zeros(small_grid)
+        assert energy_breakdown(zero, Constant(1.0).sample(small_grid), 4.0).B == 0.0
 
     def test_quartic_scaling(self, small_grid):
         u = seeded_fields(small_grid, 1, seed=10)[0]
@@ -237,7 +238,7 @@ class TestDoubleIntegralOracle:
         # with the raw kernel sum the lattice bookkeeping is an identity:
         # integral(phi u^2) = oracle / (4 pi) to rounding
         for u in seeded_fields(small_grid, 3, seed=14):
-            b = energy_breakdown(u, Constant(1.0), 4.0).B
+            b = energy_breakdown(u, Constant(1.0).sample(small_grid), 4.0).B
             target = double_integral_oracle(u) / (4.0 * math.pi)
             assert b == pytest.approx(target, rel=1e-11)
 

@@ -42,6 +42,15 @@ class TestSampling:
         k = int(np.argmin(r))
         assert f.values[k] == 1.0 - 0.1 / r[k]
 
+    @pytest.mark.parametrize(
+        "V",
+        [Constant(1.5), CoulombSingular(1.0, 0.3, 1), CoulombSingular(0.5, 0.1, 2)],
+        ids=["constant", "coulomb-1", "coulomb-2"],
+    )
+    def test_sample_is_the_profile_at_the_node_radii(self, grid, V):
+        # one formula for the 3-D grid and the radial mesh, bit for bit
+        assert V.sample(grid).as3d.tobytes() == V.profile(grid.radius).tobytes()
+
     def test_alpha_validation(self):
         with pytest.raises(ValueError):
             CoulombSingular(1.0, 0.1, 3)

@@ -7,17 +7,17 @@ import pytest
 import scipy.linalg
 
 import spgs.radial
+from spgs.grid import GridSpec
 from spgs.minimize import SolverConfig, GaussianBlob
-from spgs.potential import Composite, Constant, CoulombSingular
+from spgs.potential import Composite, Constant, CoulombSingular, Tabulated
 from spgs.radial import (
     RadialProfile,
     _mesh,
+    _radial_kinetic,
     _radial_precondition,
     _radial_residual,
-    _sample_radial_potential,
     radial_energy_breakdown,
     radial_ground_state,
-    radial_kinetic_energy,
     radial_quadrature,
     radial_solve_phi,
     write_radial_csv,
@@ -112,7 +112,7 @@ class TestRadialEnergies:
     def test_kinetic_closed_form(self):
         # integral |u'|^2 over R^3 for exp(-r^2/2) is (3/2) pi^(3/2)
         u = gaussian_profile(r_max=20.0, n_r=8192)
-        assert radial_kinetic_energy(u) == pytest.approx(1.5 * math.pi**1.5, rel=1e-5)
+        assert _radial_kinetic(u)[0] == pytest.approx(1.5 * math.pi**1.5, rel=1e-5)
 
     def test_quadrature_closed_form(self):
         u = gaussian_profile(r_max=20.0, n_r=8192)
@@ -128,7 +128,7 @@ class TestRadialEnergies:
     def test_breakdown_h1_is_the_radial_sobolev_norm(self):
         u = gaussian_profile(r_max=20.0, n_r=1024)
         eb = radial_energy_breakdown(u, np.ones(u.n_r), 4.0, radial_solve_phi(u))
-        assert eb.h1 == math.sqrt(radial_kinetic_energy(u) + radial_quadrature(u, u.values * u.values))
+        assert eb.h1 == math.sqrt(_radial_kinetic(u)[0] + radial_quadrature(u, u.values * u.values))
 
 
 class TestRadialResidual:
@@ -263,7 +263,7 @@ class TestRadialGroundState:
         defects = []
         for n_r in (1024, 4096):
             u, phi, _ = radial_ground_state(V, 4.0, r_max=30.0, n_r=n_r)
-            v_vals = _sample_radial_potential(V, u.nodes)
+            v_vals = V.profile(u.nodes)
             eb = radial_energy_breakdown(u, v_vals, 4.0, phi)
             q = u.values * u.values
             P = eb.pohozaev(radial_quadrature(u, v_vals * q), radial_quadrature(u, V.virial(u.nodes) * q))
@@ -277,9 +277,14 @@ class TestRadialGroundState:
         assert abs(c - 9.863277389) <= 1e-6
 
     def test_rejects_nonradial_potential(self):
-        comp = Composite(Constant(1.0), lambda x, y, z: x, 0.1)
-        with pytest.raises(ValueError):
-            radial_ground_state(comp, 4.0, n_r=128)
+        # kinds without a radial profile; the message names the kind
+        grid = GridSpec(L=4.0, n=8)
+        for V in (
+            Composite(Constant(1.0), lambda x, y, z: x, 0.1),
+            Tabulated(Constant(1.0).sample(grid)),
+        ):
+            with pytest.raises(ValueError, match=f"got {type(V).__name__}$"):
+                radial_ground_state(V, 4.0, n_r=128)
 
     def test_rejects_bad_exponent(self):
         with pytest.raises(ValueError):
