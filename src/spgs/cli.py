@@ -260,10 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="config keys and defaults:\n  " + "\n  ".join(describe_keys()),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    parser.add_argument("mode_positional", nargs="?", choices=MODES, metavar="MODE",
-                        help="run mode (alternative to --mode): " + ", ".join(MODES))
+    parser.add_argument("mode", nargs="?", choices=MODES, metavar="MODE",
+                        help="run mode (overrides the config file): " + ", ".join(MODES))
     parser.add_argument("--config", type=Path, help="configuration file path")
-    parser.add_argument("--mode", choices=MODES, help="run mode (overrides the config file)")
     parser.add_argument("--jobs", type=int, help="concurrent sweep points")
     parser.add_argument("--seed", type=int, help="solver seed override")
     parser.add_argument("--output", help="output directory")
@@ -296,14 +295,9 @@ def _effective_config(args: argparse.Namespace) -> RunConfig:
     if overrides:
         cfg = apply_assignments(cfg, overrides, where=" (from --set)")
 
-    if args.mode_positional and args.mode and args.mode_positional != args.mode:
-        raise ConfigError(
-            f"mode: positional {args.mode_positional!r} conflicts with --mode {args.mode!r}"
-        )
     updates: list[tuple[str, str]] = []
-    mode = args.mode or args.mode_positional
-    if mode:
-        updates.append(("mode", mode))
+    if args.mode:
+        updates.append(("mode", args.mode))
     if args.jobs is not None:
         updates.append(("jobs", str(args.jobs)))
     if args.seed is not None:

@@ -1,20 +1,29 @@
 """Run configuration: parse, validate, default, and re-emit.
 
 Format: UTF-8 text, one `section.key = value` per line, `#` starts a
-comment.  Unknown keys are errors, as are type or range violations; every
-error message carries the offending key path (and line number when
-parsing).  `canonical_text` emits the full configuration in a fixed key
-order so that parse(canonical_text(cfg)) round-trips exactly.
+comment.  Each key is one `RunConfig` field: the field `solver_init_width`
+is the key `solver.init_width` (the first `_` becomes `.` when the prefix
+is a section of `_SECTIONS`), and the field's annotation picks the key's
+parser and formatter.  Adding a key means adding a field.
+
+Unknown keys and unparsable values are errors that name the key (and the
+line when parsing).  `RunConfig.validate` checks the rules that join
+several keys itself; the range of each value is checked by the object
+that takes it (`GridSpec`, `SolverConfig`, `GaussianBlob`, the
+potential), which validate builds, and such a refusal reads
+`<section>: <the object's message>`.  `canonical_text` emits the full
+configuration in field order so that parse(canonical_text(cfg))
+round-trips exactly.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Any
 
 from .errors import ConfigError
-from .grid import KINETICS, GridSpec
+from .grid import GridSpec, read_field
 from .minimize import GaussianBlob, SolverConfig
 from .potential import Constant, CoulombSingular, Potential, Tabulated
 
@@ -22,6 +31,8 @@ MODES = ("solve", "sweep-lambda", "compare-vinf", "validate", "radial-crosscheck
 
 _POTENTIAL_KINDS = ("constant", "coulomb_singular", "tabulated")
 _INIT_KINDS = ("gaussian", "file")
+# field-name prefixes that are key sections: grid_n is the key grid.n
+_SECTIONS = ("grid", "potential", "solver", "sweep", "radial")
 
 
 def _parse_bool(key: str, raw: str) -> bool:
@@ -95,45 +106,21 @@ class RunConfig:
     radial_n_r: int = 2048
 
     def validate(self) -> None:
-        if self.grid_L <= 0:
-            raise ConfigError(f"grid.L: must be positive, got {self.grid_L}")
-        if self.grid_n < 8:
-            raise ConfigError(f"grid.n: must be at least 8, got {self.grid_n}")
-        if self.grid_n % 2:
-            raise ConfigError(f"grid.n: must be even, got {self.grid_n}")
+        """Check the rules that join keys, then build the run's objects.
+
+        Each object checks the ranges of the values it takes, and its
+        ValueError becomes ConfigError("<section>: <message>").  A tabulated
+        potential is not built here, since that reads its file.
+        """
         if self.potential_kind not in _POTENTIAL_KINDS:
             raise ConfigError(
                 f"potential.kind: must be one of {_POTENTIAL_KINDS}, got {self.potential_kind!r}"
             )
-        if self.potential_alpha not in (1, 2):
-            raise ConfigError(f"potential.alpha: must be 1 or 2, got {self.potential_alpha}")
-        if self.potential_lambda < 0:
-            raise ConfigError(f"potential.lambda: must be nonnegative, got {self.potential_lambda}")
         if self.potential_kind == "tabulated" and not self.potential_table_path:
             raise ConfigError("potential.table_path: required for tabulated potentials")
-        if not 3.0 < self.solver_p < 5.0:
-            raise ConfigError(f"solver.p: must lie in the open interval (3, 5), got {self.solver_p}")
-        if self.solver_step <= 0:
-            raise ConfigError(f"solver.step: must be positive, got {self.solver_step}")
-        if self.solver_tol <= 0:
-            raise ConfigError(f"solver.tol: must be positive, got {self.solver_tol}")
-        if self.solver_max_iters < 1:
-            raise ConfigError(f"solver.max_iters: must be at least 1, got {self.solver_max_iters}")
-        if self.solver_seed < 0:
-            raise ConfigError(f"solver.seed: must be nonnegative, got {self.solver_seed}")
-        if self.solver_starts < 1:
-            raise ConfigError(f"solver.starts: must be at least 1, got {self.solver_starts}")
-        if self.solver_kinetic not in KINETICS:
-            raise ConfigError(
-                f"solver.kinetic: must be one of {KINETICS}, got {self.solver_kinetic!r}"
-            )
         if self.solver_init not in _INIT_KINDS:
             raise ConfigError(
                 f"solver.init: must be one of {_INIT_KINDS}, got {self.solver_init!r}"
-            )
-        if self.solver_init_width < 0:
-            raise ConfigError(
-                f"solver.init_width: must be nonnegative (0 means L/6), got {self.solver_init_width}"
             )
         if self.solver_init == "file" and not self.solver_init_path:
             raise ConfigError("solver.init_path: required when solver.init = file")
@@ -144,6 +131,11 @@ class RunConfig:
                 "potential.kind: radial-crosscheck needs a radially symmetric potential "
                 "(constant or coulomb_singular), got 'tabulated'"
             )
+        if self.mode == "compare-vinf" and self.solver_init == "file":
+            raise ConfigError(
+                "solver.init: compare-vinf also solves on a refined grid, which a field dump "
+                "does not fit; use solver.init = gaussian"
+            )
         if self.jobs < 1:
             raise ConfigError(f"jobs: must be at least 1, got {self.jobs}")
         if not self.sweep_lambdas:
@@ -152,10 +144,20 @@ class RunConfig:
             raise ConfigError(f"sweep.lambdas: values must be positive, got {self.sweep_lambdas}")
         if len(set(self.sweep_lambdas)) != len(self.sweep_lambdas):
             raise ConfigError(f"sweep.lambdas: values must be distinct, got {self.sweep_lambdas}")
+        # radial_ground_state checks these too, but it sits behind the scipy
+        # import, which neither the CLI nor its set-up loads
         if self.radial_r_max <= 0:
             raise ConfigError(f"radial.r_max: must be positive, got {self.radial_r_max}")
         if self.radial_n_r < 16:
             raise ConfigError(f"radial.n_r: must be at least 16, got {self.radial_n_r}")
+        builds = [("grid", self.build_grid), ("solver", self.build_solver)]
+        if self.potential_kind != "tabulated":
+            builds.append(("potential", self.build_potential))
+        for section, build in builds:
+            try:
+                build()
+            except ValueError as exc:
+                raise ConfigError(f"{section}: {exc}") from None
 
     # object builders -------------------------------------------------
 
@@ -167,15 +169,13 @@ class RunConfig:
             return Constant(self.potential_V1)
         if self.potential_kind == "coulomb_singular":
             return CoulombSingular(self.potential_V1, self.potential_lambda, self.potential_alpha)
-        from .grid import read_field
-
         return Tabulated(read_field(self.potential_table_path))
 
     def build_solver(self) -> SolverConfig:
         if self.solver_init == "gaussian":
             init: Any = GaussianBlob(
                 center=self.solver_init_center,
-                width=self.solver_init_width if self.solver_init_width > 0 else None,
+                width=self.solver_init_width or None,
                 amplitude=self.solver_init_amplitude,
             )
         else:
@@ -193,7 +193,6 @@ class RunConfig:
         )
 
 
-# key path -> (attribute, parser, formatter)
 def _fmt_plain(v: Any) -> str:
     return str(v)
 
@@ -217,33 +216,25 @@ def _parse_center(key: str, raw: str) -> tuple[float, float, float]:
     return (vals[0], vals[1], vals[2])
 
 
+# a field's annotation -> (parser, formatter) of its key
+_CODECS: dict[str, tuple[Any, Any]] = {
+    "float": (_parse_float, _fmt_float),
+    "int": (_parse_int, _fmt_plain),
+    "str": (lambda k, r: r.strip(), _fmt_plain),
+    "bool": (_parse_bool, _fmt_bool),
+    "tuple[float, float, float]": (_parse_center, _fmt_floats),
+    "tuple[float, ...]": (_parse_floats, _fmt_floats),
+}
+
+
+def _key(attr: str) -> str:
+    section, _, rest = attr.partition("_")
+    return f"{section}.{rest}" if section in _SECTIONS else attr
+
+
+# key path -> (attribute, parser, formatter), in field order
 _SCHEMA: dict[str, tuple[str, Any, Any]] = {
-    "grid.L": ("grid_L", _parse_float, _fmt_float),
-    "grid.n": ("grid_n", _parse_int, _fmt_plain),
-    "potential.kind": ("potential_kind", lambda k, r: r.strip(), _fmt_plain),
-    "potential.V1": ("potential_V1", _parse_float, _fmt_float),
-    "potential.lambda": ("potential_lambda", _parse_float, _fmt_float),
-    "potential.alpha": ("potential_alpha", _parse_int, _fmt_plain),
-    "potential.table_path": ("potential_table_path", lambda k, r: r.strip(), _fmt_plain),
-    "solver.p": ("solver_p", _parse_float, _fmt_float),
-    "solver.step": ("solver_step", _parse_float, _fmt_float),
-    "solver.tol": ("solver_tol", _parse_float, _fmt_float),
-    "solver.max_iters": ("solver_max_iters", _parse_int, _fmt_plain),
-    "solver.seed": ("solver_seed", _parse_int, _fmt_plain),
-    "solver.starts": ("solver_starts", _parse_int, _fmt_plain),
-    "solver.kinetic": ("solver_kinetic", lambda k, r: r.strip(), _fmt_plain),
-    "solver.init": ("solver_init", lambda k, r: r.strip(), _fmt_plain),
-    "solver.init_width": ("solver_init_width", _parse_float, _fmt_float),
-    "solver.init_center": ("solver_init_center", _parse_center, _fmt_floats),
-    "solver.init_amplitude": ("solver_init_amplitude", _parse_float, _fmt_float),
-    "solver.init_path": ("solver_init_path", lambda k, r: r.strip(), _fmt_plain),
-    "solver.coercivity_override": ("solver_coercivity_override", _parse_bool, _fmt_bool),
-    "mode": ("mode", lambda k, r: r.strip(), _fmt_plain),
-    "output_dir": ("output_dir", lambda k, r: r.strip(), _fmt_plain),
-    "jobs": ("jobs", _parse_int, _fmt_plain),
-    "sweep.lambdas": ("sweep_lambdas", _parse_floats, _fmt_floats),
-    "radial.r_max": ("radial_r_max", _parse_float, _fmt_float),
-    "radial.n_r": ("radial_n_r", _parse_int, _fmt_plain),
+    _key(f.name): (f.name, *_CODECS[f.type]) for f in fields(RunConfig)
 }
 
 

@@ -46,36 +46,36 @@ from .grid import (
 from .poisson import solve_phi
 
 
-def _check_p(p: float) -> None:
-    if not 3.0 < p < 5.0:
-        raise ValueError(f"exponent must lie in the open interval (3, 5), got p={p}")
-
-
 @dataclass(frozen=True)
 class EnergyBreakdown:
-    """A1, B, C, the derived action values and the H^1 norm (NaN if not given) at one field."""
+    """A1, B, C and the H^1 norm (NaN if not given) at one field, with the derived I, G, J."""
 
     A1: float
     B: float
     C: float
-    I: float
-    G: float
-    J: float
     p: float
     h1: float = math.nan
+
+    def __post_init__(self) -> None:
+        if not 3.0 < self.p < 5.0:
+            raise ValueError(f"exponent must lie in the open interval (3, 5), got p={self.p}")
+
+    @property
+    def I(self) -> float:
+        return 0.5 * self.A1 + 0.25 * self.B - self.C / (self.p + 1.0)
+
+    @property
+    def G(self) -> float:
+        return self.A1 + self.B - self.C
+
+    @property
+    def J(self) -> float:
+        return (0.5 - 1.0 / (self.p + 1.0)) * self.A1 + (0.25 - 1.0 / (self.p + 1.0)) * self.B
 
     @property
     def magnitude(self) -> float:
         """Scale |A1| + B + C used for relative tolerances."""
         return abs(self.A1) + self.B + self.C
-
-    @classmethod
-    def from_scalars(cls, A1: float, B: float, C: float, p: float, h1: float = math.nan) -> "EnergyBreakdown":
-        _check_p(p)
-        I = 0.5 * A1 + 0.25 * B - C / (p + 1.0)
-        G = A1 + B - C
-        J = (0.5 - 1.0 / (p + 1.0)) * A1 + (0.25 - 1.0 / (p + 1.0)) * B
-        return cls(A1=A1, B=B, C=C, I=I, G=G, J=J, p=p, h1=h1)
 
     def pohozaev(self, v_mass: float, virial: float) -> float:
         """Pohozaev defect P = d/dlam I(u(./lam)) at lam = 1, in absolute units.
@@ -96,7 +96,7 @@ class EnergyBreakdown:
 
     def at_scale(self, t: float) -> "EnergyBreakdown":
         """Breakdown of the scaled field t*u via exact homogeneity."""
-        return EnergyBreakdown.from_scalars(
+        return EnergyBreakdown(
             t**2 * self.A1, t**4 * self.B, t ** (self.p + 1.0) * self.C, self.p, abs(t) * self.h1
         )
 
@@ -105,7 +105,6 @@ def _evaluate(u: ScalarField, V: ScalarField, p: float, phi: ScalarField | None,
     """(breakdown, -Lap u, V values, phi) at u from one application of -Lap.
 
     The breakdown's h1 is sqrt(h^3 <u, -Lap u> + h^3 sum u^2)."""
-    _check_p(p)
     g = u.grid
     w = g.h**3
     if V.grid != g:
@@ -120,7 +119,7 @@ def _evaluate(u: ScalarField, V: ScalarField, p: float, phi: ScalarField | None,
     B = w * float(np.sum(phi.values * u2))
     C = lp_integral(u, p + 1.0)
     h1 = math.sqrt(kin + w * float(np.sum(u2)))
-    return EnergyBreakdown.from_scalars(A1, B, C, p, h1), mlap, vvals, phi
+    return EnergyBreakdown(A1, B, C, p, h1), mlap, vvals, phi
 
 
 def energy_breakdown(

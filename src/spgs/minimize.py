@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import NoDescentError, NonCoerciveError
 from .functional import EnergyBreakdown, el_residual, energy_breakdown, precondition
-from .grid import GridSpec, ScalarField, boundary_mass_fraction, l2_norm, radialize, read_field
+from .grid import KINETICS, GridSpec, ScalarField, boundary_mass_fraction, l2_norm, radialize, read_field
 from .nehari import _solve_fiber, nehari_project, ray_profile
 from .poisson import solve_phi
 from .potential import Constant, Potential, coercivity_check
@@ -63,6 +63,10 @@ class GaussianBlob:
     center: tuple[float, float, float] = (0.0, 0.0, 0.0)
     width: float | None = None
     amplitude: float = 1.0
+
+    def __post_init__(self) -> None:
+        if self.width is not None and not self.width > 0:
+            raise ValueError(f"blob width must be positive (or None for L/6), got width={self.width}")
 
 
 InitSpec = Union[GaussianBlob, str, Path]
@@ -91,8 +95,12 @@ class SolverConfig:
             )
         if self.max_iters < 1:
             raise ValueError(f"need max_iters >= 1, got {self.max_iters}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got seed={self.seed}")
         if self.starts < 1:
             raise ValueError(f"need starts >= 1, got {self.starts}")
+        if self.kinetic not in KINETICS:
+            raise ValueError(f"kinetic must be one of {KINETICS}, got kinetic={self.kinetic!r}")
 
 
 @dataclass(frozen=True)
@@ -126,7 +134,6 @@ class GroundStateResult:
     residual_norm: float
     iterations: int
     trace: tuple[TraceRow, ...]
-    converged: bool
     status: str
     boundary_mass: float
     pohozaev: float
@@ -134,6 +141,10 @@ class GroundStateResult:
     @property
     def c_estimate(self) -> float:
         return self.breakdown.I
+
+    @property
+    def converged(self) -> bool:
+        return self.status == "converged"
 
 
 def initial_field(init: InitSpec, grid: GridSpec) -> ScalarField:
@@ -204,8 +215,8 @@ def _descend(u0, cfg: SolverConfig, *, field, solve, breakdown, residual, precon
     floor, the memory is cleared and the iteration retried from the
     preconditioned gradient, and only a failed retry raises NoDescentError.
 
-    Returns (u, breakdown, phi, residual norm, iterations, trace,
-    converged, status).
+    Returns (u, breakdown, phi, residual norm, iterations, trace, status),
+    status "converged" or "max-iters".
     """
     phi = solve(u0)
     eb = breakdown(u0, phi)
@@ -235,7 +246,6 @@ def _descend(u0, cfg: SolverConfig, *, field, solve, breakdown, residual, precon
     pairs: list[tuple] = []
     previous = None
     last_step = 0.0
-    converged = False
     status = "max-iters"
     iterations = 0
     rnorm = math.inf
@@ -247,7 +257,6 @@ def _descend(u0, cfg: SolverConfig, *, field, solve, breakdown, residual, precon
         )
         # stop on the residual relative to the Sobolev size of the iterate
         if rnorm <= cfg.tol_residual * eb.h1:
-            converged = True
             status = "converged"
             iterations = k
             break
@@ -281,7 +290,7 @@ def _descend(u0, cfg: SolverConfig, *, field, solve, breakdown, residual, precon
             )
         u, phi, last_step = step
 
-    return u, eb, phi, rnorm, iterations, trace, converged, status
+    return u, eb, phi, rnorm, iterations, trace, status
 
 
 def find_ground_state(V: Potential, cfg: SolverConfig, grid: GridSpec) -> GroundStateResult:
@@ -343,7 +352,7 @@ def find_ground_state(V: Potential, cfg: SolverConfig, grid: GridSpec) -> Ground
         )
         if best is None or out[1].I < best[1].I:
             best = out
-    u, eb, phi_conv, rnorm, iterations, trace, converged, status = best
+    u, eb, phi_conv, rnorm, iterations, trace, status = best
 
     # the Pohozaev defect from the breakdown eb of u and two more weighted sums of u^2
     w = grid.h**3
@@ -360,7 +369,6 @@ def find_ground_state(V: Potential, cfg: SolverConfig, grid: GridSpec) -> Ground
         residual_norm=rnorm,
         iterations=iterations,
         trace=tuple(trace),
-        converged=converged,
         status=status,
         boundary_mass=boundary_mass_fraction(u),
         pohozaev=pohozaev,

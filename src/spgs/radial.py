@@ -156,7 +156,7 @@ def _radial_evaluate(u: RadialProfile, v_vals: np.ndarray, p: float, phi: Radial
     b = radial_quadrature(u, phi.values * q)
     c = radial_quadrature(u, np.abs(u.values) ** (p + 1.0))
     h1 = math.sqrt(kin + radial_quadrature(u, q))
-    return EnergyBreakdown.from_scalars(a1, b, c, p, h1), mlap
+    return EnergyBreakdown(a1, b, c, p, h1), mlap
 
 
 def radial_energy_breakdown(u: RadialProfile, v_vals: np.ndarray, p: float, phi: RadialProfile):

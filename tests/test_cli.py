@@ -15,7 +15,8 @@ import spgs.cli
 import spgs.minimize
 from spgs.cli import main
 from spgs.grid import GridSpec, ScalarField, boundary_mass_fraction, read_field, write_field
-from spgs.minimize import TraceRow
+from spgs.minimize import GaussianBlob, SolverConfig, TraceRow
+from spgs.potential import CoulombSingular
 
 
 def _fresh_python(code: str) -> str:
@@ -103,6 +104,67 @@ def test_nonfinite_step_mid_descent_is_a_solver_error(tmp_path, monkeypatch, cap
 def test_rejected_run_inputs_are_config_errors(tmp_path, capsys, args):
     assert main(args + ["--output", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("ERROR config:")
+
+
+# each value the config passes on, with the --set items that give it a
+# refused value and the library call that refuses it
+_OWNED_RULES = [
+    (["grid.L=-1.0"], lambda: GridSpec(L=-1.0, n=32)),
+    (["grid.n=6"], lambda: GridSpec(L=4.0, n=6)),
+    (["grid.n=9"], lambda: GridSpec(L=4.0, n=9)),
+    (["solver.p=5.5"], lambda: SolverConfig(p=5.5)),
+    (["solver.step=0"], lambda: SolverConfig(step=0.0)),
+    (["solver.tol=-1e-7"], lambda: SolverConfig(tol_residual=-1e-7)),
+    (["solver.max_iters=0"], lambda: SolverConfig(max_iters=0)),
+    (["solver.starts=0"], lambda: SolverConfig(starts=0)),
+    (["solver.seed=-1"], lambda: SolverConfig(seed=-1)),
+    (["solver.kinetic=bogus"], lambda: SolverConfig(kinetic="bogus")),
+    (["solver.init_width=-1.0"], lambda: GaussianBlob(width=-1.0)),
+    (["potential.kind=coulomb_singular", "potential.alpha=3"], lambda: CoulombSingular(1.0, 0.0, 3)),
+    (["potential.kind=coulomb_singular", "potential.lambda=-0.5"], lambda: CoulombSingular(1.0, -0.5, 1)),
+]
+
+
+@pytest.mark.parametrize("sets, build", _OWNED_RULES, ids=[sets[-1] for sets, _ in _OWNED_RULES])
+def test_each_range_rule_has_one_owner(tmp_path, capsys, sets, build):
+    # the object that takes the value refuses it, and the CLI reports that
+    # refusal as a config error of the value's section
+    with pytest.raises(ValueError):
+        build()
+    argv = ["solve", "--output", str(tmp_path)]
+    for item in sets:
+        argv += ["--set", item]
+    assert main(argv) == 2
+    section = sets[-1].split(".")[0]
+    assert capsys.readouterr().err.startswith(f"ERROR config: {section}: ")
+    assert not any(tmp_path.iterdir())
+
+
+def test_compare_vinf_from_a_field_dump_is_a_config_error(tmp_path, capsys, monkeypatch):
+    # the dump fits the run grid but not the refined grid compare-vinf also
+    # solves on, so the run is refused before its first solve
+    dump = tmp_path / "init.field"
+    blob = ScalarField.from_function(GridSpec(L=4.0, n=16), lambda x, y, z: np.exp(-(x * x + y * y + z * z)))
+    write_field(blob, dump)
+    calls = []
+    solve = spgs.minimize.find_ground_state
+
+    def counting(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(spgs.minimize, "find_ground_state", counting)
+    argv = [
+        "compare-vinf",
+        "--set", "grid.L=4.0",
+        "--set", "grid.n=16",
+        "--set", "solver.init=file",
+        "--set", f"solver.init_path={dump}",
+        "--output", str(tmp_path / "out"),
+    ]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("ERROR config: solver.init:")
+    assert calls == []
 
 
 def _config_error_from_init_dump(tmp_path, capsys, data):

@@ -97,3 +97,48 @@ def test_describe_keys_gives_one_line_per_schema_key():
     for line, key in zip(lines, _SCHEMA):
         assert line.startswith(f"{key} (default: ")
         assert "\n" not in line
+
+
+def test_unused_potential_values_are_not_checked():
+    # alpha and lambda belong to the Coulomb kind, and only it checks them
+    RunConfig(potential_alpha=3, potential_lambda=-1.0).validate()
+    with pytest.raises(ConfigError, match="^potential: "):
+        RunConfig(potential_kind="coulomb_singular", potential_alpha=3).validate()
+
+
+# the default value text of every key, in key order
+DEFAULTS = [
+    ("grid.L", "12.0"),
+    ("grid.n", "32"),
+    ("potential.kind", "constant"),
+    ("potential.V1", "1.0"),
+    ("potential.lambda", "0.0"),
+    ("potential.alpha", "1"),
+    ("potential.table_path", ""),
+    ("solver.p", "4.0"),
+    ("solver.step", "1.0"),
+    ("solver.tol", "1e-07"),
+    ("solver.max_iters", "500"),
+    ("solver.seed", "0"),
+    ("solver.starts", "1"),
+    ("solver.kinetic", "fd"),
+    ("solver.init", "gaussian"),
+    ("solver.init_width", "0.0"),
+    ("solver.init_center", "0.0,0.0,0.0"),
+    ("solver.init_amplitude", "1.0"),
+    ("solver.init_path", ""),
+    ("solver.coercivity_override", "false"),
+    ("mode", "solve"),
+    ("output_dir", "runs"),
+    ("jobs", "1"),
+    ("sweep.lambdas", "1.0,2.0,4.0"),
+    ("radial.r_max", "30.0"),
+    ("radial.n_r", "2048"),
+]
+
+
+def test_default_text_and_key_help_are_pinned():
+    # the schema is derived from the RunConfig fields: this pins its key
+    # names, order and value formats
+    assert canonical_text(RunConfig()) == "".join(f"{key} = {value}\n" for key, value in DEFAULTS)
+    assert describe_keys() == [f"{key} (default: {value})" for key, value in DEFAULTS]

@@ -219,8 +219,8 @@ class TestPrecondition:
 
 
 class TestBreakdownDataclass:
-    def test_from_scalars_formulas(self):
-        eb = EnergyBreakdown.from_scalars(2.0, 1.0, 4.0, 4.0)
+    def test_derived_formulas(self):
+        eb = EnergyBreakdown(2.0, 1.0, 4.0, 4.0)
         assert eb.I == pytest.approx(2.0 / 2 + 1.0 / 4 - 4.0 / 5)
         assert eb.G == pytest.approx(2.0 + 1.0 - 4.0)
         assert eb.J == pytest.approx((0.5 - 0.2) * 2.0 + (0.25 - 0.2) * 1.0)
