@@ -12,14 +12,24 @@ The FFT convolution is a pruned separable transform.  The forward pass
 transforms one axis at a time and only the planes of the (2n)^3 padded
 box that hold charge; the inverse pass crops each axis to its n wanted
 outputs before transforming the next.  After the rfft along z the work
-runs plane by plane in k_z: blocks of about a megabyte of (2n)^2 planes
-pass through one reused buffer, each cropped back to n^2 in place, so
-no array of the padded box's size is formed.  The kernel's transform is
-cached as its (n + 1)^3 DCT-I octant and mirrored through views; the
+runs plane by plane in k_z: blocks of about half a megabyte of (2n)^2
+planes pass through a reused buffer, each cropped back to n^2 in place,
+so no array of the padded box's size is formed.  The kernel's transform
+is cached as its (n + 1)^3 DCT-I octant and mirrored through views; the
 DCT-I of each axis is the rfft of that axis's even extension.  Every
 pass runs on numpy.fft, whose pocketfft gives scipy.fft's results bit
 for bit.  The result equals the full padded irfftn(rfftn(pad) * K) bit
 for bit.
+
+Each pass, and each axis of the kernel's DCT-I, is cut into two shares
+of independent FFT lines or plane blocks.  The calling thread runs the
+first share and one helper thread the second; numpy.fft releases the
+GIL, so the two overlap, and since no line or block reads another's
+output the result does not depend on the split.  The helper is started
+on the first split, never at import, and only when the process may run
+on at least two CPUs; otherwise the caller runs both shares in turn.  A
+forked child drops its parent's helper, whose thread it does not
+inherit, and starts its own when it first splits.
 
 The same lattice sum by O(N^2) pairwise summation (`_convolve_direct`)
 is the reference the FFT path is tested against; its pairwise sums also
@@ -40,6 +50,8 @@ self-adjoint in u^2 and is what the energy functional differentiates.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from functools import lru_cache
 
 import numpy as np
@@ -61,6 +73,64 @@ KERNEL_CONSTANT = 1.0 / (4.0 * math.pi)
 # Largest grid for which the O(N^2) direct double sum is allowed.
 ORACLE_MAX_N = 24
 
+# Bytes of complex spectrum one share works on at a time: the (b, 2n, 2n) plane
+# block of `_convolve_fft`, and about the rfft of one `_kernel_octant` block.
+# Two shares' blocks together hold what one 1 MiB block did; small blocks also
+# keep down what the helper thread's malloc arena holds on to after freeing.
+_BLOCK_BYTES = 1 << 19
+
+# The one-thread executor that runs the second share of each split; started by
+# the first split in this process, and dropped in a forked child.
+_helper = None
+_helper_lock = threading.Lock()
+
+
+def _drop_helper() -> None:
+    global _helper, _helper_lock
+    _helper = None
+    _helper_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_helper)
+
+
+def _helper_executor():
+    """The helper's executor, started on first use; None when the process may use one CPU."""
+    global _helper
+    with _helper_lock:
+        if _helper is None:
+            affinity = getattr(os, "sched_getaffinity", None)
+            if (len(affinity(0)) if affinity else os.cpu_count() or 1) >= 2:
+                from concurrent.futures import ThreadPoolExecutor
+
+                _helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="spgs-poisson")
+        return _helper
+
+
+def _in_two_shares(task, stop: int, width: int) -> None:
+    """task(blocks) on the two halves of range(stop), each cut into slices of at most `width`.
+
+    The caller runs the first half and the helper the second.  Every
+    index must be independent of the others, so the halves give the same
+    result together as in turn.  Without a helper the caller runs task on
+    both halves' slices, in order.
+    """
+    mid = (stop + 1) // 2
+    first, second = (
+        [slice(s, min(s + width, end)) for s in range(start, end, width)]
+        for start, end in ((0, mid), (mid, stop))
+    )
+    helper = _helper_executor() if second else None
+    if helper is None:
+        task(first + second)
+        return
+    done = helper.submit(task, second)
+    try:
+        task(first)
+    finally:
+        done.result()
+
 
 @lru_cache(maxsize=8)
 def _kernel_octant(n: int, h: float) -> np.ndarray:
@@ -74,8 +144,10 @@ def _kernel_octant(n: int, h: float) -> np.ndarray:
     The DCT-I runs axis by axis, in order 0, 1, 2, as the real part of the
     rfft of the axis's even extension (x_0, ..., x_n, x_(n-1), ..., x_1),
     the length-2n sequence whose DFT it is; this equals
-    scipy.fft.dctn(k, type=1) bit for bit.  Only the octant is kept, laid
-    out [k2, d1, d0] as the plane blocks of `_convolve_fft` read it; the
+    scipy.fft.dctn(k, type=1) bit for bit.  Each axis's lines run in two
+    shares (`_in_two_shares`), split along the next axis into blocks of
+    about _BLOCK_BYTES of spectrum.  Only the octant is kept, laid out
+    [k2, d1, d0] as the plane blocks of `_convolve_fft` read it; the
     mirror is applied there through views.
     """
     d = np.arange(n + 1, dtype=np.float64)
@@ -83,17 +155,25 @@ def _kernel_octant(n: int, h: float) -> np.ndarray:
     with np.errstate(divide="ignore"):
         k = KERNEL_CONSTANT / r
     k[0, 0, 0] = KERNEL_CONSTANT * CELL_MEAN_INVERSE_DISTANCE / h
+    width = max(1, _BLOCK_BYTES // (16 * (n + 1) ** 2))
     for axis in range(3):
-        mirror = [slice(None)] * 3
-        mirror[axis] = slice(n - 1, 0, -1)
-        k = np.fft.rfft(np.concatenate([k, k[tuple(mirror)]], axis=axis), axis=axis).real
+        # views with the transformed axis first and the split axis second
+        order = (axis, (axis + 1) % 3)
+        src = np.moveaxis(k, order, (0, 1))
+        k = np.empty_like(k)
+        dst = np.moveaxis(k, order, (0, 1))
+
+        def dct1(blocks, src=src, dst=dst):
+            for sl in blocks:
+                part = src[:, sl]
+                even = np.concatenate([part, part[n - 1 : 0 : -1]])
+                dst[:, sl] = np.fft.rfft(even, axis=0).real
+
+        _in_two_shares(dct1, n + 1, width)
     table = np.ascontiguousarray(k.T)
     table.setflags(write=False)
     return table
 
-
-# bytes of the complex (b, 2n, 2n) plane block that `_convolve_fft` reuses
-_BLOCK_BYTES = 1 << 20
 
 
 def _planes_per_block(n: int) -> int:
@@ -108,20 +188,22 @@ def _convolve_fft(q: np.ndarray, grid: GridSpec) -> np.ndarray:
     (2n)^3, bit for bit: each 1-D pass is the one the padded transform
     runs, in the same axis order, except that forward passes skip the
     all-zero planes and inverse passes skip the planes that are cropped
-    away.  The 1/(2n)^3 normalisation is applied once, at the end, as the
-    padded inverse does.
+    away.  The 1/(2n)^3 normalisation is applied after the last pass, as
+    the padded inverse does.
 
     Axes 0, 1, 2 are x, y, z; the work runs on the transposed [z, y, x]
     layout, in which an F-ordered (x-fastest) field is C-ordered.  The
     rfft along z fills an (n + 1, n, n) spectrum, one (y, x) plane per k2,
-    slab by slab.  Blocks of `_planes_per_block` planes then go through one
+    slab by slab.  Blocks of `_planes_per_block` planes then go through a
     reused (b, 2n, 2n) buffer: forward along x on the n charged rows, then
     along y; the kernel product, read from the cached octant through its
     four mirrored quadrants; inverse along x and then y, each cropped to
     n; the n x n corner goes back into its spectrum plane.  The irfft
-    along k2 writes slab by slab into the F-ordered result.  So a call
-    holds the spectrum and the result, about three fields' worth, and one
-    block, where the padded spectrum alone is eight fields' worth.
+    along k2 writes slab by slab into the F-ordered result.  Each of the
+    three passes runs as two shares of slabs or blocks (`_in_two_shares`),
+    the plane-block shares each with its own buffer of about 512 KiB.  So
+    a call holds the spectrum and the result, about three fields' worth,
+    and two blocks, where the padded spectrum alone is eight fields' worth.
     """
     n = grid.n
     m = 2 * n
@@ -129,30 +211,41 @@ def _convolve_fft(q: np.ndarray, grid: GridSpec) -> np.ndarray:
     octant = _kernel_octant(n, grid.h)
     mirror = slice(n - 1, 0, -1)
     spec = np.empty((n + 1, n, n), dtype=np.complex128)
-    for s in range(0, n, b):
-        np.fft.rfft(q.T[:, s : s + b], n=m, axis=0, out=spec[:, s : s + b])
-    buf = np.empty((b, m, m), dtype=np.complex128)
-    for s in range(0, n + 1, b):
-        blk = spec[s : s + b]
-        k = octant[s : s + b]
-        # the padded planes, zero beyond the n x n charged corner; the passes run in place
-        f = buf[: len(blk)]
-        f[:, :n, :n] = blk
-        f[:, :n, n:] = 0.0
-        f[:, n:] = 0.0
-        np.fft.fft(f[:, :n], axis=2, out=f[:, :n])
-        np.fft.fft(f, axis=1, out=f)
-        f[:, : n + 1, : n + 1] *= k
-        f[:, : n + 1, n + 1 :] *= k[:, :, mirror]
-        f[:, n + 1 :, : n + 1] *= k[:, mirror]
-        f[:, n + 1 :, n + 1 :] *= k[:, mirror, mirror]
-        np.fft.ifft(f, axis=2, norm="forward", out=f)
-        blk[...] = np.fft.ifft(f[:, :, :n], axis=1, norm="forward", out=f[:, :, :n])[:, :n]
     out = np.empty((n, n, n), order="F")
-    for s in range(0, n, b):
-        out.T[:, s : s + b] = np.fft.irfft(spec[:, s : s + b], n=m, axis=0, norm="forward")[:n]
-    out *= 1.0 / m**3
-    out *= grid.h**3
+
+    def forward_z(blocks):
+        for sl in blocks:
+            np.fft.rfft(q.T[:, sl], n=m, axis=0, out=spec[:, sl])
+
+    def planes(blocks):
+        buf = np.empty((b, m, m), dtype=np.complex128)
+        for sl in blocks:
+            blk = spec[sl]
+            k = octant[sl]
+            # the padded planes, zero beyond the n x n charged corner; the passes run in place
+            f = buf[: len(blk)]
+            f[:, :n, :n] = blk
+            f[:, :n, n:] = 0.0
+            f[:, n:] = 0.0
+            np.fft.fft(f[:, :n], axis=2, out=f[:, :n])
+            np.fft.fft(f, axis=1, out=f)
+            f[:, : n + 1, : n + 1] *= k
+            f[:, : n + 1, n + 1 :] *= k[:, :, mirror]
+            f[:, n + 1 :, : n + 1] *= k[:, mirror]
+            f[:, n + 1 :, n + 1 :] *= k[:, mirror, mirror]
+            np.fft.ifft(f, axis=2, norm="forward", out=f)
+            blk[...] = np.fft.ifft(f[:, :, :n], axis=1, norm="forward", out=f[:, :, :n])[:, :n]
+
+    def inverse_z(blocks):
+        for sl in blocks:
+            slab = out.T[:, sl]
+            slab[...] = np.fft.irfft(spec[:, sl], n=m, axis=0, norm="forward")[:n]
+            slab *= 1.0 / m**3
+            slab *= grid.h**3
+
+    _in_two_shares(forward_z, n, b)
+    _in_two_shares(planes, n + 1, b)
+    _in_two_shares(inverse_z, n, b)
     return out
 
 

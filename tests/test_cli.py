@@ -23,7 +23,9 @@ def _fresh_python(code: str) -> str:
     """Stdout of `code` run by a fresh interpreter that imports spgs from these sources."""
     src = str(Path(spgs.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120
+    )
     return out.stdout.strip()
 
 
@@ -38,8 +40,10 @@ def test_cli_import_loads_no_scipy():
     # the 3-D path takes its FFTs from numpy.fft; the radial solver's LAPACK
     # loads on the first lookup of a radial name in the package
     code = """
-import sys, spgs, spgs.cli
+import sys, threading, spgs, spgs.cli
 print(sorted(m for m in sys.modules if m.startswith('scipy')))
+# the Poisson helper thread starts at the first convolution, not at import
+print(threading.active_count(), 'concurrent.futures' in sys.modules)
 print(spgs.radial_ground_state is spgs.radial.radial_ground_state)
 from spgs import RadialProfile
 print(RadialProfile is spgs.radial.RadialProfile)
@@ -48,7 +52,28 @@ try:
 except AttributeError:
     print('AttributeError')
 """
-    assert _fresh_python(code).splitlines() == ["[]", "True", "True", "AttributeError"]
+    assert _fresh_python(code).splitlines() == ["[]", "1 False", "True", "True", "AttributeError"]
+
+
+def test_sweep_jobs_2_after_an_in_process_solve(tmp_path):
+    # the solve starts the Poisson helper thread; the sweep's forked workers inherit
+    # its executor but not its thread, and must start their own rather than wait on it
+    code = f"""
+from pathlib import Path
+from spgs.cli import main
+out = Path({str(tmp_path)!r})
+grid = ["--set", "grid.L=4.0", "--set", "grid.n=32"]
+assert main(["solve", *grid, "--output", str(out / "solve")]) == 0
+for jobs in ("2", "1"):
+    argv = ["sweep-lambda", *grid, "--set", "sweep.lambdas=1.0,2.0", "--jobs", jobs]
+    assert main([*argv, "--output", str(out / f"jobs{{jobs}}")]) == 0
+"""
+    _fresh_python(code)
+    (two,) = tmp_path.glob("jobs2/*/sweep.csv")
+    (one,) = tmp_path.glob("jobs1/*/sweep.csv")
+    rows = [[line for line in path.read_text(encoding="utf-8").splitlines() if not line.startswith("#")]
+            for path in (two, one)]
+    assert rows[0] == rows[1] and len(rows[0]) == 3
 
 
 def test_radial_crosscheck_profile_rows_parse_as_floats(tmp_path):

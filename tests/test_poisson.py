@@ -1,12 +1,15 @@
 """Free-space Poisson solve tests: law, scaling, positivity, oracles."""
 
 import math
+import os
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.fft
 
+from spgs import poisson
 from spgs.functional import energy_breakdown
 from spgs.grid import GridSpec, ScalarField, dirichlet_energy, h1_norm
 from spgs.poisson import (
@@ -27,6 +30,19 @@ from spgs.sampling import random_smooth_field
 @pytest.fixture(scope="module")
 def small_grid():
     return GridSpec(L=6.0, n=16)
+
+
+@pytest.fixture
+def on_cpus(monkeypatch):
+    """pin(cpus): the process may use `cpus` CPUs, as poisson sees it, and has no helper yet."""
+
+    def pin(cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(poisson, "_helper", None)
+
+    yield pin
+    if poisson._helper is not None:
+        poisson._helper.shutdown()
 
 
 def seeded_fields(grid, count, seed=0):
@@ -133,8 +149,9 @@ class TestPrunedConvolution:
     @pytest.mark.parametrize(
         "grid",
         [GridSpec(L=5.0, n=12), GridSpec(L=5.0, n=16), GridSpec(L=5.0, n=24),
-         GridSpec(L=5.0, n=40), GridSpec(L=5.0, n=64)],
-        ids=["n12", "n16", "n24", "n40", "n64"],
+         GridSpec(L=5.0, n=32), GridSpec(L=5.0, n=40), GridSpec(L=5.0, n=48),
+         GridSpec(L=5.0, n=64)],
+        ids=["n12", "n16", "n24", "n32", "n40", "n48", "n64"],
     )
     def test_bit_identical_to_padded_transform(self, grid):
         rng = np.random.default_rng(grid.n)
@@ -143,9 +160,31 @@ class TestPrunedConvolution:
             assert np.array_equal(_convolve_fft(src, grid), self.padded_reference(q, grid))
 
     def test_n40_runs_several_plane_blocks_the_last_partial(self):
-        # keeps the n40 case above on the multi-block path; the n <= 24 grids run one block
+        # keeps the n40 case above on the multi-block path; the n <= 16 grids run one block
         b = _planes_per_block(40)
         assert 41 // b >= 2 and 41 % b != 0
+
+    @pytest.mark.parametrize("n", [32, 48, 64])
+    def test_shares_cover_the_planes_once_in_unequal_block_counts(self, on_cpus, n):
+        # keeps the n32, n48 and n64 cases above on shares of different block counts
+        on_cpus(2)
+        b = _planes_per_block(n)
+        shares = []
+        poisson._in_two_shares(shares.append, n + 1, b)
+        first, second = sorted(shares, key=lambda blocks: blocks[0].start)
+        assert [i for sl in first + second for i in range(n + 1)[sl]] == list(range(n + 1))
+        assert max(sl.stop - sl.start for sl in first + second) <= b
+        assert len(first) != len(second)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("n", [32, 48, 64])
+    def test_helper_only_on_two_cpus(self, on_cpus, cpus, n):
+        # one CPU: the caller runs both shares and no thread starts; two: one helper starts
+        on_cpus(cpus)
+        threads = threading.active_count()
+        self.test_bit_identical_to_padded_transform(GridSpec(L=5.0, n=n))
+        assert threading.active_count() == threads + cpus - 1
+        assert (poisson._helper is None) == (cpus == 1)
 
     def test_peak_memory_below_the_padded_spectrum(self):
         # the unblocked transform held one (2n, 2n, n + 1) complex buffer: 7.2 MB at n = 48
