@@ -11,6 +11,13 @@ Sobolev metric, on a truncated cell-centred grid, and cross-validates
 against an independent 1-D radial discretisation that shares only the
 optimiser.
 
+The 3-D path resolves levels only up to about p = 4.2-4.3 on affordable
+grids (up to n = 96 at L = 4, h = 0.083).  The ground state's core
+narrows as p -> 5, and holding the mesh widths per core half-width that
+give p = 4 a level error of 5e-4 needs h = 0.040 at p = 4.5.  That
+limit is an estimate from radial core half-widths interpolated in p,
+not a measurement.
+
 Importing the package, or `spgs.cli`, loads numpy and no scipy: the 3-D
 path takes its FFTs from numpy.fft.  scipy has two users.  `spgs.radial`
 factors its tridiagonal systems with scipy's LAPACK; the package imports

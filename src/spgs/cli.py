@@ -254,8 +254,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spgs",
         description=(
-            "Ground states of the coupled Schrodinger-Poisson system on truncated grids: "
-            "constrained energy descent, parameter sweeps, and validation suites."
+            "Ground states of the coupled Schrodinger-Poisson system on truncated grids:\n"
+            "constrained energy descent, parameter sweeps, and validation suites.\n\n"
+            "The 3-D path resolves levels only up to about p = 4.2-4.3 on affordable grids\n"
+            "(up to n = 96 at L = 4, h = 0.083): the ground state's core narrows as p -> 5.\n"
+            "That limit is an estimate from interpolated radial core half-widths, not a\n"
+            "measurement."
         ),
         epilog="config keys and defaults:\n  " + "\n  ".join(describe_keys()),
         formatter_class=argparse.RawDescriptionHelpFormatter,

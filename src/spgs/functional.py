@@ -172,7 +172,10 @@ def precondition(r: ScalarField) -> ScalarField:
     The 7-point Laplacian with zero ghosts is diagonal in the DST-I sine
     modes, so this is a forward sine transform, a division by the mode
     eigenvalues plus one, and the inverse transform, each transform three
-    products with a cached sine matrix (`grid.sine_transform`).
+    products with a cached sine matrix (`grid.sine_transform`), which run
+    on two threads on fields larger than half a megabyte.  The
+    coefficients and the eigenvalue table are both F-ordered, so the
+    division walks them in one memory order.
     Symmetric positive definite, so <precondition(r), r> > 0 for r != 0;
     descent steps measured in this metric are mesh-independent.
     """

@@ -18,6 +18,20 @@ preconditioner and the Poisson defect correction are diagonal in those
 modes, and `dirichlet_energy` is the quadratic form of either.  Only
 this module maps a kinetic name to an operator or a table.
 
+The n^3 passes of the package run on two cores: `_in_two_shares` cuts a
+pass into two shares of independent slabs, lines or plane blocks; the
+calling thread runs the first and one helper thread the second.  Here
+that is each pass of `sine_transform` and the stencil of
+`minus_laplacian`, for blocks larger than `_BLOCK_BYTES`; in `poisson`
+every pass of the convolution and of its kernel transform.  numpy's
+matmul, ufuncs and FFTs release the GIL, so the shares overlap, and
+since no share reads another's output the result is bit for bit the one
+thread's.  A process keeps one helper, started on the first split, never
+at import, and only when the process may run on at least two CPUs;
+otherwise the caller runs both shares in turn.  A forked child drops
+its parent's helper, whose thread it does not inherit, and starts its
+own when it first splits.
+
 Dump format (bit-exact round trip): one ASCII header line
 ``SPGS1 n=<n> L=<decimal> staggered=1\\n`` followed by n^3
 little-endian IEEE float64 values, x-fastest.  Dumps of the retired
@@ -27,6 +41,7 @@ nodal layout, headed ``staggered=0``, are refused.
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from pathlib import Path
@@ -36,6 +51,80 @@ import numpy as np
 
 # kinetic discretisations of -Lap, all diagonal in the DST-I sine modes
 KINETICS = ("fd", "spectral")
+
+# Bytes of complex spectrum one share works on at a time in `poisson`: the
+# (b, 2n, 2n) plane block of its convolution, and about the rfft of one block
+# of its kernel transform.  Small blocks also keep down what the helper
+# thread's malloc arena holds on to after freeing.  A real block of at most
+# this size is not split at all (`_in_two_shares_if_large`).
+_BLOCK_BYTES = 1 << 19
+
+# The one-thread executor that runs the second share of each split; started by
+# the first split in this process, and dropped in a forked child.
+_helper = None
+_helper_lock = threading.Lock()
+
+
+def _drop_helper() -> None:
+    global _helper, _helper_lock
+    _helper = None
+    _helper_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_helper)
+
+
+def _helper_executor():
+    """The helper's executor, started on first use; None when the process may use one CPU."""
+    global _helper
+    with _helper_lock:
+        if _helper is None:
+            affinity = getattr(os, "sched_getaffinity", None)
+            if (len(affinity(0)) if affinity else os.cpu_count() or 1) >= 2:
+                from concurrent.futures import ThreadPoolExecutor
+
+                _helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="spgs-helper")
+        return _helper
+
+
+def _in_two_shares_if_large(task, stop: int, nbytes: int) -> None:
+    """task(blocks) on range(stop), in two shares of one slice each above _BLOCK_BYTES.
+
+    `nbytes` is the size of the array the task walks.  One of at most
+    _BLOCK_BYTES fits in cache, where handing half of it to the helper
+    costs more than the second core saves; the caller then runs all of
+    range(stop) as one slice.
+    """
+    if nbytes > _BLOCK_BYTES:
+        _in_two_shares(task, stop, stop)
+    else:
+        task([slice(0, stop)])
+
+
+def _in_two_shares(task, stop: int, width: int) -> None:
+    """task(blocks) on the two halves of range(stop), each cut into slices of at most `width`.
+
+    The caller runs the first half and the helper the second.  Every
+    index must be independent of the others, so the halves give the same
+    result together as in turn.  Without a helper the caller runs task on
+    both halves' slices, in order.
+    """
+    mid = (stop + 1) // 2
+    first, second = (
+        [slice(s, min(s + width, end)) for s in range(start, end, width)]
+        for start, end in ((0, mid), (mid, stop))
+    )
+    helper = _helper_executor() if second else None
+    if helper is None:
+        task(first + second)
+        return
+    done = helper.submit(task, second)
+    try:
+        task(first)
+    finally:
+        done.result()
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -176,7 +265,9 @@ def dirichlet_eigenvalues(m: int, h: float, kinetic: str = "fd") -> np.ndarray:
     The DST-I sine modes diagonalize both variants: "fd" (the 7-point
     Laplacian) has sum_i (4/h^2) sin^2(pi k_i / (2(m+1))), "spectral" the
     exact sum_i (pi k_i / ((m+1) h))^2, k_i = 1..m.  The cached table is
-    shared by every caller and read-only.
+    shared by every caller and read-only.  It is F-ordered, as the sine
+    coefficients of x-fastest fields are, so dividing or multiplying them
+    by it walks both arrays in one memory order.
     """
     k = np.arange(1, m + 1)
     if kinetic == "fd":
@@ -185,7 +276,7 @@ def dirichlet_eigenvalues(m: int, h: float, kinetic: str = "fd") -> np.ndarray:
         lam1 = (np.pi * k / ((m + 1) * h)) ** 2
     else:
         raise ValueError(f"unknown kinetic variant {kinetic!r}; options: {KINETICS}")
-    table = lam1[:, None, None] + lam1[None, :, None] + lam1[None, None, :]
+    table = np.asfortranarray(lam1[:, None, None] + lam1[None, :, None] + lam1[None, None, :])
     table.setflags(write=False)
     return table
 
@@ -203,25 +294,45 @@ def sine_transform(a: np.ndarray, inverse: bool = False) -> np.ndarray:
     """Unnormalised 3-D DST-I of an (m, m, m) block, scipy.fft.dstn(a, type=1).
 
     Runs as three products with the sine matrix S of `_sine_matrix`, one
-    per axis, each as m slab-by-slab products, which BLAS does not spread
-    over threads that can stall on a busy host.  S is symmetric and
+    per axis, each as m slab-by-slab products.  S is symmetric and
     S S = 2(m + 1) I, so `inverse=True` (idstn) is the same three products
-    scaled by (2(m + 1))^-3.  The block
-    is read as a C-ordered [k, j, i] array (an F-ordered one through its
-    transpose, which is how x-fastest field storage comes in), where the
-    three products need no transpose or copy; the result has the input's
-    memory order.  The transform is the same along every axis, so the
-    axis order of the block does not matter.
+    scaled by (2(m + 1))^-3.  The block is read as a C-ordered [k, j, i]
+    array (an F-ordered one through its transpose, which is how x-fastest
+    field storage comes in), where the three products need no transpose
+    or copy; the result has the input's memory order.  The transform is
+    the same along every axis, so the axis order of the block does not
+    matter.
+
+    The products run in two passes: t[k] = S (c[k] S) for every slab k,
+    then, once all of t is formed, out[:, j] = S t[:, j] for every j.
+    Above `_BLOCK_BYTES` each pass runs in two shares of slabs, one per
+    thread (`_in_two_shares_if_large`).  Each slab is one product,
+    computed whole by one share, so the result does not depend on the
+    split.
     """
     m = a.shape[0]
     s = _sine_matrix(m)
     flip = a.flags.f_contiguous and not a.flags.c_contiguous
     c = np.ascontiguousarray(a.T if flip else a)
-    t = np.matmul(s, np.matmul(c, s))
-    out = np.empty_like(t)
-    np.matmul(s, t.transpose(1, 0, 2), out=out.transpose(1, 0, 2))
-    if inverse:
-        out *= 1.0 / (2.0 * (m + 1)) ** 3
+    t = np.empty_like(c)
+    out = np.empty_like(c)
+    scale = 1.0 / (2.0 * (m + 1)) ** 3
+
+    def rows(blocks):
+        # out holds the slabs' first products until the second pass overwrites it
+        for sl in blocks:
+            np.matmul(c[sl], s, out=out[sl])
+            np.matmul(s, out[sl], out=t[sl])
+
+    def columns(blocks):
+        for sl in blocks:
+            dst = out[:, sl]
+            np.matmul(s, t[:, sl].transpose(1, 0, 2), out=dst.transpose(1, 0, 2))
+            if inverse:
+                dst *= scale
+
+    _in_two_shares_if_large(rows, m, c.nbytes)
+    _in_two_shares_if_large(columns, m, c.nbytes)
     return out.T if flip else out
 
 
@@ -230,23 +341,38 @@ def minus_laplacian(u: ScalarField, kinetic: str = "fd") -> ScalarField:
 
     "fd" is the 7-point stencil, "spectral" the DST-I operator with the
     exact eigenvalue of each sine mode; both have the sine modes as
-    eigenvectors and `dirichlet_eigenvalues` as eigenvalues.
+    eigenvectors and `dirichlet_eigenvalues` as eigenvalues.  Above
+    `_BLOCK_BYTES` the stencil runs in two shares of z planes
+    (`_in_two_shares_if_large`); each share writes only its own planes
+    and reads the neighbours from the unchanged input, so every node sums
+    the same terms in the same order as in one pass.
     """
     g = u.grid
     if kinetic == "fd":
-        # the six neighbours summed in place, in the order x+, x-, y+, y-, z+, z-;
-        # a neighbour beyond the box is a zero ghost and adds nothing
         a = u.as3d
+        n = g.n
         out = np.empty_like(a)
-        out[:-1] = a[1:]
-        out[-1] = 0.0
-        out[1:] += a[:-1]
-        out[:, :-1] += a[:, 1:]
-        out[:, 1:] += a[:, :-1]
-        out[:, :, :-1] += a[:, :, 1:]
-        out[:, :, 1:] += a[:, :, :-1]
-        out -= 6.0 * a
-        out /= -(g.h**2)
+
+        def planes(blocks):
+            # the six neighbours summed in place, in the order x+, x-, y+, y-, z+, z-;
+            # a neighbour beyond the box is a zero ghost and adds nothing
+            for sl in blocks:
+                lo, hi = sl.start, sl.stop
+                b = a[:, :, sl]
+                o = out[:, :, sl]
+                o[:-1] = b[1:]
+                o[-1] = 0.0
+                o[1:] += b[:-1]
+                o[:, :-1] += b[:, 1:]
+                o[:, 1:] += b[:, :-1]
+                top = min(hi, n - 1)
+                out[:, :, lo:top] += a[:, :, lo + 1 : top + 1]
+                bottom = max(lo, 1)
+                out[:, :, bottom:hi] += a[:, :, bottom - 1 : hi - 1]
+                o -= 6.0 * b
+                o /= -(g.h**2)
+
+        _in_two_shares_if_large(planes, n, a.nbytes)
         return ScalarField.from_3d(g, out)
     lam = dirichlet_eigenvalues(g.n, g.h, kinetic)
     coeff = sine_transform(u.as3d)

@@ -22,14 +22,11 @@ for bit.  The result equals the full padded irfftn(rfftn(pad) * K) bit
 for bit.
 
 Each pass, and each axis of the kernel's DCT-I, is cut into two shares
-of independent FFT lines or plane blocks.  The calling thread runs the
-first share and one helper thread the second; numpy.fft releases the
-GIL, so the two overlap, and since no line or block reads another's
-output the result does not depend on the split.  The helper is started
-on the first split, never at import, and only when the process may run
-on at least two CPUs; otherwise the caller runs both shares in turn.  A
-forked child drops its parent's helper, whose thread it does not
-inherit, and starts its own when it first splits.
+of independent FFT lines or plane blocks, run by the calling thread and
+the process's one helper thread (`grid._in_two_shares`; the `grid`
+module says when the helper starts).  numpy.fft releases the GIL, so the
+two overlap, and since no line or block reads another's output the
+result does not depend on the split.
 
 The same lattice sum by O(N^2) pairwise summation (`_convolve_direct`)
 is the reference the FFT path is tested against; its pairwise sums also
@@ -50,15 +47,15 @@ self-adjoint in u^2 and is what the energy functional differentiates.
 from __future__ import annotations
 
 import math
-import os
-import threading
 from functools import lru_cache
 
 import numpy as np
 
 from .grid import (
+    _BLOCK_BYTES,
     GridSpec,
     ScalarField,
+    _in_two_shares,
     dirichlet_eigenvalues,
     minus_laplacian,
     sine_transform,
@@ -72,65 +69,6 @@ KERNEL_CONSTANT = 1.0 / (4.0 * math.pi)
 
 # Largest grid for which the O(N^2) direct double sum is allowed.
 ORACLE_MAX_N = 24
-
-# Bytes of complex spectrum one share works on at a time: the (b, 2n, 2n) plane
-# block of `_convolve_fft`, and about the rfft of one `_kernel_octant` block.
-# Two shares' blocks together hold what one 1 MiB block did; small blocks also
-# keep down what the helper thread's malloc arena holds on to after freeing.
-_BLOCK_BYTES = 1 << 19
-
-# The one-thread executor that runs the second share of each split; started by
-# the first split in this process, and dropped in a forked child.
-_helper = None
-_helper_lock = threading.Lock()
-
-
-def _drop_helper() -> None:
-    global _helper, _helper_lock
-    _helper = None
-    _helper_lock = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_helper)
-
-
-def _helper_executor():
-    """The helper's executor, started on first use; None when the process may use one CPU."""
-    global _helper
-    with _helper_lock:
-        if _helper is None:
-            affinity = getattr(os, "sched_getaffinity", None)
-            if (len(affinity(0)) if affinity else os.cpu_count() or 1) >= 2:
-                from concurrent.futures import ThreadPoolExecutor
-
-                _helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="spgs-poisson")
-        return _helper
-
-
-def _in_two_shares(task, stop: int, width: int) -> None:
-    """task(blocks) on the two halves of range(stop), each cut into slices of at most `width`.
-
-    The caller runs the first half and the helper the second.  Every
-    index must be independent of the others, so the halves give the same
-    result together as in turn.  Without a helper the caller runs task on
-    both halves' slices, in order.
-    """
-    mid = (stop + 1) // 2
-    first, second = (
-        [slice(s, min(s + width, end)) for s in range(start, end, width)]
-        for start, end in ((0, mid), (mid, stop))
-    )
-    helper = _helper_executor() if second else None
-    if helper is None:
-        task(first + second)
-        return
-    done = helper.submit(task, second)
-    try:
-        task(first)
-    finally:
-        done.result()
-
 
 @lru_cache(maxsize=8)
 def _kernel_octant(n: int, h: float) -> np.ndarray:

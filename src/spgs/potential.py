@@ -70,6 +70,14 @@ class Potential:
         preconditioner per iteration, started from the lowest sine mode;
         its Ritz value bounds the eigenvalue from above.  Kinds with an
         exact constant on R^3 override this.
+
+        For `Tabulated` and `Composite` wells this is a grid-level gate, not
+        the continuum one.  A 1/|x|^2-type well is only as deep as its nodes:
+        no node lies closer to the origin than sqrt(3) h / 2, so the lattice
+        caps 1/|x|^2 at 4/(3 h^2).  Tabulated V = 1 - 0.5/|x|^2 at L = 6
+        reads +0.55 (n = 32) and +0.46 (n = 48) in "fd", +0.58 and +0.48 in
+        "spectral", and passes, where the Hardy constant of
+        `CoulombSingular(1, 0.5, 2)` is -1 and refuses it.
         """
         # imported here: functional imports this module, and scipy.sparse
         # stays off the import path of runs that never call this

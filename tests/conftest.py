@@ -1,0 +1,20 @@
+"""Fixtures shared by the test modules."""
+
+import os
+
+import pytest
+
+from spgs import grid
+
+
+@pytest.fixture
+def on_cpus(monkeypatch):
+    """pin(cpus): the process may use `cpus` CPUs, as grid sees it, and has no helper yet."""
+
+    def pin(cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(grid, "_helper", None)
+
+    yield pin
+    if grid._helper is not None:
+        grid._helper.shutdown()

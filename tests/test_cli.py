@@ -42,7 +42,7 @@ def test_cli_import_loads_no_scipy():
     code = """
 import sys, threading, spgs, spgs.cli
 print(sorted(m for m in sys.modules if m.startswith('scipy')))
-# the Poisson helper thread starts at the first convolution, not at import
+# the helper thread starts at the first split pass, not at import
 print(threading.active_count(), 'concurrent.futures' in sys.modules)
 print(spgs.radial_ground_state is spgs.radial.radial_ground_state)
 from spgs import RadialProfile
@@ -56,7 +56,7 @@ except AttributeError:
 
 
 def test_sweep_jobs_2_after_an_in_process_solve(tmp_path):
-    # the solve starts the Poisson helper thread; the sweep's forked workers inherit
+    # the solve starts the helper thread; the sweep's forked workers inherit
     # its executor but not its thread, and must start their own rather than wait on it
     code = f"""
 from pathlib import Path

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 import scipy.fft
 
+from spgs import grid as spgs_grid
+from spgs.functional import precondition
 from spgs.grid import (
     GridSpec,
     ScalarField,
@@ -22,6 +24,48 @@ from spgs.grid import (
     sine_transform,
     write_field,
 )
+
+
+def sine_matrix(m):
+    k = np.arange(1, m + 1)
+    return 2.0 * np.sin(np.pi * np.outer(k, k) / (m + 1))
+
+
+def reference_sine_transform(a, inverse=False):
+    # the transform as one call per product, before its passes were split
+    m = a.shape[0]
+    s = sine_matrix(m)
+    flip = a.flags.f_contiguous and not a.flags.c_contiguous
+    c = np.ascontiguousarray(a.T if flip else a)
+    t = np.matmul(s, np.matmul(c, s))
+    out = np.empty_like(t)
+    np.matmul(s, t.transpose(1, 0, 2), out=out.transpose(1, 0, 2))
+    if inverse:
+        out *= 1.0 / (2.0 * (m + 1)) ** 3
+    return out.T if flip else out
+
+
+def c_ordered_eigenvalues(m, h, kinetic="fd"):
+    k = np.arange(1, m + 1)
+    if kinetic == "fd":
+        lam1 = (4.0 / h**2) * np.sin(np.pi * k / (2.0 * (m + 1))) ** 2
+    else:
+        lam1 = (np.pi * k / ((m + 1) * h)) ** 2
+    return lam1[:, None, None] + lam1[None, :, None] + lam1[None, None, :]
+
+
+def padded_stencil(a, h):
+    # the 7-point sum over a zero-padded copy, neighbours in the order x+, x-, y+, y-, z+, z-
+    p = np.pad(a, 1)
+    return (
+        p[2:, 1:-1, 1:-1]
+        + p[:-2, 1:-1, 1:-1]
+        + p[1:-1, 2:, 1:-1]
+        + p[1:-1, :-2, 1:-1]
+        + p[1:-1, 1:-1, 2:]
+        + p[1:-1, 1:-1, :-2]
+        - 6.0 * a
+    ) / -(h**2)
 
 
 def gaussian(grid, width=1.0):
@@ -159,18 +203,7 @@ class TestDirichletEnergy:
     def test_fd_stencil_bit_identical_to_padded_sum(self, g):
         # the in-place stencil keeps the neighbour order of the zero-padded expression
         u = ScalarField(g, np.random.default_rng(g.n).standard_normal(g.num_nodes))
-        a = u.as3d
-        p = np.pad(a, 1)
-        ref = (
-            p[2:, 1:-1, 1:-1]
-            + p[:-2, 1:-1, 1:-1]
-            + p[1:-1, 2:, 1:-1]
-            + p[1:-1, :-2, 1:-1]
-            + p[1:-1, 1:-1, 2:]
-            + p[1:-1, 1:-1, :-2]
-            - 6.0 * a
-        ) / -(g.h**2)
-        assert np.array_equal(minus_laplacian(u).as3d, ref)
+        assert np.array_equal(minus_laplacian(u).as3d, padded_stencil(u.as3d, g.h))
 
 
 class TestSineTransform:
@@ -193,8 +226,7 @@ class TestSineTransform:
     def test_bit_identical_to_single_axis_products(self, m):
         # every block runs slab by slab; where m is a multiple of 8 the
         # values are those of one (m^2, m) product per axis
-        k = np.arange(1, m + 1)
-        s = 2.0 * np.sin(np.pi * np.outer(k, k) / (m + 1))
+        s = sine_matrix(m)
         a = np.random.default_rng(m).standard_normal((m, m, m))
         ref = np.matmul(a.reshape(m * m, m), s).reshape(m, m, m)
         ref = np.matmul(s, ref)
@@ -215,6 +247,61 @@ class TestSineTransform:
         lam = dirichlet_eigenvalues(g.n, g.h, kinetic)
         modal = sine_transform(lam * sine_transform(u.as3d), inverse=True)
         assert np.max(np.abs(direct - modal)) <= 1e-12 * np.max(np.abs(direct))
+
+
+    @pytest.mark.parametrize("kinetic", ["fd", "spectral"])
+    @pytest.mark.parametrize("m", [8, 30, 64])
+    def test_eigenvalue_table_is_f_ordered(self, m, kinetic):
+        # the sine coefficients of x-fastest fields are F-ordered; the table walks memory with them
+        table = dirichlet_eigenvalues(m, 0.25, kinetic)
+        assert table.flags.f_contiguous and not table.flags.writeable
+        assert np.array_equal(table, c_ordered_eigenvalues(m, 0.25, kinetic))
+
+
+@pytest.fixture(params=["as-built", "one-slab"])
+def split(request, monkeypatch):
+    # one-slab: every pass splits, into slices of one slab, so shares of a
+    # single plane meet the box's edges
+    if request.param == "one-slab":
+        monkeypatch.setattr(
+            spgs_grid,
+            "_in_two_shares_if_large",
+            lambda task, stop, nbytes: spgs_grid._in_two_shares(task, stop, 1),
+        )
+
+
+@pytest.mark.usefixtures("split")
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("n", [8, 16, 32, 48, 64, 96])
+class TestSplitPassesBitIdentical:
+    # one CPU runs the shares in turn on the caller, two on the caller and
+    # the helper; both must give the one-call values bit for bit
+
+    def field(self, n):
+        g = GridSpec(L=4.0, n=n)
+        return ScalarField(g, np.random.default_rng(n).standard_normal(g.num_nodes))
+
+    def test_sine_transform(self, on_cpus, cpus, n):
+        on_cpus(cpus)
+        a = np.random.default_rng(n).standard_normal((n, n, n))
+        for src in (a, np.asfortranarray(a)):
+            for inverse in (False, True):
+                got = sine_transform(src, inverse=inverse)
+                assert np.array_equal(got, reference_sine_transform(src, inverse))
+                assert got.flags.f_contiguous == src.flags.f_contiguous
+
+    def test_fd_stencil(self, on_cpus, cpus, n):
+        on_cpus(cpus)
+        u = self.field(n)
+        assert np.array_equal(minus_laplacian(u).as3d, padded_stencil(u.as3d, u.grid.h))
+
+    def test_precondition(self, on_cpus, cpus, n):
+        on_cpus(cpus)
+        r = self.field(n)
+        coeff = reference_sine_transform(r.as3d)
+        coeff /= c_ordered_eigenvalues(n, r.grid.h) + 1.0
+        ref = reference_sine_transform(coeff, inverse=True)
+        assert np.array_equal(precondition(r).as3d, ref)
 
 
 class TestLpIntegral:

@@ -1,6 +1,7 @@
 """Descent loop, ground levels, comparisons, diagnostics."""
 
 import math
+import threading
 from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
@@ -318,6 +319,15 @@ def test_spectral_n48_converges_at_tight_tolerance():
     cfg = SolverConfig(p=4.0, kinetic="spectral", tol_residual=1e-7)
     res = find_ground_state(Constant(1.0), cfg, GridSpec(L=4.0, n=48))
     assert res.status == "converged"
+
+
+def test_a_solve_runs_every_split_on_one_helper_thread(on_cpus):
+    # n = 48 splits the Poisson passes, the sine transforms and the stencil
+    on_cpus(2)
+    before = set(threading.enumerate())
+    find_ground_state(Constant(1.0), SolverConfig(p=4.0, max_iters=4), GridSpec(L=4.0, n=48))
+    (started,) = set(threading.enumerate()) - before
+    assert started.name.startswith("spgs-helper")
 
 
 def _rising_direction(r):

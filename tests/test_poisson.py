@@ -1,7 +1,6 @@
 """Free-space Poisson solve tests: law, scaling, positivity, oracles."""
 
 import math
-import os
 import threading
 import tracemalloc
 
@@ -9,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from spgs import poisson
+from spgs import grid as spgs_grid
 from spgs.functional import energy_breakdown
 from spgs.grid import GridSpec, ScalarField, dirichlet_energy, h1_norm
 from spgs.poisson import (
@@ -30,19 +29,6 @@ from spgs.sampling import random_smooth_field
 @pytest.fixture(scope="module")
 def small_grid():
     return GridSpec(L=6.0, n=16)
-
-
-@pytest.fixture
-def on_cpus(monkeypatch):
-    """pin(cpus): the process may use `cpus` CPUs, as poisson sees it, and has no helper yet."""
-
-    def pin(cpus):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        monkeypatch.setattr(poisson, "_helper", None)
-
-    yield pin
-    if poisson._helper is not None:
-        poisson._helper.shutdown()
 
 
 def seeded_fields(grid, count, seed=0):
@@ -170,7 +156,7 @@ class TestPrunedConvolution:
         on_cpus(2)
         b = _planes_per_block(n)
         shares = []
-        poisson._in_two_shares(shares.append, n + 1, b)
+        spgs_grid._in_two_shares(shares.append, n + 1, b)
         first, second = sorted(shares, key=lambda blocks: blocks[0].start)
         assert [i for sl in first + second for i in range(n + 1)[sl]] == list(range(n + 1))
         assert max(sl.stop - sl.start for sl in first + second) <= b
@@ -184,7 +170,7 @@ class TestPrunedConvolution:
         threads = threading.active_count()
         self.test_bit_identical_to_padded_transform(GridSpec(L=5.0, n=n))
         assert threading.active_count() == threads + cpus - 1
-        assert (poisson._helper is None) == (cpus == 1)
+        assert (spgs_grid._helper is None) == (cpus == 1)
 
     def test_peak_memory_below_the_padded_spectrum(self):
         # the unblocked transform held one (2n, 2n, n + 1) complex buffer: 7.2 MB at n = 48
