@@ -60,12 +60,10 @@ from .minimize import (
     VinfComparison,
     compare_with_vinf,
     find_ground_state,
-    mountain_pass_crosscheck,
     relative_asymmetry,
 )
 from .nehari import (
     FiberScaling,
-    manifold_floor_check,
     nehari_project,
     ray_max_check,
 )

@@ -8,7 +8,9 @@ single `# generated` timestamp line at the top of each CSV and the
 timestamp in the directory name.  `radial_profile.csv` (radial-crosscheck)
 is written by `radial.write_radial_csv` and has no `# generated` line.
 
-Exit codes: 0 ok, 2 config error, 3 solver error, 4 validation failure.
+Exit codes: 0 ok, 2 config error, 3 solver error, 4 a failed mode check
+(validate's invariants, sweep-lambda's monotonicity in lambda, compare-vinf's
+test-function bound `VinfComparison.bound_holds`), after the outputs are written.
 A value rejected while the run's grid, solver settings, potential or
 initial field are built is a config error; any other error raised during
 the run, a ValueError from deep inside a solve included, is a solver
@@ -194,13 +196,18 @@ def _run_compare(cfg: RunConfig, outdir: Path) -> int:
     cmp_result = compare_with_vinf(potential, solver, grid)
     _write_csv(
         outdir / "compare.csv",
-        "c,c_inf,strict",
-        [f"{cmp_result.c!r},{cmp_result.c_inf!r},{1 if cmp_result.strict else 0}"],
+        "c,c_inf,strict,bound",
+        [f"{cmp_result.c!r},{cmp_result.c_inf!r},{1 if cmp_result.strict else 0},{cmp_result.bound!r}"],
     )
     print(
         f"c = {cmp_result.c!r}  c_inf = {cmp_result.c_inf!r}  strict = {cmp_result.strict}  "
+        f"bound = {cmp_result.bound!r}  "
         f"(margin {cmp_result.margin:.3e}, refinement delta {cmp_result.refinement_delta:.3e})"
     )
+    if not cmp_result.bound_holds:
+        excess = f"{cmp_result.bound_excess:.3e}"
+        print(f"ERROR bound: c exceeds max_t I_V(t u_inf) by {excess} of |A1| + B + C", file=sys.stderr)
+        return 4
     return 0
 
 

@@ -27,7 +27,6 @@ import numpy as np
 from .errors import NonCoerciveError, ZeroFieldError
 from .functional import EnergyBreakdown, energy_breakdown
 from .grid import ScalarField
-from .sampling import random_smooth_field
 
 _REL_TOL_S = 1e-13
 _MAX_NEWTON = 200
@@ -153,20 +152,3 @@ def ray_max_check(
     i_max = fs.scaled_breakdown.I
     return bool(np.all(profile <= i_max + 1e-12 * abs(i_max)))
 
-
-def manifold_floor_check(V: ScalarField, p: float, trials: int, seed: int, kinetic: str = "fd") -> float:
-    """Empirical floor of the L^(p+1) norm over projected random fields on V's grid.
-
-    Projects `trials` seeded random nonzero fields and returns the
-    smallest ||t_bar u||_(p+1) seen, read from the projected breakdown's
-    C; the value is strictly positive and stable (within a factor ~2)
-    under doubling the trial count.
-    """
-    if trials < 10:
-        raise ValueError(f"need at least 10 trials, got trials={trials}")
-    rng = np.random.default_rng(seed)
-    floor = math.inf
-    for _ in range(trials):
-        fs = nehari_project(random_smooth_field(V.grid, rng), V, p, kinetic=kinetic)
-        floor = min(floor, fs.scaled_breakdown.C ** (1.0 / (p + 1.0)))
-    return floor

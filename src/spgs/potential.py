@@ -38,9 +38,6 @@ _EIGEN_MAXITER = 100
 class Potential:
     """Base class; concrete kinds implement sampling and v-infinity."""
 
-    #: True when v_infinity is estimated from finite data rather than exact.
-    v_infinity_is_estimate: bool = False
-
     def sample(self, grid: GridSpec) -> ScalarField:
         """V at every node of `grid`; radial kinds evaluate their profile at the node radii."""
         return ScalarField.from_3d(grid, self.profile(grid.radius))
@@ -189,11 +186,10 @@ class Composite(Potential):
 
 @dataclass(frozen=True)
 class Tabulated(Potential):
-    """Potential given only by node values; v_infinity is estimated from
-    the outermost node layer and flagged approximate."""
+    """Potential given only by node values; v_infinity is estimated as the
+    mean of the outermost node layer."""
 
     table: ScalarField
-    v_infinity_is_estimate: bool = True
 
     def sample(self, grid: GridSpec) -> ScalarField:
         if self.table.grid != grid:

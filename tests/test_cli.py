@@ -192,6 +192,56 @@ def test_compare_vinf_from_a_field_dump_is_a_config_error(tmp_path, capsys, monk
     assert calls == []
 
 
+_COULOMB_COMPARE = [
+    "compare-vinf",
+    "--set", "grid.L=4.0",
+    "--set", "grid.n=12",
+    "--set", "potential.kind=coulomb_singular",
+    "--set", "potential.lambda=0.5",
+]
+
+
+def _compare_row(outdir: Path) -> tuple[list[str], dict[str, str]]:
+    (path,) = outdir.glob("*/compare.csv")
+    lines = path.read_text(encoding="utf-8").splitlines()[1:]
+    return lines[0].split(","), next(csv.DictReader(lines))
+
+
+def test_compare_vinf_writes_the_test_function_bound(tmp_path, capsys):
+    assert main([*_COULOMB_COMPARE, "--output", str(tmp_path)]) == 0
+    header, row = _compare_row(tmp_path)
+    assert header == ["c", "c_inf", "strict", "bound"]
+    assert float(row["c"]) <= float(row["bound"]) < float(row["c_inf"])
+    assert f"bound = {row['bound']}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("violated_n", [12, 18], ids=["run-grid", "refined-grid"])
+def test_compare_vinf_level_above_the_bound_exits_4(violated_n, tmp_path, capsys, monkeypatch):
+    bound = spgs.minimize._limit_ray_max
+
+    def lowered(V, limit):
+        # 5 below the bound on one grid, which puts c above it there
+        return bound(V, limit) - (5.0 if limit.u.grid.n == violated_n else 0.0)
+
+    monkeypatch.setattr(spgs.minimize, "_limit_ray_max", lowered)
+    assert main([*_COULOMB_COMPARE, "--output", str(tmp_path)]) == 4
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("ERROR")]
+    assert len(errors) == 1 and errors[0].startswith("ERROR bound: ")
+    # compare.csv is written, with the refined grid's bound
+    _, row = _compare_row(tmp_path)
+    assert (float(row["bound"]) < float(row["c"])) == (violated_n == 18)
+
+
+def test_compare_vinf_after_unconverged_solves_is_not_strict(tmp_path):
+    # V = 1 - 1/|x| at L = 4, n = 16 is strict once converged; two
+    # iterations per solve leave all four unconverged, with a gap past the margin
+    argv = [*_COULOMB_COMPARE, "--set", "grid.n=16", "--set", "potential.lambda=1.0"]
+    assert main([*argv, "--set", "solver.max_iters=2", "--output", str(tmp_path)]) == 0
+    _, row = _compare_row(tmp_path)
+    assert row["strict"] == "0"
+    assert float(row["c_inf"]) - float(row["c"]) > 5.4
+
+
 def _config_error_from_init_dump(tmp_path, capsys, data):
     """stderr of a solve started from a dump holding `data`, which must exit 2."""
     dump = tmp_path / "init.field"

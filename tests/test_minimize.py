@@ -18,9 +18,9 @@ from spgs.minimize import (
     SolverConfig,
     compare_with_vinf,
     find_ground_state,
-    mountain_pass_crosscheck,
     relative_asymmetry,
 )
+from spgs.nehari import nehari_project
 from spgs.potential import CoercivityResult, Constant, CoulombSingular, Tabulated
 from spgs.radial import radial_ground_state
 
@@ -218,33 +218,102 @@ class TestCompareWithVinf:
         cmp_result = compare_with_vinf(Constant(1.0), cfg, quick_grid)
         assert not cmp_result.strict
         assert cmp_result.c == cmp_result.c_inf
+        # V = V_inf: the bound is the limit state's own ray maximum, c itself,
+        # evaluated at a fiber root within 1e-13 of t = 1 (measured: one ulp apart)
+        assert cmp_result.bound == pytest.approx(cmp_result.c, rel=1e-15, abs=0.0)
+        assert abs(cmp_result.bound_excess) <= 1e-15 and cmp_result.bound_holds
 
     def test_rejects_nonpositive_vinf(self, quick_cfg, quick_grid):
         with pytest.raises(ValueError):
             compare_with_vinf(Constant(-1.0), replace(quick_cfg, coercivity_override=True), quick_grid)
 
+    # (c, bound, c_inf) on the run grid n = 16 and the refined grid n = 24
+    # for V = 1 - 0.5/|x| at L = 6, and the refinement margin
+    @pytest.mark.parametrize(
+        "kinetic, levels, margin",
+        [
+            ("fd", [(12.649145849976, 12.722760745670, 17.498651903381),
+                    (8.814839015509, 8.905333096261, 12.110762119994)], 4.660748846758),
+            ("spectral", [(15.583835022306, 15.676326833780, 21.070809076736),
+                          (10.595355972701, 10.705354991259, 14.372602897260)], 5.129181389613),
+        ],
+        ids=["fd", "spectral"],
+    )
+    def test_coulomb_level_below_the_bound_below_c_inf_on_both_grids(self, kinetic, levels, margin, monkeypatch):
+        solves = _recorded_solves(monkeypatch)
+        V = CoulombSingular(1.0, 0.5, 1)
+        cmp_result = compare_with_vinf(V, SolverConfig(kinetic=kinetic), GridSpec(L=6.0, n=16))
+        assert [r.u.grid.n for r in solves] == [16, 16, 24, 24]
+        for (res, limit), pinned in zip((solves[:2], solves[2:]), levels):
+            bound = spgs.minimize._limit_ray_max(V, limit)
+            assert res.c_estimate <= bound < limit.c_estimate
+            assert (res.c_estimate, bound, limit.c_estimate) == pytest.approx(pinned, rel=1e-9)
+            # the breakdown algebra against energies evaluated at the projected field
+            fresh = nehari_project(limit.u, V.sample(limit.u.grid), 4.0, kinetic=kinetic).scaled_breakdown
+            assert bound == pytest.approx(fresh.I, rel=1e-14)
+        assert cmp_result.bound == bound
+        assert cmp_result.bound_holds and cmp_result.bound_excess < 0.0
+        # the two grids' gaps differ by a third of the margin, which exceeds
+        # the refined gap, so strict is not asserted; the grid bound still
+        # puts c below c_inf on both grids
+        assert not cmp_result.strict
+        assert cmp_result.margin == pytest.approx(margin, rel=1e-9)
+        assert cmp_result.margin > cmp_result.c_inf - cmp_result.c
 
-class TestMountainPass:
-    def test_ray_minimum_dominates(self, quick_cfg, quick_grid):
-        c_nehari, c_ray = mountain_pass_crosscheck(
-            Constant(1.0), quick_cfg, quick_grid, trials=12, seed=3
-        )
-        assert c_ray >= c_nehari - 1e-9 * abs(c_nehari)
-        # the minimizer itself is in the trial set, so equality is attained
-        assert c_ray == pytest.approx(c_nehari, rel=1e-9)
+    def test_strict_needs_all_four_solves_converged(self, monkeypatch):
+        # V = 1 - 1/|x| at L = 4, n = 16 is strict with all four solves
+        # converged; the same four results replayed with one of them at
+        # max-iters are not
+        V, cfg, grid = CoulombSingular(1.0, 1.0, 1), SolverConfig(), GridSpec(L=4.0, n=16)
+        solves = _recorded_solves(monkeypatch)
+        assert compare_with_vinf(V, cfg, grid).strict
+        assert all(r.converged for r in solves)
+        for unconverged in range(4):
+            replay = iter(
+                [replace(r, status="max-iters") if i == unconverged else r for i, r in enumerate(solves)]
+            )
+            monkeypatch.setattr(spgs.minimize, "find_ground_state", lambda *args: next(replay))
+            assert not compare_with_vinf(V, cfg, grid).strict
 
-    def test_more_trials_never_increase(self, quick_cfg, quick_grid):
-        _, ray_small = mountain_pass_crosscheck(
-            Constant(1.0), quick_cfg, quick_grid, trials=10, seed=4
-        )
-        _, ray_large = mountain_pass_crosscheck(
-            Constant(1.0), quick_cfg, quick_grid, trials=20, seed=4
-        )
-        assert ray_large <= ray_small + 1e-12
+    def test_the_bound_costs_one_fiber_root_per_grid_and_no_poisson_solve(self, monkeypatch):
+        # the layer calls compare_with_vinf makes outside its four solves
+        calls, inside = Counter(), Counter()
 
-    def test_trials_validated(self, quick_cfg, quick_grid):
-        with pytest.raises(ValueError):
-            mountain_pass_crosscheck(Constant(1.0), quick_cfg, quick_grid, trials=3)
+        def counting(name, original):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return call
+
+        for name in ("_solve_fiber", "solve_phi", "energy_breakdown", "el_residual"):
+            monkeypatch.setattr(spgs.minimize, name, counting(name, getattr(spgs.minimize, name)))
+        solve = spgs.minimize.find_ground_state
+
+        def solve_counting_inside(*args):
+            before = calls.copy()
+            res = solve(*args)
+            inside.update(calls - before)
+            inside["solves"] += 1
+            return res
+
+        monkeypatch.setattr(spgs.minimize, "find_ground_state", solve_counting_inside)
+        compare_with_vinf(CoulombSingular(1.0, 0.5, 1), SolverConfig(), GridSpec(L=6.0, n=16))
+        assert inside["solves"] == 4
+        assert calls - inside == Counter({"_solve_fiber": 2})
+
+
+def _recorded_solves(monkeypatch):
+    """The results find_ground_state returns, in call order."""
+    solve = spgs.minimize.find_ground_state
+    results = []
+
+    def recording(*args):
+        results.append(solve(*args))
+        return results[-1]
+
+    monkeypatch.setattr(spgs.minimize, "find_ground_state", recording)
+    return results
 
 
 class TestAnnulusProfile:

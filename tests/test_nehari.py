@@ -9,12 +9,11 @@ from spgs.errors import NonCoerciveError, ZeroFieldError
 from spgs.grid import GridSpec, lp_integral
 from spgs.nehari import (
     _solve_fiber,
-    manifold_floor_check,
     nehari_project,
     ray_max_check,
     ray_profile,
 )
-from spgs.potential import Constant, CoulombSingular
+from spgs.potential import Constant
 from spgs.sampling import random_smooth_field
 
 
@@ -139,6 +138,14 @@ class TestProjection:
             t1 = nehari_project(pert, v_one, 4.0).t_bar
             assert abs(t1 - t0) / t0 <= 50.0 * eps * h1_norm(du) / h1_norm(u)
 
+    def test_projected_norm_matches_scaling(self, grid, v_one):
+        rng = np.random.default_rng(13)
+        u = random_smooth_field(grid, rng)
+        fs = nehari_project(u, v_one, 4.0)
+        direct = lp_integral(u.scaled(fs.t_bar), 5.0) ** 0.2
+        via_ray = fs.t_bar * lp_integral(u, 5.0) ** 0.2
+        assert direct == pytest.approx(via_ray, rel=1e-12)
+
 
 class TestRayMax:
     def test_projection_is_ray_max(self, grid, v_one):
@@ -169,27 +176,3 @@ class TestRayMax:
         )
         assert not ray_max_check(u, fake, v_one, 4.0)
 
-
-class TestManifoldFloor:
-    def test_floor_positive_and_stable(self, grid, v_one):
-        f50 = manifold_floor_check(v_one, 4.0, trials=50, seed=11)
-        f100 = manifold_floor_check(v_one, 4.0, trials=100, seed=11)
-        assert f50 > 0.0 and f100 > 0.0
-        assert f100 >= f50 / 2.0  # doubling trials moves the floor < 2x
-
-    def test_floor_under_singular_potential(self, grid):
-        v_sing = CoulombSingular(1.0, 0.05, 1).sample(grid)
-        floor = manifold_floor_check(v_sing, 4.0, trials=30, seed=12)
-        assert floor > 0.0
-
-    def test_trials_validated(self, v_one):
-        with pytest.raises(ValueError):
-            manifold_floor_check(v_one, 4.0, trials=5, seed=0)
-
-    def test_projected_norm_matches_scaling(self, grid, v_one):
-        rng = np.random.default_rng(13)
-        u = random_smooth_field(grid, rng)
-        fs = nehari_project(u, v_one, 4.0)
-        direct = lp_integral(u.scaled(fs.t_bar), 5.0) ** 0.2
-        via_ray = fs.t_bar * lp_integral(u, 5.0) ** 0.2
-        assert direct == pytest.approx(via_ray, rel=1e-12)

@@ -100,8 +100,6 @@ class TestVInfinity:
         vals = np.full(grid.num_nodes, 3.0)
         tab = Tabulated(ScalarField(grid, vals))
         assert tab.v_infinity() == pytest.approx(3.0)
-        assert tab.v_infinity_is_estimate
-        assert not Constant(1.0).v_infinity_is_estimate
 
 
 class TestCoercivity:
