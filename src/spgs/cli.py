@@ -28,7 +28,7 @@ from pathlib import Path
 
 from .config import MODES, RunConfig, apply_assignments, canonical_text, describe_keys, parse_config
 from .errors import ConfigError, SpgsError
-from .grid import GridSpec, write_field
+from .grid import GridSpec, ScalarField, write_field
 from .minimize import (
     GroundStateResult,
     SolverConfig,
@@ -117,14 +117,15 @@ def _write_result(cfg: RunConfig, outdir: Path, result: GroundStateResult) -> No
     write_field(result.phi, outdir / "phi.field")
 
 
-def _build(cfg: RunConfig) -> tuple[Potential, SolverConfig, GridSpec]:
-    """The run's potential, solver settings and grid.
+def _build(cfg: RunConfig) -> tuple[Potential, SolverConfig, GridSpec, ScalarField]:
+    """The run's potential, solver settings, grid and initial field.
 
     The potential is sampled and the initial field built on the grid here,
     so that every value they reject, and an initial field that is zero on
     every node, surfaces as a ConfigError before the solve starts.  Like
     `RunConfig.validate`, this holds in every mode, also in sweep-lambda,
-    which replaces the potential by constants.
+    which replaces the potential by constants.  The solves on the run grid
+    start from the field built here, so a field dump is read once per run.
     """
     try:
         grid = cfg.build_grid()
@@ -136,12 +137,12 @@ def _build(cfg: RunConfig) -> tuple[Potential, SolverConfig, GridSpec]:
         raise ConfigError(str(exc)) from None
     if not u0.values.any():
         raise ConfigError("solver.init: the initial field is zero on every node of the grid")
-    return potential, solver, grid
+    return potential, solver, grid, u0
 
 
 def _run_solve(cfg: RunConfig, outdir: Path) -> int:
-    potential, solver, grid = _build(cfg)
-    result = find_ground_state(potential, solver, grid)
+    potential, solver, grid, u0 = _build(cfg)
+    result = find_ground_state(potential, solver, grid, u0)
     _write_result(cfg, outdir, result)
     print(
         f"c_estimate = {result.c_estimate!r}  residual = {result.residual_norm:.3e}  "
@@ -151,15 +152,17 @@ def _run_solve(cfg: RunConfig, outdir: Path) -> int:
     return 0
 
 
-def _sweep_point(args: tuple[float, SolverConfig, GridSpec]) -> tuple[float, GroundStateResult]:
-    lam, solver, grid = args
-    return lam, find_ground_state(Constant(lam), solver, grid)
+def _sweep_point(
+    args: tuple[float, SolverConfig, GridSpec, ScalarField],
+) -> tuple[float, GroundStateResult]:
+    lam, solver, grid, u0 = args
+    return lam, find_ground_state(Constant(lam), solver, grid, u0)
 
 
 def _run_sweep(cfg: RunConfig, outdir: Path) -> int:
-    _, solver, grid = _build(cfg)
+    _, solver, grid, u0 = _build(cfg)
     lams = sorted(cfg.sweep_lambdas)
-    points = [(lam, solver, grid) for lam in lams]
+    points = [(lam, solver, grid, u0) for lam in lams]
     if cfg.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -189,7 +192,7 @@ def _run_sweep(cfg: RunConfig, outdir: Path) -> int:
 
 
 def _run_compare(cfg: RunConfig, outdir: Path) -> int:
-    potential, solver, grid = _build(cfg)
+    potential, solver, grid, _ = _build(cfg)
     vinf = potential.v_infinity()
     if vinf <= 0:
         raise ConfigError(f"potential: compare-vinf needs v_infinity > 0, got {vinf!r}")
@@ -231,8 +234,8 @@ def _run_validate(cfg: RunConfig, outdir: Path) -> int:
 def _run_radial_crosscheck(cfg: RunConfig, outdir: Path) -> int:
     from . import radial
 
-    potential, solver, grid = _build(cfg)
-    result = find_ground_state(potential, solver, grid)
+    potential, solver, grid, u0 = _build(cfg)
+    result = find_ground_state(potential, solver, grid, u0)
     u_r, phi_r, c_radial = radial.radial_ground_state(
         potential, cfg.solver_p, r_max=cfg.radial_r_max, n_r=cfg.radial_n_r, cfg=solver
     )

@@ -24,8 +24,12 @@ testable by central differences.
 
 Each evaluated field gets one -Lap u, from `grid.minus_laplacian` in the
 run's kinetic, and the kinetic energy, the H^1 norm and the residual all
-come from it.  The kinetic name is passed through, never branched on.
-The potential comes in sampled, as a `ScalarField` on u's grid
+come from it, in one pass over the nodes.  Above `grid._BLOCK_BYTES`
+(n >= 42) that pass, like the preconditioner's division, runs in two
+halves, the second on the grid module's helper thread; each sum splits
+where numpy's pairwise summation does, so the values are the one
+thread's bit for bit.  The kinetic name is passed through, never
+branched on.  The potential comes in sampled, as a `ScalarField` on u's grid
 (`Potential.sample`); nothing here samples it.
 """
 
@@ -38,8 +42,9 @@ import numpy as np
 
 from .grid import (
     ScalarField,
+    _added,
+    _on_halves,
     dirichlet_eigenvalues,
-    lp_integral,
     minus_laplacian,
     sine_transform,
 )
@@ -101,25 +106,62 @@ class EnergyBreakdown:
         )
 
 
-def _evaluate(u: ScalarField, V: ScalarField, p: float, phi: ScalarField | None, kinetic: str):
-    """(breakdown, -Lap u, V values, phi) at u from one application of -Lap.
+def _evaluate(
+    u: ScalarField,
+    V: ScalarField,
+    p: float,
+    phi: ScalarField | None,
+    kinetic: str,
+    residual: bool = False,
+):
+    """(breakdown, residual values or None, residual norm or None) at u from one -Lap u.
 
-    The breakdown's h1 is sqrt(h^3 <u, -Lap u> + h^3 sum u^2)."""
+    The breakdown's h1 is sqrt(h^3 <u, -Lap u> + h^3 sum u^2).  One task
+    takes the five sums of the breakdown and, with `residual`, the
+    residual's nodes and the sum of their squares, over one half of the
+    nodes (`grid._on_halves`), in a scratch field allocated here, so the
+    helper thread allocates no array; the halves' sums added are the
+    one-pass sums bit for bit."""
     g = u.grid
     w = g.h**3
     if V.grid != g:
         raise ValueError("potential field lives on a different grid")
-    vvals = V.values
     if phi is None:
         phi = solve_phi(u, residual_correction=False)
+    uv, vv, pv = u.values, V.values, phi.values
     mlap = minus_laplacian(u, kinetic).values
-    u2 = u.values * u.values
-    kin = w * float(np.sum(u.values * mlap))
-    A1 = kin + w * float(np.sum(vvals * u2))
-    B = w * float(np.sum(phi.values * u2))
-    C = lp_integral(u, p + 1.0)
-    h1 = math.sqrt(kin + w * float(np.sum(u2)))
-    return EnergyBreakdown(A1, B, C, p, h1), mlap, vvals, phi
+    r = np.empty(uv.size) if residual else None
+    scratch = np.empty(uv.size)
+
+    def share(sl):
+        x, t = uv[sl], scratch[sl]
+        sums = [np.sum(np.multiply(x, mlap[sl], out=t))]
+        for f in (vv, pv):
+            np.multiply(x, x, out=t)
+            t *= f[sl]
+            sums.append(np.sum(t))
+        np.abs(x, out=t)
+        t **= p + 1.0
+        sums += [np.sum(t), np.sum(np.multiply(x, x, out=t))]
+        if r is not None:
+            # (V + phi) u + (-Lap u) - |u|^(p-1) u, in that order
+            rs = r[sl]
+            np.add(vv[sl], pv[sl], out=rs)
+            rs *= x
+            rs += mlap[sl]
+            np.abs(x, out=t)
+            t **= p
+            np.copysign(t, x, out=t)
+            rs -= t
+            sums.append(np.sum(np.multiply(rs, rs, out=t)))
+        return sums
+
+    kin, vu2, phiu2, c, mass, *squares = _added(_on_halves(share, uv.size))
+    kin = w * kin
+    eb = EnergyBreakdown(kin + w * vu2, w * phiu2, w * c, p, math.sqrt(kin + w * mass))
+    if r is None:
+        return eb, None, None
+    return eb, r, math.sqrt(w * squares[0])
 
 
 def energy_breakdown(
@@ -154,15 +196,7 @@ def el_residual(
     central differences of I along any direction v reproduce <r, v> to
     rounding.
     """
-    eb, mlap, vvals, phi = _evaluate(u, V, p, phi, kinetic)
-    r = vvals + phi.values
-    r *= u.values
-    r += mlap
-    g = np.abs(u.values)
-    g **= p
-    np.copysign(g, u.values, out=g)
-    r -= g
-    norm = math.sqrt(u.grid.h**3 * float(np.sum(np.multiply(r, r, out=g))))
+    eb, r, norm = _evaluate(u, V, p, phi, kinetic, residual=True)
     return ScalarField(u.grid, r), norm, eb
 
 
@@ -172,14 +206,25 @@ def precondition(r: ScalarField) -> ScalarField:
     The 7-point Laplacian with zero ghosts is diagonal in the DST-I sine
     modes, so this is a forward sine transform, a division by the mode
     eigenvalues plus one, and the inverse transform, each transform three
-    products with a cached sine matrix (`grid.sine_transform`), which run
-    on two threads on fields larger than half a megabyte.  The
-    coefficients and the eigenvalue table are both F-ordered, so the
-    division walks them in one memory order.
+    products with a cached sine matrix (`grid.sine_transform`).  On fields
+    larger than half a megabyte all three run on two threads, the division
+    in two halves that each add the one to their own part of the cached
+    table.  The coefficients and the eigenvalue table are both F-ordered,
+    so the division walks them in one memory order, and the inverse
+    transform works in the coefficients' memory, which no later step
+    reads.
     Symmetric positive definite, so <precondition(r), r> > 0 for r != 0;
     descent steps measured in this metric are mesh-independent.
     """
     g = r.grid
     coeff = sine_transform(r.as3d)
-    coeff /= dirichlet_eigenvalues(g.n, g.h) + 1.0
-    return ScalarField.from_3d(g, sine_transform(coeff, inverse=True))
+    # both F-ordered, so their transposes are the flat x-fastest views
+    flat = coeff.T.reshape(-1)
+    table = dirichlet_eigenvalues(g.n, g.h).T.reshape(-1)
+
+    def share(sl):
+        t = np.add(table[sl], 1.0)
+        flat[sl] /= t
+
+    _on_halves(share, flat.size)
+    return ScalarField.from_3d(g, sine_transform(coeff, inverse=True, overwrite=True))

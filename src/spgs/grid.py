@@ -19,18 +19,32 @@ modes, and `dirichlet_energy` is the quadratic form of either.  Only
 this module maps a kinetic name to an operator or a table.
 
 The n^3 passes of the package run on two cores: `_in_two_shares` cuts a
-pass into two shares of independent slabs, lines or plane blocks; the
-calling thread runs the first and one helper thread the second.  Here
-that is each pass of `sine_transform` and the stencil of
-`minus_laplacian`, for blocks larger than `_BLOCK_BYTES`; in `poisson`
-every pass of the convolution and of its kernel transform.  numpy's
-matmul, ufuncs and FFTs release the GIL, so the shares overlap, and
-since no share reads another's output the result is bit for bit the one
-thread's.  A process keeps one helper, started on the first split, never
-at import, and only when the process may run on at least two CPUs;
-otherwise the caller runs both shares in turn.  A forked child drops
-its parent's helper, whose thread it does not inherit, and starts its
-own when it first splits.
+pass into two shares of independent slabs, lines or plane blocks, and
+`_on_halves` cuts a flat array into its two halves; the calling thread
+runs the first share and one helper thread the second.  Split this way
+are, above `_BLOCK_BYTES` unless stated:
+
+- here, each pass of `sine_transform`, the stencil of `minus_laplacian`
+  and the finiteness check of `ScalarField`;
+- in `poisson`, at every size, each pass of the convolution and of its
+  kernel transform;
+- in `functional`, the sums of the energies, the residual field and its
+  norm, and the division of the Sobolev preconditioner;
+- in `minimize`, the descent's field updates and pairings
+  (`_scaled_add`, `_sum_of_products`), on the box and on the radial mesh;
+- in `radial`, the quadratures and residual of a profile, its
+  finiteness check, and the two shell sums of its Poisson solve, which
+  run side by side.
+
+numpy's matmul, ufuncs, sums and FFTs release the GIL, so the shares
+overlap, and since no share reads another's output the result is bit for
+bit the one thread's.  A sum splits at the point where numpy's pairwise
+summation adds its two halves (`_halves`), so the two partial sums added
+are the one-pass sum.  A process keeps one helper, started on the first
+split, never at import, and only when the process may run on at least
+two CPUs; otherwise the caller runs both shares in turn.  A forked child
+drops its parent's helper, whose thread it does not inherit, and starts
+its own when it first splits.
 
 Dump format (bit-exact round trip): one ASCII header line
 ``SPGS1 n=<n> L=<decimal> staggered=1\\n`` followed by n^3
@@ -56,7 +70,9 @@ KINETICS = ("fd", "spectral")
 # (b, 2n, 2n) plane block of its convolution, and about the rfft of one block
 # of its kernel transform.  Small blocks also keep down what the helper
 # thread's malloc arena holds on to after freeing.  A real block of at most
-# this size is not split at all (`_in_two_shares_if_large`).
+# this size is not split at all (`_in_two_shares_if_large`), nor is a flat
+# float64 array of at most this size, 65,536 nodes (`_halves`): a 3-D field
+# of n <= 40 or a radial mesh of n_r <= 65,536 stays on the caller's thread.
 _BLOCK_BYTES = 1 << 19
 
 # The one-thread executor that runs the second share of each split; started by
@@ -115,15 +131,102 @@ def _in_two_shares(task, stop: int, width: int) -> None:
         [slice(s, min(s + width, end)) for s in range(start, end, width)]
         for start, end in ((0, mid), (mid, stop))
     )
-    helper = _helper_executor() if second else None
-    if helper is None:
-        task(first + second)
-        return
-    done = helper.submit(task, second)
-    try:
+    if second:
+        _at_once(lambda: task(first), lambda: task(second))
+    else:
         task(first)
+
+
+def _at_once(first, second) -> tuple:
+    """(first(), second()), the caller running first while the helper runs second.
+
+    Without a helper the caller runs both, in turn.
+    """
+    helper = _helper_executor()
+    if helper is None:
+        return first(), second()
+    done = helper.submit(second)
+    try:
+        out = first()
     finally:
-        done.result()
+        other = done.result()
+    return out, other
+
+
+def _halves(size: int) -> list[slice]:
+    """range(size) as one slice, or as two above _BLOCK_BYTES of float64.
+
+    The split point h = size//2 - (size//2) % 8 is the one where numpy's
+    pairwise summation adds the sums of its two halves, each taken the
+    same way, so np.sum(a[:h]) + np.sum(a[h:]) is np.sum(a) bit for bit
+    for a contiguous float64 array a of this size (tests/test_grid.py
+    pins it for every size split here).
+    """
+    if 8 * size <= _BLOCK_BYTES:
+        return [slice(0, size)]
+    half = size // 2
+    mid = half - half % 8
+    return [slice(0, mid), slice(mid, size)]
+
+
+def _on_halves(task, size: int) -> list:
+    """[task(sl) for sl in _halves(size)]: the caller runs the first half, the helper the second."""
+    first, *rest = _halves(size)
+    if not rest:
+        return [task(first)]
+    return list(_at_once(lambda: task(first), lambda: task(rest[0])))
+
+
+def _added(parts: list) -> list[float]:
+    """Sums from the shares' partial sums: position k of each part, added in share order.
+
+    With the halves of `_halves` that is the one-pass np.sum at each position.
+    """
+    return [float(sum(column[1:], column[0])) for column in zip(*parts)]
+
+
+def _scaled_add(a: float, x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
+    """a * x + y (a * x without y) of flat float64 arrays, as a new array, in halves.
+
+    Each node rounds as in the one-pass expression, and y - a * x is
+    _scaled_add(-a, x, y) bit for bit, since negation is exact.
+    """
+    out = np.empty(x.size)
+
+    def share(sl):
+        o = out[sl]
+        np.multiply(x[sl], a, out=o)
+        if y is not None:
+            o += y[sl]
+
+    _on_halves(share, x.size)
+    return out
+
+
+def _sum_of_products(a: np.ndarray, b: np.ndarray, weight: np.ndarray | None = None) -> float:
+    """np.sum(a * b) (np.sum(weight * a * b)) of flat arrays, in halves.
+
+    An elementwise sum, not a BLAS dot, whose rounding depends on the
+    thread count.
+    """
+
+    products = np.empty(a.size)
+
+    def share(sl):
+        t = products[sl]
+        if weight is None:
+            np.multiply(a[sl], b[sl], out=t)
+        else:
+            np.multiply(weight[sl], a[sl], out=t)
+            t *= b[sl]
+        return (np.sum(t),)
+
+    return _added(_on_halves(share, a.size))[0]
+
+
+def _all_finite(v: np.ndarray) -> bool:
+    """Whether every value of the flat array v is finite, checked in halves."""
+    return all(_on_halves(lambda sl: bool(np.isfinite(v[sl]).all()), v.size))
 
 
 @dataclass(frozen=True)
@@ -195,7 +298,7 @@ class ScalarField:
             raise ValueError(
                 f"field length {v.size} does not match grid with n^3={self.grid.num_nodes}"
             )
-        if not np.all(np.isfinite(v)):
+        if not _all_finite(v):
             raise ValueError("field values must all be finite")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
@@ -290,7 +393,7 @@ def _sine_matrix(m: int) -> np.ndarray:
     return s
 
 
-def sine_transform(a: np.ndarray, inverse: bool = False) -> np.ndarray:
+def sine_transform(a: np.ndarray, inverse: bool = False, overwrite: bool = False) -> np.ndarray:
     """Unnormalised 3-D DST-I of an (m, m, m) block, scipy.fft.dstn(a, type=1).
 
     Runs as three products with the sine matrix S of `_sine_matrix`, one
@@ -308,13 +411,14 @@ def sine_transform(a: np.ndarray, inverse: bool = False) -> np.ndarray:
     Above `_BLOCK_BYTES` each pass runs in two shares of slabs, one per
     thread (`_in_two_shares_if_large`).  Each slab is one product,
     computed whole by one share, so the result does not depend on the
-    split.
+    split.  With `overwrite` the first pass writes t over the block it
+    has read, whose values are then lost, instead of into a new array.
     """
     m = a.shape[0]
     s = _sine_matrix(m)
     flip = a.flags.f_contiguous and not a.flags.c_contiguous
     c = np.ascontiguousarray(a.T if flip else a)
-    t = np.empty_like(c)
+    t = c if overwrite and c.flags.writeable else np.empty_like(c)
     out = np.empty_like(c)
     scale = 1.0 / (2.0 * (m + 1)) ** 3
 
@@ -377,7 +481,7 @@ def minus_laplacian(u: ScalarField, kinetic: str = "fd") -> ScalarField:
     lam = dirichlet_eigenvalues(g.n, g.h, kinetic)
     coeff = sine_transform(u.as3d)
     coeff *= lam
-    return ScalarField.from_3d(g, sine_transform(coeff, inverse=True))
+    return ScalarField.from_3d(g, sine_transform(coeff, inverse=True, overwrite=True))
 
 
 def boundary_mass_fraction(u: ScalarField) -> float:

@@ -19,7 +19,11 @@ nonlocal term rather than re-solved.
 `_descend` is the package's only descent loop.  It sees the
 discretisation through a few callables on its field type, so the 3-D box
 here and the independent radial mesh in `radial.py` run the same
-optimiser.
+optimiser.  Its field arithmetic (the L-BFGS updates, the curvature
+pairs, the trial field and its projection) goes through
+`grid._scaled_add`, and the 3-D pairing is `grid._sum_of_products`: on
+arrays above `grid._BLOCK_BYTES` each runs in two halves, one on the
+grid module's helper thread, with the one thread's values bit for bit.
 
 Runs refuse to start when the potential's coercivity constant c_bar
 (`potential.coercivity_check`, in the run's kinetic) is not positive,
@@ -42,7 +46,17 @@ import numpy as np
 
 from .errors import NoDescentError, NonCoerciveError
 from .functional import EnergyBreakdown, el_residual, energy_breakdown, precondition
-from .grid import KINETICS, GridSpec, ScalarField, boundary_mass_fraction, l2_norm, radialize, read_field
+from .grid import (
+    KINETICS,
+    GridSpec,
+    ScalarField,
+    _scaled_add,
+    _sum_of_products,
+    boundary_mass_fraction,
+    l2_norm,
+    radialize,
+    read_field,
+)
 from .nehari import _solve_fiber, ray_profile
 from .poisson import solve_phi
 from .potential import Constant, Potential, coercivity_check
@@ -179,11 +193,11 @@ def _lbfgs_direction(r, pairs, precondition, inner):
     alphas = []
     for s, y, rho in reversed(pairs):
         a = rho * inner(s, q)
-        q = q - a * y
+        q = _scaled_add(-a, y, q)  # q - a y
         alphas.append(a)
     z = precondition(q)
     for (s, y, rho), a in zip(pairs, reversed(alphas)):
-        z = z + (a - rho * inner(y, z)) * s
+        z = _scaled_add(a - rho * inner(y, z), s, z)
     return z
 
 
@@ -221,8 +235,8 @@ def _descend(u0, cfg: SolverConfig, *, field, solve, breakdown, residual, precon
     phi = solve(u0)
     eb = breakdown(u0, phi)
     t0 = _solve_fiber(eb.A1, eb.B, eb.C, eb.p)
-    u = field(t0 * u0.values)
-    phi = field(t0 * t0 * phi.values)
+    u = field(_scaled_add(t0, u0.values))
+    phi = field(_scaled_add(t0 * t0, phi.values))
 
     step_floor = _STEP_FLOOR_FACTOR * cfg.step
 
@@ -230,7 +244,7 @@ def _descend(u0, cfg: SolverConfig, *, field, solve, breakdown, residual, precon
         """(u, phi, alpha) of the first step along -d whose projection keeps I <= level, or None."""
         alpha = cfg.step
         while alpha >= step_floor:
-            u_c = field(u.values - alpha * d)
+            u_c = field(_scaled_add(-alpha, d, u.values))  # u - alpha d
             phi_c = solve(u_c)
             eb_c = breakdown(u_c, phi_c)
             if eb_c.C > 0.0 and eb_c.A1 > 0.0:
@@ -238,7 +252,8 @@ def _descend(u0, cfg: SolverConfig, *, field, solve, breakdown, residual, precon
                 # ties accepted: near the rounding floor an exact match
                 # still makes progress through the re-projection
                 if float(ray_profile(eb_c, np.asarray(t))) <= level:
-                    return field(t * u_c.values), field(t * t * phi_c.values), alpha
+                    u_t, phi_t = _scaled_add(t, u_c.values), _scaled_add(t * t, phi_c.values)
+                    return field(u_t), field(phi_t), alpha
             alpha *= 0.5
         return None
 
@@ -265,7 +280,7 @@ def _descend(u0, cfg: SolverConfig, *, field, solve, breakdown, residual, precon
             break
 
         if previous is not None:
-            s, y = u.values - previous[0], r - previous[1]
+            s, y = _scaled_add(-1.0, previous[0], u.values), _scaled_add(-1.0, previous[1], r)
             sy = inner(s, y)
             if sy > 0.0:
                 pairs.append((s, y, 1.0 / sy))
@@ -293,11 +308,15 @@ def _descend(u0, cfg: SolverConfig, *, field, solve, breakdown, residual, precon
     return u, eb, phi, rnorm, iterations, trace, status
 
 
-def find_ground_state(V: Potential, cfg: SolverConfig, grid: GridSpec) -> GroundStateResult:
+def find_ground_state(
+    V: Potential, cfg: SolverConfig, grid: GridSpec, u0: ScalarField | None = None
+) -> GroundStateResult:
     """Minimize the action over the constraint manifold.
 
     Starts from the configured initial field (default: unit Gaussian blob
-    at the origin, width L/6), projects onto the manifold, and descends
+    at the origin, width L/6), or from u0 when the caller has already
+    built that field with `initial_field(cfg.init, grid)`, projects onto
+    the manifold, and descends
     with preconditioned L-BFGS steps plus re-projection until the
     relative Euler-Lagrange residual drops below tol_residual.  With
     cfg.starts > 1 the descent is repeated from seeded jittered initial
@@ -319,7 +338,7 @@ def find_ground_state(V: Potential, cfg: SolverConfig, grid: GridSpec) -> Ground
             )
     v_field = V.sample(grid)
 
-    inits = [initial_field(cfg.init, grid)]
+    inits = [initial_field(cfg.init, grid) if u0 is None else u0]
     if cfg.starts > 1:
         rng = np.random.default_rng(cfg.seed)
         base_width = grid.L / 6.0
@@ -335,20 +354,18 @@ def find_ground_state(V: Potential, cfg: SolverConfig, grid: GridSpec) -> Ground
         return r.values, rnorm, eb
 
     best = None
-    for u0 in inits:
+    for start in inits:
         # the hooks look solve_phi, energy_breakdown, el_residual and
         # precondition up at call time, so those attributes stay replaceable
         out = _descend(
-            u0,
+            start,
             cfg,
             field=lambda values: ScalarField(grid, values),
             solve=lambda u: solve_phi(u, residual_correction=False),
             breakdown=lambda u, phi: energy_breakdown(u, v_field, cfg.p, phi=phi, kinetic=cfg.kinetic),
             residual=residual,
             precondition=lambda r: precondition(ScalarField(grid, r)).values,
-            # an elementwise sum, not a BLAS dot, whose rounding depends on
-            # the thread count
-            inner=lambda a, b: float(np.sum(a * b)),
+            inner=_sum_of_products,
         )
         if best is None or out[1].I < best[1].I:
             best = out

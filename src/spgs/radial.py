@@ -12,9 +12,14 @@ that mesh shares them.  None of the 3-D grid code is reused, which is
 the point: agreement of the two ground levels validates both
 discretizations.  Only the optimiser is shared: `radial_ground_state`
 hands these operators to the projected descent `minimize._descend` that
-the 3-D path runs.  The potential enters only as `Potential.profile` at
-the mesh nodes, the formula the 3-D grid samples at its node radii; a
-kind without a profile (tabulated, composite) is refused.
+the 3-D path runs.  So is the grid module's helper thread: on a mesh of
+more than 65,536 nodes (`grid._halves`) the energies and the residual of
+a profile run in two halves, one per thread, and the Poisson solve's two
+shell sums run side by side, each whole, since a cumulative sum cut in
+two would round differently; the levels are the one thread's bit for
+bit.  The potential enters only as `Potential.profile` at the mesh
+nodes, the formula the 3-D grid samples at its node radii; a kind
+without a profile (tabulated, composite) is refused.
 
 The radial Poisson formula is the two-sided accumulation
 
@@ -37,6 +42,7 @@ import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .functional import EnergyBreakdown
+from .grid import _added, _all_finite, _at_once, _halves, _on_halves, _sum_of_products
 from .minimize import GaussianBlob, SolverConfig, _descend
 from .potential import Potential
 
@@ -89,7 +95,7 @@ class RadialProfile:
         v = np.ascontiguousarray(self.values, dtype=np.float64).reshape(-1)
         if v.size != self.n_r:
             raise ValueError(f"profile length {v.size} != n_r = {self.n_r}")
-        if not np.all(np.isfinite(v)):
+        if not _all_finite(v):
             raise ValueError("profile values must all be finite")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
@@ -117,13 +123,28 @@ def radial_solve_phi(u: RadialProfile) -> RadialProfile:
     gradient of the B/4 term of the radial action.
     """
     r = u.nodes
-    dr = u.dr
     q = u.values * u.values
-    # enclosed mass through shell i, and the exterior sum beyond it
-    m = np.cumsum(dr * r * r * q)
+    x = np.multiply(r, u.dr)
+    m = x * r
+    m *= q  # dr r r q, summed from the centre: the mass through shell i
+    x *= q  # dr r q, summed from the outside in: the sum beyond shell i
     t = np.zeros(u.n_r)
-    t[:-1] = np.cumsum((dr * r * q)[:0:-1])[::-1]
-    return RadialProfile(u.r_max, u.n_r, m / r + t)
+
+    def enclosed():
+        np.cumsum(m, out=m)
+
+    def exterior():
+        np.cumsum(x[:0:-1], out=t[-2::-1])
+
+    # each cumsum whole on one thread: a split one would round differently
+    if len(_halves(u.n_r)) > 1:
+        _at_once(enclosed, exterior)
+    else:
+        enclosed()
+        exterior()
+    m /= r
+    m += t
+    return RadialProfile(u.r_max, u.n_r, m)
 
 
 def radial_quadrature(u: RadialProfile, integrand: np.ndarray) -> float:
@@ -131,32 +152,81 @@ def radial_quadrature(u: RadialProfile, integrand: np.ndarray) -> float:
     return FOUR_PI * u.dr * float(np.sum(integrand * u.mesh.r2))
 
 
-def _radial_kinetic(u: RadialProfile) -> tuple[float, np.ndarray]:
-    """(4*pi * int u'^2 r^2 dr, -Lap_r u) from one link difference u' of u.
+def _radial_evaluate(
+    u: RadialProfile, v_vals: np.ndarray, p: float, phi: RadialProfile, residual: bool = False
+):
+    """(breakdown, residual or None, residual norm or None) at u from one link difference u'.
 
-    u' lives on the links j*dr, j = 1..n_r, with no flux at r = 0 and a
-    zero ghost value at r_max; -Lap_r u = -(1/r^2)(r^2 u')' in flux form.
-    By summation by parts the r^2-weighted link sum of u'^2 equals the
-    quadrature of u (-Lap_r u), so 2 (-Lap_r u) is its exact gradient in
-    the r^2-weighted pairing.  The link sum is the one evaluated: its
-    positive terms round better at the descent's rounding floor.
+    u' lives on the links (j + 1) dr, one to the right of each node j, with
+    no flux at r = 0 and a zero ghost value at r_max; -Lap_r u =
+    -(1/r^2)(r^2 u')' in flux form.  By summation by parts the
+    r^2-weighted link sum of u'^2 equals the quadrature of u (-Lap_r u),
+    so 2 (-Lap_r u) is its exact gradient in the r^2-weighted pairing.
+    The link sum, times 4*pi dr the kinetic energy, is the one evaluated:
+    its positive terms round better at the descent's rounding floor.
+
+    One task takes the link sum, the four quadratures of the breakdown
+    and, with `residual`, the residual's nodes and its weighted sum of
+    squares, over one half of the mesh (`grid._on_halves`), in scratch
+    rows allocated here, so the helper thread allocates no array.  The
+    halves' sums added are the one-pass sums bit for bit; a half's first
+    node recomputes the flux on the link before it from the same nodes.
     """
-    mesh = u.mesh
+    n = u.n_r
     dr = u.dr
-    grad = np.diff(u.values, append=0.0) / dr
-    energy = FOUR_PI * dr * float(np.sum(mesh.w * grad**2))
-    return energy, -np.diff(mesh.w * grad, prepend=0.0) / (dr * mesh.r2)
+    mesh = u.mesh
+    uv, pv = u.values, phi.values
+    res = np.empty(n) if residual else None
+    scratch = np.empty((2 if residual else 1, n))
 
+    def share(sl):
+        lo, hi = sl.start, sl.stop
+        t = scratch[0][sl]
+        w, r2, x = mesh.w[sl], mesh.r2[sl], uv[sl]
 
-def _radial_evaluate(u: RadialProfile, v_vals: np.ndarray, p: float, phi: RadialProfile):
-    """(breakdown, -Lap_r u) at u from one evaluation of the kinetic term."""
-    kin, mlap = _radial_kinetic(u)
-    q = u.values * u.values
-    a1 = kin + radial_quadrature(u, v_vals * q)
-    b = radial_quadrature(u, phi.values * q)
-    c = radial_quadrature(u, np.abs(u.values) ** (p + 1.0))
-    h1 = math.sqrt(kin + radial_quadrature(u, q))
-    return EnergyBreakdown(a1, b, c, p, h1), mlap
+        def gradient(out):
+            # u' on the links of the nodes sl, the last one reading the zero ghost beyond r_max
+            within = min(hi, n - 1) - lo
+            np.subtract(uv[lo + 1 : lo + 1 + within], uv[lo : lo + within], out=out[:within])
+            np.subtract(0.0, uv[n - 1 : hi], out=out[within:])
+            out /= dr
+            return out
+
+        sums = [np.sum(np.multiply(np.square(gradient(t), out=t), w, out=t))]
+        for f in (v_vals[sl], pv[sl]):
+            np.multiply(x, x, out=t)
+            t *= f
+            sums.append(np.sum(np.multiply(t, r2, out=t)))
+        np.abs(x, out=t)
+        t **= p + 1.0
+        sums.append(np.sum(np.multiply(t, r2, out=t)))
+        sums.append(np.sum(np.multiply(np.multiply(x, x, out=t), r2, out=t)))
+        if res is not None:
+            rs, g = res[sl], scratch[1][sl]
+            gradient(g)
+            g *= w  # the flux r^2 u'
+            before = mesh.w[lo - 1] * ((uv[lo] - uv[lo - 1]) / dr) if lo else 0.0
+            np.subtract(g[1:], g[:-1], out=rs[1:])
+            rs[0] = g[0] - before
+            np.negative(rs, out=rs)
+            rs /= np.multiply(r2, dr, out=t)
+            np.add(v_vals[sl], pv[sl], out=t)
+            t *= x
+            rs += t
+            np.abs(x, out=t)
+            t **= p
+            t *= np.sign(x, out=g)
+            rs -= t
+            sums.append(np.sum(np.multiply(np.multiply(rs, rs, out=t), r2, out=t)))
+        return sums
+
+    links, vq, phiq, c, mass, *squares = _added(_on_halves(share, n))
+    scale = FOUR_PI * dr
+    kin = scale * links
+    eb = EnergyBreakdown(kin + scale * vq, scale * phiq, scale * c, p, math.sqrt(kin + scale * mass))
+    if res is None:
+        return eb, None, None
+    return eb, res, math.sqrt(scale * squares[0])
 
 
 def radial_energy_breakdown(u: RadialProfile, v_vals: np.ndarray, p: float, phi: RadialProfile):
@@ -166,10 +236,8 @@ def radial_energy_breakdown(u: RadialProfile, v_vals: np.ndarray, p: float, phi:
 
 def _radial_residual(u: RadialProfile, v_vals: np.ndarray, p: float, phi: RadialProfile):
     """(residual, its weighted L^2 norm, breakdown) at u, sharing one -Lap_r u."""
-    eb, mlap = _radial_evaluate(u, v_vals, p, phi)
-    r = mlap + (v_vals + phi.values) * u.values - np.sign(u.values) * np.abs(u.values) ** p
-    norm = math.sqrt(FOUR_PI * u.dr * float(np.sum(r * r * u.mesh.r2)))
-    return r, norm, eb
+    eb, res, norm = _radial_evaluate(u, v_vals, p, phi, residual=True)
+    return res, norm, eb
 
 
 def _radial_precondition(res: np.ndarray, mesh: _Mesh) -> np.ndarray:
@@ -225,7 +293,7 @@ def radial_ground_state(
         breakdown=lambda prof, phi: radial_energy_breakdown(prof, v_vals, p, phi),
         residual=lambda prof, phi: _radial_residual(prof, v_vals, p, phi),
         precondition=lambda res: _radial_precondition(res, mesh),
-        inner=lambda a, b: float(np.sum(mesh.r2 * a * b)),
+        inner=lambda a, b: _sum_of_products(a, b, mesh.r2),
     )
     return u, phi, eb.I
 

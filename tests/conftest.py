@@ -18,3 +18,14 @@ def on_cpus(monkeypatch):
     yield pin
     if grid._helper is not None:
         grid._helper.shutdown()
+
+
+@pytest.fixture(params=["as-built", "forced"])
+def flat_split(request, monkeypatch):
+    """forced: every flat array of more than 128 values splits into halves (`grid._halves`).
+
+    Yields the split threshold in values, for a test to size its arrays above it.
+    """
+    if request.param == "forced":
+        monkeypatch.setattr(grid, "_BLOCK_BYTES", 8 * 128)
+    yield grid._BLOCK_BYTES // 8

@@ -76,6 +76,35 @@ for jobs in ("2", "1"):
     assert rows[0] == rows[1] and len(rows[0]) == 3
 
 
+def test_sweep_reads_its_field_dump_once(tmp_path, monkeypatch):
+    # the field built to check the run's inputs is the start of every lambda's solve
+    dump = tmp_path / "init.field"
+    blob = ScalarField.from_function(GridSpec(L=4.0, n=16), lambda x, y, z: np.exp(-(x * x + y * y + z * z)))
+    write_field(blob, dump)
+    reads = []
+    read = spgs.minimize.read_field
+
+    def counting(path):
+        reads.append(path)
+        return read(path)
+
+    monkeypatch.setattr(spgs.minimize, "read_field", counting)
+    argv = [
+        "sweep-lambda",
+        "--set", "grid.L=4.0",
+        "--set", "grid.n=16",
+        "--set", "sweep.lambdas=1.0,2.0,4.0",
+        "--set", "solver.init=file",
+        "--set", f"solver.init_path={dump}",
+        "--output", str(tmp_path / "out"),
+    ]
+    # the exit code is left unread: on this coarse grid the levels need not rise with lambda
+    main(argv)
+    assert len(reads) == 1
+    (sweep,) = (tmp_path / "out").glob("*/sweep.csv")
+    assert len([line for line in sweep.read_text(encoding="utf-8").splitlines() if not line.startswith("#")]) == 4
+
+
 def test_radial_crosscheck_profile_rows_parse_as_floats(tmp_path):
     argv = [
         "radial-crosscheck",

@@ -12,7 +12,7 @@ from spgs.functional import (
     energy_breakdown,
     precondition,
 )
-from spgs.poisson import double_integral_oracle
+from spgs.poisson import double_integral_oracle, solve_phi
 from spgs.potential import Constant, CoulombSingular
 from spgs.sampling import gaussian_blob, random_smooth_field
 
@@ -30,6 +30,34 @@ def v_one(grid):
 def fields(grid, count, seed=0):
     rng = np.random.default_rng(seed)
     return [random_smooth_field(grid, rng) for _ in range(count)]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("kinetic", ["fd", "spectral"])
+def test_split_sums_and_residual_match_one_pass(on_cpus, flat_split, cpus, n, kinetic):
+    # the one-pass formulas the shares replace, over whole fields
+    on_cpus(cpus)
+    g = GridSpec(L=4.0, n=n)
+    rng = np.random.default_rng(n)
+    u, v = (ScalarField(g, rng.standard_normal(g.num_nodes)) for _ in range(2))
+    p, w = 4.0, g.h**3
+    phi = solve_phi(u, residual_correction=False)
+    mlap = minus_laplacian(u, kinetic).values
+    u2 = u.values * u.values
+    kin = w * float(np.sum(u.values * mlap))
+    a1 = kin + w * float(np.sum(v.values * u2))
+    b = w * float(np.sum(phi.values * u2))
+    c = w * float(np.sum(np.abs(u.values) ** (p + 1.0)))
+    h1 = math.sqrt(kin + w * float(np.sum(u2)))
+    r = (v.values + phi.values) * u.values + mlap - np.copysign(np.abs(u.values) ** p, u.values)
+    norm = math.sqrt(w * float(np.sum(r * r)))
+
+    eb = energy_breakdown(u, v, p, phi=phi, kinetic=kinetic)
+    got_r, got_norm, got_eb = el_residual(u, v, p, phi=phi, kinetic=kinetic)
+    for e in (eb, got_eb):
+        assert (e.A1, e.B, e.C, e.h1) == (a1, b, c, h1)
+    assert np.array_equal(got_r.values, r) and got_norm == norm
 
 
 class TestEnergyBreakdown:

@@ -304,6 +304,43 @@ class TestSplitPassesBitIdentical:
         assert np.array_equal(precondition(r).as3d, ref)
 
 
+class TestHalves:
+    # every flat size a per-node pass may split: the 3-D fields above the
+    # threshold, the radial ladder's meshes and 2^18
+    SIZES = [n**3 for n in range(42, 129, 2)] + [8192, 32768, 131072, 262144]
+
+    def test_halves_add_to_numpys_one_pass_sum(self, monkeypatch):
+        # numpy's pairwise summation adds the sums of the two halves `_halves`
+        # cuts; a numpy with another summation tree fails here instead of
+        # moving levels
+        monkeypatch.setattr(spgs_grid, "_BLOCK_BYTES", 0)
+        rng = np.random.default_rng(0)
+        a = rng.standard_normal(128**3) * np.exp(5.0 * rng.standard_normal(128**3))
+        for size in self.SIZES:
+            x = a[:size]
+            first, second = spgs_grid._halves(size)
+            assert first.start == 0 and first.stop == second.start and second.stop == size
+            assert np.sum(x) == np.sum(x[first]) + np.sum(x[second]), size
+
+    def test_fields_of_n_40_stay_whole(self):
+        assert spgs_grid._halves(40**3) == [slice(0, 40**3)]
+        assert len(spgs_grid._halves(42**3)) == 2
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_pairings_and_updates_match_one_pass(self, on_cpus, flat_split, cpus):
+        on_cpus(cpus)
+        rng = np.random.default_rng(cpus)
+        for size in (100, 4 * flat_split + 3, 262144):
+            a, b, w = rng.standard_normal((3, size))
+            assert spgs_grid._sum_of_products(a, b) == float(np.sum(a * b))
+            assert spgs_grid._sum_of_products(a, b, w) == float(np.sum(w * a * b))
+            assert np.array_equal(spgs_grid._scaled_add(-0.3, a, b), b - 0.3 * a)
+            assert np.array_equal(spgs_grid._scaled_add(0.7, a), 0.7 * a)
+            assert spgs_grid._all_finite(a)
+            a[-1] = np.nan
+            assert not spgs_grid._all_finite(a)
+
+
 class TestLpIntegral:
     def test_zero(self):
         g = GridSpec(L=1.0, n=8)

@@ -9,6 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import spgs.grid
 import spgs.minimize
 import spgs.poisson
 from spgs.errors import NoDescentError, NonCoerciveError, ZeroFieldError
@@ -397,6 +398,19 @@ def test_a_solve_runs_every_split_on_one_helper_thread(on_cpus):
     find_ground_state(Constant(1.0), SolverConfig(p=4.0, max_iters=4), GridSpec(L=4.0, n=48))
     (started,) = set(threading.enumerate()) - before
     assert started.name.startswith("spgs-helper")
+
+
+def test_split_descent_traces_match_one_pass(on_cpus, monkeypatch):
+    # n = 48 is above the per-node split size; every row must equal the unsplit run's
+    cfg, g = SolverConfig(p=4.0, max_iters=4), GridSpec(L=4.0, n=48)
+    with monkeypatch.context() as m:
+        m.setattr(spgs.grid, "_BLOCK_BYTES", 1 << 40)
+        reference = find_ground_state(Constant(1.0), cfg, g)
+    for cpus in (1, 2):
+        on_cpus(cpus)
+        res = find_ground_state(Constant(1.0), cfg, g)
+        assert repr(res.trace) == repr(reference.trace)
+        assert np.array_equal(res.u.values, reference.u.values)
 
 
 def _rising_direction(r):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import spgs.grid
 import spgs.radial
 from spgs.grid import GridSpec
 from spgs.minimize import SolverConfig, GaussianBlob
@@ -13,7 +14,6 @@ from spgs.potential import Composite, Constant, CoulombSingular, Tabulated
 from spgs.radial import (
     RadialProfile,
     _mesh,
-    _radial_kinetic,
     _radial_precondition,
     _radial_residual,
     radial_energy_breakdown,
@@ -23,6 +23,11 @@ from spgs.radial import (
     write_radial_csv,
 )
 from spgs.validate import run_validation
+
+
+def kinetic_energy(u):
+    # with V = 0, A1 is the kinetic energy 4 pi int u'^2 r^2 dr alone
+    return radial_energy_breakdown(u, np.zeros(u.n_r), 4.0, radial_solve_phi(u)).A1
 
 
 def gaussian_profile(r_max=30.0, n_r=4096, width=1.0):
@@ -112,7 +117,7 @@ class TestRadialEnergies:
     def test_kinetic_closed_form(self):
         # integral |u'|^2 over R^3 for exp(-r^2/2) is (3/2) pi^(3/2)
         u = gaussian_profile(r_max=20.0, n_r=8192)
-        assert _radial_kinetic(u)[0] == pytest.approx(1.5 * math.pi**1.5, rel=1e-5)
+        assert kinetic_energy(u) == pytest.approx(1.5 * math.pi**1.5, rel=1e-5)
 
     def test_quadrature_closed_form(self):
         u = gaussian_profile(r_max=20.0, n_r=8192)
@@ -128,7 +133,7 @@ class TestRadialEnergies:
     def test_breakdown_h1_is_the_radial_sobolev_norm(self):
         u = gaussian_profile(r_max=20.0, n_r=1024)
         eb = radial_energy_breakdown(u, np.ones(u.n_r), 4.0, radial_solve_phi(u))
-        assert eb.h1 == math.sqrt(_radial_kinetic(u)[0] + radial_quadrature(u, u.values * u.values))
+        assert eb.h1 == math.sqrt(kinetic_energy(u) + radial_quadrature(u, u.values * u.values))
 
 
 class TestRadialResidual:
@@ -227,6 +232,29 @@ def test_descent_looks_up_the_traced_layers_at_call_time(monkeypatch):
     assert calls["radial_solve_phi"] > 0
     assert calls["radial_energy_breakdown"] > 0
     assert c_traced == c_plain
+
+
+def test_split_radial_trace_matches_one_pass(on_cpus, monkeypatch):
+    # n_r = 131072 splits the per-node passes and runs the two shell sums side by side
+    traces = []
+    descend = spgs.radial._descend
+
+    def recording(*args, **kwargs):
+        out = descend(*args, **kwargs)
+        traces.append(repr(out[5]))
+        return out
+
+    monkeypatch.setattr(spgs.radial, "_descend", recording)
+    cfg = SolverConfig(p=4.0, max_iters=6)
+    levels = []
+    with monkeypatch.context() as m:
+        m.setattr(spgs.grid, "_BLOCK_BYTES", 1 << 40)
+        levels.append(radial_ground_state(Constant(1.0), 4.0, r_max=30.0, n_r=131072, cfg=cfg)[2])
+    for cpus in (1, 2):
+        on_cpus(cpus)
+        levels.append(radial_ground_state(Constant(1.0), 4.0, r_max=30.0, n_r=131072, cfg=cfg)[2])
+    assert traces[0] == traces[1] == traces[2]
+    assert levels[0] == levels[1] == levels[2]
 
 
 class TestRadialGroundState:
