@@ -209,10 +209,11 @@ def precondition(r: ScalarField) -> ScalarField:
     products with a cached sine matrix (`grid.sine_transform`).  On fields
     larger than half a megabyte all three run on two threads, the division
     in two halves that each add the one to their own part of the cached
-    table.  The coefficients and the eigenvalue table are both F-ordered,
-    so the division walks them in one memory order, and the inverse
-    transform works in the coefficients' memory, which no later step
-    reads.
+    table in a temporary of their own, which the second half allocates
+    on the helper thread.  The coefficients and the eigenvalue table are
+    both F-ordered, so the division walks them in one memory order, and
+    the inverse transform works in the coefficients' memory, which no
+    later step reads.
     Symmetric positive definite, so <precondition(r), r> > 0 for r != 0;
     descent steps measured in this metric are mesh-independent.
     """

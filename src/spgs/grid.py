@@ -24,17 +24,15 @@ pass into two shares of independent slabs, lines or plane blocks, and
 runs the first share and one helper thread the second.  Split this way
 are, above `_BLOCK_BYTES` unless stated:
 
-- here, each pass of `sine_transform`, the stencil of `minus_laplacian`
-  and the finiteness check of `ScalarField`;
+- here, each pass of `sine_transform` and the stencil of
+  `minus_laplacian`;
 - in `poisson`, at every size, each pass of the convolution and of its
   kernel transform;
 - in `functional`, the sums of the energies, the residual field and its
   norm, and the division of the Sobolev preconditioner;
 - in `minimize`, the descent's field updates and pairings
   (`_scaled_add`, `_sum_of_products`), on the box and on the radial mesh;
-- in `radial`, the quadratures and residual of a profile, its
-  finiteness check, and the two shell sums of its Poisson solve, which
-  run side by side.
+- in `radial`, the quadratures and residual of a profile.
 
 numpy's matmul, ufuncs, sums and FFTs release the GIL, so the shares
 overlap, and since no share reads another's output the result is bit for
@@ -224,11 +222,6 @@ def _sum_of_products(a: np.ndarray, b: np.ndarray, weight: np.ndarray | None = N
     return _added(_on_halves(share, a.size))[0]
 
 
-def _all_finite(v: np.ndarray) -> bool:
-    """Whether every value of the flat array v is finite, checked in halves."""
-    return all(_on_halves(lambda sl: bool(np.isfinite(v[sl]).all()), v.size))
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """Cubic box [-L, L]^3 with n nodes per axis at the cell midpoints.
@@ -298,7 +291,7 @@ class ScalarField:
             raise ValueError(
                 f"field length {v.size} does not match grid with n^3={self.grid.num_nodes}"
             )
-        if not _all_finite(v):
+        if not np.all(np.isfinite(v)):
             raise ValueError("field values must all be finite")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)

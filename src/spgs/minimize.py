@@ -326,9 +326,11 @@ def find_ground_state(
     coercivity constant c_bar is not positive (bypass with
     cfg.coercivity_override), ZeroFieldError for a zero initial field,
     NoDescentError when backtracking stalls along the preconditioned
-    gradient.  Hitting max_iters is not an error: the best
-    iterate is returned flagged converged=False.
+    gradient, ValueError for a u0 on another grid.  Hitting max_iters is
+    not an error: the best iterate is returned flagged converged=False.
     """
+    if u0 is not None and u0.grid != grid:
+        raise ValueError(f"initial field grid (L={u0.grid.L}, n={u0.grid.n}) does not match the run grid")
     if not cfg.coercivity_override:
         coercivity = coercivity_check(V, grid, kinetic=cfg.kinetic)
         if not coercivity.ok:

@@ -14,10 +14,10 @@ discretizations.  Only the optimiser is shared: `radial_ground_state`
 hands these operators to the projected descent `minimize._descend` that
 the 3-D path runs.  So is the grid module's helper thread: on a mesh of
 more than 65,536 nodes (`grid._halves`) the energies and the residual of
-a profile run in two halves, one per thread, and the Poisson solve's two
-shell sums run side by side, each whole, since a cumulative sum cut in
-two would round differently; the levels are the one thread's bit for
-bit.  The potential enters only as `Potential.profile` at the mesh
+a profile run in two halves, one per thread, and the levels are the one
+thread's bit for bit.  The Poisson solve's two shell sums stay whole on
+the caller's thread: a cumulative sum cut in two rounds differently.
+The potential enters only as `Potential.profile` at the mesh
 nodes, the formula the 3-D grid samples at its node radii; a kind
 without a profile (tabulated, composite) is refused.
 
@@ -42,7 +42,7 @@ import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .functional import EnergyBreakdown
-from .grid import _added, _all_finite, _at_once, _halves, _on_halves, _sum_of_products
+from .grid import _added, _on_halves, _sum_of_products
 from .minimize import GaussianBlob, SolverConfig, _descend
 from .potential import Potential
 
@@ -95,7 +95,7 @@ class RadialProfile:
         v = np.ascontiguousarray(self.values, dtype=np.float64).reshape(-1)
         if v.size != self.n_r:
             raise ValueError(f"profile length {v.size} != n_r = {self.n_r}")
-        if not _all_finite(v):
+        if not np.all(np.isfinite(v)):
             raise ValueError("profile values must all be finite")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
@@ -129,19 +129,8 @@ def radial_solve_phi(u: RadialProfile) -> RadialProfile:
     m *= q  # dr r r q, summed from the centre: the mass through shell i
     x *= q  # dr r q, summed from the outside in: the sum beyond shell i
     t = np.zeros(u.n_r)
-
-    def enclosed():
-        np.cumsum(m, out=m)
-
-    def exterior():
-        np.cumsum(x[:0:-1], out=t[-2::-1])
-
-    # each cumsum whole on one thread: a split one would round differently
-    if len(_halves(u.n_r)) > 1:
-        _at_once(enclosed, exterior)
-    else:
-        enclosed()
-        exterior()
+    np.cumsum(m, out=m)
+    np.cumsum(x[:0:-1], out=t[-2::-1])
     m /= r
     m += t
     return RadialProfile(u.r_max, u.n_r, m)
@@ -181,18 +170,15 @@ def _radial_evaluate(
 
     def share(sl):
         lo, hi = sl.start, sl.stop
-        t = scratch[0][sl]
+        # g, the last scratch row, keeps u' for the residual's flux; without it g is t
+        t, g = scratch[0][sl], scratch[-1][sl]
         w, r2, x = mesh.w[sl], mesh.r2[sl], uv[sl]
-
-        def gradient(out):
-            # u' on the links of the nodes sl, the last one reading the zero ghost beyond r_max
-            within = min(hi, n - 1) - lo
-            np.subtract(uv[lo + 1 : lo + 1 + within], uv[lo : lo + within], out=out[:within])
-            np.subtract(0.0, uv[n - 1 : hi], out=out[within:])
-            out /= dr
-            return out
-
-        sums = [np.sum(np.multiply(np.square(gradient(t), out=t), w, out=t))]
+        # u' on the links of the nodes sl, the last one reading the zero ghost beyond r_max
+        within = min(hi, n - 1) - lo
+        np.subtract(uv[lo + 1 : lo + 1 + within], uv[lo : lo + within], out=g[:within])
+        np.subtract(0.0, uv[n - 1 : hi], out=g[within:])
+        g /= dr
+        sums = [np.sum(np.multiply(np.square(g, out=t), w, out=t))]
         for f in (v_vals[sl], pv[sl]):
             np.multiply(x, x, out=t)
             t *= f
@@ -202,8 +188,7 @@ def _radial_evaluate(
         sums.append(np.sum(np.multiply(t, r2, out=t)))
         sums.append(np.sum(np.multiply(np.multiply(x, x, out=t), r2, out=t)))
         if res is not None:
-            rs, g = res[sl], scratch[1][sl]
-            gradient(g)
+            rs = res[sl]
             g *= w  # the flux r^2 u'
             before = mesh.w[lo - 1] * ((uv[lo] - uv[lo - 1]) / dr) if lo else 0.0
             np.subtract(g[1:], g[:-1], out=rs[1:])

@@ -336,9 +336,6 @@ class TestHalves:
             assert spgs_grid._sum_of_products(a, b, w) == float(np.sum(w * a * b))
             assert np.array_equal(spgs_grid._scaled_add(-0.3, a, b), b - 0.3 * a)
             assert np.array_equal(spgs_grid._scaled_add(0.7, a), 0.7 * a)
-            assert spgs_grid._all_finite(a)
-            a[-1] = np.nan
-            assert not spgs_grid._all_finite(a)
 
 
 class TestLpIntegral:

@@ -13,7 +13,7 @@ import spgs.grid
 import spgs.minimize
 import spgs.poisson
 from spgs.errors import NoDescentError, NonCoerciveError, ZeroFieldError
-from spgs.grid import GridSpec
+from spgs.grid import GridSpec, ScalarField
 from spgs.minimize import (
     GaussianBlob,
     SolverConfig,
@@ -70,6 +70,12 @@ class TestFindGroundState:
         )
         with pytest.raises(ZeroFieldError):
             find_ground_state(Constant(1.0), cfg, quick_grid)
+
+    @pytest.mark.parametrize("other", [GridSpec(L=3.0, n=24), GridSpec(L=2.5, n=16)], ids=["L", "n"])
+    def test_start_field_on_another_grid_raises(self, quick_cfg, quick_grid, other):
+        u0 = ScalarField.from_function(other, lambda x, y, z: np.exp(-(x * x + y * y + z * z)))
+        with pytest.raises(ValueError, match="does not match the run grid"):
+            find_ground_state(Constant(1.0), quick_cfg, quick_grid, u0)
 
     def test_converged_state_contracts(self, ground_state, quick_cfg):
         res = ground_state
