@@ -12,7 +12,8 @@ Exit codes: 0 ok, 2 config error, 3 solver error, 4 a failed mode check
 (validate's invariants, sweep-lambda's monotonicity in lambda, compare-vinf's
 test-function bound `VinfComparison.bound_holds`), after the outputs are written.
 A value rejected while the run's grid, solver settings, potential or
-initial field are built is a config error; any other error raised during
+initial field are built is a config error, and so is an output_dir in
+which the run's directory cannot be made; any other error raised during
 the run, a ValueError from deep inside a solve included, is a solver
 error.  Failures print one machine-readable line `ERROR <category>:
 <detail>` to stderr.
@@ -54,14 +55,16 @@ def _timestamp_line() -> str:
 def _make_run_dir(cfg: RunConfig) -> Path:
     base = Path(cfg.output_dir)
     base.mkdir(parents=True, exist_ok=True)
-    stamp = time.strftime("%Y%m%d-%H%M%S")
-    candidate = base / f"{cfg.mode}-{stamp}"
-    k = 1
-    while candidate.exists():
-        candidate = base / f"{cfg.mode}-{stamp}-{k}"
-        k += 1
-    candidate.mkdir()
-    return candidate
+    name = f"{cfg.mode}-{time.strftime('%Y%m%d-%H%M%S')}"
+    k = 0
+    # mkdir claims the name: a run started in the same second takes the next suffix
+    while True:
+        candidate = base / (f"{name}-{k}" if k else name)
+        try:
+            candidate.mkdir()
+            return candidate
+        except FileExistsError:
+            k += 1
 
 
 def _potential_echo(cfg: RunConfig) -> str:
@@ -332,7 +335,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"ERROR config: {exc}", file=sys.stderr)
         return 2
 
-    outdir = _make_run_dir(cfg)
+    try:
+        outdir = _make_run_dir(cfg)
+    except OSError as exc:
+        print(f"ERROR config: output_dir: {exc}", file=sys.stderr)
+        return 2
     with open(outdir / "config.cfg", "w", encoding="utf-8") as fh:
         fh.write(canonical_text(cfg))
 

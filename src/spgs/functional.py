@@ -25,10 +25,10 @@ testable by central differences.
 Each evaluated field gets one -Lap u, from `grid.minus_laplacian` in the
 run's kinetic, and the kinetic energy, the H^1 norm and the residual all
 come from it, in one pass over the nodes.  Above `grid._BLOCK_BYTES`
-(n >= 42) that pass, like the preconditioner's division, runs in two
-halves, the second on the grid module's helper thread; each sum splits
-where numpy's pairwise summation does, so the values are the one
-thread's bit for bit.  The kinetic name is passed through, never
+(n >= 42) that pass runs in two halves, the second on the grid module's
+helper thread; each sum splits where numpy's pairwise summation does, so
+the values are the one thread's bit for bit.  The preconditioner inverts
+-Lap + 1 in the same kinetic.  The kinetic name is passed through, never
 branched on.  The potential comes in sampled, as a `ScalarField` on u's grid
 (`Potential.sample`); nothing here samples it.
 """
@@ -45,8 +45,8 @@ from .grid import (
     _added,
     _on_halves,
     dirichlet_eigenvalues,
+    in_sine_modes,
     minus_laplacian,
-    sine_transform,
 )
 from .poisson import solve_phi
 
@@ -200,32 +200,15 @@ def el_residual(
     return ScalarField(u.grid, r), norm, eb
 
 
-def precondition(r: ScalarField) -> ScalarField:
-    """Sobolev smoothing (-Lap_h + 1)^(-1) r with zero Dirichlet ghosts.
+def precondition(r: ScalarField, kinetic: str = "fd") -> ScalarField:
+    """Sobolev smoothing (-Lap + 1)^(-1) r, -Lap the `minus_laplacian` of `kinetic`.
 
-    The 7-point Laplacian with zero ghosts is diagonal in the DST-I sine
-    modes, so this is a forward sine transform, a division by the mode
-    eigenvalues plus one, and the inverse transform, each transform three
-    products with a cached sine matrix (`grid.sine_transform`).  On fields
-    larger than half a megabyte all three run on two threads, the division
-    in two halves that each add the one to their own part of the cached
-    table in a temporary of their own, which the second half allocates
-    on the helper thread.  The coefficients and the eigenvalue table are
-    both F-ordered, so the division walks them in one memory order, and
-    the inverse transform works in the coefficients' memory, which no
-    later step reads.
-    Symmetric positive definite, so <precondition(r), r> > 0 for r != 0;
-    descent steps measured in this metric are mesh-independent.
+    Both kinetics are diagonal in the DST-I sine modes, so this divides
+    the sine coefficients of r by the cached table of the mode
+    eigenvalues plus one (`grid.in_sine_modes`); a call allocates no
+    table.  Symmetric positive definite, so <precondition(r), r> > 0 for
+    r != 0; descent steps measured in this metric are mesh-independent.
     """
     g = r.grid
-    coeff = sine_transform(r.as3d)
-    # both F-ordered, so their transposes are the flat x-fastest views
-    flat = coeff.T.reshape(-1)
-    table = dirichlet_eigenvalues(g.n, g.h).T.reshape(-1)
-
-    def share(sl):
-        t = np.add(table[sl], 1.0)
-        flat[sl] /= t
-
-    _on_halves(share, flat.size)
-    return ScalarField.from_3d(g, sine_transform(coeff, inverse=True, overwrite=True))
+    table = dirichlet_eigenvalues(g.n, g.h, kinetic, 1.0)
+    return ScalarField.from_3d(g, in_sine_modes(r.as3d, table, np.divide))

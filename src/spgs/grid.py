@@ -12,11 +12,12 @@ Fields are stored flat in x-fastest order (the dump format below); the
 outside the box (a zero ghost layer).  `minus_laplacian` is the
 package's one -Lap on that box, in one of the `KINETICS`: the 7-point
 second-order stencil ("fd") or the exact sine-spectral operator
-("spectral").  Both have the DST-I sine modes as eigenvectors
-(`dirichlet_eigenvalues`, `sine_transform`), so the Sobolev
-preconditioner and the Poisson defect correction are diagonal in those
-modes, and `dirichlet_energy` is the quadratic form of either.  Only
-this module maps a kinetic name to an operator or a table.
+("spectral").  Both have the DST-I sine modes as eigenvectors, and
+`in_sine_modes` applies an operator through them with a cached
+`dirichlet_eigenvalues` table: the spectral -Lap, the Sobolev
+preconditioner in the run's kinetic, and `poisson`'s defect solve.
+`dirichlet_energy` is the quadratic form of either kinetic.  Only this
+module maps a kinetic name to an operator or a table.
 
 The n^3 passes of the package run on two cores: `_in_two_shares` cuts a
 pass into two shares of independent slabs, lines or plane blocks, and
@@ -24,12 +25,12 @@ pass into two shares of independent slabs, lines or plane blocks, and
 runs the first share and one helper thread the second.  Split this way
 are, above `_BLOCK_BYTES` unless stated:
 
-- here, each pass of `sine_transform` and the stencil of
-  `minus_laplacian`;
+- here, each pass of `sine_transform`, the stencil of `minus_laplacian`
+  and the table op of `in_sine_modes`;
 - in `poisson`, at every size, each pass of the convolution and of its
   kernel transform;
-- in `functional`, the sums of the energies, the residual field and its
-  norm, and the division of the Sobolev preconditioner;
+- in `functional`, the sums of the energies and the residual field and
+  its norm;
 - in `minimize`, the descent's field updates and pairings
   (`_scaled_add`, `_sum_of_products`), on the box and on the radial mesh;
 - in `radial`, the quadratures and residual of a profile.
@@ -355,15 +356,15 @@ def dirichlet_energy(u: ScalarField, kinetic: str = "fd") -> float:
 
 
 @lru_cache(maxsize=16)
-def dirichlet_eigenvalues(m: int, h: float, kinetic: str = "fd") -> np.ndarray:
-    """Eigenvalues of -Lap on an m^3 block of spacing h with zero ghosts beyond it.
+def dirichlet_eigenvalues(m: int, h: float, kinetic: str = "fd", shift: float = 0.0) -> np.ndarray:
+    """Eigenvalues of -Lap on an m^3 block of spacing h with zero ghosts beyond it, plus `shift`.
 
     The DST-I sine modes diagonalize both variants: "fd" (the 7-point
     Laplacian) has sum_i (4/h^2) sin^2(pi k_i / (2(m+1))), "spectral" the
     exact sum_i (pi k_i / ((m+1) h))^2, k_i = 1..m.  The cached table is
     shared by every caller and read-only.  It is F-ordered, as the sine
-    coefficients of x-fastest fields are, so dividing or multiplying them
-    by it walks both arrays in one memory order.
+    coefficients of x-fastest fields are, so `in_sine_modes` walks both
+    arrays in one memory order.
     """
     k = np.arange(1, m + 1)
     if kinetic == "fd":
@@ -373,6 +374,7 @@ def dirichlet_eigenvalues(m: int, h: float, kinetic: str = "fd") -> np.ndarray:
     else:
         raise ValueError(f"unknown kinetic variant {kinetic!r}; options: {KINETICS}")
     table = np.asfortranarray(lam1[:, None, None] + lam1[None, :, None] + lam1[None, None, :])
+    table += shift
     table.setflags(write=False)
     return table
 
@@ -472,9 +474,23 @@ def minus_laplacian(u: ScalarField, kinetic: str = "fd") -> ScalarField:
         _in_two_shares_if_large(planes, n, a.nbytes)
         return ScalarField.from_3d(g, out)
     lam = dirichlet_eigenvalues(g.n, g.h, kinetic)
-    coeff = sine_transform(u.as3d)
-    coeff *= lam
-    return ScalarField.from_3d(g, sine_transform(coeff, inverse=True, overwrite=True))
+    return ScalarField.from_3d(g, in_sine_modes(u.as3d, lam, np.multiply))
+
+
+def in_sine_modes(a: np.ndarray, table: np.ndarray, op) -> np.ndarray:
+    """idst(op(dst(a), table)) of an F-ordered (m, m, m) block, as an F-ordered block.
+
+    `table` is a `dirichlet_eigenvalues` table of a's shape and `op`
+    np.multiply (apply the operator) or np.divide (invert it), run in
+    place on the coefficients in halves (`_on_halves`), each of which
+    reads only its own table entries.  The inverse transform works in the
+    coefficients' memory.
+    """
+    coeff = sine_transform(np.asfortranarray(a))
+    # both F-ordered, so their transposes are the flat x-fastest views
+    flat, t = coeff.T.reshape(-1), table.T.reshape(-1)
+    _on_halves(lambda sl: op(flat[sl], t[sl], out=flat[sl]), flat.size)
+    return sine_transform(coeff, inverse=True, overwrite=True)
 
 
 def boundary_mass_fraction(u: ScalarField) -> float:

@@ -161,12 +161,12 @@ class GroundStateResult:
         return self.status == "converged"
 
 
-def initial_field(init: InitSpec, grid: GridSpec) -> ScalarField:
-    """The descent's first field: the Gaussian blob, or a field dump on the run grid."""
+def initial_field(init: InitSpec | ScalarField, grid: GridSpec) -> ScalarField:
+    """The descent's first field: the Gaussian blob, or a field (or field dump) on the run grid."""
     if isinstance(init, GaussianBlob):
         width = init.width if init.width is not None else grid.L / 6.0
         return gaussian_blob(grid, init.center, width, init.amplitude)
-    u = read_field(init)
+    u = init if isinstance(init, ScalarField) else read_field(init)
     if u.grid != grid:
         raise ValueError(
             f"initial field grid (L={u.grid.L}, n={u.grid.n}) does not match the run grid"
@@ -316,9 +316,9 @@ def find_ground_state(
     Starts from the configured initial field (default: unit Gaussian blob
     at the origin, width L/6), or from u0 when the caller has already
     built that field with `initial_field(cfg.init, grid)`, projects onto
-    the manifold, and descends
-    with preconditioned L-BFGS steps plus re-projection until the
-    relative Euler-Lagrange residual drops below tol_residual.  With
+    the manifold, and descends with preconditioned L-BFGS steps plus
+    re-projection until the relative Euler-Lagrange residual drops below
+    tol_residual.  With
     cfg.starts > 1 the descent is repeated from seeded jittered initial
     blobs and the lowest level wins.
 
@@ -329,8 +329,7 @@ def find_ground_state(
     gradient, ValueError for a u0 on another grid.  Hitting max_iters is
     not an error: the best iterate is returned flagged converged=False.
     """
-    if u0 is not None and u0.grid != grid:
-        raise ValueError(f"initial field grid (L={u0.grid.L}, n={u0.grid.n}) does not match the run grid")
+    inits = [initial_field(cfg.init if u0 is None else u0, grid)]
     if not cfg.coercivity_override:
         coercivity = coercivity_check(V, grid, kinetic=cfg.kinetic)
         if not coercivity.ok:
@@ -340,7 +339,6 @@ def find_ground_state(
             )
     v_field = V.sample(grid)
 
-    inits = [initial_field(cfg.init, grid) if u0 is None else u0]
     if cfg.starts > 1:
         rng = np.random.default_rng(cfg.seed)
         base_width = grid.L / 6.0
@@ -366,7 +364,7 @@ def find_ground_state(
             solve=lambda u: solve_phi(u, residual_correction=False),
             breakdown=lambda u, phi: energy_breakdown(u, v_field, cfg.p, phi=phi, kinetic=cfg.kinetic),
             residual=residual,
-            precondition=lambda r: precondition(ScalarField(grid, r)).values,
+            precondition=lambda r: precondition(ScalarField(grid, r), cfg.kinetic).values,
             inner=_sum_of_products,
         )
         if best is None or out[1].I < best[1].I:

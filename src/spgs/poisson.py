@@ -35,9 +35,9 @@ identity integral(phi_u u^2) = (1/4pi) * double sum of u^2 u^2 / |x - y|.
 
 The raw kernel sum approximates the continuum operator, so its 7-point
 discrete residual is O(1) near the source.  `solve_phi` therefore adds a
-defect correction: an exact Dirichlet solve on the interior nodes,
-diagonal in the DST-I sine modes (`grid.sine_transform`), keeping the
-kernel values as boundary data.  The returned phi then satisfies
+defect correction: the exact 7-point Dirichlet solve on the interior
+nodes (`grid.in_sine_modes` with the fd table of that block), keeping
+the kernel values as boundary data.  The returned phi then satisfies
 -Lap_h(phi) = u^2 on interior nodes to rounding while retaining the
 free-space 1/|x| tail, and it stays positive by the discrete maximum
 principle.  The uncorrected sum (`residual_correction=False`) is exactly
@@ -57,8 +57,8 @@ from .grid import (
     ScalarField,
     _in_two_shares,
     dirichlet_eigenvalues,
+    in_sine_modes,
     minus_laplacian,
-    sine_transform,
 )
 
 # Mean of 1/|xi| over the unit cell [-1/2, 1/2]^3 (closed form; equals the
@@ -236,14 +236,6 @@ def _convolve_direct(q: np.ndarray, grid: GridSpec) -> np.ndarray:
     return grid.h**3 * KERNEL_CONSTANT * out.reshape((n, n, n))
 
 
-def _interior_dirichlet_solve(rhs: np.ndarray, h: float) -> np.ndarray:
-    """Exact solve of -Lap_h psi = rhs with psi = 0 on the surrounding layer."""
-    m = rhs.shape[0]
-    coeff = sine_transform(rhs)
-    coeff /= dirichlet_eigenvalues(m, h)
-    return sine_transform(coeff, inverse=True)
-
-
 def _interior_defect(u: ScalarField, phi: ScalarField) -> np.ndarray:
     """u^2 - (-Lap_h phi) on interior nodes (stencil fully inside the box)."""
     inner = (slice(1, -1),) * 3
@@ -282,7 +274,8 @@ def solve_phi(
     if not residual_correction:
         return phi
     out = phi.as3d.copy(order="F")
-    out[1:-1, 1:-1, 1:-1] += _interior_dirichlet_solve(_interior_defect(u, phi), grid.h)
+    table = dirichlet_eigenvalues(grid.n - 2, grid.h)
+    out[1:-1, 1:-1, 1:-1] += in_sine_modes(_interior_defect(u, phi), table, np.divide)
     return ScalarField.from_3d(grid, out)
 
 

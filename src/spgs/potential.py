@@ -64,9 +64,10 @@ class Potential:
         (<u, -Lap u> + <V u, u>) / (<u, -Lap u> + <u, u>), with -Lap the
         `grid.minus_laplacian` of `kinetic`.  Preconditioned LOBPCG on the
         shifted pencil (V - 1, -Lap + 1), one -Lap and one Sobolev
-        preconditioner per iteration, started from the lowest sine mode;
-        its Ritz value bounds the eigenvalue from above.  Kinds with an
-        exact constant on R^3 override this.
+        preconditioner, its exact inverse in `kinetic`, per iteration,
+        started from the lowest sine mode; its Ritz value bounds the
+        eigenvalue from above.  Kinds with an exact constant on R^3
+        override this.
 
         For `Tabulated` and `Composite` wells this is a grid-level gate, not
         the continuum one.  A 1/|x|^2-type well is only as deep as its nodes:
@@ -92,7 +93,7 @@ class Potential:
             lambda X: shift[:, None] * X,
             x0,
             B=blockwise(lambda u: minus_laplacian(u, kinetic).values + u.values),
-            M=blockwise(lambda u: precondition(u).values),
+            M=blockwise(lambda u: precondition(u, kinetic).values),
             largest=False,
             tol=_EIGEN_TOL,
             maxiter=_EIGEN_MAXITER,

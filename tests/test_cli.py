@@ -5,6 +5,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -127,7 +128,9 @@ def test_nonfinite_step_mid_descent_is_a_solver_error(tmp_path, monkeypatch, cap
     # the trial field u - alpha * inf is rejected by ScalarField with a
     # ValueError deep inside the descent: a solver error, not a config error
     monkeypatch.setattr(
-        spgs.minimize, "precondition", lambda r: SimpleNamespace(values=np.full(r.values.shape, np.inf))
+        spgs.minimize,
+        "precondition",
+        lambda r, kinetic: SimpleNamespace(values=np.full(r.values.shape, np.inf)),
     )
     argv = ["solve", "--set", "grid.L=4.0", "--set", "grid.n=16", "--output", str(tmp_path)]
     assert main(argv) == 3
@@ -322,6 +325,28 @@ def test_tabulated_radial_crosscheck_is_a_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("ERROR config: potential.kind:")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("output", ["file", "file/out"], ids=["a-file", "under-a-file"])
+def test_unusable_output_dir_is_a_config_error(tmp_path, capsys, output):
+    (tmp_path / "file").write_text("not a directory\n", encoding="utf-8")
+    argv = ["solve", "--set", "grid.L=4.0", "--set", "grid.n=16", "--output", str(tmp_path / output)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("ERROR config: output_dir: ")
+
+
+def test_run_started_in_the_same_second_takes_the_next_suffix(tmp_path, monkeypatch):
+    # another run makes solve-<stamp> after this one found the name free
+    strftime, now = time.strftime, time.localtime()
+    monkeypatch.setattr(time, "strftime", lambda fmt, t=None: strftime(fmt, now))
+    stamp = time.strftime("%Y%m%d-%H%M%S")
+    (tmp_path / f"solve-{stamp}").mkdir()
+    exists = Path.exists
+    monkeypatch.setattr(Path, "exists", lambda self, **kw: self.parent != tmp_path and exists(self, **kw))
+    argv = ["solve", "--set", "grid.L=4.0", "--set", "grid.n=16", "--output", str(tmp_path)]
+    assert main(argv) == 0
+    assert (tmp_path / f"solve-{stamp}-1" / "summary.csv").is_file()
+    assert not any((tmp_path / f"solve-{stamp}").iterdir())
 
 
 def test_summary_csv_carries_the_boundary_mass(tmp_path, capsys):

@@ -9,6 +9,7 @@ import scipy.fft
 from spgs import grid as spgs_grid
 from spgs.functional import precondition
 from spgs.grid import (
+    KINETICS,
     GridSpec,
     ScalarField,
     boundary_mass_fraction,
@@ -298,10 +299,11 @@ class TestSplitPassesBitIdentical:
     def test_precondition(self, on_cpus, cpus, n):
         on_cpus(cpus)
         r = self.field(n)
-        coeff = reference_sine_transform(r.as3d)
-        coeff /= c_ordered_eigenvalues(n, r.grid.h) + 1.0
-        ref = reference_sine_transform(coeff, inverse=True)
-        assert np.array_equal(precondition(r).as3d, ref)
+        for kinetic in KINETICS:
+            coeff = reference_sine_transform(r.as3d)
+            coeff /= c_ordered_eigenvalues(n, r.grid.h, kinetic) + 1.0
+            ref = reference_sine_transform(coeff, inverse=True)
+            assert np.array_equal(precondition(r, kinetic).as3d, ref), kinetic
 
 
 class TestHalves:

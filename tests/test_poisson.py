@@ -16,6 +16,7 @@ from spgs.poisson import (
     KERNEL_CONSTANT,
     _convolve_direct,
     _convolve_fft,
+    _interior_defect,
     _kernel_octant,
     _planes_per_block,
     double_integral_oracle,
@@ -24,6 +25,7 @@ from spgs.poisson import (
 )
 from spgs.potential import Constant
 from spgs.sampling import random_smooth_field
+from test_grid import c_ordered_eigenvalues, reference_sine_transform
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +79,20 @@ class TestSolvePhi:
     def test_interior_residual_to_rounding(self, small_grid):
         for u in seeded_fields(small_grid, 3, seed=7):
             assert interior_residual(u, solve_phi(u)) < 1e-12
+
+    @pytest.mark.parametrize("n", [16, 48])
+    def test_correction_is_the_reference_dirichlet_solve_of_the_defect(self, n):
+        # interior nodes gain the fd solve of the defect, through the
+        # reference transforms; the outer layer keeps the raw sum
+        g = GridSpec(L=6.0, n=n)
+        u = seeded_fields(g, 1, seed=n)[0]
+        raw = solve_phi(u, residual_correction=False)
+        coeff = reference_sine_transform(_interior_defect(u, raw))
+        coeff /= c_ordered_eigenvalues(n - 2, g.h)
+        inner = (slice(1, -1),) * 3
+        ref = raw.as3d.copy()
+        ref[inner] += reference_sine_transform(coeff, inverse=True)
+        assert np.array_equal(solve_phi(u).as3d, ref)
 
     def test_raw_sum_has_large_residual(self, small_grid):
         # the uncorrected kernel quadrature does not satisfy the 7-point
