@@ -136,6 +136,11 @@ class RunConfig:
                 "solver.init: compare-vinf also solves on a refined grid, which a field dump "
                 "does not fit; use solver.init = gaussian"
             )
+        if self.mode == "compare-vinf" and self.potential_kind == "tabulated":
+            raise ConfigError(
+                "potential.kind: compare-vinf also solves on a refined grid, which a table "
+                "does not fit; use constant or coulomb_singular"
+            )
         if self.jobs < 1:
             raise ConfigError(f"jobs: must be at least 1, got {self.jobs}")
         if not self.sweep_lambdas:

@@ -448,8 +448,18 @@ def compare_with_vinf(V: Potential, cfg: SolverConfig, grid: GridSpec) -> VinfCo
     the two potentials and cancel in the difference, so this is the
     honest noise floor of the comparison.  strict is asserted only when
     all four solves converged and the refined gap exceeds three times that
-    movement.  For a constant potential the two problems coincide, strict
-    is False and the bound is c.
+    movement.
+
+    V's solve starts from cfg.init.  The limit solve starts from V's
+    converged state on the same grid, which roughly halves its iterations:
+    both are bumps about the same centre.  The bound still checks V's
+    descent, since that descent never sees u_inf, so c <= bound is not
+    built in.  A well off the origin (a Composite with an off-centre
+    perturbation, which the CLI does not build) hands the limit solve an
+    off-centre start, from which the descent can stop on a lattice-pinned
+    state.  For a constant potential the two problems coincide: V's
+    result is reused as the limit's (two solves, not four), strict is
+    False and the bound is c.
     """
     vinf = V.v_infinity()
     if vinf <= 0:
@@ -458,7 +468,8 @@ def compare_with_vinf(V: Potential, cfg: SolverConfig, grid: GridSpec) -> VinfCo
     gaps, excess, converged = [], -math.inf, True
     for g in (grid, GridSpec(L=grid.L, n=n + n % 2)):
         res = find_ground_state(V, cfg, g)
-        limit = find_ground_state(Constant(vinf), cfg, g)
+        # positional u0: callers wrap find_ground_state with *args recorders
+        limit = res if V == Constant(vinf) else find_ground_state(Constant(vinf), cfg, g, res.u)
         bound = _limit_ray_max(V, limit)
         excess = max(excess, (res.c_estimate - bound) / limit.breakdown.magnitude)
         converged = converged and res.converged and limit.converged

@@ -55,7 +55,7 @@ def run_validation(seed: int = 0, p: float = 4.0) -> list[CheckResult]:
             worst = max(worst, float(np.max(np.abs(scaled - t * t * base) / np.abs(t * t * base))))
     results.append(_check("poisson.quadratic-scaling", worst < 1e-12, f"max rel dev {worst:.2e}"))
 
-    worst = 0.0
+    worst = math.inf
     for u in fields[:4]:
         phi = solve_phi(u).values
         worst = min(float(phi.min() / phi.max()), worst)

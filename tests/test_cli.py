@@ -264,14 +264,23 @@ def test_compare_vinf_level_above_the_bound_exits_4(violated_n, tmp_path, capsys
     assert (float(row["bound"]) < float(row["c"])) == (violated_n == 18)
 
 
-def test_compare_vinf_after_unconverged_solves_is_not_strict(tmp_path):
+def test_compare_vinf_after_unconverged_solves_is_not_strict(tmp_path, monkeypatch):
     # V = 1 - 1/|x| at L = 4, n = 16 is strict once converged; two
     # iterations per solve leave all four unconverged, with a gap past the margin
+    compare = spgs.cli.compare_with_vinf
+    comparisons = []
+
+    def recording(*args):
+        comparisons.append(compare(*args))
+        return comparisons[-1]
+
+    monkeypatch.setattr(spgs.cli, "compare_with_vinf", recording)
     argv = [*_COULOMB_COMPARE, "--set", "grid.n=16", "--set", "potential.lambda=1.0"]
     assert main([*argv, "--set", "solver.max_iters=2", "--output", str(tmp_path)]) == 0
     _, row = _compare_row(tmp_path)
     assert row["strict"] == "0"
-    assert float(row["c_inf"]) - float(row["c"]) > 5.4
+    (cmp_result,) = comparisons
+    assert float(row["c_inf"]) - float(row["c"]) > cmp_result.margin
 
 
 def _config_error_from_init_dump(tmp_path, capsys, data):
@@ -308,12 +317,12 @@ def test_refused_init_dump_is_a_config_error(tmp_path, capsys, header, detail):
     assert detail in _config_error_from_init_dump(tmp_path, capsys, header + bytes(8 * 16**3))
 
 
-def test_tabulated_radial_crosscheck_is_a_config_error(tmp_path, capsys):
-    # a real table: the run must be refused for its potential kind, not a missing file
+def _refuses_a_table(mode, tmp_path, capsys):
+    """A `mode` run on a real table is refused for its potential kind, not a missing file."""
     table = tmp_path / "v.field"
     write_field(ScalarField.from_function(GridSpec(L=4.0, n=16), lambda x, y, z: np.ones_like(x)), table)
     argv = [
-        "radial-crosscheck",
+        mode,
         "--set", "grid.L=4.0",
         "--set", "grid.n=16",
         "--set", "radial.n_r=256",
@@ -325,6 +334,15 @@ def test_tabulated_radial_crosscheck_is_a_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("ERROR config: potential.kind:")
     assert not (tmp_path / "out").exists()
+
+
+def test_tabulated_radial_crosscheck_is_a_config_error(tmp_path, capsys):
+    _refuses_a_table("radial-crosscheck", tmp_path, capsys)
+
+
+def test_tabulated_compare_vinf_is_a_config_error(tmp_path, capsys):
+    # a table fits the run grid only, not compare-vinf's refined grid
+    _refuses_a_table("compare-vinf", tmp_path, capsys)
 
 
 @pytest.mark.parametrize("output", ["file", "file/out"], ids=["a-file", "under-a-file"])

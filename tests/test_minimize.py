@@ -218,14 +218,17 @@ class TestGroundLevelConstant:
 
 
 class TestCompareWithVinf:
-    def test_constant_potential_not_strict(self, quick_grid):
+    def test_constant_potential_not_strict(self, quick_grid, monkeypatch):
         cfg = SolverConfig(
             p=4.0, tol_residual=1e-6, max_iters=400, init=GaussianBlob(width=0.5),
             kinetic="spectral",
         )
+        solves = _recorded_solves(monkeypatch)
         cmp_result = compare_with_vinf(Constant(1.0), cfg, quick_grid)
+        # V = V_inf: V's problem is the limit's, so one solve per grid
+        assert [r.u.grid.n for r in solves] == [24, 36]
         assert not cmp_result.strict
-        assert cmp_result.c == cmp_result.c_inf
+        assert cmp_result.c == cmp_result.c_inf == solves[1].c_estimate
         # V = V_inf: the bound is the limit state's own ray maximum, c itself,
         # evaluated at a fiber root within 1e-13 of t = 1 (measured: one ulp apart)
         assert cmp_result.bound == pytest.approx(cmp_result.c, rel=1e-15, abs=0.0)
@@ -236,22 +239,32 @@ class TestCompareWithVinf:
             compare_with_vinf(Constant(-1.0), replace(quick_cfg, coercivity_override=True), quick_grid)
 
     # (c, bound, c_inf) on the run grid n = 16 and the refined grid n = 24
-    # for V = 1 - 0.5/|x| at L = 6, and the refinement margin
+    # for V = 1 - 0.5/|x| at L = 6, the limit solves' iterations from V's
+    # ground state (9 and 9 fd, 9 and 8 spectral from the Gaussian blob),
+    # and the refinement margin
     @pytest.mark.parametrize(
-        "kinetic, levels, margin",
+        "kinetic, levels, limit_iterations, margin",
         [
-            ("fd", [(12.649145849976, 12.722760745670, 17.498651903381),
-                    (8.814839015509, 8.905333096261, 12.110762119994)], 4.660748846758),
-            ("spectral", [(15.583835022306, 15.676326872711, 21.070809076736),
-                          (10.595355972701, 10.705354965296, 14.372602897260)], 5.129181389613),
+            ("fd", [(12.649145849976, 12.722760738425, 17.498651903381),
+                    (8.814839015509, 8.905333114223, 12.110762119994)], [6, 5], 4.660748846758),
+            ("spectral", [(15.583835022306, 15.676326853121, 21.070809076736),
+                          (10.595355972701, 10.705354991203, 14.372602897260)], [6, 6], 5.129181389613),
         ],
         ids=["fd", "spectral"],
     )
-    def test_coulomb_level_below_the_bound_below_c_inf_on_both_grids(self, kinetic, levels, margin, monkeypatch):
-        solves = _recorded_solves(monkeypatch)
+    def test_coulomb_level_below_the_bound_below_c_inf_on_both_grids(
+        self, kinetic, levels, limit_iterations, margin, monkeypatch
+    ):
+        calls = []
+        solves = _recorded_solves(monkeypatch, calls)
         V = CoulombSingular(1.0, 0.5, 1)
         cmp_result = compare_with_vinf(V, SolverConfig(kinetic=kinetic), GridSpec(L=6.0, n=16))
         assert [r.u.grid.n for r in solves] == [16, 16, 24, 24]
+        # V's solves start from the configured blob, each limit solve from
+        # V's ground state on its grid
+        assert [len(args) for args in calls] == [3, 4, 3, 4]
+        assert calls[1][3] is solves[0].u and calls[3][3] is solves[2].u
+        assert [solves[1].iterations, solves[3].iterations] == limit_iterations
         for (res, limit), pinned in zip((solves[:2], solves[2:]), levels):
             bound = spgs.minimize._limit_ray_max(V, limit)
             assert res.c_estimate <= bound < limit.c_estimate
@@ -311,12 +324,14 @@ class TestCompareWithVinf:
         assert calls - inside == Counter({"_solve_fiber": 2})
 
 
-def _recorded_solves(monkeypatch):
-    """The results find_ground_state returns, in call order."""
+def _recorded_solves(monkeypatch, calls=None):
+    """The results find_ground_state returns, in call order; their arguments go to `calls`."""
     solve = spgs.minimize.find_ground_state
     results = []
 
     def recording(*args):
+        if calls is not None:
+            calls.append(args)
         results.append(solve(*args))
         return results[-1]
 
