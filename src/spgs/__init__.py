@@ -18,10 +18,11 @@ give p = 4 a level error of 5e-4 needs h = 0.040 at p = 4.5.  That
 limit is an estimate from radial core half-widths interpolated in p,
 not a measurement.
 
-Importing the package, or `spgs.cli`, loads numpy and no scipy: the 3-D
-path takes its FFTs from numpy.fft.  scipy has two users.  `spgs.radial`
-factors its tridiagonal systems with scipy's LAPACK; the package imports
-it on the first lookup of `RadialProfile`, `radial_ground_state` or
+Importing the package, or `spgs.cli`, loads numpy and no scipy, and a
+3-D solve loads none either: its sine transforms are products with a
+cached sine matrix, and its erf tables come from `math.erf`.  scipy has
+two users.  `spgs.radial` factors its tridiagonal systems with scipy's
+LAPACK; the package imports it on the first lookup of `RadialProfile`, `radial_ground_state` or
 `radial_solve_phi`.  The grid eigen-solve of `Tabulated` and `Composite`
 potentials imports scipy.sparse.linalg's lobpcg when it runs.
 """
@@ -67,7 +68,7 @@ from .nehari import (
     nehari_project,
     ray_max_check,
 )
-from .poisson import double_integral_oracle, solve_phi
+from .poisson import solve_phi
 from .potential import (
     CoercivityResult,
     Composite,

@@ -17,10 +17,10 @@ which satisfy I - J = G/(p+1) identically, so I = J on the manifold.
 
 Every term is an exact function of the node values: the kinetic part is
 the quadratic form h^3 <u, -Lap u> of a symmetric operator, the nonlocal
-part uses the uncorrected convolution solve (exactly self-adjoint in u^2),
-so the Euler-Lagrange residual returned here is the exact L^2 gradient of
-I up to rounding.  That exactness is relied on by the descent loop and is
-testable by central differences.
+part uses the uncorrected screened sine solve (symmetric to rounding in
+u^2), so the Euler-Lagrange residual returned here is the exact L^2
+gradient of I up to rounding.  That exactness is relied on by the
+descent loop and is testable by central differences.
 
 Each evaluated field gets one -Lap u, from `grid.minus_laplacian` in the
 run's kinetic, and the kinetic energy, the H^1 norm and the residual all
@@ -175,7 +175,7 @@ def energy_breakdown(
 
     V is the potential sampled on u's grid.  `phi` short-circuits the
     internal Poisson solve when the caller already holds the uncorrected
-    convolution solution for this u.
+    screened sine solve for this u.
     """
     return _evaluate(u, V, p, phi, kinetic)[0]
 
@@ -192,9 +192,9 @@ def el_residual(
     Returns the residual field, its quadrature-weighted L^2 norm and the
     `energy_breakdown` at u, all from the same -Lap u.  The residual is
     the exact L^2-metric gradient of the action at u (the nonlocal term
-    differentiates to phi_u u because the convolution is self-adjoint), so
-    central differences of I along any direction v reproduce <r, v> to
-    rounding.
+    differentiates to phi_u u because the screened sine solve is
+    symmetric to rounding), so central differences of I along any
+    direction v reproduce <r, v> to rounding.
     """
     eb, r, norm = _evaluate(u, V, p, phi, kinetic, residual=True)
     return ScalarField(u.grid, r), norm, eb

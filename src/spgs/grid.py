@@ -27,19 +27,23 @@ are, above `_BLOCK_BYTES` unless stated:
 
 - here, each pass of `sine_transform`, the stencil of `minus_laplacian`
   and the table op of `in_sine_modes`;
-- in `poisson`, at every size, each pass of the convolution and of its
-  kernel transform;
+- in `poisson`, the slab passes of the screened solve around its sine
+  solve;
 - in `functional`, the sums of the energies and the residual field and
   its norm;
 - in `minimize`, the descent's field updates and pairings
   (`_scaled_add`, `_sum_of_products`), on the box and on the radial mesh;
 - in `radial`, the quadratures and residual of a profile.
 
-numpy's matmul, ufuncs, sums and FFTs release the GIL, so the shares
+numpy's matmul, ufuncs, sums and einsum release the GIL, so the shares
 overlap, and since no share reads another's output the result is bit for
-bit the one thread's.  A sum splits at the point where numpy's pairwise
-summation adds its two halves (`_halves`), so the two partial sums added
-are the one-pass sum.  A process keeps one helper, started on the first
+bit the one thread's.  Reductions of n^3 data use np.sum or np.einsum,
+never np.dot, np.vdot or @ with a vector: OpenBLAS threads those calls,
+and its spinning workers stall the helper thread on two cores (one vdot
+and two matvecs per Poisson solve took the ground-state descent at n = 64
+from 0.34-0.40 s to 0.47-0.64 s on a 2-core host).  A sum splits at the
+point where numpy's pairwise summation adds its two halves (`_halves`),
+so the two partial sums added are the one-pass sum.  A process keeps one helper, started on the first
 split, never at import, and only when the process may run on at least
 two CPUs; otherwise the caller runs both shares in turn.  A forked child
 drops its parent's helper, whose thread it does not inherit, and starts
@@ -65,13 +69,11 @@ import numpy as np
 # kinetic discretisations of -Lap, all diagonal in the DST-I sine modes
 KINETICS = ("fd", "spectral")
 
-# Bytes of complex spectrum one share works on at a time in `poisson`: the
-# (b, 2n, 2n) plane block of its convolution, and about the rfft of one block
-# of its kernel transform.  Small blocks also keep down what the helper
-# thread's malloc arena holds on to after freeing.  A real block of at most
-# this size is not split at all (`_in_two_shares_if_large`), nor is a flat
-# float64 array of at most this size, 65,536 nodes (`_halves`): a 3-D field
-# of n <= 40 or a radial mesh of n_r <= 65,536 stays on the caller's thread.
+# A block of at most this many bytes is not split at all
+# (`_in_two_shares_if_large`), nor is a flat float64 array of at most this
+# size, 65,536 nodes (`_halves`): a 3-D field of n <= 40 or a radial mesh of
+# n_r <= 65,536 stays on the caller's thread.  `poisson` walks each table in
+# slabs of z planes of about this size, whose scratch the share reuses.
 _BLOCK_BYTES = 1 << 19
 
 # The one-thread executor that runs the second share of each split; started by
@@ -103,18 +105,19 @@ def _helper_executor():
         return _helper
 
 
-def _in_two_shares_if_large(task, stop: int, nbytes: int) -> None:
-    """task(blocks) on range(stop), in two shares of one slice each above _BLOCK_BYTES.
+def _in_two_shares_if_large(task, stop: int, nbytes: int, width: int | None = None) -> None:
+    """task(blocks) on range(stop) in slices of at most `width`, in two shares above _BLOCK_BYTES.
 
     `nbytes` is the size of the array the task walks.  One of at most
     _BLOCK_BYTES fits in cache, where handing half of it to the helper
     costs more than the second core saves; the caller then runs all of
-    range(stop) as one slice.
+    range(stop).  Without `width` each share is one slice.
     """
+    width = width or stop
     if nbytes > _BLOCK_BYTES:
-        _in_two_shares(task, stop, stop)
+        _in_two_shares(task, stop, width)
     else:
-        task([slice(0, stop)])
+        task([slice(s, min(s + width, stop)) for s in range(0, stop, width)])
 
 
 def _in_two_shares(task, stop: int, width: int) -> None:

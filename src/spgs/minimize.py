@@ -369,7 +369,7 @@ def find_ground_state(
         )
         if best is None or out[1].I < best[1].I:
             best = out
-    u, eb, phi_conv, rnorm, iterations, trace, status = best
+    u, eb, phi_raw, rnorm, iterations, trace, status = best
 
     # the Pohozaev defect from the breakdown eb of u and two more weighted sums of u^2
     w = grid.h**3
@@ -377,8 +377,8 @@ def find_ground_state(
     xdv = V.virial(grid.radius)
     virial = math.nan if xdv is None else w * float(np.sum(xdv * u2))
     pohozaev = eb.pohozaev(w * float(np.sum(v_field.as3d * u2)), virial) / eb.magnitude
-    # the descent's raw sum for u, so the corrected phi runs no second convolution
-    phi = solve_phi(u, raw=phi_conv)
+    # the descent's raw solve for u, so the corrected phi runs no second screened solve
+    phi = solve_phi(u, raw=phi_raw)
     return GroundStateResult(
         u=u,
         phi=phi,

@@ -1,52 +1,62 @@
 """Free-space Poisson solves -Lap(phi) = u^2 for the nonlocal term phi_u u.
 
-The solution is the Coulomb sum
+On the box the free-space Green's function is the Dirichlet one plus a
+remainder, G = G_D + H, with H(x, y) harmonic in both points.  G_D is
+the box's own sine solve S = (-Lap_sp)^-1, one `grid.in_sine_modes`
+with the spectral `dirichlet_eigenvalues` table, the zero-ghost
+convention of the kinetic term and the preconditioner.  H is kept to
+its terms with at most one power of x or of y, through the unit
+Gaussian g of width sigma = L/4 at the origin and its dipoles
+g_i = 2 x_i g / sigma^2 (= -d_i g).  Since H is harmonic, its means
+against them are H(., 0) = H_0 = Phi_g - S g and d_(y_i) H(., 0) =
+H_i = x_i f - S g_i, where
 
-    phi(x) = sum_y h^3 * u^2(y) / (4*pi*|x - y|),
+    Phi_g = erf(r/sigma) / (4 pi r),
+    f     = [erf(r/sigma) - (2r / (sigma sqrt(pi))) exp(-r^2/sigma^2)] / (4 pi r^3)
 
-realized by zero-padded (domain doubled) FFT convolution.  The kernel's
-x = y value is the exact mean of 1/(4*pi*|xi|) over one cell, which
-removes the singularity with an O(h^2)-consistent correction.
+are the free-space potentials of g and (divided by x_i) of g_i.  With
+Q = h^3 sum q and p = h^3 sum x q, the source s = q - Q g - sum_i p_i g_i
+carries no monopole and no dipole, and the raw solve is
 
-The FFT convolution is a pruned separable transform.  The forward pass
-transforms one axis at a time and only the planes of the (2n)^3 padded
-box that hold charge; the inverse pass crops each axis to its n wanted
-outputs before transforming the next.  After the rfft along z the work
-runs plane by plane in k_z: blocks of about half a megabyte of (2n)^2
-planes pass through a reused buffer, each cropped back to n^2 in place,
-so no array of the padded box's size is formed.  The kernel's transform
-is cached as its (n + 1)^3 DCT-I octant and mirrored through views; the
-DCT-I of each axis is the rfft of that axis's even extension.  Every
-pass runs on numpy.fft, whose pocketfft gives scipy.fft's results bit
-for bit.  The result equals the full padded irfftn(rfftn(pad) * K) bit
-for bit.
+    K q = S s + Q Phi_g + (p.x) f + <H_0, s> + sum_i x_i <H_i, s>.
 
-Each pass, and each axis of the kernel's DCT-I, is cut into two shares
-of independent FFT lines or plane blocks, run by the calling thread and
-the process's one helper thread (`grid._in_two_shares`; the `grid`
-module says when the helper starts).  numpy.fft releases the GIL, so the
-two overlap, and since no line or block reads another's output the
-result does not depend on the split.
+The box's symmetry gives <H_0, g_i> = <H_i, g> = 0 and <H_i, g_j> =
+delta_ij M, so this is S q + Q H_0 + sum_i p_i H_i + (<H_0, q> - c_0 Q)
++ sum_i x_i (<H_i, q> - M p_i) with c_0 = <H_0, g>: each term is paired
+with its transpose, so K is symmetric in the h^3-weighted pairing to
+rounding.  It is exact, up to the sine solve, for a charge whose
+outside field is a monopole plus a dipole about the origin.  By the same
+symmetry <H_0, s> = <Phi_g, q> - Q <Phi_g, g> - <g, w> and <H_i, s> =
+<x_i f, q> - p_i <x f, g_x> - <g_i, w>, from moments of q, the two
+pairings <Phi_g, g> and <x f, g_x> taken once per grid, and the
+g-weighted moments of the one sine solve w = S s.
 
-The same lattice sum by O(N^2) pairwise summation (`_convolve_direct`)
-is the reference the FFT path is tested against; its pairwise sums also
-serve `double_integral_oracle`, the brute-force check of the energy
-identity integral(phi_u u^2) = (1/4pi) * double sum of u^2 u^2 / |x - y|.
+Only Phi_g and f are cached per grid, C-ordered [z, y, x], so they walk
+in the memory order of x-fastest fields.  Node radii are r = (h/2)
+sqrt(k) with k = sum of (2j + 1 - n)^2 over the three axes, an integer
+8m + 3, so both tables are gathered from `math.erf` at the few values
+of m up to the largest: no scipy on the 3-D path.  g enters only
+through its 1-D factors.  The passes over the nodes run in slabs of z
+planes, in two shares above `grid._BLOCK_BYTES`
+(`grid._in_two_shares_if_large`); every slab reduces over x alone, and
+the planes' sums are added by the caller, so the result does not
+depend on the split.  No n^3 reduction goes through BLAS (see `grid`).
 
-The raw kernel sum approximates the continuum operator, so its 7-point
-discrete residual is O(1) near the source.  `solve_phi` therefore adds a
-defect correction: the exact 7-point Dirichlet solve on the interior
-nodes (`grid.in_sine_modes` with the fd table of that block), keeping
-the kernel values as boundary data.  The returned phi then satisfies
--Lap_h(phi) = u^2 on interior nodes to rounding while retaining the
-free-space 1/|x| tail, and it stays positive by the discrete maximum
-principle.  The uncorrected sum (`residual_correction=False`) is exactly
-self-adjoint in u^2 and is what the energy functional differentiates.
+K approximates the continuum operator, so its 7-point discrete residual
+is O(1) near the source.  `solve_phi` therefore adds a defect
+correction: the exact 7-point Dirichlet solve on the interior nodes
+(`grid.in_sine_modes` with the fd table of that block), keeping K's
+values as boundary data.  The returned phi then satisfies -Lap_h(phi) =
+u^2 on interior nodes to rounding while retaining the free-space 1/|x|
+tail, and it stays positive by the discrete maximum principle.  The
+uncorrected K (`residual_correction=False`) is symmetric to rounding and
+is what the energy functional differentiates.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -55,185 +65,153 @@ from .grid import (
     _BLOCK_BYTES,
     GridSpec,
     ScalarField,
-    _in_two_shares,
+    _in_two_shares_if_large,
     dirichlet_eigenvalues,
     in_sine_modes,
     minus_laplacian,
 )
 
-# Mean of 1/|xi| over the unit cell [-1/2, 1/2]^3 (closed form; equals the
-# high-resolution quadrature of the cell average to 1e-15).
-CELL_MEAN_INVERSE_DISTANCE = 3.0 * math.log(2.0 + math.sqrt(3.0)) - math.pi / 2.0
 
-KERNEL_CONSTANT = 1.0 / (4.0 * math.pi)
+@dataclass(frozen=True)
+class _Lift:
+    """Per-grid data of K: the two cached tables, g's 1-D factors and two pairings."""
 
-# Largest grid for which the O(N^2) direct double sum is allowed.
-ORACLE_MAX_N = 24
+    phi_g: np.ndarray  # Phi_g, C-ordered [z, y, x]
+    f: np.ndarray  # f, C-ordered [z, y, x]
+    a: np.ndarray  # g = a(z) a(y) a(x)
+    xa: np.ndarray  # x a(x)
+    slope: float  # 2 / sigma^2, so g_i = slope * x_i g
+    phi_g_g: float  # <Phi_g, g>
+    xf_gx: float  # <x f, g_x>
 
-@lru_cache(maxsize=8)
-def _kernel_octant(n: int, h: float) -> np.ndarray:
-    """The real rfftn of the Coulomb kernel on the doubled (2n)^3 lattice, as its octant.
 
-    The kernel depends on |d| only, so it is even along each axis of the
-    doubled lattice and its transform is real: per axis, the DFT of an
-    even sequence of length 2n is the DCT-I of its first n + 1 entries.
-    So the full (2n, 2n, n + 1) table is the DCT-I of the (n + 1)^3 octant
-    d in [0, n]^3, mirrored (index j -> 2n - j) along the two full axes.
-    The DCT-I runs axis by axis, in order 0, 1, 2, as the real part of the
-    rfft of the axis's even extension (x_0, ..., x_n, x_(n-1), ..., x_1),
-    the length-2n sequence whose DFT it is; this equals
-    scipy.fft.dctn(k, type=1) bit for bit.  Each axis's lines run in two
-    shares (`_in_two_shares`), split along the next axis into blocks of
-    about _BLOCK_BYTES of spectrum.  Only the octant is kept, laid out
-    [k2, d1, d0] as the plane blocks of `_convolve_fft` read it; the
-    mirror is applied there through views.
+def _pair(cell: float, plane: np.ndarray, wz: np.ndarray, wy: np.ndarray) -> float:
+    """cell * sum over (z, y) of plane[z, y] wz[z] wy[y]."""
+    return cell * float(np.einsum("zy,z,y->", plane, wz, wy))
+
+
+def _dipole(cell: float, along_x: np.ndarray, plane: np.ndarray, even, odd) -> np.ndarray:
+    """The x, y and z moments of an n^3 array from its [z, y] sums over x, times x and not.
+
+    along_x holds the sums of x times the array, plane those of the array;
+    each moment is cell * a sum over (z, y), weighted even(z) even(y) for
+    along_x, even(z) odd(y) and odd(z) even(y) for plane.
     """
-    d = np.arange(n + 1, dtype=np.float64)
-    r = h * np.sqrt(d[:, None, None] ** 2 + d[None, :, None] ** 2 + d[None, None, :] ** 2)
-    with np.errstate(divide="ignore"):
-        k = KERNEL_CONSTANT / r
-    k[0, 0, 0] = KERNEL_CONSTANT * CELL_MEAN_INVERSE_DISTANCE / h
-    width = max(1, _BLOCK_BYTES // (16 * (n + 1) ** 2))
-    for axis in range(3):
-        # views with the transformed axis first and the split axis second
-        order = (axis, (axis + 1) % 3)
-        src = np.moveaxis(k, order, (0, 1))
-        k = np.empty_like(k)
-        dst = np.moveaxis(k, order, (0, 1))
-
-        def dct1(blocks, src=src, dst=dst):
-            for sl in blocks:
-                part = src[:, sl]
-                even = np.concatenate([part, part[n - 1 : 0 : -1]])
-                dst[:, sl] = np.fft.rfft(even, axis=0).real
-
-        _in_two_shares(dct1, n + 1, width)
-    table = np.ascontiguousarray(k.T)
-    table.setflags(write=False)
-    return table
-
-
-
-def _planes_per_block(n: int) -> int:
-    """Planes in one plane block of `_convolve_fft` on an n^3 grid: about _BLOCK_BYTES."""
-    return min(n + 1, max(1, _BLOCK_BYTES // (16 * (2 * n) ** 2)))
-
-
-def _convolve_fft(q: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """h^3 * (kernel * q) by zero-padded circular convolution, pruned.
-
-    Equals h^3 * irfftn(rfftn(pad) * K)[:n, :n, :n] for q zero-padded to
-    (2n)^3, bit for bit: each 1-D pass is the one the padded transform
-    runs, in the same axis order, except that forward passes skip the
-    all-zero planes and inverse passes skip the planes that are cropped
-    away.  The 1/(2n)^3 normalisation is applied after the last pass, as
-    the padded inverse does.
-
-    Axes 0, 1, 2 are x, y, z; the work runs on the transposed [z, y, x]
-    layout, in which an F-ordered (x-fastest) field is C-ordered.  The
-    rfft along z fills an (n + 1, n, n) spectrum, one (y, x) plane per k2,
-    slab by slab.  Blocks of `_planes_per_block` planes then go through a
-    reused (b, 2n, 2n) buffer: forward along x on the n charged rows, then
-    along y; the kernel product, read from the cached octant through its
-    four mirrored quadrants; inverse along x and then y, each cropped to
-    n; the n x n corner goes back into its spectrum plane.  The irfft
-    along k2 writes slab by slab into the F-ordered result.  Each of the
-    three passes runs as two shares of slabs or blocks (`_in_two_shares`),
-    the plane-block shares each with its own buffer of about 512 KiB.  So
-    a call holds the spectrum and the result, about three fields' worth,
-    and two blocks, where the padded spectrum alone is eight fields' worth.
-    """
-    n = grid.n
-    m = 2 * n
-    b = _planes_per_block(n)
-    octant = _kernel_octant(n, grid.h)
-    mirror = slice(n - 1, 0, -1)
-    spec = np.empty((n + 1, n, n), dtype=np.complex128)
-    out = np.empty((n, n, n), order="F")
-
-    def forward_z(blocks):
-        for sl in blocks:
-            np.fft.rfft(q.T[:, sl], n=m, axis=0, out=spec[:, sl])
-
-    def planes(blocks):
-        buf = np.empty((b, m, m), dtype=np.complex128)
-        for sl in blocks:
-            blk = spec[sl]
-            k = octant[sl]
-            # the padded planes, zero beyond the n x n charged corner; the passes run in place
-            f = buf[: len(blk)]
-            f[:, :n, :n] = blk
-            f[:, :n, n:] = 0.0
-            f[:, n:] = 0.0
-            np.fft.fft(f[:, :n], axis=2, out=f[:, :n])
-            np.fft.fft(f, axis=1, out=f)
-            f[:, : n + 1, : n + 1] *= k
-            f[:, : n + 1, n + 1 :] *= k[:, :, mirror]
-            f[:, n + 1 :, : n + 1] *= k[:, mirror]
-            f[:, n + 1 :, n + 1 :] *= k[:, mirror, mirror]
-            np.fft.ifft(f, axis=2, norm="forward", out=f)
-            blk[...] = np.fft.ifft(f[:, :, :n], axis=1, norm="forward", out=f[:, :, :n])[:, :n]
-
-    def inverse_z(blocks):
-        for sl in blocks:
-            slab = out.T[:, sl]
-            slab[...] = np.fft.irfft(spec[:, sl], n=m, axis=0, norm="forward")[:n]
-            slab *= 1.0 / m**3
-            slab *= grid.h**3
-
-    _in_two_shares(forward_z, n, b)
-    _in_two_shares(planes, n + 1, b)
-    _in_two_shares(inverse_z, n, b)
-    return out
+    return np.array([
+        _pair(cell, along_x, even, even),
+        _pair(cell, plane, even, odd),
+        _pair(cell, plane, odd, even),
+    ])
 
 
 @lru_cache(maxsize=4)
-def _inverse_distance_table(n: int, h: float) -> np.ndarray:
-    """1 / (h |d|) for node-index differences d in [0, n)^3, zero at d = 0."""
-    d = np.arange(n, dtype=np.float64)
-    r = h * np.sqrt(d[:, None, None] ** 2 + d[None, :, None] ** 2 + d[None, None, :] ** 2)
-    with np.errstate(divide="ignore"):
-        table = 1.0 / r
-    table[0, 0, 0] = 0.0
-    table = table.ravel()
-    table.setflags(write=False)
-    return table
+def _lift(grid: GridSpec) -> _Lift:
+    """Phi_g and f on the grid's nodes, g's 1-D factors and the pairings, built once per grid."""
+    n, h = grid.n, grid.h
+    sigma = grid.L / 4.0
+    x = grid.axis
+    # (2j + 1 - n)^2 is an odd square 8T + 1, so the nodes' k = 8m + 3, m = T_x + T_y + T_z
+    odd = np.abs(2 * np.arange(n) + 1 - n)
+    tri = (odd * odd - 1) // 8
+    m = np.arange(3 * int(tri.max()) + 1)
+    r = 0.5 * h * np.sqrt(8.0 * m + 3.0)
+    erf = np.array([math.erf(v / sigma) for v in r])
+    z = r / sigma
+    phi_r = erf / (4.0 * math.pi * r)
+    f_r = (erf - (2.0 / math.sqrt(math.pi)) * z * np.exp(-z * z)) / (4.0 * math.pi * r**3)
+    key = tri[:, None, None] + tri[None, :, None] + tri[None, None, :]
+    phi_g, f = phi_r.take(key), f_r.take(key)
+    del key
+    phi_g.setflags(write=False)
+    f.setflags(write=False)
+
+    a = np.exp(-((x / sigma) ** 2)) / (math.sqrt(math.pi) * sigma)
+    xa, slope, cell = x * a, 2.0 / sigma**2, h**3
+    phi_g_g = cell * float(np.einsum("zyx,z,y,x->", phi_g, a, a, a))
+    xf_gx = cell * slope * float(np.einsum("zyx,z,y,x->", f, a, a, x * xa))
+    return _Lift(phi_g, f, a, xa, slope, phi_g_g, xf_gx)
 
 
-def _inverse_distance_sums(grid: GridSpec, q: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """sum over j != i of q[j] / |x_i - x_j| for each flat node index i in rows.
+def _screened_solve(q: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """K q, q the flat x-fastest values of the charge; q is overwritten.
 
-    Brute-force O(rows * N) pairwise summation in row chunks; each chunk's
-    weights are gathered from the cached `_inverse_distance_table` by the
-    absolute node-index differences along each axis.  Node i is entry i
-    of grid.coords() raveled in C order; x-fastest (F-order) values give
-    the same sums, since the two orders differ by the x <-> z swap, an
-    isometry.
+    Returns the flat x-fastest values of K q.  Working on the C-ordered
+    [z, y, x] view of q: one slab pass takes the planes' sums over x of
+    q, x q, Phi_g q, f q and x f q; a second turns q into s in place;
+    the sine solve w = S s follows; a third pass takes the sums over x of
+    a w and x a w; the last adds the remaining terms of K to w in place.
+    A call allocates the field the sine solve returns and, per share, a
+    slab of scratch.
     """
     n = grid.n
-    table = _inverse_distance_table(n, grid.h)
-    ix, iy, iz = np.unravel_index(rows, (n, n, n))
-    steps = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
-    out = np.empty(rows.size)
-    chunk = 512
-    for start in range(0, rows.size, chunk):
-        sel = slice(start, start + chunk)
-        flat = (
-            (n * n) * steps[ix[sel]][:, :, None, None]
-            + n * steps[iy[sel]][:, None, :, None]
-            + steps[iz[sel]][:, None, None, :]
-        )
-        out[sel] = table.take(flat.reshape(flat.shape[0], -1)) @ q
-    return out
+    cell = grid.h**3
+    lift = _lift(grid)
+    x, a, xa = grid.axis, lift.a, lift.xa
+    src = q.reshape((n, n, n))
+    # slabs of z planes of about _BLOCK_BYTES per table
+    width = max(1, _BLOCK_BYTES // (8 * n * n))
+    # per plane (z, y), summed over x: q, x q, Phi_g q, f q and x f q
+    planes = np.empty((5, n, n))
 
+    def moments(blocks):
+        for sl in blocks:
+            s, f = src[sl], lift.f[sl]
+            np.einsum("zyx->zy", s, out=planes[0, sl])
+            np.einsum("zyx,x->zy", s, x, out=planes[1, sl])
+            np.einsum("zyx,zyx->zy", lift.phi_g[sl], s, out=planes[2, sl])
+            np.einsum("zyx,zyx->zy", f, s, out=planes[3, sl])
+            np.einsum("zyx,zyx,x->zy", f, s, x, out=planes[4, sl])
 
-def _convolve_direct(q: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Same lattice sum by brute-force pairwise summation: the FFT path's test reference."""
-    n = grid.n
-    qf = q.reshape(-1)
-    out = _inverse_distance_sums(grid, qf, np.arange(qf.size))
-    out += CELL_MEAN_INVERSE_DISTANCE / grid.h * qf
-    return grid.h**3 * KERNEL_CONSTANT * out.reshape((n, n, n))
+    _in_two_shares_if_large(moments, n, q.nbytes, width)
+    ones = np.ones(n)
+    Q, p = _pair(cell, planes[0], ones, ones), _dipole(cell, planes[1], planes[0], ones, x)
+    # the lift g (Q + slope p.x) as [z, y] planes times the x factors a and x a
+    k = lift.slope * p
+    coeffs = np.empty((n, n, 2))
+    coeffs[:, :, 0] = np.multiply.outer(a, a * (Q + k[1] * x)) + np.multiply.outer(k[2] * xa, a)
+    coeffs[:, :, 1] = k[0] * np.multiply.outer(a, a)
+    factors = np.stack([a, xa])
+
+    def subtract(blocks):
+        scratch = np.empty((width, n, n))
+        for sl in blocks:
+            t = scratch[: sl.stop - sl.start]
+            np.einsum("zyk,kx->zyx", coeffs[sl], factors, out=t)
+            src[sl] -= t
+
+    _in_two_shares_if_large(subtract, n, q.nbytes, width)
+    # w = S s of the [x, y, z] (F-ordered) view; its transpose is C-ordered [z, y, x]
+    out = in_sine_modes(src.T, dirichlet_eigenvalues(n, grid.h, "spectral"), np.divide).T
+    solved = np.empty((2, n, n))
+
+    def sine_moments(blocks):
+        for sl in blocks:
+            np.einsum("zyx,kx->kzy", out[sl], factors, out=solved[:, sl])
+
+    _in_two_shares_if_large(sine_moments, n, q.nbytes, width)
+    # <H_0, s> and <H_i, s>
+    g_w = _pair(cell, solved[0], a, a)
+    gi_w = lift.slope * _dipole(cell, solved[1], solved[0], a, xa)
+    const = _pair(cell, planes[2], ones, ones) - (g_w + Q * lift.phi_g_g)
+    c = _dipole(cell, planes[4], planes[3], ones, x) - (gi_w + p * lift.xf_gx)
+    dipole_zy = np.add.outer(p[2] * x, p[1] * x)
+    affine_zy = np.add.outer(c[2] * x, const + c[1] * x)
+
+    def assemble(blocks):
+        scratch = np.empty((width, n, n))
+        for sl in blocks:
+            t = scratch[: sl.stop - sl.start]
+            o = out[sl]
+            np.multiply(lift.phi_g[sl], Q, out=t)
+            o += t
+            np.add(dipole_zy[sl, :, None], p[0] * x, out=t)
+            t *= lift.f[sl]
+            o += t
+            np.add(affine_zy[sl, :, None], c[0] * x, out=t)
+            o += t
+
+    _in_two_shares_if_large(assemble, n, q.nbytes, width)
+    return out.reshape(-1)
 
 
 def _interior_defect(u: ScalarField, phi: ScalarField) -> np.ndarray:
@@ -256,50 +234,24 @@ def solve_phi(
 ) -> ScalarField:
     """Solve -Lap(phi) = u^2 with free-space (decaying) behavior.
 
-    The kernel sum runs as the pruned zero-padded FFT convolution.  When
-    `residual_correction` is True (default), the interior Dirichlet defect
-    solve is added so the 7-point residual vanishes to rounding on interior
-    nodes.  When False, the raw kernel quadrature sum is returned, which is
-    the exactly self-adjoint realization the energy functional uses.
-    `raw` short-circuits the convolution when the caller already holds
-    that raw sum for this u; the defect correction then starts from it.
+    The raw solve is the screened sine solve K of the module docstring.
+    When `residual_correction` is True (default), the interior Dirichlet
+    defect solve is added so the 7-point residual vanishes to rounding on
+    interior nodes.  When False, K u^2 is returned, the realization,
+    symmetric to rounding, that the energy functional uses.  `raw`
+    short-circuits K when the caller already holds K u^2 for this u; the
+    defect correction then starts from it.
     """
     grid = u.grid
     phi = raw
     if phi is None:
-        q = u.as3d ** 2
+        q = np.square(u.values)
         if not np.any(q):
             return ScalarField.zeros(grid)
-        phi = ScalarField.from_3d(grid, _convolve_fft(q, grid))
+        phi = ScalarField(grid, _screened_solve(q, grid))
     if not residual_correction:
         return phi
     out = phi.as3d.copy(order="F")
     table = dirichlet_eigenvalues(grid.n - 2, grid.h)
     out[1:-1, 1:-1, 1:-1] += in_sine_modes(_interior_defect(u, phi), table, np.divide)
     return ScalarField.from_3d(grid, out)
-
-
-def double_integral_oracle(u: ScalarField, region_radius: float | None = None) -> float:
-    """Brute-force double sum of u^2(x) u^2(y) / |x - y| over x in Omega, y anywhere.
-
-    Omega is the ball |x| <= region_radius, or the whole grid when None.
-    Diagonal pairs are excluded and compensated by the exact self-cell
-    correction h^2 * c0 * integral(u^4) restricted to Omega.  Validates
-    the fast solve through  integral_Omega phi_u u^2 = (1/4pi) * oracle.
-    Cost is O(N^2); grids beyond n = 24 are rejected.
-    """
-    grid = u.grid
-    if grid.n > ORACLE_MAX_N:
-        raise ValueError(
-            f"direct double sum limited to n <= {ORACLE_MAX_N}, got n={grid.n}"
-        )
-    q = (u.values * u.values).astype(np.float64)
-    if region_radius is None:
-        rows = np.arange(q.size)
-    else:
-        rows = np.nonzero(grid.radius.ravel(order="F") <= region_radius)[0]
-
-    h = grid.h
-    total = float(q[rows] @ _inverse_distance_sums(grid, q, rows))
-    self_term = CELL_MEAN_INVERSE_DISTANCE / h * float(np.sum(q[rows] ** 2))
-    return h**6 * (total + self_term)

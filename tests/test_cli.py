@@ -38,8 +38,8 @@ def test_cli_import_loads_no_scipy_sparse():
 
 
 def test_cli_import_loads_no_scipy():
-    # the 3-D path takes its FFTs from numpy.fft; the radial solver's LAPACK
-    # loads on the first lookup of a radial name in the package
+    # the 3-D path needs no scipy; the radial solver's LAPACK loads on the
+    # first lookup of a radial name in the package
     code = """
 import sys, threading, spgs, spgs.cli
 print(sorted(m for m in sys.modules if m.startswith('scipy')))
@@ -54,6 +54,18 @@ except AttributeError:
     print('AttributeError')
 """
     assert _fresh_python(code).splitlines() == ["[]", "1 False", "True", "True", "AttributeError"]
+
+
+def test_3d_solve_loads_no_scipy():
+    # the Poisson solve's erf tables come from math.erf: importing scipy.special
+    # would cost 0.15-0.2 s of every run's set-up
+    code = """
+import sys
+from spgs import Constant, GridSpec, SolverConfig, find_ground_state
+res = find_ground_state(Constant(1.0), SolverConfig(p=4.0), GridSpec(L=4.0, n=16))
+print(res.converged, sorted(m for m in sys.modules if m.startswith('scipy')))
+"""
+    assert _fresh_python(code) == "True []"
 
 
 def test_sweep_jobs_2_after_an_in_process_solve(tmp_path):

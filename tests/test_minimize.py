@@ -245,10 +245,10 @@ class TestCompareWithVinf:
     @pytest.mark.parametrize(
         "kinetic, levels, limit_iterations, margin",
         [
-            ("fd", [(12.649145849976, 12.722760738425, 17.498651903381),
-                    (8.814839015509, 8.905333114223, 12.110762119994)], [6, 5], 4.660748846758),
-            ("spectral", [(15.583835022306, 15.676326853121, 21.070809076736),
-                          (10.595355972701, 10.705354991203, 14.372602897260)], [6, 6], 5.129181389613),
+            ("fd", [(12.763545575196, 12.837242664019, 17.639669738121),
+                    (8.844619810717, 8.935155259612, 12.146787793361)], [6, 5], 4.721868540844),
+            ("spectral", [(15.726329178183, 15.818909021991, 21.242349198533),
+                          (10.632639429409, 10.742690215150, 14.416907927908)], [6, 6], 5.195254565550),
         ],
         ids=["fd", "spectral"],
     )
@@ -372,23 +372,23 @@ def test_each_field_evaluated_once(monkeypatch):
 
 
 def test_output_phi_reuses_the_descents_raw_sum(monkeypatch):
-    # the corrected phi starts from the last iterate's raw sum: one convolution per raw solve
+    # the corrected phi starts from the last iterate's raw sum: one screened solve per raw solve
     calls = Counter()
-    convolve, solve = spgs.poisson._convolve_fft, spgs.minimize.solve_phi
+    screened, solve = spgs.poisson._screened_solve, spgs.minimize.solve_phi
 
-    def counted_convolve(q, grid):
-        calls["convolutions"] += 1
-        return convolve(q, grid)
+    def counted_screened(q, grid):
+        calls["screened solves"] += 1
+        return screened(q, grid)
 
     def counted_solve(*args, **kwargs):
         if kwargs.get("residual_correction") is False:
             calls["raw solves"] += 1
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(spgs.poisson, "_convolve_fft", counted_convolve)
+    monkeypatch.setattr(spgs.poisson, "_screened_solve", counted_screened)
     monkeypatch.setattr(spgs.minimize, "solve_phi", counted_solve)
     res = find_ground_state(Constant(1.0), SolverConfig(p=4.0), GridSpec(L=4.0, n=24))
-    assert calls["convolutions"] == calls["raw solves"] > 0
+    assert calls["screened solves"] == calls["raw solves"] > 0
     fresh = solve(res.u).values
     assert np.max(np.abs(res.phi.values - fresh)) <= 1e-13 * np.max(fresh)
 
@@ -397,11 +397,11 @@ def test_pinned_levels():
     # a level that drifts fails here in seconds, not only in the benchmark
     fd = find_ground_state(Constant(1.0), SolverConfig(p=4.0), GridSpec(L=4.0, n=24))
     assert fd.iterations == 8
-    assert fd.c_estimate == pytest.approx(10.081832424298153, rel=1e-12)
+    assert fd.c_estimate == pytest.approx(10.093318054749808, rel=1e-12)
     sp_cfg = SolverConfig(p=4.0, kinetic="spectral")
     sp = find_ground_state(Constant(1.0), sp_cfg, GridSpec(L=2.5, n=24))
     assert sp.iterations == 8
-    assert sp.c_estimate == pytest.approx(10.430528088539063, rel=1e-12)
+    assert sp.c_estimate == pytest.approx(10.434921971760058, rel=1e-12)
     _, _, c_radial = radial_ground_state(Constant(1.0), 4.0, r_max=30.0, n_r=1024)
     assert c_radial == pytest.approx(9.865613744978525, rel=1e-12)
 

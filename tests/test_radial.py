@@ -166,7 +166,7 @@ def test_validate_suite_checks_the_radial_gradient():
     checks = {c.name: c for c in results}
     assert checks["radial.gradient"].passed
     # the whole invariant suite of `spgs validate`, so any regression fails here
-    assert len(checks) == len(results) == 18
+    assert len(checks) == len(results) == 17
     assert [c.name for c in results if not c.passed] == []
     # the smallest min/max ratio of the positive potentials, not the start value 0
     assert float(checks["poisson.positivity"].detail.split()[-1]) > 0.0
