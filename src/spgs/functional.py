@@ -116,12 +116,12 @@ def _evaluate(
 ):
     """(breakdown, residual values or None, residual norm or None) at u from one -Lap u.
 
-    The breakdown's h1 is sqrt(h^3 <u, -Lap u> + h^3 sum u^2).  One task
-    takes the five sums of the breakdown and, with `residual`, the
-    residual's nodes and the sum of their squares, over one half of the
-    nodes (`grid._on_halves`), in a scratch field allocated here, so the
-    helper thread allocates no array; the halves' sums added are the
-    one-pass sums bit for bit."""
+    The breakdown's h1 is sqrt(h^3 <u, -Lap u> + h^3 sum u^2).
+    `grid._on_halves` runs one task on each half of the nodes; it takes
+    the five sums of the breakdown and, with `residual`, the residual's
+    nodes and the sum of their squares, in a scratch field allocated
+    here, so the helper thread allocates no array.  The halves' sums
+    added are the one-pass sums bit for bit."""
     g = u.grid
     w = g.h**3
     if V.grid != g:

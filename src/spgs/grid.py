@@ -19,35 +19,37 @@ preconditioner in the run's kinetic, and `poisson`'s defect solve.
 `dirichlet_energy` is the quadratic form of either kinetic.  Only this
 module maps a kinetic name to an operator or a table.
 
-The n^3 passes of the package run on two cores: `_in_two_shares` cuts a
-pass into two shares of independent slabs, lines or plane blocks, and
-`_on_halves` cuts a flat array into its two halves; the calling thread
-runs the first share and one helper thread the second.  Split this way
-are, above `_BLOCK_BYTES` unless stated:
+Every n^3 pass of the package runs on two cores through one primitive,
+`_on_halves(task, size, unit)`.  `_halves` cuts the pass's `size` items
+of `unit` float64 values each (a flat array's values, or a block's
+planes) into two halves above `_BLOCK_BYTES`, and the calling thread
+runs task on the first half while one helper thread runs it on the
+second.  Split this way are:
 
-- here, each pass of `sine_transform`, the stencil of `minus_laplacian`
-  and the table op of `in_sine_modes`;
-- in `poisson`, the slab passes of the screened solve around its sine
-  solve;
+- here, each pass of `sine_transform` and the stencil of
+  `minus_laplacian`, by planes, and the table op of `in_sine_modes`;
+- in `poisson`, the four plane passes of the screened solve around its
+  sine solve;
 - in `functional`, the sums of the energies and the residual field and
   its norm;
 - in `minimize`, the descent's field updates and pairings
   (`_scaled_add`, `_sum_of_products`), on the box and on the radial mesh;
 - in `radial`, the quadratures and residual of a profile.
 
-numpy's matmul, ufuncs, sums and einsum release the GIL, so the shares
-overlap, and since no share reads another's output the result is bit for
-bit the one thread's.  Reductions of n^3 data use np.sum or np.einsum,
-never np.dot, np.vdot or @ with a vector: OpenBLAS threads those calls,
-and its spinning workers stall the helper thread on two cores (one vdot
-and two matvecs per Poisson solve took the ground-state descent at n = 64
-from 0.34-0.40 s to 0.47-0.64 s on a 2-core host).  A sum splits at the
-point where numpy's pairwise summation adds its two halves (`_halves`),
-so the two partial sums added are the one-pass sum.  A process keeps one helper, started on the first
-split, never at import, and only when the process may run on at least
-two CPUs; otherwise the caller runs both shares in turn.  A forked child
-drops its parent's helper, whose thread it does not inherit, and starts
-its own when it first splits.
+numpy's matmul, ufuncs, sums and einsum release the GIL, so the halves
+overlap, and since no half reads the other's output the result is bit
+for bit the one thread's.  Reductions of n^3 data use np.sum or
+np.einsum, never np.dot, np.vdot or @ with a vector: OpenBLAS threads
+those calls, and its spinning workers stall the helper thread on two
+cores (one vdot and two matvecs per Poisson solve took the ground-state
+descent at n = 64 from 0.34-0.40 s to 0.47-0.64 s on a 2-core host).  A
+flat sum splits at the point where numpy's pairwise summation adds its
+two halves, so the two partial sums added are the one-pass sum.  A
+process keeps one helper, started on the first split, never at import,
+and only when the process may run on at least two CPUs; otherwise the
+caller runs both halves in turn.  A forked child drops its parent's
+helper, whose thread it does not inherit, and starts its own when it
+first splits.
 
 Dump format (bit-exact round trip): one ASCII header line
 ``SPGS1 n=<n> L=<decimal> staggered=1\\n`` followed by n^3
@@ -69,14 +71,14 @@ import numpy as np
 # kinetic discretisations of -Lap, all diagonal in the DST-I sine modes
 KINETICS = ("fd", "spectral")
 
-# A block of at most this many bytes is not split at all
-# (`_in_two_shares_if_large`), nor is a flat float64 array of at most this
-# size, 65,536 nodes (`_halves`): a 3-D field of n <= 40 or a radial mesh of
-# n_r <= 65,536 stays on the caller's thread.  `poisson` walks each table in
-# slabs of z planes of about this size, whose scratch the share reuses.
+# `_halves` does not split a pass over at most this many bytes: a 3-D field
+# of n <= 40 or a radial mesh of n_r <= 65,536 stays on the caller's thread,
+# where handing half of a cache-sized pass to the helper costs more than the
+# second core saves.  `poisson` walks its scratch in slabs of z planes of
+# about this size.
 _BLOCK_BYTES = 1 << 19
 
-# The one-thread executor that runs the second share of each split; started by
+# The one-thread executor that runs the second half of each split; started by
 # the first split in this process, and dropped in a forked child.
 _helper = None
 _helper_lock = threading.Lock()
@@ -105,84 +107,47 @@ def _helper_executor():
         return _helper
 
 
-def _in_two_shares_if_large(task, stop: int, nbytes: int, width: int | None = None) -> None:
-    """task(blocks) on range(stop) in slices of at most `width`, in two shares above _BLOCK_BYTES.
+def _halves(size: int, unit: int = 1) -> list[slice]:
+    """range(size) as one slice, or as two above _BLOCK_BYTES, for items of `unit` float64 values.
 
-    `nbytes` is the size of the array the task walks.  One of at most
-    _BLOCK_BYTES fits in cache, where handing half of it to the helper
-    costs more than the second core saves; the caller then runs all of
-    range(stop).  Without `width` each share is one slice.
+    The cut is the item nearest the point h = half - half % 8, half =
+    size * unit // 2, where numpy's pairwise summation of size * unit
+    values adds the sums of its two halves, each taken the same way.  So
+    for a contiguous flat float64 array a (unit 1), np.sum(a[:h]) +
+    np.sum(a[h:]) is np.sum(a) bit for bit, and a block of m planes of
+    m^2 values (unit m^2, m even) cuts at its middle plane
+    (tests/test_grid.py pins both for every size split here).
     """
-    width = width or stop
-    if nbytes > _BLOCK_BYTES:
-        _in_two_shares(task, stop, width)
-    else:
-        task([slice(s, min(s + width, stop)) for s in range(0, stop, width)])
-
-
-def _in_two_shares(task, stop: int, width: int) -> None:
-    """task(blocks) on the two halves of range(stop), each cut into slices of at most `width`.
-
-    The caller runs the first half and the helper the second.  Every
-    index must be independent of the others, so the halves give the same
-    result together as in turn.  Without a helper the caller runs task on
-    both halves' slices, in order.
-    """
-    mid = (stop + 1) // 2
-    first, second = (
-        [slice(s, min(s + width, end)) for s in range(start, end, width)]
-        for start, end in ((0, mid), (mid, stop))
-    )
-    if second:
-        _at_once(lambda: task(first), lambda: task(second))
-    else:
-        task(first)
-
-
-def _at_once(first, second) -> tuple:
-    """(first(), second()), the caller running first while the helper runs second.
-
-    Without a helper the caller runs both, in turn.
-    """
-    helper = _helper_executor()
-    if helper is None:
-        return first(), second()
-    done = helper.submit(second)
-    try:
-        out = first()
-    finally:
-        other = done.result()
-    return out, other
-
-
-def _halves(size: int) -> list[slice]:
-    """range(size) as one slice, or as two above _BLOCK_BYTES of float64.
-
-    The split point h = size//2 - (size//2) % 8 is the one where numpy's
-    pairwise summation adds the sums of its two halves, each taken the
-    same way, so np.sum(a[:h]) + np.sum(a[h:]) is np.sum(a) bit for bit
-    for a contiguous float64 array a of this size (tests/test_grid.py
-    pins it for every size split here).
-    """
-    if 8 * size <= _BLOCK_BYTES:
+    if 8 * size * unit <= _BLOCK_BYTES:
         return [slice(0, size)]
-    half = size // 2
-    mid = half - half % 8
+    half = size * unit // 2
+    mid = round((half - half % 8) / unit)
     return [slice(0, mid), slice(mid, size)]
 
 
-def _on_halves(task, size: int) -> list:
-    """[task(sl) for sl in _halves(size)]: the caller runs the first half, the helper the second."""
-    first, *rest = _halves(size)
-    if not rest:
-        return [task(first)]
-    return list(_at_once(lambda: task(first), lambda: task(rest[0])))
+def _on_halves(task, size: int, unit: int = 1) -> list:
+    """[task(sl) for sl in _halves(size, unit)]: the caller runs the first half, the helper the second.
+
+    Every item must be independent of the others, so the halves give the
+    same result together as in turn.  Without a helper the caller runs
+    both halves, in turn.
+    """
+    first, *rest = _halves(size, unit)
+    helper = _helper_executor() if rest else None
+    if helper is None:
+        return [task(sl) for sl in (first, *rest)]
+    done = helper.submit(task, rest[0])
+    try:
+        out = task(first)
+    finally:
+        other = done.result()
+    return [out, other]
 
 
 def _added(parts: list) -> list[float]:
-    """Sums from the shares' partial sums: position k of each part, added in share order.
+    """Sums from the halves' partial sums: position k of each part, added in order.
 
-    With the halves of `_halves` that is the one-pass np.sum at each position.
+    With the flat halves of `_halves` that is the one-pass np.sum at each position.
     """
     return [float(sum(column[1:], column[0])) for column in zip(*parts)]
 
@@ -406,10 +371,9 @@ def sine_transform(a: np.ndarray, inverse: bool = False, overwrite: bool = False
 
     The products run in two passes: t[k] = S (c[k] S) for every slab k,
     then, once all of t is formed, out[:, j] = S t[:, j] for every j.
-    Above `_BLOCK_BYTES` each pass runs in two shares of slabs, one per
-    thread (`_in_two_shares_if_large`).  Each slab is one product,
-    computed whole by one share, so the result does not depend on the
-    split.  With `overwrite` the first pass writes t over the block it
+    Each pass runs on the two halves of its m slabs of m^2 values
+    (`_on_halves`).  Each slab is one product, computed whole by one
+    half, so the result does not depend on the split.  With `overwrite` the first pass writes t over the block it
     has read, whose values are then lost, instead of into a new array.
     """
     m = a.shape[0]
@@ -420,21 +384,19 @@ def sine_transform(a: np.ndarray, inverse: bool = False, overwrite: bool = False
     out = np.empty_like(c)
     scale = 1.0 / (2.0 * (m + 1)) ** 3
 
-    def rows(blocks):
+    def rows(sl):
         # out holds the slabs' first products until the second pass overwrites it
-        for sl in blocks:
-            np.matmul(c[sl], s, out=out[sl])
-            np.matmul(s, out[sl], out=t[sl])
+        np.matmul(c[sl], s, out=out[sl])
+        np.matmul(s, out[sl], out=t[sl])
 
-    def columns(blocks):
-        for sl in blocks:
-            dst = out[:, sl]
-            np.matmul(s, t[:, sl].transpose(1, 0, 2), out=dst.transpose(1, 0, 2))
-            if inverse:
-                dst *= scale
+    def columns(sl):
+        dst = out[:, sl]
+        np.matmul(s, t[:, sl].transpose(1, 0, 2), out=dst.transpose(1, 0, 2))
+        if inverse:
+            dst *= scale
 
-    _in_two_shares_if_large(rows, m, c.nbytes)
-    _in_two_shares_if_large(columns, m, c.nbytes)
+    _on_halves(rows, m, m * m)
+    _on_halves(columns, m, m * m)
     return out.T if flip else out
 
 
@@ -443,11 +405,11 @@ def minus_laplacian(u: ScalarField, kinetic: str = "fd") -> ScalarField:
 
     "fd" is the 7-point stencil, "spectral" the DST-I operator with the
     exact eigenvalue of each sine mode; both have the sine modes as
-    eigenvectors and `dirichlet_eigenvalues` as eigenvalues.  Above
-    `_BLOCK_BYTES` the stencil runs in two shares of z planes
-    (`_in_two_shares_if_large`); each share writes only its own planes
-    and reads the neighbours from the unchanged input, so every node sums
-    the same terms in the same order as in one pass.
+    eigenvectors and `dirichlet_eigenvalues` as eigenvalues.  The stencil
+    runs on the two halves of the z planes (`_on_halves`); each half
+    writes only its own planes and reads the neighbours from the
+    unchanged input, so every node sums the same terms in the same order
+    as in one pass.
     """
     g = u.grid
     if kinetic == "fd":
@@ -455,26 +417,25 @@ def minus_laplacian(u: ScalarField, kinetic: str = "fd") -> ScalarField:
         n = g.n
         out = np.empty_like(a)
 
-        def planes(blocks):
+        def planes(sl):
             # the six neighbours summed in place, in the order x+, x-, y+, y-, z+, z-;
             # a neighbour beyond the box is a zero ghost and adds nothing
-            for sl in blocks:
-                lo, hi = sl.start, sl.stop
-                b = a[:, :, sl]
-                o = out[:, :, sl]
-                o[:-1] = b[1:]
-                o[-1] = 0.0
-                o[1:] += b[:-1]
-                o[:, :-1] += b[:, 1:]
-                o[:, 1:] += b[:, :-1]
-                top = min(hi, n - 1)
-                out[:, :, lo:top] += a[:, :, lo + 1 : top + 1]
-                bottom = max(lo, 1)
-                out[:, :, bottom:hi] += a[:, :, bottom - 1 : hi - 1]
-                o -= 6.0 * b
-                o /= -(g.h**2)
+            lo, hi = sl.start, sl.stop
+            b = a[:, :, sl]
+            o = out[:, :, sl]
+            o[:-1] = b[1:]
+            o[-1] = 0.0
+            o[1:] += b[:-1]
+            o[:, :-1] += b[:, 1:]
+            o[:, 1:] += b[:, :-1]
+            top = min(hi, n - 1)
+            out[:, :, lo:top] += a[:, :, lo + 1 : top + 1]
+            bottom = max(lo, 1)
+            out[:, :, bottom:hi] += a[:, :, bottom - 1 : hi - 1]
+            o -= 6.0 * b
+            o /= -(g.h**2)
 
-        _in_two_shares_if_large(planes, n, a.nbytes)
+        _on_halves(planes, n, n * n)
         return ScalarField.from_3d(g, out)
     lam = dirichlet_eigenvalues(g.n, g.h, kinetic)
     return ScalarField.from_3d(g, in_sine_modes(u.as3d, lam, np.multiply))

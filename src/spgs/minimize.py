@@ -11,10 +11,10 @@ its line search fails.  Backtracking halves the step until the
 re-projected action, taken on the trial field's ray (`ray_profile`), does
 not rise.  The trace records the action re-evaluated at the accepted
 iterate, which differs from that value by rounding, so the traced level
-is not monotone: at the rounding floor it can rise by a few ulps.  One
-Poisson solve per trial step is the dominant cost; the solve for the
-scaled field is obtained exactly from quadratic homogeneity of the
-nonlocal term rather than re-solved.
+is not monotone: at the rounding floor it can rise by a few ulps.  A
+trial step costs one Poisson solve: the solve for the scaled field is
+obtained exactly from quadratic homogeneity of the nonlocal term rather
+than re-solved.
 
 `_descend` is the package's only descent loop.  It sees the
 discretisation through a few callables on its field type, so the 3-D box

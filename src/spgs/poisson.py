@@ -36,10 +36,9 @@ in the memory order of x-fastest fields.  Node radii are r = (h/2)
 sqrt(k) with k = sum of (2j + 1 - n)^2 over the three axes, an integer
 8m + 3, so both tables are gathered from `math.erf` at the few values
 of m up to the largest: no scipy on the 3-D path.  g enters only
-through its 1-D factors.  The passes over the nodes run in slabs of z
-planes, in two shares above `grid._BLOCK_BYTES`
-(`grid._in_two_shares_if_large`); every slab reduces over x alone, and
-the planes' sums are added by the caller, so the result does not
+through its 1-D factors.  The passes over the nodes run on the two
+halves of the z planes (`grid._on_halves`); every pass reduces over x
+alone, and the caller adds the planes' sums, so the result does not
 depend on the split.  No n^3 reduction goes through BLAS (see `grid`).
 
 K approximates the continuum operator, so its 7-point discrete residual
@@ -65,7 +64,7 @@ from .grid import (
     _BLOCK_BYTES,
     GridSpec,
     ScalarField,
-    _in_two_shares_if_large,
+    _on_halves,
     dirichlet_eigenvalues,
     in_sine_modes,
     minus_laplacian,
@@ -140,7 +139,7 @@ def _screened_solve(q: np.ndarray, grid: GridSpec) -> np.ndarray:
     q, x q, Phi_g q, f q and x f q; a second turns q into s in place;
     the sine solve w = S s follows; a third pass takes the sums over x of
     a w and x a w; the last adds the remaining terms of K to w in place.
-    A call allocates the field the sine solve returns and, per share, a
+    A call allocates the field the sine solve returns and, per half, a
     slab of scratch.
     """
     n = grid.n
@@ -148,21 +147,24 @@ def _screened_solve(q: np.ndarray, grid: GridSpec) -> np.ndarray:
     lift = _lift(grid)
     x, a, xa = grid.axis, lift.a, lift.xa
     src = q.reshape((n, n, n))
-    # slabs of z planes of about _BLOCK_BYTES per table
+    # subtract and assemble walk their half through one cache-sized scratch slab
     width = max(1, _BLOCK_BYTES // (8 * n * n))
+
+    def slabs(half):
+        return (slice(z, min(z + width, half.stop)) for z in range(half.start, half.stop, width))
+
     # per plane (z, y), summed over x: q, x q, Phi_g q, f q and x f q
     planes = np.empty((5, n, n))
 
-    def moments(blocks):
-        for sl in blocks:
-            s, f = src[sl], lift.f[sl]
-            np.einsum("zyx->zy", s, out=planes[0, sl])
-            np.einsum("zyx,x->zy", s, x, out=planes[1, sl])
-            np.einsum("zyx,zyx->zy", lift.phi_g[sl], s, out=planes[2, sl])
-            np.einsum("zyx,zyx->zy", f, s, out=planes[3, sl])
-            np.einsum("zyx,zyx,x->zy", f, s, x, out=planes[4, sl])
+    def moments(sl):
+        s, f = src[sl], lift.f[sl]
+        np.einsum("zyx->zy", s, out=planes[0, sl])
+        np.einsum("zyx,x->zy", s, x, out=planes[1, sl])
+        np.einsum("zyx,zyx->zy", lift.phi_g[sl], s, out=planes[2, sl])
+        np.einsum("zyx,zyx->zy", f, s, out=planes[3, sl])
+        np.einsum("zyx,zyx,x->zy", f, s, x, out=planes[4, sl])
 
-    _in_two_shares_if_large(moments, n, q.nbytes, width)
+    _on_halves(moments, n, n * n)
     ones = np.ones(n)
     Q, p = _pair(cell, planes[0], ones, ones), _dipole(cell, planes[1], planes[0], ones, x)
     # the lift g (Q + slope p.x) as [z, y] planes times the x factors a and x a
@@ -172,23 +174,22 @@ def _screened_solve(q: np.ndarray, grid: GridSpec) -> np.ndarray:
     coeffs[:, :, 1] = k[0] * np.multiply.outer(a, a)
     factors = np.stack([a, xa])
 
-    def subtract(blocks):
+    def subtract(half):
         scratch = np.empty((width, n, n))
-        for sl in blocks:
+        for sl in slabs(half):
             t = scratch[: sl.stop - sl.start]
             np.einsum("zyk,kx->zyx", coeffs[sl], factors, out=t)
             src[sl] -= t
 
-    _in_two_shares_if_large(subtract, n, q.nbytes, width)
+    _on_halves(subtract, n, n * n)
     # w = S s of the [x, y, z] (F-ordered) view; its transpose is C-ordered [z, y, x]
     out = in_sine_modes(src.T, dirichlet_eigenvalues(n, grid.h, "spectral"), np.divide).T
     solved = np.empty((2, n, n))
 
-    def sine_moments(blocks):
-        for sl in blocks:
-            np.einsum("zyx,kx->kzy", out[sl], factors, out=solved[:, sl])
+    def sine_moments(sl):
+        np.einsum("zyx,kx->kzy", out[sl], factors, out=solved[:, sl])
 
-    _in_two_shares_if_large(sine_moments, n, q.nbytes, width)
+    _on_halves(sine_moments, n, n * n)
     # <H_0, s> and <H_i, s>
     g_w = _pair(cell, solved[0], a, a)
     gi_w = lift.slope * _dipole(cell, solved[1], solved[0], a, xa)
@@ -197,9 +198,9 @@ def _screened_solve(q: np.ndarray, grid: GridSpec) -> np.ndarray:
     dipole_zy = np.add.outer(p[2] * x, p[1] * x)
     affine_zy = np.add.outer(c[2] * x, const + c[1] * x)
 
-    def assemble(blocks):
+    def assemble(half):
         scratch = np.empty((width, n, n))
-        for sl in blocks:
+        for sl in slabs(half):
             t = scratch[: sl.stop - sl.start]
             o = out[sl]
             np.multiply(lift.phi_g[sl], Q, out=t)
@@ -210,7 +211,7 @@ def _screened_solve(q: np.ndarray, grid: GridSpec) -> np.ndarray:
             np.add(affine_zy[sl, :, None], c[0] * x, out=t)
             o += t
 
-    _in_two_shares_if_large(assemble, n, q.nbytes, width)
+    _on_halves(assemble, n, n * n)
     return out.reshape(-1)
 
 

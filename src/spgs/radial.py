@@ -13,10 +13,10 @@ the point: agreement of the two ground levels validates both
 discretizations.  Only the optimiser is shared: `radial_ground_state`
 hands these operators to the projected descent `minimize._descend` that
 the 3-D path runs.  So is the grid module's helper thread: on a mesh of
-more than 65,536 nodes (`grid._halves`) the energies and the residual of
-a profile run in two halves, one per thread, and the levels are the one
-thread's bit for bit.  The Poisson solve's two shell sums stay whole on
-the caller's thread: a cumulative sum cut in two rounds differently.
+more than 65,536 nodes `grid._on_halves` runs the energies and residual
+of a profile in two halves, one per thread, bit for bit the one thread's
+levels.  The Poisson solve's two shell sums stay whole on the caller's
+thread: a cumulative sum cut in two rounds differently.
 The potential enters only as `Potential.profile` at the mesh
 nodes, the formula the 3-D grid samples at its node radii; a kind
 without a profile (tabulated, composite) is refused.
@@ -154,12 +154,12 @@ def _radial_evaluate(
     The link sum, times 4*pi dr the kinetic energy, is the one evaluated:
     its positive terms round better at the descent's rounding floor.
 
-    One task takes the link sum, the four quadratures of the breakdown
-    and, with `residual`, the residual's nodes and its weighted sum of
-    squares, over one half of the mesh (`grid._on_halves`), in scratch
-    rows allocated here, so the helper thread allocates no array.  The
-    halves' sums added are the one-pass sums bit for bit; a half's first
-    node recomputes the flux on the link before it from the same nodes.
+    `grid._on_halves` runs one task on each half of the mesh: the link
+    sum, the four quadratures of the breakdown and, with `residual`, the
+    residual's nodes and its weighted sum of squares, in scratch rows
+    allocated here, so the helper thread allocates no array.  The halves'
+    sums added are the one-pass sums bit for bit; a half's first node
+    recomputes the flux on the link before it from the same nodes.
     """
     n = u.n_r
     dr = u.dr

@@ -21,10 +21,12 @@ def on_cpus(monkeypatch):
 
 
 @pytest.fixture(params=["as-built", "forced"])
-def flat_split(request, monkeypatch):
-    """forced: every flat array of more than 128 values splits into halves (`grid._halves`).
+def split(request, monkeypatch):
+    """forced: every pass over more than 128 float64 values splits into halves (`grid._halves`).
 
-    Yields the split threshold in values, for a test to size its arrays above it.
+    So an n = 8 box splits by planes too, and the halves' edges meet the
+    box's faces.  Yields the split threshold in values, for a test to size
+    its arrays above it.
     """
     if request.param == "forced":
         monkeypatch.setattr(grid, "_BLOCK_BYTES", 8 * 128)

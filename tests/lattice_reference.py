@@ -11,8 +11,9 @@ It runs as a zero-padded (domain doubled) FFT convolution, pruned: the
 forward pass transforms one axis at a time and only the planes of the
 (2n)^3 padded box that hold charge; the inverse pass crops each axis to
 its n wanted outputs before transforming the next.  The kernel's
-transform is cached as its (n + 1)^3 DCT-I octant.  Each pass runs in two
-shares on the caller and `spgs.grid`'s helper thread.  The tests check
+transform is cached as its (n + 1)^3 DCT-I octant.  Each pass runs on the
+two halves of `spgs.grid._on_halves`, on the caller and the helper
+thread, and each half walks its own blocks (`_blocks`).  The tests check
 the result against the full padded irfftn(rfftn(pad) * K), bit for bit,
 and the octant against scipy.fft.dctn.
 """
@@ -24,12 +25,17 @@ from functools import lru_cache
 
 import numpy as np
 
-from spgs.grid import _BLOCK_BYTES, GridSpec, _in_two_shares
+from spgs.grid import _BLOCK_BYTES, GridSpec, _on_halves
 
 # Mean of 1/|xi| over the unit cell [-1/2, 1/2]^3 (closed form).
 CELL_MEAN_INVERSE_DISTANCE = 3.0 * math.log(2.0 + math.sqrt(3.0)) - math.pi / 2.0
 
 KERNEL_CONSTANT = 1.0 / (4.0 * math.pi)
+
+
+def _blocks(half: slice, width: int) -> list[slice]:
+    """`half` cut into slices of at most `width`, in order."""
+    return [slice(s, min(s + width, half.stop)) for s in range(half.start, half.stop, width)]
 
 
 @lru_cache(maxsize=8)
@@ -56,13 +62,13 @@ def _kernel_octant(n: int, h: float) -> np.ndarray:
         k = np.empty_like(k)
         dst = np.moveaxis(k, order, (0, 1))
 
-        def dct1(blocks, src=src, dst=dst):
-            for sl in blocks:
+        def dct1(half, src=src, dst=dst):
+            for sl in _blocks(half, width):
                 part = src[:, sl]
                 even = np.concatenate([part, part[n - 1 : 0 : -1]])
                 dst[:, sl] = np.fft.rfft(even, axis=0).real
 
-        _in_two_shares(dct1, n + 1, width)
+        _on_halves(dct1, n + 1, (n + 1) ** 2)
     table = np.ascontiguousarray(k.T)
     table.setflags(write=False)
     return table
@@ -95,13 +101,13 @@ def _convolve_fft(q: np.ndarray, grid: GridSpec) -> np.ndarray:
     spec = np.empty((n + 1, n, n), dtype=np.complex128)
     out = np.empty((n, n, n), order="F")
 
-    def forward_z(blocks):
-        for sl in blocks:
+    def forward_z(half):
+        for sl in _blocks(half, b):
             np.fft.rfft(q.T[:, sl], n=m, axis=0, out=spec[:, sl])
 
-    def planes(blocks):
+    def planes(half):
         buf = np.empty((b, m, m), dtype=np.complex128)
-        for sl in blocks:
+        for sl in _blocks(half, b):
             blk = spec[sl]
             k = octant[sl]
             # the padded planes, zero beyond the n x n charged corner; the passes run in place
@@ -118,14 +124,15 @@ def _convolve_fft(q: np.ndarray, grid: GridSpec) -> np.ndarray:
             np.fft.ifft(f, axis=2, norm="forward", out=f)
             blk[...] = np.fft.ifft(f[:, :, :n], axis=1, norm="forward", out=f[:, :, :n])[:, :n]
 
-    def inverse_z(blocks):
-        for sl in blocks:
+    def inverse_z(half):
+        for sl in _blocks(half, b):
             slab = out.T[:, sl]
             slab[...] = np.fft.irfft(spec[:, sl], n=m, axis=0, norm="forward")[:n]
             slab *= 1.0 / m**3
             slab *= grid.h**3
 
-    _in_two_shares(forward_z, n, b)
-    _in_two_shares(planes, n + 1, b)
-    _in_two_shares(inverse_z, n, b)
+    # a y line of the spectrum holds (n + 1) n complex values, a plane n^2
+    _on_halves(forward_z, n, 2 * n * (n + 1))
+    _on_halves(planes, n + 1, 2 * n * n)
+    _on_halves(inverse_z, n, 2 * n * (n + 1))
     return out

@@ -35,7 +35,7 @@ def fields(grid, count, seed=0):
 @pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize("n", [16, 64])
 @pytest.mark.parametrize("kinetic", ["fd", "spectral"])
-def test_split_sums_and_residual_match_one_pass(on_cpus, flat_split, cpus, n, kinetic):
+def test_split_sums_and_residual_match_one_pass(on_cpus, split, cpus, n, kinetic):
     # the one-pass formulas the shares replace, over whole fields
     on_cpus(cpus)
     g = GridSpec(L=4.0, n=n)

@@ -259,23 +259,13 @@ class TestSineTransform:
         assert np.array_equal(table, c_ordered_eigenvalues(m, 0.25, kinetic))
 
 
-@pytest.fixture(params=["as-built", "one-slab"])
-def split(request, monkeypatch):
-    # one-slab: every pass splits, into slices of one slab, so shares of a
-    # single plane meet the box's edges
-    if request.param == "one-slab":
-        monkeypatch.setattr(
-            spgs_grid,
-            "_in_two_shares_if_large",
-            lambda task, stop, nbytes: spgs_grid._in_two_shares(task, stop, 1),
-        )
-
-
-@pytest.mark.usefixtures("split")
 @pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize("n", [8, 16, 32, 48, 64, 96])
+# the forced mode keeps these tests' earlier id, one-slab, so their ids stay stable
+@pytest.mark.parametrize("split", ["as-built", "forced"], ids=["as-built", "one-slab"], indirect=True)
+@pytest.mark.usefixtures("split")
 class TestSplitPassesBitIdentical:
-    # one CPU runs the shares in turn on the caller, two on the caller and
+    # one CPU runs the halves in turn on the caller, two on the caller and
     # the helper; both must give the one-call values bit for bit
 
     def field(self, n):
@@ -325,14 +315,23 @@ class TestHalves:
             assert np.sum(x) == np.sum(x[first]) + np.sum(x[second]), size
 
     def test_fields_of_n_40_stay_whole(self):
+        # as 40^3 values, so 40 planes of 40^2
         assert spgs_grid._halves(40**3) == [slice(0, 40**3)]
+        assert spgs_grid._halves(40, 40 * 40) == [slice(0, 40)]
         assert len(spgs_grid._halves(42**3)) == 2
+        assert len(spgs_grid._halves(42, 42 * 42)) == 2
+
+    def test_planes_cut_at_the_middle_plane(self):
+        # every even n that splits, so also the n - 2 block of each defect
+        # correction from n = 44 on
+        for m in range(42, 129, 2):
+            assert spgs_grid._halves(m, m * m) == [slice(0, m // 2), slice(m // 2, m)], m
 
     @pytest.mark.parametrize("cpus", [1, 2])
-    def test_pairings_and_updates_match_one_pass(self, on_cpus, flat_split, cpus):
+    def test_pairings_and_updates_match_one_pass(self, on_cpus, split, cpus):
         on_cpus(cpus)
         rng = np.random.default_rng(cpus)
-        for size in (100, 4 * flat_split + 3, 262144):
+        for size in (100, 4 * split + 3, 262144):
             a, b, w = rng.standard_normal((3, size))
             assert spgs_grid._sum_of_products(a, b) == float(np.sum(a * b))
             assert spgs_grid._sum_of_products(a, b, w) == float(np.sum(w * a * b))

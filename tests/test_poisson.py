@@ -16,6 +16,7 @@ import scipy.fft
 from lattice_reference import (
     CELL_MEAN_INVERSE_DISTANCE,
     KERNEL_CONSTANT,
+    _blocks,
     _convolve_fft,
     _kernel_octant,
     _planes_per_block,
@@ -155,8 +156,9 @@ class TestScreenedSolve:
         assert abs(float(np.sum(a * kb)) - float(np.sum(ka * b))) <= 1e-14 * scale
 
     @pytest.mark.parametrize("n", [32, 48, 64])
-    def test_same_bits_on_one_and_two_cpus(self, on_cpus, n):
-        # one CPU: the caller runs both shares and no thread starts; two: one helper starts
+    def test_same_bits_on_one_and_two_cpus(self, on_cpus, split, n):
+        # one CPU: the caller runs both halves and no thread starts; two: one helper
+        # starts once the passes split
         g = GridSpec(L=5.0, n=n)
         q = np.random.default_rng(n).random(g.num_nodes)
         out = {}
@@ -164,7 +166,7 @@ class TestScreenedSolve:
             on_cpus(cpus)
             threads = threading.active_count()
             out[cpus] = _screened_solve(q.copy(), g)
-            assert threading.active_count() == threads + (cpus - 1 if n > 40 else 0)
+            assert threading.active_count() == threads + (cpus - 1 if g.num_nodes > split else 0)
         assert np.array_equal(out[1], out[2])
 
     def test_peak_memory_of_a_raw_solve_is_at_most_four_fields(self):
@@ -239,13 +241,10 @@ class TestPrunedConvolution:
         assert 41 // b >= 2 and 41 % b != 0
 
     @pytest.mark.parametrize("n", [32, 48, 64])
-    def test_shares_cover_the_planes_once_in_unequal_block_counts(self, on_cpus, n):
-        # keeps the n32, n48 and n64 cases above on shares of different block counts
-        on_cpus(2)
+    def test_shares_cover_the_planes_once_in_unequal_block_counts(self, n):
+        # keeps the n32, n48 and n64 cases above on halves of different block counts
         b = _planes_per_block(n)
-        shares = []
-        spgs_grid._in_two_shares(shares.append, n + 1, b)
-        first, second = sorted(shares, key=lambda blocks: blocks[0].start)
+        first, second = (_blocks(half, b) for half in spgs_grid._halves(n + 1, 2 * n * n))
         assert [i for sl in first + second for i in range(n + 1)[sl]] == list(range(n + 1))
         assert max(sl.stop - sl.start for sl in first + second) <= b
         assert len(first) != len(second)
@@ -253,7 +252,7 @@ class TestPrunedConvolution:
     @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("n", [32, 48, 64])
     def test_helper_only_on_two_cpus(self, on_cpus, cpus, n):
-        # one CPU: the caller runs both shares and no thread starts; two: one helper starts
+        # one CPU: the caller runs both halves and no thread starts; two: one helper starts
         on_cpus(cpus)
         threads = threading.active_count()
         self.test_bit_identical_to_padded_transform(GridSpec(L=5.0, n=n))
