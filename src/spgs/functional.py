@@ -204,11 +204,12 @@ def precondition(r: ScalarField, kinetic: str = "fd") -> ScalarField:
     """Sobolev smoothing (-Lap + 1)^(-1) r, -Lap the `minus_laplacian` of `kinetic`.
 
     Both kinetics are diagonal in the DST-I sine modes, so this divides
-    the sine coefficients of r by the cached table of the mode
-    eigenvalues plus one (`grid.in_sine_modes`); a call allocates no
-    table.  Symmetric positive definite, so <precondition(r), r> > 0 for
-    r != 0; descent steps measured in this metric are mesh-independent.
+    the sine coefficients of r by the mode eigenvalues plus one
+    (`grid.in_sine_modes`, from the cached eigenvalues of one axis); a
+    call builds no n^3 table.  Symmetric positive definite, so
+    <precondition(r), r> > 0 for r != 0; descent steps measured in this
+    metric are mesh-independent.
     """
     g = r.grid
-    table = dirichlet_eigenvalues(g.n, g.h, kinetic, 1.0)
-    return ScalarField.from_3d(g, in_sine_modes(r.as3d, table, np.divide))
+    lam = dirichlet_eigenvalues(g.n, g.h, kinetic)
+    return ScalarField.from_3d(g, in_sine_modes(r.as3d, lam, np.divide, 1.0))

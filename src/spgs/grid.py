@@ -13,9 +13,10 @@ outside the box (a zero ghost layer).  `minus_laplacian` is the
 package's one -Lap on that box, in one of the `KINETICS`: the 7-point
 second-order stencil ("fd") or the exact sine-spectral operator
 ("spectral").  Both have the DST-I sine modes as eigenvectors, and
-`in_sine_modes` applies an operator through them with a cached
-`dirichlet_eigenvalues` table: the spectral -Lap, the Sobolev
-preconditioner in the run's kinetic, and `poisson`'s defect solve.
+`in_sine_modes` applies an operator through them, forming each mode's
+eigenvalue from the cached `dirichlet_eigenvalues` of one axis: the
+spectral -Lap, the Sobolev preconditioner in the run's kinetic, and
+`poisson`'s defect solve.
 `dirichlet_energy` is the quadratic form of either kinetic.  Only this
 module maps a kinetic name to an operator or a table.
 
@@ -45,11 +46,12 @@ cores (one vdot and two matvecs per Poisson solve took the ground-state
 descent at n = 64 from 0.34-0.40 s to 0.47-0.64 s on a 2-core host).  A
 flat sum splits at the point where numpy's pairwise summation adds its
 two halves, so the two partial sums added are the one-pass sum.  A
-process keeps one helper, started on the first split, never at import,
-and only when the process may run on at least two CPUs; otherwise the
-caller runs both halves in turn.  A forked child drops its parent's
-helper, whose thread it does not inherit, and starts its own when it
-first splits.
+process keeps one helper, a daemon thread started on the first split,
+never at import, and only when the process may run on at least two
+CPUs; otherwise the caller runs both halves in turn.  The caller hands
+the helper its half through a pair of locks (`_Helper`), with no queue
+and no future.  A forked child drops its parent's helper, whose thread
+it does not inherit, and starts its own when it first splits.
 
 Dump format (bit-exact round trip): one ASCII header line
 ``SPGS1 n=<n> L=<decimal> staggered=1\\n`` followed by n^3
@@ -74,13 +76,74 @@ KINETICS = ("fd", "spectral")
 # `_halves` does not split a pass over at most this many bytes: a 3-D field
 # of n <= 40 or a radial mesh of n_r <= 65,536 stays on the caller's thread,
 # where handing half of a cache-sized pass to the helper costs more than the
-# second core saves.  `poisson` walks its scratch in slabs of z planes of
-# about this size.
+# second core saves.  `_slabs` cuts a half into slabs of z planes of about
+# this size, for `poisson`'s scratch passes and `in_sine_modes`'s eigenvalues.
 _BLOCK_BYTES = 1 << 19
 
-# The one-thread executor that runs the second half of each split; started by
-# the first split in this process, and dropped in a forked child.
-_helper = None
+
+class _Helper:
+    """One daemon thread that runs the second half of each split.
+
+    The hand-off is two locks, each held while its side has nothing to
+    do: the caller releases `go` once the task and its slice are in
+    place, the thread releases `done` once the result is.  `owner` is
+    held by the caller whose split is in flight, so a second thread that
+    splits meanwhile runs both of its halves itself.
+    """
+
+    def __init__(self) -> None:
+        self.go, self.done, self.owner = threading.Lock(), threading.Lock(), threading.Lock()
+        self.go.acquire()
+        self.done.acquire()
+        self.task = self.part = self.result = self.error = None
+        self.thread = threading.Thread(target=self._serve, name="spgs-helper", daemon=True)
+        self.thread.start()
+
+    def _serve(self) -> None:
+        while True:
+            self.go.acquire()
+            task, part = self.task, self.part
+            self.task = self.part = None
+            if task is None:
+                return
+            try:
+                self.result = task(part)
+            except BaseException as exc:  # re-raised in the caller by `run`
+                self.error = exc
+            # hold no reference to the task, and so to its arrays, until the next split
+            task = part = None
+            self.done.release()
+
+    def run(self, task, first: slice, second: slice) -> list:
+        """[task(first), task(second)], the second on the thread unless another split holds it."""
+        if not self.owner.acquire(blocking=False):
+            return [task(first), task(second)]
+        try:
+            self.task, self.part = task, second
+            self.go.release()
+            try:
+                out = task(first)
+            finally:
+                self.done.acquire()
+                other, error = self.result, self.error
+                self.result = self.error = None
+        finally:
+            self.owner.release()
+        if error is not None:
+            raise error
+        return [out, other]
+
+    def shutdown(self) -> None:
+        """Stop and join the thread; later splits given this helper run both halves on the caller."""
+        if self.thread.is_alive():
+            self.owner.acquire()
+            self.go.release()
+            self.thread.join()
+
+
+# The process's helper, started by its first split and dropped in a forked
+# child, which does not inherit the thread.
+_helper: _Helper | None = None
 _helper_lock = threading.Lock()
 
 
@@ -94,16 +157,14 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_drop_helper)
 
 
-def _helper_executor():
-    """The helper's executor, started on first use; None when the process may use one CPU."""
+def _started_helper() -> _Helper | None:
+    """The helper, started on first use; None when the process may use one CPU."""
     global _helper
     with _helper_lock:
         if _helper is None:
             affinity = getattr(os, "sched_getaffinity", None)
             if (len(affinity(0)) if affinity else os.cpu_count() or 1) >= 2:
-                from concurrent.futures import ThreadPoolExecutor
-
-                _helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="spgs-helper")
+                _helper = _Helper()
         return _helper
 
 
@@ -129,19 +190,31 @@ def _on_halves(task, size: int, unit: int = 1) -> list:
     """[task(sl) for sl in _halves(size, unit)]: the caller runs the first half, the helper the second.
 
     Every item must be independent of the others, so the halves give the
-    same result together as in turn.  Without a helper the caller runs
-    both halves, in turn.
+    same result together as in turn.  Without a helper, or while it
+    serves another thread's split, the caller runs both halves, in turn;
+    so does a split made inside a task.  An exception raised in the
+    helper's half is raised here once the caller's half is done.
     """
     first, *rest = _halves(size, unit)
-    helper = _helper_executor() if rest else None
+    if not rest:
+        return [task(first)]
+    helper = _helper or _started_helper()
     if helper is None:
-        return [task(sl) for sl in (first, *rest)]
-    done = helper.submit(task, rest[0])
-    try:
-        out = task(first)
-    finally:
-        other = done.result()
-    return [out, other]
+        return [task(first), task(rest[0])]
+    return helper.run(task, first, rest[0])
+
+
+def _slabs(half: slice, m: int):
+    """(planes, scratch) per slab of the half's planes of m^2 values, each slab about _BLOCK_BYTES.
+
+    One scratch array serves every slab; each yields a view of it with
+    the slab's shape.
+    """
+    width = max(1, _BLOCK_BYTES // (8 * m * m))
+    scratch = np.empty((min(width, half.stop - half.start), m, m))
+    for z in range(half.start, half.stop, width):
+        sl = slice(z, min(z + width, half.stop))
+        yield sl, scratch[: sl.stop - z]
 
 
 def _added(parts: list) -> list[float]:
@@ -324,27 +397,24 @@ def dirichlet_energy(u: ScalarField, kinetic: str = "fd") -> float:
 
 
 @lru_cache(maxsize=16)
-def dirichlet_eigenvalues(m: int, h: float, kinetic: str = "fd", shift: float = 0.0) -> np.ndarray:
-    """Eigenvalues of -Lap on an m^3 block of spacing h with zero ghosts beyond it, plus `shift`.
+def dirichlet_eigenvalues(m: int, h: float, kinetic: str = "fd") -> np.ndarray:
+    """The m eigenvalues of -Lap along one axis of an m^3 block of spacing h with zero ghosts beyond it.
 
     The DST-I sine modes diagonalize both variants: "fd" (the 7-point
-    Laplacian) has sum_i (4/h^2) sin^2(pi k_i / (2(m+1))), "spectral" the
-    exact sum_i (pi k_i / ((m+1) h))^2, k_i = 1..m.  The cached table is
-    shared by every caller and read-only.  It is F-ordered, as the sine
-    coefficients of x-fastest fields are, so `in_sine_modes` walks both
-    arrays in one memory order.
+    Laplacian) has (4/h^2) sin^2(pi k / (2(m+1))) per axis, "spectral" the
+    exact (pi k / ((m+1) h))^2, k = 1..m.  The eigenvalue of the mode
+    (k_x, k_y, k_z) is the sum of its three axes' values, which
+    `in_sine_modes` forms as it needs it.  Cached and read-only.
     """
     k = np.arange(1, m + 1)
     if kinetic == "fd":
-        lam1 = (4.0 / h**2) * np.sin(np.pi * k / (2.0 * (m + 1))) ** 2
+        lam = (4.0 / h**2) * np.sin(np.pi * k / (2.0 * (m + 1))) ** 2
     elif kinetic == "spectral":
-        lam1 = (np.pi * k / ((m + 1) * h)) ** 2
+        lam = (np.pi * k / ((m + 1) * h)) ** 2
     else:
         raise ValueError(f"unknown kinetic variant {kinetic!r}; options: {KINETICS}")
-    table = np.asfortranarray(lam1[:, None, None] + lam1[None, :, None] + lam1[None, None, :])
-    table += shift
-    table.setflags(write=False)
-    return table
+    lam.setflags(write=False)
+    return lam
 
 
 @lru_cache(maxsize=8)
@@ -405,55 +475,76 @@ def minus_laplacian(u: ScalarField, kinetic: str = "fd") -> ScalarField:
 
     "fd" is the 7-point stencil, "spectral" the DST-I operator with the
     exact eigenvalue of each sine mode; both have the sine modes as
-    eigenvectors and `dirichlet_eigenvalues` as eigenvalues.  The stencil
-    runs on the two halves of the z planes (`_on_halves`); each half
+    eigenvectors and sums of `dirichlet_eigenvalues` as eigenvalues.  The
+    stencil runs on the two halves of the z planes (`_on_halves`); each
+    half adds each neighbour as one contiguous shift of its flat values,
     writes only its own planes and reads the neighbours from the
     unchanged input, so every node sums the same terms in the same order
     as in one pass.
     """
     g = u.grid
     if kinetic == "fd":
-        a = u.as3d
-        n = g.n
-        out = np.empty_like(a)
+        n, a = g.n, u.values
+        plane = n * n
+        out = np.empty(a.size)
+        out3 = out.reshape((n, n, n), order="F")
 
         def planes(sl):
-            # the six neighbours summed in place, in the order x+, x-, y+, y-, z+, z-;
-            # a neighbour beyond the box is a zero ghost and adds nothing
-            lo, hi = sl.start, sl.stop
-            b = a[:, :, sl]
-            o = out[:, :, sl]
+            # the six neighbours summed in place, in the order x+, x-, y+, y-, z+, z-,
+            # each as one shift of the half's flat values; a neighbour beyond the box
+            # is a zero ghost, so the nodes where a shift wraps to the next row or
+            # plane keep the values they had before it
+            lo, hi = sl.start * plane, sl.stop * plane
+            b, o, o3 = a[lo:hi], out[lo:hi], out3[:, :, sl]
             o[:-1] = b[1:]
-            o[-1] = 0.0
+            o3[-1] = 0.0
+            kept = o3[0].copy()
             o[1:] += b[:-1]
-            o[:, :-1] += b[:, 1:]
-            o[:, 1:] += b[:, :-1]
-            top = min(hi, n - 1)
-            out[:, :, lo:top] += a[:, :, lo + 1 : top + 1]
-            bottom = max(lo, 1)
-            out[:, :, bottom:hi] += a[:, :, bottom - 1 : hi - 1]
+            o3[0] = kept
+            kept = o3[:, -1].copy()
+            o[:-n] += b[n:]
+            o3[:, -1] = kept
+            kept = o3[:, 0].copy()
+            o[n:] += b[:-n]
+            o3[:, 0] = kept
+            top = min(hi, a.size - plane)
+            out[lo:top] += a[lo + plane : top + plane]
+            bottom = max(lo, plane)
+            out[bottom:hi] += a[bottom - plane : hi - plane]
             o -= 6.0 * b
             o /= -(g.h**2)
 
-        _on_halves(planes, n, n * n)
-        return ScalarField.from_3d(g, out)
+        _on_halves(planes, n, plane)
+        return ScalarField(g, out)
     lam = dirichlet_eigenvalues(g.n, g.h, kinetic)
     return ScalarField.from_3d(g, in_sine_modes(u.as3d, lam, np.multiply))
 
 
-def in_sine_modes(a: np.ndarray, table: np.ndarray, op) -> np.ndarray:
+def in_sine_modes(a: np.ndarray, lam: np.ndarray, op, shift: float = 0.0) -> np.ndarray:
     """idst(op(dst(a), table)) of an F-ordered (m, m, m) block, as an F-ordered block.
 
-    `table` is a `dirichlet_eigenvalues` table of a's shape and `op`
-    np.multiply (apply the operator) or np.divide (invert it), run in
-    place on the coefficients in halves (`_on_halves`), each of which
-    reads only its own table entries.  The inverse transform works in the
-    coefficients' memory.
+    The table entry of the mode (i, j, k) is (lam[i] + lam[j]) + lam[k],
+    plus `shift` in a step of its own, with lam the one-axis
+    `dirichlet_eigenvalues`; `op` is np.multiply (apply the operator) or
+    np.divide (invert it).  op runs in place on the coefficients, in
+    halves of the k planes (`_on_halves`); each half forms its entries
+    slab by slab in a scratch of about `_BLOCK_BYTES`, so no m^3 table is
+    built.  The inverse transform works in the coefficients' memory.
     """
+    m = a.shape[0]
     coeff = sine_transform(np.asfortranarray(a))
-    # both F-ordered, so their transposes are the flat x-fastest views
-    flat, t = coeff.T.reshape(-1), table.T.reshape(-1)
-    _on_halves(lambda sl: op(flat[sl], t[sl], out=flat[sl]), flat.size)
+    # F-ordered, so its transpose is the C-ordered [k, j, i] view
+    planes = coeff.T
+    lam_ji = np.add.outer(lam, lam)
+
+    def share(half):
+        for sl, t in _slabs(half, m):
+            np.add(lam_ji, lam[sl, None, None], out=t)
+            if shift:
+                t += shift
+            op(planes[sl], t, out=planes[sl])
+
+    _on_halves(share, m, m * m)
     return sine_transform(coeff, inverse=True, overwrite=True)
 
 

@@ -3,8 +3,8 @@
 On the box the free-space Green's function is the Dirichlet one plus a
 remainder, G = G_D + H, with H(x, y) harmonic in both points.  G_D is
 the box's own sine solve S = (-Lap_sp)^-1, one `grid.in_sine_modes`
-with the spectral `dirichlet_eigenvalues` table, the zero-ghost
-convention of the kinetic term and the preconditioner.  H is kept to
+with the spectral `dirichlet_eigenvalues`, the zero-ghost convention of
+the kinetic term and the preconditioner.  H is kept to
 its terms with at most one power of x or of y, through the unit
 Gaussian g of width sigma = L/4 at the origin and its dipoles
 g_i = 2 x_i g / sigma^2 (= -d_i g).  Since H is harmonic, its means
@@ -44,7 +44,7 @@ depend on the split.  No n^3 reduction goes through BLAS (see `grid`).
 K approximates the continuum operator, so its 7-point discrete residual
 is O(1) near the source.  `solve_phi` therefore adds a defect
 correction: the exact 7-point Dirichlet solve on the interior nodes
-(`grid.in_sine_modes` with the fd table of that block), keeping K's
+(`grid.in_sine_modes` with the fd eigenvalues of that block), keeping K's
 values as boundary data.  The returned phi then satisfies -Lap_h(phi) =
 u^2 on interior nodes to rounding while retaining the free-space 1/|x|
 tail, and it stays positive by the discrete maximum principle.  The
@@ -61,10 +61,10 @@ from functools import lru_cache
 import numpy as np
 
 from .grid import (
-    _BLOCK_BYTES,
     GridSpec,
     ScalarField,
     _on_halves,
+    _slabs,
     dirichlet_eigenvalues,
     in_sine_modes,
     minus_laplacian,
@@ -147,12 +147,6 @@ def _screened_solve(q: np.ndarray, grid: GridSpec) -> np.ndarray:
     lift = _lift(grid)
     x, a, xa = grid.axis, lift.a, lift.xa
     src = q.reshape((n, n, n))
-    # subtract and assemble walk their half through one cache-sized scratch slab
-    width = max(1, _BLOCK_BYTES // (8 * n * n))
-
-    def slabs(half):
-        return (slice(z, min(z + width, half.stop)) for z in range(half.start, half.stop, width))
-
     # per plane (z, y), summed over x: q, x q, Phi_g q, f q and x f q
     planes = np.empty((5, n, n))
 
@@ -174,10 +168,9 @@ def _screened_solve(q: np.ndarray, grid: GridSpec) -> np.ndarray:
     coeffs[:, :, 1] = k[0] * np.multiply.outer(a, a)
     factors = np.stack([a, xa])
 
+    # subtract and assemble walk their half through one cache-sized scratch slab
     def subtract(half):
-        scratch = np.empty((width, n, n))
-        for sl in slabs(half):
-            t = scratch[: sl.stop - sl.start]
+        for sl, t in _slabs(half, n):
             np.einsum("zyk,kx->zyx", coeffs[sl], factors, out=t)
             src[sl] -= t
 
@@ -199,9 +192,7 @@ def _screened_solve(q: np.ndarray, grid: GridSpec) -> np.ndarray:
     affine_zy = np.add.outer(c[2] * x, const + c[1] * x)
 
     def assemble(half):
-        scratch = np.empty((width, n, n))
-        for sl in slabs(half):
-            t = scratch[: sl.stop - sl.start]
+        for sl, t in _slabs(half, n):
             o = out[sl]
             np.multiply(lift.phi_g[sl], Q, out=t)
             o += t
@@ -253,6 +244,6 @@ def solve_phi(
     if not residual_correction:
         return phi
     out = phi.as3d.copy(order="F")
-    table = dirichlet_eigenvalues(grid.n - 2, grid.h)
-    out[1:-1, 1:-1, 1:-1] += in_sine_modes(_interior_defect(u, phi), table, np.divide)
+    lam = dirichlet_eigenvalues(grid.n - 2, grid.h)
+    out[1:-1, 1:-1, 1:-1] += in_sine_modes(_interior_defect(u, phi), lam, np.divide)
     return ScalarField.from_3d(grid, out)

@@ -68,9 +68,23 @@ print(res.converged, sorted(m for m in sys.modules if m.startswith('scipy')))
     assert _fresh_python(code) == "True []"
 
 
+def test_split_solve_loads_no_executor():
+    # n = 48 splits its passes; the helper is one thread handed work through
+    # two locks, so neither concurrent.futures nor scipy comes in
+    code = """
+import os, sys
+import spgs.grid
+from spgs import Constant, GridSpec, SolverConfig, find_ground_state
+find_ground_state(Constant(1.0), SolverConfig(p=4.0, max_iters=3), GridSpec(L=4.0, n=48))
+print(sorted(m for m in sys.modules if m.startswith(('scipy', 'concurrent'))))
+print((spgs.grid._helper is None) == (len(os.sched_getaffinity(0)) < 2))
+"""
+    assert _fresh_python(code).splitlines() == ["[]", "True"]
+
+
 def test_sweep_jobs_2_after_an_in_process_solve(tmp_path):
     # the solve starts the helper thread; the sweep's forked workers inherit
-    # its executor but not its thread, and must start their own rather than wait on it
+    # the helper's object but not its thread, and must start their own rather than wait on it
     code = f"""
 from pathlib import Path
 from spgs.cli import main

@@ -1,6 +1,9 @@
 """Grid, quadrature, norm and dump-format tests."""
 
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -242,21 +245,44 @@ class TestSineTransform:
     )
     @pytest.mark.parametrize("kinetic", ["fd", "spectral"])
     def test_one_table_diagonalises_each_kinetic(self, g, kinetic):
-        # the preconditioner and the Poisson defect solve invert -Lap through this table
+        # the preconditioner and the Poisson defect solve invert -Lap through these eigenvalues
         u = ScalarField(g, np.random.default_rng(g.n).standard_normal(g.num_nodes))
         direct = minus_laplacian(u, kinetic).as3d
-        lam = dirichlet_eigenvalues(g.n, g.h, kinetic)
+        lam1 = dirichlet_eigenvalues(g.n, g.h, kinetic)
+        assert lam1.shape == (g.n,) and not lam1.flags.writeable
+        lam = lam1[:, None, None] + lam1[None, :, None] + lam1[None, None, :]
         modal = sine_transform(lam * sine_transform(u.as3d), inverse=True)
         assert np.max(np.abs(direct - modal)) <= 1e-12 * np.max(np.abs(direct))
 
-
-    @pytest.mark.parametrize("kinetic", ["fd", "spectral"])
+    @pytest.mark.parametrize("shift", [0.0, 1.0])
     @pytest.mark.parametrize("m", [8, 30, 64])
-    def test_eigenvalue_table_is_f_ordered(self, m, kinetic):
-        # the sine coefficients of x-fastest fields are F-ordered; the table walks memory with them
-        table = dirichlet_eigenvalues(m, 0.25, kinetic)
-        assert table.flags.f_contiguous and not table.flags.writeable
-        assert np.array_equal(table, c_ordered_eigenvalues(m, 0.25, kinetic))
+    def test_in_sine_modes_divides_by_the_table_entries(self, monkeypatch, split, m, shift):
+        # with the transforms taken out, the op sees the entries (lam_i + lam_j) + lam_k,
+        # plus shift, of the full table, bit for bit, in every slab of every half
+        def untransformed(c, inverse=False, overwrite=False):
+            return c if inverse else c.copy(order="F")
+
+        monkeypatch.setattr(spgs_grid, "sine_transform", untransformed)
+        coeff = np.asfortranarray(np.random.default_rng(m).standard_normal((m, m, m)))
+        for kinetic in KINETICS:
+            lam = dirichlet_eigenvalues(m, 0.25, kinetic)
+            got = spgs_grid.in_sine_modes(coeff, lam, np.divide, shift)
+            assert got.flags.f_contiguous
+            assert np.array_equal(got, coeff / (c_ordered_eigenvalues(m, 0.25, kinetic) + shift)), kinetic
+
+    def test_first_precondition_at_a_new_n_keeps_no_table(self):
+        # the cached one-axis eigenvalues are all a new n adds; the n^3 table is gone
+        g = GridSpec(L=3.3, n=40)
+        r = ScalarField(g, np.random.default_rng(40).standard_normal(g.num_nodes))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = precondition(r)
+            del out
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept < g.num_nodes
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -337,6 +363,68 @@ class TestHalves:
             assert spgs_grid._sum_of_products(a, b, w) == float(np.sum(w * a * b))
             assert np.array_equal(spgs_grid._scaled_add(-0.3, a, b), b - 0.3 * a)
             assert np.array_equal(spgs_grid._scaled_add(0.7, a), 0.7 * a)
+
+
+class TestHelperThread:
+    SIZE = 1 << 17  # flat values, above the split size
+
+    def test_an_error_in_the_helpers_half_reaches_the_caller(self, on_cpus):
+        on_cpus(2)
+        ran = []
+
+        def failing(sl):
+            ran.append((sl.start, threading.current_thread().name))
+            if sl.start > 0:
+                raise ValueError("second half")
+            return sl.start
+
+        with pytest.raises(ValueError, match="second half"):
+            spgs_grid._on_halves(failing, self.SIZE)
+        assert sorted(start for start, _ in ran) == [0, self.SIZE // 2]
+        # the next split still runs its second half on the helper
+        names = spgs_grid._on_halves(lambda sl: threading.current_thread().name, self.SIZE)
+        assert names == [threading.current_thread().name, "spgs-helper"]
+
+    def test_threads_splitting_at_once_get_the_one_pass_bits(self, on_cpus):
+        # more user threads than cores, switching often: a split that finds the helper
+        # busy runs both halves itself, and no result crosses to another thread
+        on_cpus(2)
+        rng = np.random.default_rng(5)
+        inputs = [rng.standard_normal((2, self.SIZE)) for _ in range(4)]
+        wrong = []
+
+        def work(a, b):
+            dot, axpy = float(np.sum(a * b)), b - 0.3 * a
+            try:
+                for _ in range(25):
+                    if spgs_grid._sum_of_products(a, b) != dot:
+                        wrong.append("sum")
+                    if not np.array_equal(spgs_grid._scaled_add(-0.3, a, b), axpy):
+                        wrong.append("update")
+            except Exception as exc:  # reported by the assertion below, not lost in the thread
+                wrong.append(repr(exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(a, b)) for a, b in inputs]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+
+    def test_shutdown_stops_the_thread_and_later_splits_run_on_the_caller(self, on_cpus):
+        on_cpus(2)
+        spgs_grid._on_halves(lambda sl: None, self.SIZE)
+        helper = spgs_grid._helper
+        helper.shutdown()
+        assert not helper.thread.is_alive()
+        names = spgs_grid._on_halves(lambda sl: threading.current_thread().name, self.SIZE)
+        assert names == [threading.current_thread().name] * 2
 
 
 class TestLpIntegral:

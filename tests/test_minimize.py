@@ -407,21 +407,21 @@ def test_pinned_levels():
 
 
 def test_spectral_solve_asks_for_no_fd_table_of_its_own_n(monkeypatch):
-    # -Lap and the preconditioner read the spectral tables; fd is asked for
+    # -Lap and the preconditioner read the spectral eigenvalues; fd is asked for
     # only by the Poisson defect solve, on the (n - 2)^3 interior block
     asked = set()
     table = spgs.grid.dirichlet_eigenvalues
 
-    def spy(m, h, kinetic="fd", shift=0.0):
-        asked.add((m, kinetic, shift))
-        return table(m, h, kinetic, shift)
+    def spy(m, h, kinetic="fd"):
+        asked.add((m, kinetic))
+        return table(m, h, kinetic)
 
     for module in (spgs.grid, spgs.functional, spgs.poisson):
         monkeypatch.setattr(module, "dirichlet_eigenvalues", spy)
     n = 24
     res = find_ground_state(Constant(1.0), SolverConfig(p=4.0, kinetic="spectral"), GridSpec(L=4.0, n=n))
     assert res.converged
-    assert asked == {(n, "spectral", 0.0), (n, "spectral", 1.0), (n - 2, "fd", 0.0)}
+    assert asked == {(n, "spectral"), (n - 2, "fd")}
 
 
 def test_spectral_takes_no_more_iterations_than_fd():
