@@ -40,12 +40,12 @@ second.  Split this way are:
 numpy's matmul, ufuncs, sums and einsum release the GIL, so the halves
 overlap, and since no half reads the other's output the result is bit
 for bit the one thread's.  Reductions of n^3 data use np.sum or
-np.einsum, never np.dot, np.vdot or @ with a vector: OpenBLAS threads
-those calls, and its spinning workers stall the helper thread on two
-cores (one vdot and two matvecs per Poisson solve took the ground-state
-descent at n = 64 from 0.34-0.40 s to 0.47-0.64 s on a 2-core host).  A
-flat sum splits at the point where numpy's pairwise summation adds its
-two halves, so the two partial sums added are the one-pass sum.  A
+np.einsum, never np.dot, np.vdot or @ with a vector, because a flat sum
+splits at the point where numpy's pairwise summation adds its two
+halves, so the two partial sums added are the one-pass sum; a BLAS
+dot's rounding follows its own blocking, not the split.  Nor would BLAS
+gain a core: importing spgs starts OpenBLAS with one thread (see the
+package docstring), and the second core is the helper's.  A
 process keeps one helper, a daemon thread started on the first split,
 never at import, and only when the process may run on at least two
 CPUs; otherwise the caller runs both halves in turn.  The caller hands

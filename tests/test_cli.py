@@ -20,10 +20,15 @@ from spgs.minimize import GaussianBlob, SolverConfig, TraceRow
 from spgs.potential import CoulombSingular
 
 
-def _fresh_python(code: str) -> str:
-    """Stdout of `code` run by a fresh interpreter that imports spgs from these sources."""
+def _fresh_python(code: str, env: dict[str, str | None] | None = None) -> str:
+    """Stdout of `code` run by a fresh interpreter that imports spgs from these sources.
+
+    `env` overrides this process's environment; a name mapped to None is removed.
+    """
     src = str(Path(spgs.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = {**os.environ, **(env or {})}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {name: value for name, value in env.items() if value is not None}
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120
     )
@@ -70,16 +75,36 @@ print(res.converged, sorted(m for m in sys.modules if m.startswith('scipy')))
 
 def test_split_solve_loads_no_executor():
     # n = 48 splits its passes; the helper is one thread handed work through
-    # two locks, so neither concurrent.futures nor scipy comes in
+    # two locks, so neither concurrent.futures nor scipy comes in.  Importing
+    # spgs starts numpy's and then scipy's OpenBLAS with no worker thread, so
+    # the process's threads are the caller and the helper
     code = """
 import os, sys
+def threads():
+    return len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else '-'
 import spgs.grid
+counts = [threads()]
 from spgs import Constant, GridSpec, SolverConfig, find_ground_state
 find_ground_state(Constant(1.0), SolverConfig(p=4.0, max_iters=3), GridSpec(L=4.0, n=48))
+counts.append(threads())
 print(sorted(m for m in sys.modules if m.startswith(('scipy', 'concurrent'))))
 print((spgs.grid._helper is None) == (len(os.sched_getaffinity(0)) < 2))
+spgs.radial_ground_state
+counts.append(threads())
+print(os.environ.get('OPENBLAS_NUM_THREADS', 'unset'), spgs.grid._helper is not None, *counts)
 """
-    assert _fresh_python(code).splitlines() == ["[]", "True"]
+    lines = _fresh_python(code, env={"OPENBLAS_NUM_THREADS": None}).splitlines()
+    assert lines[:2] == ["[]", "True"]
+    blas, helper, *counts = lines[2].split()
+    assert blas == "1"
+    if counts != ["-"] * 3:
+        with_helper = 1 + (helper == "True")
+        assert [int(c) for c in counts] == [1, with_helper, with_helper]
+
+
+def test_callers_blas_thread_count_wins():
+    code = "import os, spgs; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert _fresh_python(code, env={"OPENBLAS_NUM_THREADS": "2"}) == "2"
 
 
 def test_sweep_jobs_2_after_an_in_process_solve(tmp_path):
