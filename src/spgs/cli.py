@@ -135,7 +135,7 @@ def _build(cfg: RunConfig) -> tuple[Potential, SolverConfig, GridSpec, ScalarFie
         solver = cfg.build_solver()
         potential = cfg.build_potential()
         potential.sample(grid)
-        u0 = initial_field(solver.init, grid)
+        u0 = initial_field(solver.init, grid, potential.v_infinity(), solver.p)
     except (OSError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
     if not u0.values.any():

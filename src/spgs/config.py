@@ -92,7 +92,7 @@ class RunConfig:
     solver_starts: int = 1
     solver_kinetic: str = "fd"
     solver_init: str = "gaussian"
-    solver_init_width: float = 0.0  # 0 means the blob default L/6
+    solver_init_width: float = 0.0  # 0 means the blob default, minimize.ritz_width
     solver_init_center: tuple[float, float, float] = (0.0, 0.0, 0.0)
     solver_init_amplitude: float = 1.0
     solver_init_path: str = ""

@@ -37,6 +37,7 @@ does not impose and which vanishes for a continuum solution.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -71,7 +72,8 @@ _LBFGS_MEMORY = 3
 class GaussianBlob:
     """Initial guess: amplitude * exp(-|x - center|^2 / (2 width^2)).
 
-    width defaults to L/6 of the run grid.
+    width defaults to `ritz_width` of the run: the centred Gaussian width
+    with the least ray maximum of the limit problem, within [h, L].
     """
 
     center: tuple[float, float, float] = (0.0, 0.0, 0.0)
@@ -80,7 +82,7 @@ class GaussianBlob:
 
     def __post_init__(self) -> None:
         if self.width is not None and not self.width > 0:
-            raise ValueError(f"blob width must be positive (or None for L/6), got width={self.width}")
+            raise ValueError(f"blob width must be positive (or None for ritz_width), got width={self.width}")
 
 
 InitSpec = Union[GaussianBlob, str, Path]
@@ -161,10 +163,67 @@ class GroundStateResult:
         return self.status == "converged"
 
 
-def initial_field(init: InitSpec | ScalarField, grid: GridSpec) -> ScalarField:
-    """The descent's first field: the Gaussian blob, or a field (or field dump) on the run grid."""
+def _gaussian_energies(sigma: float, v_inf: float, p: float) -> tuple[EnergyBreakdown, float]:
+    """A1, B, C on R^3 of g = exp(-|x|^2 / (2 sigma^2)) in V = v_inf, and v_inf integral g^2.
+
+    With m = integral g^2 = pi^(3/2) sigma^3: A1 = (3 / (2 sigma^2) + v_inf) m,
+    B = sqrt(2) m^2 / (4 pi^(3/2) sigma), the Coulomb energy of the
+    Gaussian charge g^2, and C = (2 pi sigma^2 / (p + 1))^(3/2).
+    """
+    m = math.pi**1.5 * sigma**3
+    b = math.sqrt(2.0) * m * m / (4.0 * math.pi**1.5 * sigma)
+    c = (2.0 * math.pi * sigma**2 / (p + 1.0)) ** 1.5
+    return EnergyBreakdown((1.5 / sigma**2 + v_inf) * m, b, c, p), v_inf * m
+
+
+def _ray_max_slope(sigma: float, v_inf: float, p: float) -> float:
+    """sigma d/dsigma of max_t I_inf(t g), g as in `_gaussian_energies`; inf without a fiber root.
+
+    The fiber root t is stationary in t, so the slope is that of I(t g)
+    at fixed t: the Pohozaev defect of t g, since g = g_1(x / sigma).
+    """
+    eb, mass = _gaussian_energies(sigma, v_inf, p)
+    try:
+        t = _solve_fiber(eb.A1, eb.B, eb.C, p)
+    except (ArithmeticError, NonCoerciveError):
+        # A1 <= 0, or a root beyond floating range: the ray maximum rises out of reach
+        return math.inf
+    return eb.at_scale(t).pohozaev(t * t * mass, 0.0)
+
+
+@functools.lru_cache(maxsize=64)
+def ritz_width(v_inf: float, p: float, h: float, L: float) -> float:
+    """The width in [h, L] of the centred Gaussian with the least ray maximum of the limit problem.
+
+    The ground level is the min-max c = inf over u != 0 of max_t I(t u);
+    over the centred Gaussians of the limit problem (V = v_inf) this width
+    is its Ritz minimiser, so the descent starts near the state's own size
+    rather than the box's: 0.3401 at (v_inf, p) = (1, 4), smaller for
+    larger p or v_inf.  The ray maximum falls, then rises in log sigma, so
+    bisection on the sign of `_ray_max_slope` finds it to rounding, or
+    returns h or L exactly when the least value lies at that end.
+    """
+    lo, hi = math.log(h), math.log(L)
+
+    def rising(x: float) -> bool:
+        return _ray_max_slope(math.exp(x), v_inf, p) > 0.0
+
+    if rising(lo):
+        return h
+    if not rising(hi):
+        return L
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (lo, mid) if rising(mid) else (mid, hi)
+    return math.exp(hi)
+
+
+def initial_field(init: InitSpec | ScalarField, grid: GridSpec, v_inf: float, p: float) -> ScalarField:
+    """The descent's first field: the Gaussian blob, or a field (or field dump) on the run grid.
+
+    A blob without a width takes `ritz_width(v_inf, p, grid.h, grid.L)`.
+    """
     if isinstance(init, GaussianBlob):
-        width = init.width if init.width is not None else grid.L / 6.0
+        width = init.width if init.width is not None else ritz_width(v_inf, p, grid.h, grid.L)
         return gaussian_blob(grid, init.center, width, init.amplitude)
     u = init if isinstance(init, ScalarField) else read_field(init)
     if u.grid != grid:
@@ -314,13 +373,13 @@ def find_ground_state(
     """Minimize the action over the constraint manifold.
 
     Starts from the configured initial field (default: unit Gaussian blob
-    at the origin, width L/6), or from u0 when the caller has already
-    built that field with `initial_field(cfg.init, grid)`, projects onto
-    the manifold, and descends with preconditioned L-BFGS steps plus
-    re-projection until the relative Euler-Lagrange residual drops below
-    tol_residual.  With
-    cfg.starts > 1 the descent is repeated from seeded jittered initial
-    blobs and the lowest level wins.
+    at the origin, width `ritz_width` of V.v_infinity() and cfg.p), or
+    from u0 when the caller has already built that field with
+    `initial_field`, projects onto the manifold, and descends with
+    preconditioned L-BFGS steps plus re-projection until the relative
+    Euler-Lagrange residual drops below tol_residual.  With cfg.starts > 1
+    the descent is repeated from seeded jittered initial blobs and the
+    lowest level wins.
 
     Raises NonCoerciveError, before any Poisson solve, when the potential's
     coercivity constant c_bar is not positive (bypass with
@@ -329,7 +388,8 @@ def find_ground_state(
     gradient, ValueError for a u0 on another grid.  Hitting max_iters is
     not an error: the best iterate is returned flagged converged=False.
     """
-    inits = [initial_field(cfg.init if u0 is None else u0, grid)]
+    v_inf = V.v_infinity()
+    inits = [initial_field(cfg.init if u0 is None else u0, grid, v_inf, cfg.p)]
     if not cfg.coercivity_override:
         coercivity = coercivity_check(V, grid, kinetic=cfg.kinetic)
         if not coercivity.ok:
@@ -341,7 +401,7 @@ def find_ground_state(
 
     if cfg.starts > 1:
         rng = np.random.default_rng(cfg.seed)
-        base_width = grid.L / 6.0
+        base_width = ritz_width(v_inf, cfg.p, grid.h, grid.L)
         if isinstance(cfg.init, GaussianBlob) and cfg.init.width is not None:
             base_width = cfg.init.width
         for _ in range(cfg.starts - 1):

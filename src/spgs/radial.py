@@ -242,8 +242,13 @@ def radial_ground_state(
     """Radial ground level by the same projected descent as the 3-D path.
 
     Returns (u, phi, c_radial).  The default initial profile is a
-    Gaussian of width r_max/20; cfg controls p-independent knobs (step,
-    tolerance, max_iters, init width through cfg.init when it is a blob).
+    Gaussian of width r_max/20, not the 3-D default `minimize.ritz_width`:
+    near that width the descent can stall at the rounding floor (at
+    V = 1 - 0.05/r, n_r = 1024 some widths within 1e-8 of it raise
+    NoDescentError), so the radial start waits for a stop test that sees
+    that floor.  cfg controls
+    p-independent knobs (step, tolerance, max_iters, init width through
+    cfg.init when it is a blob).
     The exponent is always this call's p, never cfg.p.  Raises ValueError
     for p outside (3, 5), r_max <= 0 or n_r < 16 (the CLI's bounds).
     """

@@ -15,14 +15,19 @@ import spgs.minimize
 import spgs.poisson
 from spgs.errors import NoDescentError, NonCoerciveError, ZeroFieldError
 from spgs.grid import GridSpec, ScalarField
+from spgs.functional import energy_breakdown
 from spgs.minimize import (
     GaussianBlob,
     SolverConfig,
+    _gaussian_energies,
+    _ray_max_slope,
     compare_with_vinf,
     find_ground_state,
     relative_asymmetry,
+    ritz_width,
 )
-from spgs.nehari import nehari_project
+from spgs.nehari import _solve_fiber, nehari_project
+from spgs.sampling import gaussian_blob
 from spgs.potential import CoercivityResult, Constant, CoulombSingular, Tabulated
 from spgs.radial import radial_ground_state
 
@@ -396,7 +401,7 @@ def test_output_phi_reuses_the_descents_raw_sum(monkeypatch):
 def test_pinned_levels():
     # a level that drifts fails here in seconds, not only in the benchmark
     fd = find_ground_state(Constant(1.0), SolverConfig(p=4.0), GridSpec(L=4.0, n=24))
-    assert fd.iterations == 8
+    assert fd.iterations == 6
     assert fd.c_estimate == pytest.approx(10.093318054749808, rel=1e-12)
     sp_cfg = SolverConfig(p=4.0, kinetic="spectral")
     sp = find_ground_state(Constant(1.0), sp_cfg, GridSpec(L=2.5, n=24))
@@ -404,6 +409,72 @@ def test_pinned_levels():
     assert sp.c_estimate == pytest.approx(10.434921971760058, rel=1e-12)
     _, _, c_radial = radial_ground_state(Constant(1.0), 4.0, r_max=30.0, n_r=1024)
     assert c_radial == pytest.approx(9.865613744978525, rel=1e-12)
+
+
+def _gaussian_ray_max(sigma, v_inf, p):
+    eb, _ = _gaussian_energies(sigma, v_inf, p)
+    return eb.at_scale(_solve_fiber(eb.A1, eb.B, eb.C, p)).I
+
+
+def test_closed_form_gaussian_energies_match_the_sampled_gaussian():
+    # measured on this box: A1 and C to 1e-15, B to 5.2e-9 (the box's Poisson solve)
+    grid = GridSpec(L=6.0, n=64)
+    sampled = energy_breakdown(
+        gaussian_blob(grid, width=0.6), Constant(1.0).sample(grid), 4.0, kinetic="spectral"
+    )
+    closed, mass = _gaussian_energies(0.6, 1.0, 4.0)
+    assert closed.A1 == pytest.approx(sampled.A1, rel=1e-13)
+    assert closed.B == pytest.approx(sampled.B, rel=2e-8)
+    assert closed.C == pytest.approx(sampled.C, rel=1e-13)
+    assert mass == pytest.approx(math.pi**1.5 * 0.6**3, rel=1e-15)
+
+
+def test_ray_max_slope_is_the_log_derivative_of_the_ray_max():
+    # central difference in log sigma
+    d = 1e-5
+    for sigma in (0.2, 0.34, 0.8):
+        up, down = (_gaussian_ray_max(sigma * math.exp(e), 1.0, 4.0) for e in (d, -d))
+        assert _ray_max_slope(sigma, 1.0, 4.0) == pytest.approx((up - down) / (2 * d), rel=1e-6, abs=1e-8)
+
+
+def test_ritz_width_minimises_the_gaussian_ray_max():
+    h, L = GridSpec(L=4.0, n=64).h, 4.0
+    star = ritz_width(1.0, 4.0, h, L)
+    assert star == pytest.approx(0.34013, abs=1e-4)
+    least = _gaussian_ray_max(star, 1.0, 4.0)
+    assert _gaussian_ray_max(0.95 * star, 1.0, 4.0) > least
+    assert _gaussian_ray_max(1.05 * star, 1.0, 4.0) > least
+    # a narrower state for a stronger nonlinearity or a deeper limit potential
+    assert ritz_width(1.0, 4.5, h, L) < star < ritz_width(1.0, 3.5, h, L)
+    assert ritz_width(2.0, 4.0, h, L) < star < ritz_width(0.5, 4.0, h, L)
+    # near p = 5 the least ray maximum lies below the mesh width
+    assert ritz_width(1.0, 4.9, h, L) == h
+
+
+def test_ritz_width_where_the_ray_maximum_has_no_fiber_root():
+    # p near 3 in a wide box: the fiber root of a wide Gaussian overflows
+    assert ritz_width(1.0, 3.01, 12.5, 50.0) == 12.5
+    # v_inf < 0: A1 <= 0 beyond sigma = 1.22, so the least value lies below it
+    assert 0.5 < ritz_width(-1.0, 4.0, 0.5, 8.0) < math.sqrt(1.5)
+    assert ritz_width(-3.0, 4.0, 1.0, 4.0) == 1.0
+
+
+@pytest.mark.parametrize(
+    "V, kinetic, grid",
+    [
+        (Constant(1.0), "fd", GridSpec(L=4.0, n=24)),
+        (Constant(1.0), "spectral", GridSpec(L=2.5, n=24)),
+        (CoulombSingular(1.0, 0.5, 1), "fd", GridSpec(L=6.0, n=16)),
+    ],
+    ids=["fd", "spectral", "coulomb"],
+)
+def test_ritz_start_reaches_the_box_start_level_in_no_more_iterations(V, kinetic, grid):
+    cfg = SolverConfig(p=4.0, kinetic=kinetic)
+    ritz = find_ground_state(V, cfg, grid)
+    box = find_ground_state(V, replace(cfg, init=GaussianBlob(width=grid.L / 6.0)), grid)
+    assert ritz.converged and box.converged
+    assert ritz.c_estimate == pytest.approx(box.c_estimate, rel=1e-12)
+    assert ritz.iterations <= box.iterations
 
 
 def test_spectral_solve_asks_for_no_fd_table_of_its_own_n(monkeypatch):
