@@ -107,14 +107,10 @@ def _write_csv(path: Path, header: str, rows: list[str]) -> None:
             fh.write(row + "\n")
 
 
-def _write_trace(path: Path, result: GroundStateResult) -> None:
-    rows = [",".join(repr(getattr(t, name)) for name in _TRACE_FIELDS) for t in result.trace]
-    _write_csv(path, ",".join(_TRACE_FIELDS), rows)
-
-
 def _write_result(cfg: RunConfig, outdir: Path, result: GroundStateResult) -> None:
     """trace.csv, summary.csv, u.field and phi.field of one ground-state solve."""
-    _write_trace(outdir / "trace.csv", result)
+    rows = [",".join(repr(getattr(t, name)) for name in _TRACE_FIELDS) for t in result.trace]
+    _write_csv(outdir / "trace.csv", ",".join(_TRACE_FIELDS), rows)
     _write_csv(outdir / "summary.csv", SUMMARY_HEADER, [_summary_row(cfg, _potential_echo(cfg), result)])
     write_field(result.u, outdir / "u.field")
     write_field(result.phi, outdir / "phi.field")

@@ -85,7 +85,6 @@ class RunConfig:
     potential_table_path: str = ""
 
     solver_p: float = 4.0
-    solver_step: float = 1.0
     solver_tol: float = 1e-7
     solver_max_iters: int = 500
     solver_seed: int = 0
@@ -94,7 +93,6 @@ class RunConfig:
     solver_init: str = "gaussian"
     solver_init_width: float = 0.0  # 0 means the blob default, minimize.ritz_width
     solver_init_center: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    solver_init_amplitude: float = 1.0
     solver_init_path: str = ""
     solver_coercivity_override: bool = False
 
@@ -178,16 +176,11 @@ class RunConfig:
 
     def build_solver(self) -> SolverConfig:
         if self.solver_init == "gaussian":
-            init: Any = GaussianBlob(
-                center=self.solver_init_center,
-                width=self.solver_init_width or None,
-                amplitude=self.solver_init_amplitude,
-            )
+            init: Any = GaussianBlob(center=self.solver_init_center, width=self.solver_init_width or None)
         else:
             init = self.solver_init_path
         return SolverConfig(
             p=self.solver_p,
-            step=self.solver_step,
             tol_residual=self.solver_tol,
             max_iters=self.solver_max_iters,
             init=init,

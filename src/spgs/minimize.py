@@ -63,22 +63,24 @@ from .poisson import solve_phi
 from .potential import Constant, Potential, coercivity_check
 from .sampling import gaussian_blob
 
-_STEP_FLOOR_FACTOR = 1e-12
+# the line search halves its step from 1 down to this floor
+_STEP_FLOOR = 1e-12
 # curvature pairs (s, y) kept by the L-BFGS direction
 _LBFGS_MEMORY = 3
 
 
 @dataclass(frozen=True)
 class GaussianBlob:
-    """Initial guess: amplitude * exp(-|x - center|^2 / (2 width^2)).
+    """Initial guess: exp(-|x - center|^2 / (2 width^2)).
 
     width defaults to `ritz_width` of the run: the centred Gaussian width
-    with the least ray maximum of the limit problem, within [h, L].
+    with the least ray maximum of the limit problem, within [h, L].  The
+    descent first scales its start onto the constraint manifold, so a
+    blob has no amplitude.
     """
 
     center: tuple[float, float, float] = (0.0, 0.0, 0.0)
     width: float | None = None
-    amplitude: float = 1.0
 
     def __post_init__(self) -> None:
         if self.width is not None and not self.width > 0:
@@ -91,7 +93,6 @@ InitSpec = Union[GaussianBlob, str, Path]
 @dataclass(frozen=True)
 class SolverConfig:
     p: float = 4.0
-    step: float = 1.0
     tol_residual: float = 1e-7
     max_iters: int = 500
     init: InitSpec = GaussianBlob()
@@ -103,8 +104,6 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if not 3.0 < self.p < 5.0:
             raise ValueError(f"exponent must lie in (3, 5), got p={self.p}")
-        if not 0 < self.step < math.inf:
-            raise ValueError(f"initial step must be positive and finite, got step={self.step}")
         if not 0 < self.tol_residual < math.inf:
             raise ValueError(
                 f"residual tolerance must be positive and finite, got tol_residual={self.tol_residual}"
@@ -133,8 +132,11 @@ class TraceRow:
 
 @dataclass(frozen=True)
 class GroundStateResult:
-    """The reported state u, its corrected phi, the descent's record and two checks.
+    """The reported state u, its phi, the descent's record and two checks.
 
+    phi is the descent's own K u^2 (`poisson.solve_phi` with
+    `residual_correction=False`), the phi that breakdown.B pairs with u^2;
+    carried through the fiber scaling, it is a fresh solve of u to rounding.
     boundary_mass is `grid.boundary_mass_fraction(u)`.  pohozaev is the
     Pohozaev defect `EnergyBreakdown.pohozaev` of u divided by the
     breakdown's magnitude: d/dlam I(u(./lam)) at lam = 1, positive when
@@ -217,14 +219,20 @@ def ritz_width(v_inf: float, p: float, h: float, L: float) -> float:
     return math.exp(hi)
 
 
+def _blob_width(init: InitSpec, grid: GridSpec, v_inf: float, p: float) -> float:
+    """The width of a blob init, or `ritz_width(v_inf, p, grid.h, grid.L)` when it sets none."""
+    if isinstance(init, GaussianBlob) and init.width is not None:
+        return init.width
+    return ritz_width(v_inf, p, grid.h, grid.L)
+
+
 def initial_field(init: InitSpec | ScalarField, grid: GridSpec, v_inf: float, p: float) -> ScalarField:
     """The descent's first field: the Gaussian blob, or a field (or field dump) on the run grid.
 
     A blob without a width takes `ritz_width(v_inf, p, grid.h, grid.L)`.
     """
     if isinstance(init, GaussianBlob):
-        width = init.width if init.width is not None else ritz_width(v_inf, p, grid.h, grid.L)
-        return gaussian_blob(grid, init.center, width, init.amplitude)
+        return gaussian_blob(grid, init.center, _blob_width(init, grid, v_inf, p))
     u = init if isinstance(init, ScalarField) else read_field(init)
     if u.grid != grid:
         raise ValueError(
@@ -274,8 +282,8 @@ def _descend(u0, cfg: SolverConfig, *, field, solve, breakdown, residual, precon
     residual is the exact gradient of the action.  So each field is
     evaluated once: a trial field by `breakdown`, an iterate by `residual`.
     The fiber solve takes p from the breakdown, so the caller's energies
-    fix the exponent.  Only cfg.step, cfg.tol_residual and cfg.max_iters
-    are read here.
+    fix the exponent.  Only cfg.tol_residual and cfg.max_iters are read
+    here.
 
     The direction is the two-loop L-BFGS product (`_lbfgs_direction`) over
     the last _LBFGS_MEMORY curvature pairs, with `precondition` as the
@@ -283,7 +291,7 @@ def _descend(u0, cfg: SolverConfig, *, field, solve, breakdown, residual, precon
     taken between projected iterates, the fiber projection serving as the
     retraction, skipped when <s, y> <= 0, and stored as (s, y, 1 / <s, y>).
     The preconditioned gradient replaces a direction with <d, r> <= 0.
-    Every iteration backtracks from alpha = cfg.step until the re-projected
+    Every iteration backtracks from alpha = 1 until the re-projected
     action does not rise; when the quasi-Newton direction reaches the step
     floor, the memory is cleared and the iteration retried from the
     preconditioned gradient, and only a failed retry raises NoDescentError.
@@ -297,12 +305,10 @@ def _descend(u0, cfg: SolverConfig, *, field, solve, breakdown, residual, precon
     u = field(_scaled_add(t0, u0.values))
     phi = field(_scaled_add(t0 * t0, phi.values))
 
-    step_floor = _STEP_FLOOR_FACTOR * cfg.step
-
     def line_search(u, d, level):
         """(u, phi, alpha) of the first step along -d whose projection keeps I <= level, or None."""
-        alpha = cfg.step
-        while alpha >= step_floor:
+        alpha = 1.0
+        while alpha >= _STEP_FLOOR:
             u_c = field(_scaled_add(-alpha, d, u.values))  # u - alpha d
             phi_c = solve(u_c)
             eb_c = breakdown(u_c, phi_c)
@@ -401,13 +407,11 @@ def find_ground_state(
 
     if cfg.starts > 1:
         rng = np.random.default_rng(cfg.seed)
-        base_width = ritz_width(v_inf, cfg.p, grid.h, grid.L)
-        if isinstance(cfg.init, GaussianBlob) and cfg.init.width is not None:
-            base_width = cfg.init.width
+        base_width = _blob_width(cfg.init, grid, v_inf, cfg.p)
         for _ in range(cfg.starts - 1):
             center = tuple(rng.uniform(-grid.L / 6.0, grid.L / 6.0, size=3))
             width = base_width * float(rng.uniform(0.7, 1.4))
-            inits.append(gaussian_blob(grid, center, width, 1.0))
+            inits.append(gaussian_blob(grid, center, width))
 
     def residual(u, phi):
         r, rnorm, eb = el_residual(u, v_field, cfg.p, phi=phi, kinetic=cfg.kinetic)
@@ -429,7 +433,7 @@ def find_ground_state(
         )
         if best is None or out[1].I < best[1].I:
             best = out
-    u, eb, phi_raw, rnorm, iterations, trace, status = best
+    u, eb, phi, rnorm, iterations, trace, status = best
 
     # the Pohozaev defect from the breakdown eb of u and two more weighted sums of u^2
     w = grid.h**3
@@ -437,8 +441,6 @@ def find_ground_state(
     xdv = V.virial(grid.radius)
     virial = math.nan if xdv is None else w * float(np.sum(xdv * u2))
     pohozaev = eb.pohozaev(w * float(np.sum(v_field.as3d * u2)), virial) / eb.magnitude
-    # the descent's raw solve for u, so the corrected phi runs no second screened solve
-    phi = solve_phi(u, raw=phi_raw)
     return GroundStateResult(
         u=u,
         phi=phi,

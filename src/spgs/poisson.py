@@ -48,8 +48,10 @@ correction: the exact 7-point Dirichlet solve on the interior nodes
 values as boundary data.  The returned phi then satisfies -Lap_h(phi) =
 u^2 on interior nodes to rounding while retaining the free-space 1/|x|
 tail, and it stays positive by the discrete maximum principle.  The
-uncorrected K (`residual_correction=False`) is symmetric to rounding and
-is what the energy functional differentiates.
+correction serves `solve_phi`'s default and the `validate` checks.  The
+uncorrected K (`residual_correction=False`) is symmetric to rounding; it
+is what the energy functional differentiates and the phi a ground state
+(`minimize.GroundStateResult`) reports.
 """
 
 from __future__ import annotations
@@ -221,26 +223,21 @@ def interior_residual(u: ScalarField, phi: ScalarField) -> float:
     return float(np.sqrt(np.sum(_interior_defect(u, phi) ** 2))) / norm_q
 
 
-def solve_phi(
-    u: ScalarField, residual_correction: bool = True, raw: ScalarField | None = None
-) -> ScalarField:
+def solve_phi(u: ScalarField, residual_correction: bool = True) -> ScalarField:
     """Solve -Lap(phi) = u^2 with free-space (decaying) behavior.
 
     The raw solve is the screened sine solve K of the module docstring.
     When `residual_correction` is True (default), the interior Dirichlet
     defect solve is added so the 7-point residual vanishes to rounding on
     interior nodes.  When False, K u^2 is returned, the realization,
-    symmetric to rounding, that the energy functional uses.  `raw`
-    short-circuits K when the caller already holds K u^2 for this u; the
-    defect correction then starts from it.
+    symmetric to rounding, that the energy functional uses and a ground
+    state reports.
     """
     grid = u.grid
-    phi = raw
-    if phi is None:
-        q = np.square(u.values)
-        if not np.any(q):
-            return ScalarField.zeros(grid)
-        phi = ScalarField(grid, _screened_solve(q, grid))
+    q = np.square(u.values)
+    if not np.any(q):
+        return ScalarField.zeros(grid)
+    phi = ScalarField(grid, _screened_solve(q, grid))
     if not residual_correction:
         return phi
     out = phi.as3d.copy(order="F")

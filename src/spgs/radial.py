@@ -144,7 +144,9 @@ def radial_quadrature(u: RadialProfile, integrand: np.ndarray) -> float:
 def _radial_evaluate(
     u: RadialProfile, v_vals: np.ndarray, p: float, phi: RadialProfile, residual: bool = False
 ):
-    """(breakdown, residual or None, residual norm or None) at u from one link difference u'.
+    """(residual or None, its norm or None, breakdown) at u, the descent's residual order.
+
+    All come from one link difference u'.
 
     u' lives on the links (j + 1) dr, one to the right of each node j, with
     no flux at r = 0 and a zero ghost value at r_max; -Lap_r u =
@@ -210,19 +212,13 @@ def _radial_evaluate(
     kin = scale * links
     eb = EnergyBreakdown(kin + scale * vq, scale * phiq, scale * c, p, math.sqrt(kin + scale * mass))
     if res is None:
-        return eb, None, None
-    return eb, res, math.sqrt(scale * squares[0])
+        return None, None, eb
+    return res, math.sqrt(scale * squares[0]), eb
 
 
 def radial_energy_breakdown(u: RadialProfile, v_vals: np.ndarray, p: float, phi: RadialProfile):
     """A1, B, C, the derived action values and the H^1 norm of the profile u."""
-    return _radial_evaluate(u, v_vals, p, phi)[0]
-
-
-def _radial_residual(u: RadialProfile, v_vals: np.ndarray, p: float, phi: RadialProfile):
-    """(residual, its weighted L^2 norm, breakdown) at u, sharing one -Lap_r u."""
-    eb, res, norm = _radial_evaluate(u, v_vals, p, phi, residual=True)
-    return res, norm, eb
+    return _radial_evaluate(u, v_vals, p, phi)[2]
 
 
 def _radial_precondition(res: np.ndarray, mesh: _Mesh) -> np.ndarray:
@@ -246,10 +242,9 @@ def radial_ground_state(
     near that width the descent can stall at the rounding floor (at
     V = 1 - 0.05/r, n_r = 1024 some widths within 1e-8 of it raise
     NoDescentError), so the radial start waits for a stop test that sees
-    that floor.  cfg controls
-    p-independent knobs (step, tolerance, max_iters, init width through
-    cfg.init when it is a blob).
-    The exponent is always this call's p, never cfg.p.  Raises ValueError
+    that floor.  Of cfg only tol_residual, max_iters and the width of
+    cfg.init, when it is a blob that sets one, are read.  The exponent is
+    always this call's p, never cfg.p.  Raises ValueError
     for p outside (3, 5), r_max <= 0 or n_r < 16 (the CLI's bounds).
     """
     if cfg is None:
@@ -281,7 +276,7 @@ def radial_ground_state(
         field=lambda values: RadialProfile(r_max, n_r, values),
         solve=lambda prof: radial_solve_phi(prof),
         breakdown=lambda prof, phi: radial_energy_breakdown(prof, v_vals, p, phi),
-        residual=lambda prof, phi: _radial_residual(prof, v_vals, p, phi),
+        residual=lambda prof, phi: _radial_evaluate(prof, v_vals, p, phi, residual=True),
         precondition=lambda res: _radial_precondition(res, mesh),
         inner=lambda a, b: _sum_of_products(a, b, mesh.r2),
     )

@@ -33,9 +33,8 @@ def gaussian_blob(
     grid: GridSpec,
     center: tuple[float, float, float] = (0.0, 0.0, 0.0),
     width: float = 1.0,
-    amplitude: float = 1.0,
 ) -> ScalarField:
-    return ScalarField.from_3d(grid, amplitude * _gaussian(grid, center, width))
+    return ScalarField.from_3d(grid, _gaussian(grid, center, width))
 
 
 def random_smooth_field(

@@ -19,7 +19,7 @@ from .poisson import interior_residual, solve_phi
 from .potential import Constant, CoulombSingular, Tabulated
 from .radial import (
     RadialProfile,
-    _radial_residual,
+    _radial_evaluate,
     radial_energy_breakdown,
     radial_quadrature,
     radial_solve_phi,
@@ -32,10 +32,6 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
-
-
-def _check(name: str, passed: bool, detail: str) -> CheckResult:
-    return CheckResult(name, bool(passed), detail)
 
 
 def run_validation(seed: int = 0, p: float = 4.0) -> list[CheckResult]:
@@ -53,18 +49,18 @@ def run_validation(seed: int = 0, p: float = 4.0) -> list[CheckResult]:
         for t in (0.5, 2.0, 3.0):
             scaled = solve_phi(u.scaled(t)).values
             worst = max(worst, float(np.max(np.abs(scaled - t * t * base) / np.abs(t * t * base))))
-    results.append(_check("poisson.quadratic-scaling", worst < 1e-12, f"max rel dev {worst:.2e}"))
+    results.append(CheckResult("poisson.quadratic-scaling", worst < 1e-12, f"max rel dev {worst:.2e}"))
 
     worst = math.inf
     for u in fields[:4]:
         phi = solve_phi(u).values
         worst = min(float(phi.min() / phi.max()), worst)
-    results.append(_check("poisson.positivity", worst >= -1e-10, f"min/max ratio {worst:.2e}"))
+    results.append(CheckResult("poisson.positivity", worst >= -1e-10, f"min/max ratio {worst:.2e}"))
 
     worst = 0.0
     for u in fields[:4]:
         worst = max(worst, interior_residual(u, solve_phi(u)))
-    results.append(_check("poisson.interior-residual", worst <= 1e-8, f"max rel residual {worst:.2e}"))
+    results.append(CheckResult("poisson.interior-residual", worst <= 1e-8, f"max rel residual {worst:.2e}"))
 
     # B of a centred charge plus an off-centre pair of Gaussian charges
     # Q exp(-|x - c|^2 / w^2) against the continuum value
@@ -88,14 +84,14 @@ def run_validation(seed: int = 0, p: float = 4.0) -> list[CheckResult]:
             exact += qi * qj * (math.erf(d / s) / d if d else 2.0 / (math.sqrt(math.pi) * s))
     exact /= 4.0 * math.pi
     dev = abs(b - exact) / exact
-    results.append(_check("poisson.gaussian-exact", dev < 1e-3, f"rel dev {dev:.2e} (raw solve)"))
+    results.append(CheckResult("poisson.gaussian-exact", dev < 1e-3, f"rel dev {dev:.2e} (raw solve)"))
 
     ratios = [
         math.sqrt(dirichlet_energy(solve_phi(u, residual_correction=False))) / h1_norm(u) ** 2
         for u in fields
     ]
     results.append(
-        _check(
+        CheckResult(
             "poisson.boundedness-constant",
             all(math.isfinite(x) and x > 0 for x in ratios),
             f"ratio range [{min(ratios):.3f}, {max(ratios):.3f}]",
@@ -107,7 +103,7 @@ def run_validation(seed: int = 0, p: float = 4.0) -> list[CheckResult]:
     for u in fields:
         eb = energy_breakdown(u, v_const, p)
         worst = max(worst, abs(eb.I - eb.J - eb.G / (p + 1.0)) / max(abs(eb.I), 1e-30))
-    results.append(_check("functional.identity", worst < 1e-12, f"max rel dev {worst:.2e}"))
+    results.append(CheckResult("functional.identity", worst < 1e-12, f"max rel dev {worst:.2e}"))
 
     worst = 0.0
     for u in fields[:3]:
@@ -116,14 +112,14 @@ def run_validation(seed: int = 0, p: float = 4.0) -> list[CheckResult]:
             fresh = energy_breakdown(u.scaled(t), v_const, p)
             ray = eb.at_scale(t)
             worst = max(worst, abs(fresh.I - ray.I) / max(abs(fresh.I), 1e-30))
-    results.append(_check("functional.homogeneity-ladder", worst < 1e-10, f"max rel dev {worst:.2e}"))
+    results.append(CheckResult("functional.homogeneity-ladder", worst < 1e-10, f"max rel dev {worst:.2e}"))
 
     worst = 0.0
     for u in fields[:4]:
         r, _, eb = el_residual(u, v_const, p)
         ip = grid.h**3 * float(np.sum(r.values * u.values))
         worst = max(worst, abs(eb.G - ip) / max(abs(eb.G), 1e-30))
-    results.append(_check("functional.radial-derivative", worst < 1e-10, f"max rel dev {worst:.2e}"))
+    results.append(CheckResult("functional.radial-derivative", worst < 1e-10, f"max rel dev {worst:.2e}"))
 
     worst = 0.0
     for u in fields[:3]:
@@ -135,7 +131,7 @@ def run_validation(seed: int = 0, p: float = 4.0) -> list[CheckResult]:
         i_minus = energy_breakdown(ScalarField(grid, u.values - eps * v.values), v_const, p).I
         fd = (i_plus - i_minus) / (2.0 * eps)
         worst = max(worst, abs(fd - ip) / max(abs(ip), 1e-30))
-    results.append(_check("functional.gradient", worst < 1e-6, f"max rel dev {worst:.2e}"))
+    results.append(CheckResult("functional.gradient", worst < 1e-6, f"max rel dev {worst:.2e}"))
 
     # the radial residual is the gradient of the radial action in the r^2 pairing
     r_max, n_r = 15.0, 512
@@ -151,19 +147,19 @@ def run_validation(seed: int = 0, p: float = 4.0) -> list[CheckResult]:
         width = rng.uniform(1.0, 2.0)
         u = RadialProfile(r_max, n_r, rng.uniform(0.5, 2.0) * np.exp(-((nodes / width) ** 2) / 2.0))
         v = rng.standard_normal(n_r) * np.exp(-nodes / rng.uniform(1.0, 4.0))
-        r, _, _ = _radial_residual(u, ones, p, radial_solve_phi(u))
+        r, _, _ = _radial_evaluate(u, ones, p, radial_solve_phi(u), residual=True)
         ip = radial_quadrature(u, r * v)
         eps = 1e-5
         fd = (radial_action(u.values + eps * v) - radial_action(u.values - eps * v)) / (2.0 * eps)
         worst = max(worst, abs(fd - ip) / max(abs(ip), 1e-30))
-    results.append(_check("radial.gradient", worst < 1e-6, f"max rel dev {worst:.2e}"))
+    results.append(CheckResult("radial.gradient", worst < 1e-6, f"max rel dev {worst:.2e}"))
 
     ok = True
     for u in fields[:3]:
         r, _, _ = el_residual(u, v_const, p)
         pr = precondition(r)
         ok = ok and grid.h**3 * float(np.sum(pr.values * r.values)) > 0.0
-    results.append(_check("functional.precondition-positive", ok, "inner products positive"))
+    results.append(CheckResult("functional.precondition-positive", ok, "inner products positive"))
 
     # --- projection ---
     worst = 0.0
@@ -173,22 +169,22 @@ def run_validation(seed: int = 0, p: float = 4.0) -> list[CheckResult]:
         sb = fs.scaled_breakdown
         worst = max(worst, abs(sb.G) / sb.magnitude)
         ray_ok = ray_ok and ray_max_check(u, fs, v_const, p)
-    results.append(_check("projection.on-manifold", worst < 1e-10, f"max |G|/scale {worst:.2e}"))
-    results.append(_check("projection.ray-maximum", ray_ok, "I(t u) <= I(t_bar u) on samples"))
+    results.append(CheckResult("projection.on-manifold", worst < 1e-10, f"max |G|/scale {worst:.2e}"))
+    results.append(CheckResult("projection.ray-maximum", ray_ok, "I(t u) <= I(t_bar u) on samples"))
 
     worst = 0.0
     for u in fields[:3]:
         t1 = nehari_project(u, v_const, p).t_bar
         t2 = nehari_project(u.scaled(2.0), v_const, p).t_bar
         worst = max(worst, abs(t2 - t1 / 2.0) / t1)
-    results.append(_check("projection.ray-invariance", worst < 1e-10, f"max rel dev {worst:.2e}"))
+    results.append(CheckResult("projection.ray-invariance", worst < 1e-10, f"max rel dev {worst:.2e}"))
 
     worst = 0.0
     for u in fields[:3]:
         fs = nehari_project(u, v_const, p)
         again = nehari_project(u.scaled(fs.t_bar), v_const, p)
         worst = max(worst, abs(again.t_bar - 1.0))
-    results.append(_check("projection.fixed-point", worst < 1e-10, f"max |t_bar - 1| {worst:.2e}"))
+    results.append(CheckResult("projection.fixed-point", worst < 1e-10, f"max |t_bar - 1| {worst:.2e}"))
 
     # --- potential ---
     sing = CoulombSingular(1.0, 0.1, 1)
@@ -199,7 +195,7 @@ def run_validation(seed: int = 0, p: float = 4.0) -> list[CheckResult]:
         for lam in (0.05, 0.1, 0.2)
     ]
     results.append(
-        _check(
+        CheckResult(
             "potential.lambda-monotone",
             c[0] > c[1] > c[2],
             f"grid c_bar {c[0]:.4f} > {c[1]:.4f} > {c[2]:.4f}",
@@ -207,7 +203,7 @@ def run_validation(seed: int = 0, p: float = 4.0) -> list[CheckResult]:
     )
     below = float(np.mean(v_sing.values < sing.v_infinity() - 1e-12))
     results.append(
-        _check("potential.strictly-below-vinf", below >= 0.10, f"{below:.0%} of nodes below V_inf")
+        CheckResult("potential.strictly-below-vinf", below >= 0.10, f"{below:.0%} of nodes below V_inf")
     )
 
     return results

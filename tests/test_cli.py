@@ -17,6 +17,7 @@ import spgs.minimize
 from spgs.cli import main
 from spgs.grid import GridSpec, ScalarField, boundary_mass_fraction, read_field, write_field
 from spgs.minimize import GaussianBlob, SolverConfig, TraceRow
+from spgs.poisson import solve_phi
 from spgs.potential import CoulombSingular
 
 
@@ -191,22 +192,23 @@ def test_nonfinite_step_mid_descent_is_a_solver_error(tmp_path, monkeypatch, cap
 @pytest.mark.parametrize(
     "args",
     [
-        # the nodal layout is retired, and its key with it
+        # the nodal layout is retired, and its key with it; so are the first
+        # trial step and the blob amplitude, refused even at their old defaults
         ["solve", "--set", "grid.staggered=false"],
+        ["solve", "--set", "solver.step=1.0"],
+        ["solve", "--set", "solver.init_amplitude=1.0"],
         ["compare-vinf", "--set", "potential.V1=-1.0"],
         ["solve", "--set", "solver.tol=nan"],
-        ["solve", "--set", "solver.step=inf"],
         ["solve", "--set", "solver.init_width=-1.0"],
         ["sweep-lambda", "--set", "sweep.lambdas=1.0,nan"],
         ["sweep-lambda", "--set", "sweep.lambdas=1.0,1.0"],
-        # initial fields that are zero on every node: by amplitude, by underflow
-        ["solve", "--set", "grid.L=4.0", "--set", "grid.n=16", "--set", "solver.init_amplitude=0"],
+        # an initial field that underflows to zero on every node
         ["solve", "--set", "grid.L=4.0", "--set", "grid.n=16", "--set", "solver.init_center=100,0,0"],
         ["solve", "--set", "grid.L=4.0", "--set", "grid.n=16", "--seed", "-1"],
     ],
     ids=[
-        "retired-staggered-key", "nonpositive-vinf", "nan-tol", "infinite-step",
-        "negative-init-width", "nan-in-list", "repeated-lambda", "zero-init", "underflowed-init", "negative-seed",
+        "retired-staggered-key", "retired-step-key", "retired-amplitude-key", "nonpositive-vinf",
+        "nan-tol", "negative-init-width", "nan-in-list", "repeated-lambda", "underflowed-init", "negative-seed",
     ],
 )
 def test_rejected_run_inputs_are_config_errors(tmp_path, capsys, args):
@@ -221,7 +223,6 @@ _OWNED_RULES = [
     (["grid.n=6"], lambda: GridSpec(L=4.0, n=6)),
     (["grid.n=9"], lambda: GridSpec(L=4.0, n=9)),
     (["solver.p=5.5"], lambda: SolverConfig(p=5.5)),
-    (["solver.step=0"], lambda: SolverConfig(step=0.0)),
     (["solver.tol=-1e-7"], lambda: SolverConfig(tol_residual=-1e-7)),
     (["solver.max_iters=0"], lambda: SolverConfig(max_iters=0)),
     (["solver.starts=0"], lambda: SolverConfig(starts=0)),
@@ -434,6 +435,16 @@ def test_summary_csv_carries_the_boundary_mass(tmp_path, capsys):
     assert line.endswith(
         f"  boundary_mass = {float(row['boundary_mass']):.3e}  pohozaev = {float(row['pohozaev']):+.3e}"
     )
+
+
+def test_phi_field_is_the_raw_solve_of_u_field(tmp_path):
+    # the dumped phi is the one the level's B pairs with u^2, not the defect-corrected solve
+    argv = ["solve", "--set", "grid.L=4.0", "--set", "grid.n=16", "--output", str(tmp_path)]
+    assert main(argv) == 0
+    (run_dir,) = tmp_path.iterdir()
+    phi = read_field(run_dir / "phi.field").values
+    fresh = solve_phi(read_field(run_dir / "u.field"), residual_correction=False).values
+    assert np.max(np.abs(phi - fresh)) <= 1e-13 * np.max(fresh)
 
 
 def test_trace_csv_rows_are_the_result_trace(tmp_path, monkeypatch):

@@ -24,7 +24,6 @@ NON_DEFAULT = {
     "potential_alpha": 2,
     "potential_table_path": "tables/v.field",
     "solver_p": 3.5,
-    "solver_step": 2.0,
     "solver_tol": 3e-9,
     "solver_max_iters": 77,
     "solver_seed": 11,
@@ -33,7 +32,6 @@ NON_DEFAULT = {
     "solver_init": "file",
     "solver_init_width": 0.625,
     "solver_init_center": (0.5, -0.25, 0.125),
-    "solver_init_amplitude": 2.5,
     "solver_init_path": "init/u.field",
     "solver_coercivity_override": True,
     "mode": "radial-crosscheck",
@@ -116,7 +114,6 @@ DEFAULTS = [
     ("potential.alpha", "1"),
     ("potential.table_path", ""),
     ("solver.p", "4.0"),
-    ("solver.step", "1.0"),
     ("solver.tol", "1e-07"),
     ("solver.max_iters", "500"),
     ("solver.seed", "0"),
@@ -125,7 +122,6 @@ DEFAULTS = [
     ("solver.init", "gaussian"),
     ("solver.init_width", "0.0"),
     ("solver.init_center", "0.0,0.0,0.0"),
-    ("solver.init_amplitude", "1.0"),
     ("solver.init_path", ""),
     ("solver.coercivity_override", "false"),
     ("mode", "solve"),

@@ -266,13 +266,13 @@ def test_pohozaev_is_the_dilation_derivative(V, kinetic):
         g = GridSpec(L=6.0, n=n)
 
         def breakdown(width):
-            u = gaussian_blob(g, width=width, amplitude=1.3)
+            u = gaussian_blob(g, width=width).scaled(1.3)
             return energy_breakdown(u, V.sample(g), 4.0, kinetic=kinetic)
 
         step = [breakdown(1.0 + k * eps).I - breakdown(1.0 - k * eps).I for k in (1, 2)]
         dilation = (8.0 * step[0] - step[1]) / (12.0 * eps)
         eb = breakdown(1.0)
-        u2 = gaussian_blob(g, width=1.0, amplitude=1.3).as3d ** 2
+        u2 = gaussian_blob(g, width=1.0).scaled(1.3).as3d ** 2
         w = g.h**3
         P = eb.pohozaev(w * float(np.sum(V.sample(g).as3d * u2)), w * float(np.sum(V.virial(g.radius) * u2)))
         gaps.append(abs(P - dilation) / eb.magnitude)

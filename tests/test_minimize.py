@@ -27,6 +27,7 @@ from spgs.minimize import (
     ritz_width,
 )
 from spgs.nehari import _solve_fiber, nehari_project
+from spgs.poisson import solve_phi
 from spgs.sampling import gaussian_blob
 from spgs.potential import CoercivityResult, Constant, CoulombSingular, Tabulated
 from spgs.radial import radial_ground_state
@@ -57,9 +58,6 @@ class TestSolverConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(p=5.5)
-        for step in (-1.0, 0.0, math.nan, math.inf):
-            with pytest.raises(ValueError, match="step"):
-                SolverConfig(step=step)
         for tol in (-1e-7, 0.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="tol_residual"):
                 SolverConfig(tol_residual=tol)
@@ -71,11 +69,9 @@ class TestSolverConfig:
 
 class TestFindGroundState:
     def test_zero_init_raises(self, quick_cfg, quick_grid):
-        cfg = SolverConfig(
-            p=4.0, init=GaussianBlob(amplitude=0.0), max_iters=10, kinetic="spectral"
-        )
+        cfg = SolverConfig(p=4.0, max_iters=10, kinetic="spectral")
         with pytest.raises(ZeroFieldError):
-            find_ground_state(Constant(1.0), cfg, quick_grid)
+            find_ground_state(Constant(1.0), cfg, quick_grid, ScalarField.zeros(quick_grid))
 
     @pytest.mark.parametrize("other", [GridSpec(L=3.0, n=24), GridSpec(L=2.5, n=16)], ids=["L", "n"])
     def test_start_field_on_another_grid_raises(self, quick_cfg, quick_grid, other):
@@ -156,10 +152,10 @@ class TestFindGroundState:
         )
         assert res.converged
 
-    def test_phi_is_the_corrected_solve(self, ground_state):
-        from spgs.poisson import interior_residual
-
-        assert interior_residual(ground_state.u, ground_state.phi) <= 1e-8
+    def test_phi_is_the_raw_solve(self, ground_state):
+        # the phi the level's B pairs with u^2, not the defect-corrected solve
+        fresh = solve_phi(ground_state.u, residual_correction=False).values
+        assert np.max(np.abs(ground_state.phi.values - fresh)) <= 1e-13 * np.max(fresh)
 
     def test_radial_symmetry_of_constant_potential_state(self, ground_state):
         assert relative_asymmetry(ground_state.u) <= 1e-2
@@ -377,7 +373,8 @@ def test_each_field_evaluated_once(monkeypatch):
 
 
 def test_output_phi_reuses_the_descents_raw_sum(monkeypatch):
-    # the corrected phi starts from the last iterate's raw sum: one screened solve per raw solve
+    # the reported phi is the last iterate's raw sum: one screened solve per raw
+    # solve, and no corrected solve
     calls = Counter()
     screened, solve = spgs.poisson._screened_solve, spgs.minimize.solve_phi
 
@@ -386,16 +383,14 @@ def test_output_phi_reuses_the_descents_raw_sum(monkeypatch):
         return screened(q, grid)
 
     def counted_solve(*args, **kwargs):
-        if kwargs.get("residual_correction") is False:
-            calls["raw solves"] += 1
+        calls["raw solves" if kwargs.get("residual_correction") is False else "corrected solves"] += 1
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(spgs.poisson, "_screened_solve", counted_screened)
     monkeypatch.setattr(spgs.minimize, "solve_phi", counted_solve)
     res = find_ground_state(Constant(1.0), SolverConfig(p=4.0), GridSpec(L=4.0, n=24))
     assert calls["screened solves"] == calls["raw solves"] > 0
-    fresh = solve(res.u).values
-    assert np.max(np.abs(res.phi.values - fresh)) <= 1e-13 * np.max(fresh)
+    assert calls["corrected solves"] == 0
 
 
 def test_pinned_levels():
@@ -478,8 +473,8 @@ def test_ritz_start_reaches_the_box_start_level_in_no_more_iterations(V, kinetic
 
 
 def test_spectral_solve_asks_for_no_fd_table_of_its_own_n(monkeypatch):
-    # -Lap and the preconditioner read the spectral eigenvalues; fd is asked for
-    # only by the Poisson defect solve, on the (n - 2)^3 interior block
+    # -Lap, the preconditioner and the raw Poisson solve read the spectral
+    # eigenvalues; the fd table of the defect correction is not asked for at all
     asked = set()
     table = spgs.grid.dirichlet_eigenvalues
 
@@ -492,7 +487,7 @@ def test_spectral_solve_asks_for_no_fd_table_of_its_own_n(monkeypatch):
     n = 24
     res = find_ground_state(Constant(1.0), SolverConfig(p=4.0, kinetic="spectral"), GridSpec(L=4.0, n=n))
     assert res.converged
-    assert asked == {(n, "spectral"), (n - 2, "fd")}
+    assert asked == {(n, "spectral")}
 
 
 def test_spectral_takes_no_more_iterations_than_fd():

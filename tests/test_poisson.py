@@ -1,8 +1,7 @@
 """Free-space Poisson solve tests: law, scaling, positivity, exact Gaussian energies.
 
-The lattice Coulomb sum of `lattice_reference`, checked here against the
-full padded transform and scipy's DCT-I, is the second discretization the
-screened solve is compared with.
+The lattice Coulomb sum of `lattice_reference` is the second
+discretization the screened solve is compared with.
 """
 
 import math
@@ -11,17 +10,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.fft
 
-from lattice_reference import (
-    CELL_MEAN_INVERSE_DISTANCE,
-    KERNEL_CONSTANT,
-    _blocks,
-    _convolve_fft,
-    _kernel_octant,
-    _planes_per_block,
-)
-from spgs import grid as spgs_grid
+from lattice_reference import CELL_MEAN_INVERSE_DISTANCE, _convolve_fft
 from spgs.functional import energy_breakdown
 from spgs.grid import GridSpec, ScalarField, dirichlet_energy, h1_norm
 from spgs.poisson import _interior_defect, _lift, _screened_solve, interior_residual, solve_phi
@@ -38,13 +28,6 @@ def small_grid():
 def seeded_fields(grid, count, seed=0):
     rng = np.random.default_rng(seed)
     return [random_smooth_field(grid, rng) for _ in range(count)]
-
-
-def full_kernel_table(n, h):
-    """The (2n, 2n, n + 1) kernel transform, [j0, j1, k2], unfolded from the cached octant."""
-    j = np.arange(2 * n)
-    fold = np.minimum(j, 2 * n - j)
-    return _kernel_octant(n, h)[:, fold][:, :, fold].T
 
 
 class TestSelfCellConstant:
@@ -182,96 +165,7 @@ class TestScreenedSolve:
         assert peak <= 4 * 8 * g.num_nodes
 
 
-class TestKernelTable:
-    @pytest.mark.parametrize("n", [12, 13, 32])
-    def test_octant_dct_equals_full_rfftn(self, n):
-        # the kernel on the whole doubled (2n)^3 lattice, d taken mod 2n into (-n, n]
-        h = 0.3
-        m = 2 * n
-        d = np.arange(m)
-        d = np.where(d <= n, d, d - m).astype(np.float64)
-        r = h * np.sqrt(d[:, None, None] ** 2 + d[None, :, None] ** 2 + d[None, None, :] ** 2)
-        with np.errstate(divide="ignore"):
-            k = KERNEL_CONSTANT / r
-        k[0, 0, 0] = KERNEL_CONSTANT * CELL_MEAN_INVERSE_DISTANCE / h
-        ref = scipy.fft.rfftn(k).real
-        table = full_kernel_table(n, h)
-        assert table.shape == ref.shape
-        assert np.max(np.abs(table - ref)) <= 1e-15 * np.max(np.abs(ref))
-
-    @pytest.mark.parametrize("n", [12, 13, 32, 64])
-    def test_octant_is_scipy_dct1_bit_for_bit(self, n):
-        # the per-axis rfft of the even extension is the DCT-I scipy.fft.dctn runs
-        h = 0.3
-        d = np.arange(n + 1, dtype=np.float64)
-        r = h * np.sqrt(d[:, None, None] ** 2 + d[None, :, None] ** 2 + d[None, None, :] ** 2)
-        with np.errstate(divide="ignore"):
-            k = KERNEL_CONSTANT / r
-        k[0, 0, 0] = KERNEL_CONSTANT * CELL_MEAN_INVERSE_DISTANCE / h
-        assert np.array_equal(_kernel_octant(n, h), scipy.fft.dctn(k, type=1).T)
-
-
-class TestPrunedConvolution:
-    @staticmethod
-    def padded_reference(q, grid):
-        # the unpruned transform: zero-pad to (2n)^3, full rfftn/irfftn, crop
-        n = grid.n
-        m = 2 * n
-        pad = np.zeros((m, m, m))
-        pad[:n, :n, :n] = q
-        out = scipy.fft.irfftn(scipy.fft.rfftn(pad) * full_kernel_table(n, grid.h), s=(m, m, m))
-        return grid.h**3 * out[:n, :n, :n]
-
-    @pytest.mark.parametrize(
-        "grid",
-        [GridSpec(L=5.0, n=12), GridSpec(L=5.0, n=16), GridSpec(L=5.0, n=24),
-         GridSpec(L=5.0, n=32), GridSpec(L=5.0, n=40), GridSpec(L=5.0, n=48),
-         GridSpec(L=5.0, n=64)],
-        ids=["n12", "n16", "n24", "n32", "n40", "n48", "n64"],
-    )
-    def test_bit_identical_to_padded_transform(self, grid):
-        rng = np.random.default_rng(grid.n)
-        q = rng.random((grid.n,) * 3)
-        for src in (q, np.asfortranarray(q)):
-            assert np.array_equal(_convolve_fft(src, grid), self.padded_reference(q, grid))
-
-    def test_n40_runs_several_plane_blocks_the_last_partial(self):
-        # keeps the n40 case above on the multi-block path; the n <= 16 grids run one block
-        b = _planes_per_block(40)
-        assert 41 // b >= 2 and 41 % b != 0
-
-    @pytest.mark.parametrize("n", [32, 48, 64])
-    def test_shares_cover_the_planes_once_in_unequal_block_counts(self, n):
-        # keeps the n32, n48 and n64 cases above on halves of different block counts
-        b = _planes_per_block(n)
-        first, second = (_blocks(half, b) for half in spgs_grid._halves(n + 1, 2 * n * n))
-        assert [i for sl in first + second for i in range(n + 1)[sl]] == list(range(n + 1))
-        assert max(sl.stop - sl.start for sl in first + second) <= b
-        assert len(first) != len(second)
-
-    @pytest.mark.parametrize("cpus", [1, 2])
-    @pytest.mark.parametrize("n", [32, 48, 64])
-    def test_helper_only_on_two_cpus(self, on_cpus, cpus, n):
-        # one CPU: the caller runs both halves and no thread starts; two: one helper starts
-        on_cpus(cpus)
-        threads = threading.active_count()
-        self.test_bit_identical_to_padded_transform(GridSpec(L=5.0, n=n))
-        assert threading.active_count() == threads + cpus - 1
-        assert (spgs_grid._helper is None) == (cpus == 1)
-
-    def test_peak_memory_below_the_padded_spectrum(self):
-        # the unblocked transform held one (2n, 2n, n + 1) complex buffer: 7.2 MB at n = 48
-        g = GridSpec(L=5.0, n=48)
-        q = np.asfortranarray(np.random.default_rng(48).random((g.n,) * 3))
-        _convolve_fft(q, g)  # caches the kernel octant
-        tracemalloc.start()
-        try:
-            _convolve_fft(q, g)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 * (2 * g.n) ** 2 * (g.n + 1)
-
+class TestLatticeReference:
     def test_self_adjoint(self):
         g = GridSpec(L=5.0, n=16)
         rng = np.random.default_rng(19)

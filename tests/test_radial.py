@@ -15,7 +15,7 @@ from spgs.radial import (
     RadialProfile,
     _mesh,
     _radial_precondition,
-    _radial_residual,
+    _radial_evaluate,
     radial_energy_breakdown,
     radial_ground_state,
     radial_quadrature,
@@ -149,7 +149,7 @@ class TestRadialResidual:
             "random decaying": np.random.default_rng(3).standard_normal(n_r) * np.exp(-nodes / 2.0),
         }[direction]
         u = RadialProfile(r_max, n_r, 1.3 * np.exp(-((nodes / 1.5) ** 2) / 2.0))
-        r, _, _ = _radial_residual(u, ones, p, radial_solve_phi(u))
+        r, _, _ = _radial_evaluate(u, ones, p, radial_solve_phi(u), residual=True)
         ip = radial_quadrature(u, r * v)
 
         def action(values):
