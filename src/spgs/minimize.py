@@ -9,10 +9,15 @@ the Sobolev preconditioner as the initial inverse Hessian; it falls back
 to the preconditioned gradient when it is not a descent direction or when
 its line search fails.  Backtracking halves the step until the
 re-projected action, taken on the trial field's ray (`ray_profile`), does
-not rise.  The trace records the action re-evaluated at the accepted
-iterate, which differs from that value by rounding, so the traced level
-is not monotone: at the rounding floor it can rise by a few ulps.  A
-trial step costs one Poisson solve: the solve for the scaled field is
+not rise beyond its rounding noise, _FLOOR_SLACK machine epsilons of the
+iterate's `EnergyBreakdown.magnitude` (the approximate acceptance of
+Hager and Zhang, SIAM J. Optim. 16 (2005) 170-192).  A floor guard
+(`_descend`) raises NoDescentError once steps accepted on that slack stop
+lowering the residual, so a run stuck at the rounding floor fails rather
+than wanders.  The trace records the action re-evaluated at the accepted
+iterate, which differs from the compared value by rounding, so the traced
+level is not monotone: at the rounding floor it can rise by a few ulps.
+A trial step costs one Poisson solve: the solve for the scaled field is
 obtained exactly from quadratic homogeneity of the nonlocal term rather
 than re-solved.
 
@@ -65,6 +70,10 @@ from .sampling import gaussian_blob
 
 # the line search halves its step from 1 down to this floor
 _STEP_FLOOR = 1e-12
+# an accepted trial may raise the action by this many machine epsilons of the iterate's magnitude
+_FLOOR_SLACK = 4
+# floor steps without a new least residual norm after which the descent raises
+_FLOOR_STRIKES = 3
 # curvature pairs (s, y) kept by the L-BFGS direction
 _LBFGS_MEMORY = 3
 
@@ -219,11 +228,11 @@ def ritz_width(v_inf: float, p: float, h: float, L: float) -> float:
     return math.exp(hi)
 
 
-def _blob_width(init: InitSpec, grid: GridSpec, v_inf: float, p: float) -> float:
-    """The width of a blob init, or `ritz_width(v_inf, p, grid.h, grid.L)` when it sets none."""
+def _blob_width(init: InitSpec, v_inf: float, p: float, h: float, L: float) -> float:
+    """The width of a blob init, or `ritz_width(v_inf, p, h, L)` when it sets none."""
     if isinstance(init, GaussianBlob) and init.width is not None:
         return init.width
-    return ritz_width(v_inf, p, grid.h, grid.L)
+    return ritz_width(v_inf, p, h, L)
 
 
 def initial_field(init: InitSpec | ScalarField, grid: GridSpec, v_inf: float, p: float) -> ScalarField:
@@ -232,7 +241,7 @@ def initial_field(init: InitSpec | ScalarField, grid: GridSpec, v_inf: float, p:
     A blob without a width takes `ritz_width(v_inf, p, grid.h, grid.L)`.
     """
     if isinstance(init, GaussianBlob):
-        return gaussian_blob(grid, init.center, _blob_width(init, grid, v_inf, p))
+        return gaussian_blob(grid, init.center, _blob_width(init, v_inf, p, grid.h, grid.L))
     u = init if isinstance(init, ScalarField) else read_field(init)
     if u.grid != grid:
         raise ValueError(
@@ -292,9 +301,17 @@ def _descend(u0, cfg: SolverConfig, *, field, solve, breakdown, residual, precon
     retraction, skipped when <s, y> <= 0, and stored as (s, y, 1 / <s, y>).
     The preconditioned gradient replaces a direction with <d, r> <= 0.
     Every iteration backtracks from alpha = 1 until the re-projected
-    action does not rise; when the quasi-Newton direction reaches the step
-    floor, the memory is cleared and the iteration retried from the
-    preconditioned gradient, and only a failed retry raises NoDescentError.
+    action does not rise by more than _FLOOR_SLACK machine epsilons of
+    the iterate's magnitude, its rounding noise; when the quasi-Newton
+    direction reaches the step floor, the memory is cleared and the
+    iteration retried from the preconditioned gradient, and a failed
+    retry raises NoDescentError.  A step accepted with a rise inside
+    that slack is a floor step.  After one, the next residual norm must
+    be the least so far; the count of floor steps that fail this restarts
+    at each new least, and at _FLOOR_STRIKES the descent raises
+    NoDescentError: at the rounding floor accepted noise steps can
+    otherwise wander for max_iters, or, at a saddle, feed its unstable
+    mode until the descent lands on another state.
 
     Returns (u, breakdown, phi, residual norm, iterations, trace, status),
     status "converged" or "max-iters".
@@ -305,8 +322,12 @@ def _descend(u0, cfg: SolverConfig, *, field, solve, breakdown, residual, precon
     u = field(_scaled_add(t0, u0.values))
     phi = field(_scaled_add(t0 * t0, phi.values))
 
-    def line_search(u, d, level):
-        """(u, phi, alpha) of the first step along -d whose projection keeps I <= level, or None."""
+    def line_search(u, d, level, slack):
+        """(u, phi, alpha, rose) of the first step along -d whose projection has I <= level + slack.
+
+        rose says whether that I exceeded level (a floor step); None when no step down to
+        the floor is accepted.
+        """
         alpha = 1.0
         while alpha >= _STEP_FLOOR:
             u_c = field(_scaled_add(-alpha, d, u.values))  # u - alpha d
@@ -314,11 +335,13 @@ def _descend(u0, cfg: SolverConfig, *, field, solve, breakdown, residual, precon
             eb_c = breakdown(u_c, phi_c)
             if eb_c.C > 0.0 and eb_c.A1 > 0.0:
                 t = _solve_fiber(eb_c.A1, eb_c.B, eb_c.C, eb_c.p)
-                # ties accepted: near the rounding floor an exact match
-                # still makes progress through the re-projection
-                if float(ray_profile(eb_c, np.asarray(t))) <= level:
+                # a rise within the rounding slack counts as none: near the
+                # floor such a step still makes progress through the
+                # re-projection, and the floor guard stops a run of them
+                value = float(ray_profile(eb_c, np.asarray(t)))
+                if value <= level + slack:
                     u_t, phi_t = _scaled_add(t, u_c.values), _scaled_add(t * t, phi_c.values)
-                    return field(u_t), field(phi_t), alpha
+                    return field(u_t), field(phi_t), alpha, value > level
             alpha *= 0.5
         return None
 
@@ -329,6 +352,9 @@ def _descend(u0, cfg: SolverConfig, *, field, solve, breakdown, residual, precon
     status = "max-iters"
     iterations = 0
     rnorm = math.inf
+    least = math.inf
+    rose = False
+    strikes = 0
 
     for k in range(cfg.max_iters + 1):
         r, rnorm, eb = residual(u, phi)
@@ -340,6 +366,15 @@ def _descend(u0, cfg: SolverConfig, *, field, solve, breakdown, residual, precon
             status = "converged"
             iterations = k
             break
+        if rnorm < least:
+            least, strikes = rnorm, 0
+        elif rose:
+            strikes += 1
+            if strikes == _FLOOR_STRIKES:
+                raise NoDescentError(
+                    f"floor steps stopped lowering the residual at iteration {k} "
+                    f"(residual {rnorm:.3e}, level {eb.I:.12g})"
+                )
         if k == cfg.max_iters:
             iterations = k
             break
@@ -357,18 +392,19 @@ def _descend(u0, cfg: SolverConfig, *, field, solve, breakdown, residual, precon
         quasi = d is not None and inner(d, r) > 0.0
         if not quasi:
             d = precondition(r)
-        step = line_search(u, d, eb.I)
+        slack = _FLOOR_SLACK * math.ulp(1.0) * eb.magnitude
+        step = line_search(u, d, eb.I, slack)
         if step is None and quasi:
             # the curvature model misled the search: forget it, retry the gradient
             pairs.clear()
             d = precondition(r)
-            step = line_search(u, d, eb.I)
+            step = line_search(u, d, eb.I, slack)
         if step is None:
             raise NoDescentError(
                 f"backtracking reached its floor at iteration {k} "
                 f"(residual {rnorm:.3e}, level {eb.I:.12g})"
             )
-        u, phi, last_step = step
+        u, phi, last_step, rose = step
 
     return u, eb, phi, rnorm, iterations, trace, status
 
@@ -391,8 +427,9 @@ def find_ground_state(
     coercivity constant c_bar is not positive (bypass with
     cfg.coercivity_override), ZeroFieldError for a zero initial field,
     NoDescentError when backtracking stalls along the preconditioned
-    gradient, ValueError for a u0 on another grid.  Hitting max_iters is
-    not an error: the best iterate is returned flagged converged=False.
+    gradient or floor steps stop lowering the residual (`_descend`),
+    ValueError for a u0 on another grid.  Hitting max_iters is not an
+    error: the best iterate is returned flagged converged=False.
     """
     v_inf = V.v_infinity()
     inits = [initial_field(cfg.init if u0 is None else u0, grid, v_inf, cfg.p)]
@@ -407,7 +444,7 @@ def find_ground_state(
 
     if cfg.starts > 1:
         rng = np.random.default_rng(cfg.seed)
-        base_width = _blob_width(cfg.init, grid, v_inf, cfg.p)
+        base_width = _blob_width(cfg.init, v_inf, cfg.p, grid.h, grid.L)
         for _ in range(cfg.starts - 1):
             center = tuple(rng.uniform(-grid.L / 6.0, grid.L / 6.0, size=3))
             width = base_width * float(rng.uniform(0.7, 1.4))

@@ -43,7 +43,7 @@ from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .functional import EnergyBreakdown
 from .grid import _added, _on_halves, _sum_of_products
-from .minimize import GaussianBlob, SolverConfig, _descend
+from .minimize import SolverConfig, _blob_width, _descend
 from .potential import Potential
 
 FOUR_PI = 4.0 * math.pi
@@ -237,15 +237,17 @@ def radial_ground_state(
 ) -> tuple[RadialProfile, RadialProfile, float]:
     """Radial ground level by the same projected descent as the 3-D path.
 
-    Returns (u, phi, c_radial).  The default initial profile is a
-    Gaussian of width r_max/20, not the 3-D default `minimize.ritz_width`:
-    near that width the descent can stall at the rounding floor (at
-    V = 1 - 0.05/r, n_r = 1024 some widths within 1e-8 of it raise
-    NoDescentError), so the radial start waits for a stop test that sees
-    that floor.  Of cfg only tol_residual, max_iters and the width of
-    cfg.init, when it is a blob that sets one, are read.  The exponent is
-    always this call's p, never cfg.p.  Raises ValueError
-    for p outside (3, 5), r_max <= 0 or n_r < 16 (the CLI's bounds).
+    Returns (u, phi, c_radial).  The initial profile is the Gaussian of
+    the 3-D default start, width `minimize.ritz_width(V.v_infinity(), p,
+    r_max / n_r, r_max)`, unless cfg.init is a blob that sets its own
+    width.  Of cfg only tol_residual, max_iters and that width are read.
+    The exponent is always this call's p, never cfg.p.
+
+    The descent's status is not returned: a run that reaches max_iters
+    returns its last level as a converged one does, with no flag.  Raises
+    NoDescentError when the descent fails at the rounding floor
+    (`minimize._descend`), ValueError for p outside (3, 5), r_max <= 0 or
+    n_r < 16 (the CLI's bounds).
     """
     if cfg is None:
         cfg = SolverConfig(p=p)
@@ -264,9 +266,7 @@ def radial_ground_state(
             f"(Constant or CoulombSingular), got {type(V).__name__}"
         )
 
-    width = r_max / 20.0
-    if isinstance(cfg.init, GaussianBlob) and cfg.init.width:
-        width = cfg.init.width
+    width = _blob_width(cfg.init, V.v_infinity(), p, r_max / n_r, r_max)
     u0 = RadialProfile(r_max, n_r, np.exp(-mesh.r2 / (2.0 * width**2)))
 
     # radial_solve_phi and radial_energy_breakdown are looked up at call time

@@ -508,6 +508,15 @@ def test_spectral_n48_converges_at_tight_tolerance():
     assert res.status == "converged"
 
 
+def test_tight_tolerance_does_not_report_a_spike_as_converged():
+    # the centred state is a saddle on this grid; accepted rounding-noise steps
+    # fed its unstable mode, and without the floor guard the descent ended
+    # converged on a lattice spike, c = 5.2098625, at iteration 85
+    cfg = SolverConfig(p=4.0, tol_residual=1e-13, max_iters=300)
+    with pytest.raises(NoDescentError, match=r"level 10\.0933180547"):
+        find_ground_state(Constant(1.0), cfg, GridSpec(L=4.0, n=24))
+
+
 def test_a_solve_runs_every_split_on_one_helper_thread(on_cpus):
     # n = 48 splits the Poisson passes, the sine transforms and the stencil
     on_cpus(2)

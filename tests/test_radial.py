@@ -8,8 +8,9 @@ import scipy.linalg
 
 import spgs.grid
 import spgs.radial
+from spgs.errors import NoDescentError
 from spgs.grid import GridSpec
-from spgs.minimize import SolverConfig, GaussianBlob
+from spgs.minimize import SolverConfig, GaussianBlob, ritz_width
 from spgs.potential import Composite, Constant, CoulombSingular, Tabulated
 from spgs.radial import (
     RadialProfile,
@@ -236,17 +237,22 @@ def test_descent_looks_up_the_traced_layers_at_call_time(monkeypatch):
     assert c_traced == c_plain
 
 
-def test_split_radial_trace_matches_one_pass(on_cpus, monkeypatch):
-    # n_r = 131072 splits the per-node passes and runs the two shell sums side by side
-    traces = []
+def _record_descents(monkeypatch):
+    """The list that every later radial descent appends its `_descend` output to."""
+    outs = []
     descend = spgs.radial._descend
 
     def recording(*args, **kwargs):
-        out = descend(*args, **kwargs)
-        traces.append(repr(out[5]))
-        return out
+        outs.append(descend(*args, **kwargs))
+        return outs[-1]
 
     monkeypatch.setattr(spgs.radial, "_descend", recording)
+    return outs
+
+
+def test_split_radial_trace_matches_one_pass(on_cpus, monkeypatch):
+    # n_r = 131072 splits the per-node passes and runs the two shell sums side by side
+    outs = _record_descents(monkeypatch)
     cfg = SolverConfig(p=4.0, max_iters=6)
     levels = []
     with monkeypatch.context() as m:
@@ -255,6 +261,7 @@ def test_split_radial_trace_matches_one_pass(on_cpus, monkeypatch):
     for cpus in (1, 2):
         on_cpus(cpus)
         levels.append(radial_ground_state(Constant(1.0), 4.0, r_max=30.0, n_r=131072, cfg=cfg)[2])
+    traces = [repr(out[5]) for out in outs]
     assert traces[0] == traces[1] == traces[2]
     assert levels[0] == levels[1] == levels[2]
 
@@ -338,6 +345,40 @@ class TestRadialGroundState:
         _, _, c = radial_ground_state(Constant(1.0), 4.0, r_max=30.0, n_r=1024, cfg=cfg)
         assert c == pytest.approx(9.8635, rel=0.01)
 
+
+    def test_default_start_is_the_ritz_width(self):
+        # V_inf = 2 and p = 3.5 both enter sigma*; the start alone fixes every bit of the result
+        V, p, r_max, n_r = Constant(2.0), 3.5, 30.0, 1024
+        blob = GaussianBlob(width=ritz_width(2.0, 3.5, r_max / n_r, r_max))
+        u_own, _, c_own = radial_ground_state(V, p, r_max, n_r)
+        u_blob, _, c_blob = radial_ground_state(V, p, r_max, n_r, SolverConfig(p=p, init=blob))
+        assert c_own == c_blob
+        assert np.array_equal(u_own.values, u_blob.values)
+
+    def test_knife_edge_start_converges_at_the_rounding_floor(self, monkeypatch):
+        # 3e-9 relative from sigma*: a line search that accepted no rise at all
+        # reached its step floor from here at iteration 13 (residual 1.774e-06)
+        outs = _record_descents(monkeypatch)
+        cfg = SolverConfig(p=4.0, tol_residual=1e-7, init=GaussianBlob(width=0.34012787241287445))
+        _, _, c = radial_ground_state(CoulombSingular(1.0, 0.05, 1), 4.0, r_max=30.0, n_r=1024, cfg=cfg)
+        assert [out[6] for out in outs] == ["converged"]
+        assert c == pytest.approx(9.65122547080936, rel=1e-12)
+
+    def test_alpha_two_well_converges_at_tight_tolerance(self, monkeypatch):
+        # from the old r_max/20 start this raised NoDescentError at iteration 23
+        # (residual 8.7e-8); 2.44480521561 is its tol 1e-7 level
+        outs = _record_descents(monkeypatch)
+        cfg = SolverConfig(p=4.0, tol_residual=1e-8)
+        _, _, c = radial_ground_state(CoulombSingular(1.0, 0.24, 2), 4.0, 30.0, 2048, cfg)
+        assert [out[6] for out in outs] == ["converged"]
+        assert c == pytest.approx(2.44480521561, rel=1e-11)
+
+    def test_a_tolerance_below_the_rounding_floor_raises(self):
+        # without the floor guard the slack-accepted steps ran all 500
+        # iterations and returned a level as if converged
+        cfg = SolverConfig(p=4.0, tol_residual=1e-14)
+        with pytest.raises(NoDescentError, match="floor steps"):
+            radial_ground_state(Constant(1.0), 4.0, 30.0, 1024, cfg)
 
     def test_exponent_from_the_call_not_from_cfg(self):
         u_cfg, _, c_cfg = radial_ground_state(
