@@ -88,7 +88,7 @@ def _summary_row(cfg: RunConfig, potential_echo: str, result: GroundStateResult)
             repr(cfg.solver_tol),
             str(cfg.solver_max_iters),
             str(cfg.solver_seed),
-            cfg.solver_kinetic,
+            cfg.grid_kinetic,
             repr(result.c_estimate),
             repr(result.residual_norm),
             str(result.iterations),

@@ -77,6 +77,7 @@ class RunConfig:
 
     grid_L: float = 12.0
     grid_n: int = 32
+    grid_kinetic: str = GridSpec.kinetic
 
     potential_kind: str = "constant"
     potential_V1: float = 1.0
@@ -84,17 +85,16 @@ class RunConfig:
     potential_alpha: int = 1
     potential_table_path: str = ""
 
-    solver_p: float = 4.0
-    solver_tol: float = 1e-7
-    solver_max_iters: int = 500
-    solver_seed: int = 0
-    solver_starts: int = 1
-    solver_kinetic: str = "fd"
+    solver_p: float = SolverConfig.p
+    solver_tol: float = SolverConfig.tol_residual
+    solver_max_iters: int = SolverConfig.max_iters
+    solver_seed: int = SolverConfig.seed
+    solver_starts: int = SolverConfig.starts
     solver_init: str = "gaussian"
     solver_init_width: float = 0.0  # 0 means the blob default, minimize.ritz_width
-    solver_init_center: tuple[float, float, float] = (0.0, 0.0, 0.0)
+    solver_init_center: tuple[float, float, float] = GaussianBlob.center
     solver_init_path: str = ""
-    solver_coercivity_override: bool = False
+    solver_coercivity_override: bool = SolverConfig.coercivity_override
 
     mode: str = "solve"
     output_dir: str = "runs"
@@ -165,7 +165,7 @@ class RunConfig:
     # object builders -------------------------------------------------
 
     def build_grid(self) -> GridSpec:
-        return GridSpec(L=self.grid_L, n=self.grid_n)
+        return GridSpec(L=self.grid_L, n=self.grid_n, kinetic=self.grid_kinetic)
 
     def build_potential(self) -> Potential:
         if self.potential_kind == "constant":
@@ -186,7 +186,6 @@ class RunConfig:
             init=init,
             seed=self.solver_seed,
             starts=self.solver_starts,
-            kinetic=self.solver_kinetic,
             coercivity_override=self.solver_coercivity_override,
         )
 

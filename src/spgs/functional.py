@@ -23,13 +23,14 @@ gradient of I up to rounding.  That exactness is relied on by the
 descent loop and is testable by central differences.
 
 Each evaluated field gets one -Lap u, from `grid.minus_laplacian` in the
-run's kinetic, and the kinetic energy, the H^1 norm and the residual all
-come from it, in one pass over the nodes.  Above `grid._BLOCK_BYTES`
-(n >= 42) that pass runs in two halves, the second on the grid module's
-helper thread; each sum splits where numpy's pairwise summation does, so
-the values are the one thread's bit for bit.  The preconditioner inverts
--Lap + 1 in the same kinetic.  The kinetic name is passed through, never
-branched on.  The potential comes in sampled, as a `ScalarField` on u's grid
+kinetic of u's grid, and the kinetic energy, the H^1 norm and the
+residual all come from it, in one pass over the nodes.  Above
+`grid._BLOCK_BYTES` (n >= 42) that pass runs in two halves, the second
+on the grid module's helper thread; each sum splits where numpy's
+pairwise summation does, so the values are the one thread's bit for
+bit.  The preconditioner inverts -Lap + 1 in the kinetic of r's grid.
+Nothing here names a kinetic: the field's grid carries it.  The
+potential comes in sampled, as a `ScalarField` on u's grid
 (`Potential.sample`); nothing here samples it.
 """
 
@@ -106,14 +107,7 @@ class EnergyBreakdown:
         )
 
 
-def _evaluate(
-    u: ScalarField,
-    V: ScalarField,
-    p: float,
-    phi: ScalarField | None,
-    kinetic: str,
-    residual: bool = False,
-):
+def _evaluate(u: ScalarField, V: ScalarField, p: float, phi: ScalarField | None, residual: bool = False):
     """(breakdown, residual values or None, residual norm or None) at u from one -Lap u.
 
     The breakdown's h1 is sqrt(h^3 <u, -Lap u> + h^3 sum u^2).
@@ -129,7 +123,7 @@ def _evaluate(
     if phi is None:
         phi = solve_phi(u, residual_correction=False)
     uv, vv, pv = u.values, V.values, phi.values
-    mlap = minus_laplacian(u, kinetic).values
+    mlap = minus_laplacian(u).values
     r = np.empty(uv.size) if residual else None
     scratch = np.empty(uv.size)
 
@@ -165,11 +159,7 @@ def _evaluate(
 
 
 def energy_breakdown(
-    u: ScalarField,
-    V: ScalarField,
-    p: float,
-    phi: ScalarField | None = None,
-    kinetic: str = "fd",
+    u: ScalarField, V: ScalarField, p: float, phi: ScalarField | None = None
 ) -> EnergyBreakdown:
     """Evaluate A1, B, C, the derived I, G, J and the H^1 norm at the field u.
 
@@ -177,15 +167,11 @@ def energy_breakdown(
     internal Poisson solve when the caller already holds the uncorrected
     screened sine solve for this u.
     """
-    return _evaluate(u, V, p, phi, kinetic)[0]
+    return _evaluate(u, V, p, phi)[0]
 
 
 def el_residual(
-    u: ScalarField,
-    V: ScalarField,
-    p: float,
-    phi: ScalarField | None = None,
-    kinetic: str = "fd",
+    u: ScalarField, V: ScalarField, p: float, phi: ScalarField | None = None
 ) -> tuple[ScalarField, float, EnergyBreakdown]:
     """Euler-Lagrange residual -Lap u + V u + phi_u u - |u|^(p-1) u.
 
@@ -196,12 +182,12 @@ def el_residual(
     symmetric to rounding), so central differences of I along any
     direction v reproduce <r, v> to rounding.
     """
-    eb, r, norm = _evaluate(u, V, p, phi, kinetic, residual=True)
+    eb, r, norm = _evaluate(u, V, p, phi, residual=True)
     return ScalarField(u.grid, r), norm, eb
 
 
-def precondition(r: ScalarField, kinetic: str = "fd") -> ScalarField:
-    """Sobolev smoothing (-Lap + 1)^(-1) r, -Lap the `minus_laplacian` of `kinetic`.
+def precondition(r: ScalarField) -> ScalarField:
+    """Sobolev smoothing (-Lap + 1)^(-1) r, -Lap the `minus_laplacian` of r's grid.
 
     Both kinetics are diagonal in the DST-I sine modes, so this divides
     the sine coefficients of r by the mode eigenvalues plus one
@@ -211,5 +197,5 @@ def precondition(r: ScalarField, kinetic: str = "fd") -> ScalarField:
     metric are mesh-independent.
     """
     g = r.grid
-    lam = dirichlet_eigenvalues(g.n, g.h, kinetic)
+    lam = dirichlet_eigenvalues(g.n, g.h, g.kinetic)
     return ScalarField.from_3d(g, in_sine_modes(r.as3d, lam, np.divide, 1.0))

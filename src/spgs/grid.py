@@ -9,16 +9,18 @@ and converges fast for smooth decaying fields.
 
 Fields are stored flat in x-fastest order (the dump format below); the
 3-D view `as3d` has axes ordered (x, y, z).  Fields are treated as zero
-outside the box (a zero ghost layer).  `minus_laplacian` is the
-package's one -Lap on that box, in one of the `KINETICS`: the 7-point
+outside the box (a zero ghost layer).  A grid owns its -Lap: the field
+`GridSpec.kinetic` names one of the `KINETICS`, the 7-point
 second-order stencil ("fd") or the exact sine-spectral operator
-("spectral").  Both have the DST-I sine modes as eigenvectors, and
-`in_sine_modes` applies an operator through them, forming each mode's
-eigenvalue from the cached `dirichlet_eigenvalues` of one axis: the
-spectral -Lap, the Sobolev preconditioner in the run's kinetic, and
-`poisson`'s defect solve.
-`dirichlet_energy` is the quadratic form of either kinetic.  Only this
-module maps a kinetic name to an operator or a table.
+("spectral"), and `minus_laplacian`, `dirichlet_energy` and `h1_norm`
+of a field apply its grid's.  Both have the DST-I sine modes as
+eigenvectors, and `in_sine_modes` applies an operator through them,
+forming each mode's eigenvalue from the cached `dirichlet_eigenvalues`
+of one axis: the spectral -Lap, the Sobolev preconditioner of the
+field's grid, and `poisson`'s defect solve.  Only this module maps a
+kinetic name to an operator or a table.  A field dump or a table
+read from outside a run holds a box and node values, not an operator;
+`ScalarField.on` puts its values on the run's grid.
 
 Every n^3 pass of the package runs on two cores through one primitive,
 `_on_halves(task, size, unit)`.  `_halves` cuts the pass's `size` items
@@ -275,10 +277,13 @@ class GridSpec:
     n : int
         Nodes per axis, even and at least 8, so the origin falls between
         nodes.
+    kinetic : str
+        The -Lap of fields on this grid, one of the `KINETICS`.
     """
 
     L: float
     n: int
+    kinetic: str = "fd"
 
     def __post_init__(self) -> None:
         if not 0 < self.L < np.inf:
@@ -287,6 +292,8 @@ class GridSpec:
             raise ValueError(f"need at least 8 nodes per axis, got n={self.n}")
         if self.n % 2 != 0:
             raise ValueError(f"need even n, otherwise a node lands on the origin; got n={self.n}")
+        if self.kinetic not in KINETICS:
+            raise ValueError(f"kinetic must be one of {KINETICS}, got kinetic={self.kinetic!r}")
 
     @property
     def h(self) -> float:
@@ -362,6 +369,15 @@ class ScalarField:
     def scaled(self, t: float) -> "ScalarField":
         return ScalarField(self.grid, t * self.values)
 
+    def on(self, grid: GridSpec, what: str = "field") -> "ScalarField":
+        """These node values on `grid`, which must have this field's box (L, n); the kinetic is grid's."""
+        g = self.grid
+        if (g.L, g.n) != (grid.L, grid.n):
+            raise ValueError(
+                f"{what} box (L={g.L}, n={g.n}) does not match the run grid (L={grid.L}, n={grid.n})"
+            )
+        return self if g == grid else ScalarField(grid, self.values)
+
 
 def integrate(f: ScalarField) -> float:
     """Midpoint-rule integral h^3 * sum(f); linear in f."""
@@ -383,17 +399,17 @@ def l2_norm(u: ScalarField) -> float:
 
 
 def h1_norm(u: ScalarField) -> float:
-    """Sobolev norm sqrt(integral of |grad u|^2 + u^2)."""
+    """Sobolev norm sqrt(integral of |grad u|^2 + u^2), the gradient term in u's grid's kinetic."""
     return float(np.sqrt(dirichlet_energy(u) + u.grid.h**3 * np.sum(u.values * u.values)))
 
 
-def dirichlet_energy(u: ScalarField, kinetic: str = "fd") -> float:
+def dirichlet_energy(u: ScalarField) -> float:
     """Discrete Dirichlet form h^3 <u, -Lap u>: integral of |grad u|^2.
 
-    -Lap is `minus_laplacian` in the given kinetic; both are symmetric, so
-    the form is exactly quadratic in u and its L^2 gradient is -2 Lap u.
+    -Lap is `minus_laplacian`, in u's grid's kinetic; each is symmetric,
+    so the form is exactly quadratic in u and its L^2 gradient is -2 Lap u.
     """
-    return u.grid.h**3 * float(np.sum(u.values * minus_laplacian(u, kinetic).values))
+    return u.grid.h**3 * float(np.sum(u.values * minus_laplacian(u).values))
 
 
 @lru_cache(maxsize=16)
@@ -470,8 +486,8 @@ def sine_transform(a: np.ndarray, inverse: bool = False, overwrite: bool = False
     return out.T if flip else out
 
 
-def minus_laplacian(u: ScalarField, kinetic: str = "fd") -> ScalarField:
-    """-Lap u with a zero ghost layer, in one of the `KINETICS`.
+def minus_laplacian(u: ScalarField) -> ScalarField:
+    """-Lap u with a zero ghost layer, in the kinetic of u's grid.
 
     "fd" is the 7-point stencil, "spectral" the DST-I operator with the
     exact eigenvalue of each sine mode; both have the sine modes as
@@ -483,7 +499,7 @@ def minus_laplacian(u: ScalarField, kinetic: str = "fd") -> ScalarField:
     as in one pass.
     """
     g = u.grid
-    if kinetic == "fd":
+    if g.kinetic == "fd":
         n, a = g.n, u.values
         plane = n * n
         out = np.empty(a.size)
@@ -516,7 +532,7 @@ def minus_laplacian(u: ScalarField, kinetic: str = "fd") -> ScalarField:
 
         _on_halves(planes, n, plane)
         return ScalarField(g, out)
-    lam = dirichlet_eigenvalues(g.n, g.h, kinetic)
+    lam = dirichlet_eigenvalues(g.n, g.h, g.kinetic)
     return ScalarField.from_3d(g, in_sine_modes(u.as3d, lam, np.multiply))
 
 

@@ -31,7 +31,7 @@ arrays above `grid._BLOCK_BYTES` each runs in two halves, one on the
 grid module's helper thread, with the one thread's values bit for bit.
 
 Runs refuse to start when the potential's coercivity constant c_bar
-(`potential.coercivity_check`, in the run's kinetic) is not positive,
+(`potential.coercivity_check`, on the run grid) is not positive,
 unless `SolverConfig.coercivity_override` is set.  That field is the one
 place the override lives: every entry point here reads it from the
 config it is given.  Results carry the full per-iteration trace and two
@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Union
 
@@ -53,7 +53,6 @@ import numpy as np
 from .errors import NoDescentError, NonCoerciveError
 from .functional import EnergyBreakdown, el_residual, energy_breakdown, precondition
 from .grid import (
-    KINETICS,
     GridSpec,
     ScalarField,
     _scaled_add,
@@ -107,7 +106,6 @@ class SolverConfig:
     init: InitSpec = GaussianBlob()
     seed: int = 0
     starts: int = 1
-    kinetic: str = "fd"
     coercivity_override: bool = False
 
     def __post_init__(self) -> None:
@@ -123,8 +121,6 @@ class SolverConfig:
             raise ValueError(f"seed must be nonnegative, got seed={self.seed}")
         if self.starts < 1:
             raise ValueError(f"need starts >= 1, got {self.starts}")
-        if self.kinetic not in KINETICS:
-            raise ValueError(f"kinetic must be one of {KINETICS}, got kinetic={self.kinetic!r}")
 
 
 @dataclass(frozen=True)
@@ -239,15 +235,12 @@ def initial_field(init: InitSpec | ScalarField, grid: GridSpec, v_inf: float, p:
     """The descent's first field: the Gaussian blob, or a field (or field dump) on the run grid.
 
     A blob without a width takes `ritz_width(v_inf, p, grid.h, grid.L)`.
+    A field or dump must have the run grid's box, and its values take the
+    run grid's kinetic.
     """
     if isinstance(init, GaussianBlob):
         return gaussian_blob(grid, init.center, _blob_width(init, v_inf, p, grid.h, grid.L))
-    u = init if isinstance(init, ScalarField) else read_field(init)
-    if u.grid != grid:
-        raise ValueError(
-            f"initial field grid (L={u.grid.L}, n={u.grid.n}) does not match the run grid"
-        )
-    return u
+    return (init if isinstance(init, ScalarField) else read_field(init)).on(grid, "initial field")
 
 
 def relative_asymmetry(u: ScalarField) -> float:
@@ -434,7 +427,7 @@ def find_ground_state(
     v_inf = V.v_infinity()
     inits = [initial_field(cfg.init if u0 is None else u0, grid, v_inf, cfg.p)]
     if not cfg.coercivity_override:
-        coercivity = coercivity_check(V, grid, kinetic=cfg.kinetic)
+        coercivity = coercivity_check(V, grid)
         if not coercivity.ok:
             raise NonCoerciveError(
                 f"potential is not coercive (c_bar = {coercivity.c_bar:.6g} <= 0); "
@@ -451,7 +444,7 @@ def find_ground_state(
             inits.append(gaussian_blob(grid, center, width))
 
     def residual(u, phi):
-        r, rnorm, eb = el_residual(u, v_field, cfg.p, phi=phi, kinetic=cfg.kinetic)
+        r, rnorm, eb = el_residual(u, v_field, cfg.p, phi=phi)
         return r.values, rnorm, eb
 
     best = None
@@ -463,9 +456,9 @@ def find_ground_state(
             cfg,
             field=lambda values: ScalarField(grid, values),
             solve=lambda u: solve_phi(u, residual_correction=False),
-            breakdown=lambda u, phi: energy_breakdown(u, v_field, cfg.p, phi=phi, kinetic=cfg.kinetic),
+            breakdown=lambda u, phi: energy_breakdown(u, v_field, cfg.p, phi=phi),
             residual=residual,
-            precondition=lambda r: precondition(ScalarField(grid, r), cfg.kinetic).values,
+            precondition=lambda r: precondition(ScalarField(grid, r)).values,
             inner=_sum_of_products,
         )
         if best is None or out[1].I < best[1].I:
@@ -530,8 +523,8 @@ def compare_with_vinf(V: Potential, cfg: SolverConfig, grid: GridSpec) -> VinfCo
     """Compare the ground level of V against the constant limit problem.
 
     Solves both problems on the run grid and on a grid with 1.5 times its
-    nodes per axis.  With u_inf the limit problem's ground state, the
-    paper's chain reads
+    nodes per axis, the same box and kinetic.  With u_inf the limit
+    problem's ground state, the paper's chain reads
 
         c <= max_t I_V(t u_inf) <= max_t I_inf(t u_inf) = c_inf.
 
@@ -565,7 +558,7 @@ def compare_with_vinf(V: Potential, cfg: SolverConfig, grid: GridSpec) -> VinfCo
         raise ValueError(f"comparison needs v_infinity > 0, got {vinf}")
     n = math.ceil(1.5 * grid.n)
     gaps, excess, converged = [], -math.inf, True
-    for g in (grid, GridSpec(L=grid.L, n=n + n % 2)):
+    for g in (grid, replace(grid, n=n + n % 2)):
         res = find_ground_state(V, cfg, g)
         # positional u0: callers wrap find_ground_state with *args recorders
         limit = res if V == Constant(vinf) else find_ground_state(Constant(vinf), cfg, g, res.u)

@@ -99,21 +99,16 @@ class FiberScaling:
     scaled_breakdown: EnergyBreakdown
 
 
-def nehari_project(
-    u: ScalarField,
-    V: ScalarField,
-    p: float,
-    kinetic: str = "fd",
-) -> FiberScaling:
+def nehari_project(u: ScalarField, V: ScalarField, p: float) -> FiberScaling:
     """Scale u onto the manifold and recompute its energies there.
 
     The scaled breakdown is evaluated fresh from the scaled field (not by
     ray algebra), so the on-manifold invariant |G| <= 1e-10 (|A1|+B+C) is
     a genuine check of the whole pipeline, not of the root solver alone.
     """
-    breakdown = energy_breakdown(u, V, p, kinetic=kinetic)
+    breakdown = energy_breakdown(u, V, p)
     t = _solve_fiber(breakdown.A1, breakdown.B, breakdown.C, p)
-    scaled = energy_breakdown(u.scaled(t), V, p, kinetic=kinetic)
+    scaled = energy_breakdown(u.scaled(t), V, p)
     return FiberScaling(t_bar=t, scaled_breakdown=scaled)
 
 
@@ -127,13 +122,7 @@ def ray_profile(breakdown: EnergyBreakdown, t: np.ndarray) -> np.ndarray:
     )
 
 
-def ray_max_check(
-    u: ScalarField,
-    fs: FiberScaling,
-    V: ScalarField,
-    p: float,
-    kinetic: str = "fd",
-) -> bool:
+def ray_max_check(u: ScalarField, fs: FiberScaling, V: ScalarField, p: float) -> bool:
     """Verify I(t u) <= I(t_bar u) on a log-spaced sample of t.
 
     Samples t at 50 log-spaced points of [t_bar/10, 10 t_bar] plus a
@@ -141,7 +130,7 @@ def ray_max_check(
     the claimed maximum are detected); passes when no sample exceeds the
     claimed ray maximum by more than 1e-12 relative.
     """
-    breakdown = energy_breakdown(u, V, p, kinetic=kinetic)
+    breakdown = energy_breakdown(u, V, p)
     ts = np.concatenate(
         [
             np.geomspace(fs.t_bar / 10.0, fs.t_bar * 10.0, 50),

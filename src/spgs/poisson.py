@@ -57,7 +57,7 @@ is what the energy functional differentiates and the phi a ground state
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -209,9 +209,10 @@ def _screened_solve(q: np.ndarray, grid: GridSpec) -> np.ndarray:
 
 
 def _interior_defect(u: ScalarField, phi: ScalarField) -> np.ndarray:
-    """u^2 - (-Lap_h phi) on interior nodes (stencil fully inside the box)."""
+    """u^2 - (-Lap_h phi) on interior nodes (stencil fully inside the box), whatever phi's kinetic."""
     inner = (slice(1, -1),) * 3
-    return u.as3d[inner] ** 2 - minus_laplacian(phi).as3d[inner]
+    seven_point = minus_laplacian(phi.on(replace(phi.grid, kinetic="fd")))
+    return u.as3d[inner] ** 2 - seven_point.as3d[inner]
 
 
 def interior_residual(u: ScalarField, phi: ScalarField) -> float:

@@ -17,7 +17,9 @@ kind gives its own constant (`Potential.coercivity_constant`): constant
 and Coulomb-type wells the exact value on R^3, from the hydrogen bound
 (alpha = 1) or the Hardy inequality (alpha = 2); tabulated and composite
 potentials the lowest generalised eigenvalue of (-Lap + V, -Lap + 1) on
-the run grid, in the run's kinetic.
+the run grid, in the grid's kinetic.  A table or a field perturbation
+holds node values of a box; sampled on a grid of that box, they take
+its kinetic (`ScalarField.on`).
 """
 
 from __future__ import annotations
@@ -57,14 +59,14 @@ class Potential:
         """
         return None
 
-    def coercivity_constant(self, grid: GridSpec, kinetic: str = "fd") -> float:
+    def coercivity_constant(self, grid: GridSpec) -> float:
         """Lowest generalised eigenvalue of (-Lap + V, -Lap + 1) on `grid`.
 
         That is the minimum over grid fields of
         (<u, -Lap u> + <V u, u>) / (<u, -Lap u> + <u, u>), with -Lap the
-        `grid.minus_laplacian` of `kinetic`.  Preconditioned LOBPCG on the
-        shifted pencil (V - 1, -Lap + 1), one -Lap and one Sobolev
-        preconditioner, its exact inverse in `kinetic`, per iteration,
+        `grid.minus_laplacian` in the grid's kinetic.  Preconditioned LOBPCG
+        on the shifted pencil (V - 1, -Lap + 1), one -Lap and one Sobolev
+        preconditioner, its exact inverse, per iteration,
         started from the lowest sine mode; its Ritz value bounds the
         eigenvalue from above.  Kinds with an exact constant on R^3
         override this.
@@ -92,8 +94,8 @@ class Potential:
         nu, _ = lobpcg(
             lambda X: shift[:, None] * X,
             x0,
-            B=blockwise(lambda u: minus_laplacian(u, kinetic).values + u.values),
-            M=blockwise(lambda u: precondition(u, kinetic).values),
+            B=blockwise(lambda u: minus_laplacian(u).values + u.values),
+            M=blockwise(lambda u: precondition(u).values),
             largest=False,
             tol=_EIGEN_TOL,
             maxiter=_EIGEN_MAXITER,
@@ -114,7 +116,7 @@ class Constant(Potential):
     def virial(self, r: np.ndarray) -> np.ndarray:
         return np.zeros_like(r)
 
-    def coercivity_constant(self, grid: GridSpec, kinetic: str = "fd") -> float:
+    def coercivity_constant(self, grid: GridSpec) -> float:
         return min(float(self.V1), 1.0)
 
 
@@ -141,7 +143,7 @@ class CoulombSingular(Potential):
     def virial(self, r: np.ndarray) -> np.ndarray:
         return self.lam * self.alpha * r ** (-float(self.alpha))
 
-    def coercivity_constant(self, grid: GridSpec, kinetic: str = "fd") -> float:
+    def coercivity_constant(self, grid: GridSpec) -> float:
         """The exact constant on R^3, whatever the grid.
 
         alpha = 1: the hydrogen bound -Lap - g/|x| >= -g^2/4 gives
@@ -172,9 +174,7 @@ class Composite(Potential):
     def sample(self, grid: GridSpec) -> ScalarField:
         base = self.base.sample(grid)
         if isinstance(self.perturbation, ScalarField):
-            if self.perturbation.grid != grid:
-                raise ValueError("perturbation field lives on a different grid")
-            v2 = self.perturbation.values
+            v2 = self.perturbation.on(grid, "perturbation field").values
         else:
             x, y, z = grid.coords()
             v2 = np.asarray(self.perturbation(x, y, z), dtype=np.float64).ravel(order="F")
@@ -193,9 +193,7 @@ class Tabulated(Potential):
     table: ScalarField
 
     def sample(self, grid: GridSpec) -> ScalarField:
-        if self.table.grid != grid:
-            raise ValueError("tabulated potential lives on a different grid")
-        return self.table
+        return self.table.on(grid, "tabulated potential")
 
     def v_infinity(self) -> float:
         a = self.table.as3d
@@ -209,12 +207,12 @@ class CoercivityResult(NamedTuple):
     ok: bool
 
 
-def coercivity_check(V: Potential, grid: GridSpec, kinetic: str = "fd") -> CoercivityResult:
+def coercivity_check(V: Potential, grid: GridSpec) -> CoercivityResult:
     """The coercivity constant c_bar of V, with ok = (c_bar > 0).
 
     c_bar is the largest c with integral(|grad u|^2 + V u^2) >= c ||u||_{H^1}^2,
-    from `V.coercivity_constant(grid, kinetic)`: exact on R^3 for constant
+    from `V.coercivity_constant(grid)`: exact on R^3 for constant
     and Coulomb-type wells, the grid eigenvalue for the other kinds.
     """
-    c_bar = V.coercivity_constant(grid, kinetic)
+    c_bar = V.coercivity_constant(grid)
     return CoercivityResult(c_bar, c_bar > 0.0)

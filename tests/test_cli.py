@@ -16,9 +16,9 @@ import spgs.cli
 import spgs.minimize
 from spgs.cli import main
 from spgs.grid import GridSpec, ScalarField, boundary_mass_fraction, read_field, write_field
-from spgs.minimize import GaussianBlob, SolverConfig, TraceRow
+from spgs.minimize import GaussianBlob, SolverConfig, TraceRow, initial_field
 from spgs.poisson import solve_phi
-from spgs.potential import CoulombSingular
+from spgs.potential import Constant, CoulombSingular
 
 
 def _fresh_python(code: str, env: dict[str, str | None] | None = None) -> str:
@@ -182,7 +182,7 @@ def test_nonfinite_step_mid_descent_is_a_solver_error(tmp_path, monkeypatch, cap
     monkeypatch.setattr(
         spgs.minimize,
         "precondition",
-        lambda r, kinetic: SimpleNamespace(values=np.full(r.values.shape, np.inf)),
+        lambda r: SimpleNamespace(values=np.full(r.values.shape, np.inf)),
     )
     argv = ["solve", "--set", "grid.L=4.0", "--set", "grid.n=16", "--output", str(tmp_path)]
     assert main(argv) == 3
@@ -222,12 +222,12 @@ _OWNED_RULES = [
     (["grid.L=-1.0"], lambda: GridSpec(L=-1.0, n=32)),
     (["grid.n=6"], lambda: GridSpec(L=4.0, n=6)),
     (["grid.n=9"], lambda: GridSpec(L=4.0, n=9)),
+    (["grid.kinetic=bogus"], lambda: GridSpec(L=4.0, n=32, kinetic="bogus")),
     (["solver.p=5.5"], lambda: SolverConfig(p=5.5)),
     (["solver.tol=-1e-7"], lambda: SolverConfig(tol_residual=-1e-7)),
     (["solver.max_iters=0"], lambda: SolverConfig(max_iters=0)),
     (["solver.starts=0"], lambda: SolverConfig(starts=0)),
     (["solver.seed=-1"], lambda: SolverConfig(seed=-1)),
-    (["solver.kinetic=bogus"], lambda: SolverConfig(kinetic="bogus")),
     (["solver.init_width=-1.0"], lambda: GaussianBlob(width=-1.0)),
     (["potential.kind=coulomb_singular", "potential.alpha=3"], lambda: CoulombSingular(1.0, 0.0, 3)),
     (["potential.kind=coulomb_singular", "potential.lambda=-0.5"], lambda: CoulombSingular(1.0, -0.5, 1)),
@@ -333,6 +333,56 @@ def test_compare_vinf_after_unconverged_solves_is_not_strict(tmp_path, monkeypat
     assert row["strict"] == "0"
     (cmp_result,) = comparisons
     assert float(row["c_inf"]) - float(row["c"]) > cmp_result.margin
+
+
+def test_spectral_compare_vinf_solves_both_grids_in_spectral(tmp_path, capsys, monkeypatch):
+    # the refined grid keeps the run grid's kinetic; the levels are the ones
+    # the spectral run printed when the kinetic was a solver setting
+    grids = []
+    solve = spgs.minimize.find_ground_state
+
+    def recording(V, cfg, grid, *u0):
+        grids.append(grid)
+        return solve(V, cfg, grid, *u0)
+
+    monkeypatch.setattr(spgs.minimize, "find_ground_state", recording)
+    argv = [*_COULOMB_COMPARE, "--set", "grid.n=16", "--set", "solver.tol=1e-6"]
+    argv += ["--set", "grid.kinetic=spectral", "--output", str(tmp_path)]
+    assert main(argv) == 0
+    assert [(g.n, g.kinetic) for g in grids] == [(16, "spectral")] * 2 + [(24, "spectral")] * 2
+    assert capsys.readouterr().out.startswith("c = 8.74019141435643  c_inf = 11.714167301054323  ")
+
+
+def _spectral_solve(outdir: Path, *sets: str) -> tuple[Path, dict[str, str]]:
+    """The run directory and summary row of a spectral solve at L = 4, n = 16 with more --set items."""
+    argv = ["solve", "--set", "grid.L=4.0", "--set", "grid.n=16", "--set", "grid.kinetic=spectral"]
+    for item in sets:
+        argv += ["--set", item]
+    assert main([*argv, "--output", str(outdir)]) == 0
+    (run_dir,) = outdir.iterdir()
+    text = (run_dir / "summary.csv").read_text(encoding="utf-8")
+    (row,) = csv.DictReader(line for line in text.splitlines() if not line.startswith("#"))
+    return run_dir, row
+
+
+def test_spectral_run_from_a_dump_or_a_table_keeps_its_level(tmp_path):
+    # a dump and a table hold a box and node values, not a kinetic: on a
+    # spectral run they give what the same values built in memory give, bit for bit
+    grid = GridSpec(L=4.0, n=16, kinetic="spectral")
+    write_field(initial_field(GaussianBlob(), grid, 1.0, 4.0), tmp_path / "init.field")
+    write_field(Constant(1.0).sample(grid), tmp_path / "ones.field")
+    memory, row = _spectral_solve(tmp_path / "memory")
+    assert row["kinetic"] == "spectral"
+    dump, dump_row = _spectral_solve(
+        tmp_path / "dump", "solver.init=file", f"solver.init_path={tmp_path / 'init.field'}"
+    )
+    assert dump_row == row
+    table, table_row = _spectral_solve(
+        tmp_path / "table", "potential.kind=tabulated", f"potential.table_path={tmp_path / 'ones.field'}"
+    )
+    assert table_row["c_estimate"] == row["c_estimate"]
+    for run_dir in (dump, table):
+        assert (run_dir / "u.field").read_bytes() == (memory / "u.field").read_bytes()
 
 
 def _config_error_from_init_dump(tmp_path, capsys, data):

@@ -13,11 +13,14 @@ from spgs.config import (
     parse_config,
 )
 from spgs.errors import ConfigError
+from spgs.grid import GridSpec
+from spgs.minimize import SolverConfig
 
 # one valid value per schema attribute, each different from its default
 NON_DEFAULT = {
     "grid_L": 7.25,
     "grid_n": 24,
+    "grid_kinetic": "spectral",
     "potential_kind": "coulomb_singular",
     "potential_V1": 1.5,
     "potential_lambda": 0.375,
@@ -28,7 +31,6 @@ NON_DEFAULT = {
     "solver_max_iters": 77,
     "solver_seed": 11,
     "solver_starts": 3,
-    "solver_kinetic": "spectral",
     "solver_init": "file",
     "solver_init_width": 0.625,
     "solver_init_center": (0.5, -0.25, 0.125),
@@ -108,6 +110,7 @@ def test_unused_potential_values_are_not_checked():
 DEFAULTS = [
     ("grid.L", "12.0"),
     ("grid.n", "32"),
+    ("grid.kinetic", "fd"),
     ("potential.kind", "constant"),
     ("potential.V1", "1.0"),
     ("potential.lambda", "0.0"),
@@ -118,7 +121,6 @@ DEFAULTS = [
     ("solver.max_iters", "500"),
     ("solver.seed", "0"),
     ("solver.starts", "1"),
-    ("solver.kinetic", "fd"),
     ("solver.init", "gaussian"),
     ("solver.init_width", "0.0"),
     ("solver.init_center", "0.0,0.0,0.0"),
@@ -138,3 +140,9 @@ def test_default_text_and_key_help_are_pinned():
     # names, order and value formats
     assert canonical_text(RunConfig()) == "".join(f"{key} = {value}\n" for key, value in DEFAULTS)
     assert describe_keys() == [f"{key} (default: {value})" for key, value in DEFAULTS]
+
+
+def test_defaults_are_the_objects_own():
+    # RunConfig reads its solver and grid defaults from the classes that own them
+    assert RunConfig().build_solver() == SolverConfig()
+    assert RunConfig(grid_L=4.0, grid_n=16).build_grid() == GridSpec(4.0, 16)

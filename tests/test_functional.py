@@ -1,11 +1,12 @@
 """Action breakdown, gradient exactness, preconditioner."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from spgs.grid import GridSpec, ScalarField, dirichlet_energy, h1_norm, integrate, minus_laplacian
+from spgs.grid import KINETICS, GridSpec, ScalarField, dirichlet_energy, h1_norm, integrate, minus_laplacian
 from spgs.functional import (
     EnergyBreakdown,
     el_residual,
@@ -38,12 +39,12 @@ def fields(grid, count, seed=0):
 def test_split_sums_and_residual_match_one_pass(on_cpus, split, cpus, n, kinetic):
     # the one-pass formulas the shares replace, over whole fields
     on_cpus(cpus)
-    g = GridSpec(L=4.0, n=n)
+    g = GridSpec(L=4.0, n=n, kinetic=kinetic)
     rng = np.random.default_rng(n)
     u, v = (ScalarField(g, rng.standard_normal(g.num_nodes)) for _ in range(2))
     p, w = 4.0, g.h**3
     phi = solve_phi(u, residual_correction=False)
-    mlap = minus_laplacian(u, kinetic).values
+    mlap = minus_laplacian(u).values
     u2 = u.values * u.values
     kin = w * float(np.sum(u.values * mlap))
     a1 = kin + w * float(np.sum(v.values * u2))
@@ -53,8 +54,8 @@ def test_split_sums_and_residual_match_one_pass(on_cpus, split, cpus, n, kinetic
     r = (v.values + phi.values) * u.values + mlap - np.copysign(np.abs(u.values) ** p, u.values)
     norm = math.sqrt(w * float(np.sum(r * r)))
 
-    eb = energy_breakdown(u, v, p, phi=phi, kinetic=kinetic)
-    got_r, got_norm, got_eb = el_residual(u, v, p, phi=phi, kinetic=kinetic)
+    eb = energy_breakdown(u, v, p, phi=phi)
+    got_r, got_norm, got_eb = el_residual(u, v, p, phi=phi)
     for e in (eb, got_eb):
         assert (e.A1, e.B, e.C, e.h1) == (a1, b, c, h1)
     assert np.array_equal(got_r.values, r) and got_norm == norm
@@ -94,24 +95,26 @@ class TestEnergyBreakdown:
                 assert fresh.G == pytest.approx(ray.G, rel=1e-10, abs=1e-10)
                 assert fresh.h1 == pytest.approx(ray.h1, rel=1e-10)
 
-    def test_h1_is_the_grid_h1_norm(self, grid, v_one):
-        for u in fields(grid, 3, seed=9):
-            assert energy_breakdown(u, v_one, 4.0).h1 == h1_norm(u)
+    def test_h1_is_the_grid_h1_norm(self, grid):
+        # in each kinetic, the norm of the descent's stop test is the grid's
+        for kinetic in KINETICS:
+            g = replace(grid, kinetic=kinetic)
+            for u in fields(g, 3, seed=9):
+                assert energy_breakdown(u, Constant(1.0).sample(g), 4.0).h1 == h1_norm(u), kinetic
 
     @pytest.mark.parametrize("kinetic", ["fd", "spectral"])
-    def test_residual_carries_the_breakdown(self, grid, v_one, kinetic):
-        u = fields(grid, 1, seed=10)[0]
-        assert el_residual(u, v_one, 4.0, kinetic=kinetic)[2] == energy_breakdown(
-            u, v_one, 4.0, kinetic=kinetic
-        )
+    def test_residual_carries_the_breakdown(self, grid, kinetic):
+        g = replace(grid, kinetic=kinetic)
+        u, v = fields(g, 1, seed=10)[0], Constant(1.0).sample(g)
+        assert el_residual(u, v, 4.0)[2] == energy_breakdown(u, v, 4.0)
 
     def test_quadratures_against_closed_forms(self):
         # gaussian exp(-r^2/2): A1, B and C have closed forms; the spectral
         # kinetic form is the one able to meet 1e-4 at this resolution
-        g = GridSpec(L=10.0, n=40)
+        g = GridSpec(L=10.0, n=40, kinetic="spectral")
         u = ScalarField.from_function(g, lambda x, y, z: np.exp(-(x * x + y * y + z * z) / 2.0))
         v = Constant(1.0).sample(g)
-        eb = energy_breakdown(u, v, 4.0, kinetic="spectral")
+        eb = energy_breakdown(u, v, 4.0)
         # integral |grad u|^2 = (3/2) pi^(3/2); integral u^2 = pi^(3/2)
         a1_exact = 2.5 * math.pi**1.5
         assert eb.A1 == pytest.approx(a1_exact, rel=1e-4)
@@ -130,20 +133,18 @@ class TestResidual:
 
     @pytest.mark.parametrize("kinetic", ["fd", "spectral"])
     @pytest.mark.parametrize("p", [3.5, 4.0, 4.5])
-    def test_directional_derivative(self, grid, v_one, p, kinetic):
+    def test_directional_derivative(self, grid, p, kinetic):
+        g = replace(grid, kinetic=kinetic)
+        v_one = Constant(1.0).sample(g)
         rng = np.random.default_rng(int(1000 * p) + (0 if kinetic == "fd" else 1))
         for _ in range(3):
-            u = random_smooth_field(grid, rng)
-            v = random_smooth_field(grid, rng)
-            r, _, _ = el_residual(u, v_one, p, kinetic=kinetic)
-            ip = grid.h**3 * float(np.sum(r.values * v.values))
+            u = random_smooth_field(g, rng)
+            v = random_smooth_field(g, rng)
+            r, _, _ = el_residual(u, v_one, p)
+            ip = g.h**3 * float(np.sum(r.values * v.values))
             eps = 1e-5
-            i_plus = energy_breakdown(
-                ScalarField(grid, u.values + eps * v.values), v_one, p, kinetic=kinetic
-            ).I
-            i_minus = energy_breakdown(
-                ScalarField(grid, u.values - eps * v.values), v_one, p, kinetic=kinetic
-            ).I
+            i_plus = energy_breakdown(ScalarField(g, u.values + eps * v.values), v_one, p).I
+            i_minus = energy_breakdown(ScalarField(g, u.values - eps * v.values), v_one, p).I
             fd = (i_plus - i_minus) / (2.0 * eps)
             assert fd == pytest.approx(ip, rel=1e-6)
 
@@ -176,22 +177,21 @@ class TestKineticVariants:
     def test_spectral_matches_fd_for_smooth_field(self):
         g = GridSpec(L=8.0, n=48)
         u = ScalarField.from_function(g, lambda x, y, z: np.exp(-(x * x + y * y + z * z) / 4.0))
-        t_fd = dirichlet_energy(u, "fd")
-        t_sp = dirichlet_energy(u, "spectral")
+        t_fd = dirichlet_energy(u)
+        t_sp = dirichlet_energy(u.on(replace(g, kinetic="spectral")))
         assert t_sp == pytest.approx(t_fd, rel=0.01)
 
     def test_spectral_is_quadratic_form_of_its_laplacian(self, grid):
         # both kinetics: the energy is the quadratic form of its -Lap
-        u = fields(grid, 1, seed=6)[0]
         for kinetic in ("fd", "spectral"):
-            t = dirichlet_energy(u, kinetic)
-            ip = grid.h**3 * float(np.sum(u.values * minus_laplacian(u, kinetic).values))
+            u = fields(replace(grid, kinetic=kinetic), 1, seed=6)[0]
+            t = dirichlet_energy(u)
+            ip = grid.h**3 * float(np.sum(u.values * minus_laplacian(u).values))
             assert t == pytest.approx(ip, rel=1e-12)
 
     def test_unknown_variant_rejected(self, grid):
-        u = fields(grid, 1)[0]
         with pytest.raises(ValueError):
-            dirichlet_energy(u, "secret")
+            replace(grid, kinetic="secret")
 
 
 class TestPrecondition:
@@ -263,11 +263,11 @@ def test_pohozaev_is_the_dilation_derivative(V, kinetic):
     eps = 1e-3
     gaps = []
     for n in (32, 64):
-        g = GridSpec(L=6.0, n=n)
+        g = GridSpec(L=6.0, n=n, kinetic=kinetic)
 
         def breakdown(width):
             u = gaussian_blob(g, width=width).scaled(1.3)
-            return energy_breakdown(u, V.sample(g), 4.0, kinetic=kinetic)
+            return energy_breakdown(u, V.sample(g), 4.0)
 
         step = [breakdown(1.0 + k * eps).I - breakdown(1.0 - k * eps).I for k in (1, 2)]
         dilation = (8.0 * step[0] - step[1]) / (12.0 * eps)

@@ -4,6 +4,7 @@ import math
 import sys
 import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -90,6 +91,8 @@ class TestGridSpec:
             GridSpec(L=1.0, n=4)
         with pytest.raises(ValueError):
             GridSpec(L=1.0, n=9)
+        with pytest.raises(ValueError, match="kinetic must be one of"):
+            GridSpec(L=1.0, n=8, kinetic="bogus")
 
     def test_staggered_keeps_origin_clear(self):
         g = GridSpec(L=4.0, n=16)
@@ -128,6 +131,17 @@ class TestScalarField:
         f = ScalarField.from_3d(g, x)
         # first 8 flat entries walk the x axis
         assert np.allclose(f.values[: g.n], g.axis)
+
+    def test_on_takes_the_grid_and_keeps_the_values(self):
+        g = GridSpec(L=2.0, n=8)
+        f = gaussian(g)
+        assert f.on(g) is f
+        spectral = replace(g, kinetic="spectral")
+        moved = f.on(spectral)
+        assert moved.grid == spectral and np.array_equal(moved.values, f.values)
+        for other in (GridSpec(L=2.5, n=8), GridSpec(L=2.0, n=10)):
+            with pytest.raises(ValueError, match="table box .* does not match the run grid"):
+                f.on(other, "table")
 
 
 class TestIntegrate:
@@ -246,8 +260,9 @@ class TestSineTransform:
     @pytest.mark.parametrize("kinetic", ["fd", "spectral"])
     def test_one_table_diagonalises_each_kinetic(self, g, kinetic):
         # the preconditioner and the Poisson defect solve invert -Lap through these eigenvalues
+        g = replace(g, kinetic=kinetic)
         u = ScalarField(g, np.random.default_rng(g.n).standard_normal(g.num_nodes))
-        direct = minus_laplacian(u, kinetic).as3d
+        direct = minus_laplacian(u).as3d
         lam1 = dirichlet_eigenvalues(g.n, g.h, kinetic)
         assert lam1.shape == (g.n,) and not lam1.flags.writeable
         lam = lam1[:, None, None] + lam1[None, :, None] + lam1[None, None, :]
@@ -319,7 +334,7 @@ class TestSplitPassesBitIdentical:
             coeff = reference_sine_transform(r.as3d)
             coeff /= c_ordered_eigenvalues(n, r.grid.h, kinetic) + 1.0
             ref = reference_sine_transform(coeff, inverse=True)
-            assert np.array_equal(precondition(r, kinetic).as3d, ref), kinetic
+            assert np.array_equal(precondition(r.on(replace(r.grid, kinetic=kinetic))).as3d, ref), kinetic
 
 
 class TestHalves:

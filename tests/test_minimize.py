@@ -40,13 +40,12 @@ def quick_cfg():
         tol_residual=1e-6,
         max_iters=400,
         init=GaussianBlob(width=0.5),
-        kinetic="spectral",
     )
 
 
 @pytest.fixture(scope="module")
 def quick_grid():
-    return GridSpec(L=2.5, n=24)
+    return GridSpec(L=2.5, n=24, kinetic="spectral")
 
 
 @pytest.fixture(scope="module")
@@ -69,7 +68,7 @@ class TestSolverConfig:
 
 class TestFindGroundState:
     def test_zero_init_raises(self, quick_cfg, quick_grid):
-        cfg = SolverConfig(p=4.0, max_iters=10, kinetic="spectral")
+        cfg = SolverConfig(p=4.0, max_iters=10)
         with pytest.raises(ZeroFieldError):
             find_ground_state(Constant(1.0), cfg, quick_grid, ScalarField.zeros(quick_grid))
 
@@ -103,9 +102,7 @@ class TestFindGroundState:
             assert hasattr(row, name)
 
     def test_max_iters_returns_flagged(self, quick_grid):
-        cfg = SolverConfig(
-            p=4.0, max_iters=3, init=GaussianBlob(width=0.5), kinetic="spectral"
-        )
+        cfg = SolverConfig(p=4.0, max_iters=3, init=GaussianBlob(width=0.5))
         res = find_ground_state(Constant(1.0), cfg, quick_grid)
         assert not res.converged
         assert res.status == "max-iters"
@@ -126,8 +123,8 @@ class TestFindGroundState:
     def test_probe_uses_the_run_kinetic(self, quick_cfg, quick_grid, monkeypatch):
         seen = []
 
-        def check(V, grid, kinetic):
-            seen.append(kinetic)
+        def check(V, grid):
+            seen.append(grid.kinetic)
             return CoercivityResult(-1.0, False)
 
         monkeypatch.setattr(spgs.minimize, "coercivity_check", check)
@@ -141,9 +138,9 @@ class TestFindGroundState:
             raise AssertionError("the coercivity gate must refuse before the descent")
 
         monkeypatch.setattr(spgs.minimize, "solve_phi", no_solve)
-        cfg = SolverConfig(p=4.0, kinetic="spectral")
+        cfg = SolverConfig(p=4.0)
         with pytest.raises(NonCoerciveError, match="c_bar = -0.05"):
-            find_ground_state(CoulombSingular(1.0, 2.1, 1), cfg, GridSpec(L=6.0, n=32))
+            find_ground_state(CoulombSingular(1.0, 2.1, 1), cfg, GridSpec(L=6.0, n=32, kinetic="spectral"))
 
     def test_override_gets_past_gate(self, quick_cfg, quick_grid):
         # a coercive singular potential with the probe bypassed still runs
@@ -161,14 +158,8 @@ class TestFindGroundState:
         assert relative_asymmetry(ground_state.u) <= 1e-2
 
     def test_multi_start_returns_best(self, quick_grid):
-        cfg1 = SolverConfig(
-            p=4.0, tol_residual=1e-6, max_iters=400, init=GaussianBlob(width=0.5),
-            kinetic="spectral",
-        )
-        cfg3 = SolverConfig(
-            p=4.0, tol_residual=1e-6, max_iters=400, init=GaussianBlob(width=0.5),
-            kinetic="spectral", starts=3, seed=5,
-        )
+        cfg1 = SolverConfig(p=4.0, tol_residual=1e-6, max_iters=400, init=GaussianBlob(width=0.5))
+        cfg3 = replace(cfg1, starts=3, seed=5)
         c1 = find_ground_state(Constant(1.0), cfg1, quick_grid).c_estimate
         c3 = find_ground_state(Constant(1.0), cfg3, quick_grid).c_estimate
         assert c3 <= c1 + 1e-9 * abs(c1)
@@ -180,7 +171,6 @@ class TestFindGroundState:
             tol_residual=1e-6,
             max_iters=600,
             init=GaussianBlob(center=(1.25, 0.0, 0.0), width=0.5),
-            kinetic="spectral",
         )
         res = find_ground_state(Constant(1.0), cfg, quick_grid)
         q = res.u.values ** 2
@@ -220,10 +210,7 @@ class TestGroundLevelConstant:
 
 class TestCompareWithVinf:
     def test_constant_potential_not_strict(self, quick_grid, monkeypatch):
-        cfg = SolverConfig(
-            p=4.0, tol_residual=1e-6, max_iters=400, init=GaussianBlob(width=0.5),
-            kinetic="spectral",
-        )
+        cfg = SolverConfig(p=4.0, tol_residual=1e-6, max_iters=400, init=GaussianBlob(width=0.5))
         solves = _recorded_solves(monkeypatch)
         cmp_result = compare_with_vinf(Constant(1.0), cfg, quick_grid)
         # V = V_inf: V's problem is the limit's, so one solve per grid
@@ -259,7 +246,7 @@ class TestCompareWithVinf:
         calls = []
         solves = _recorded_solves(monkeypatch, calls)
         V = CoulombSingular(1.0, 0.5, 1)
-        cmp_result = compare_with_vinf(V, SolverConfig(kinetic=kinetic), GridSpec(L=6.0, n=16))
+        cmp_result = compare_with_vinf(V, SolverConfig(), GridSpec(L=6.0, n=16, kinetic=kinetic))
         assert [r.u.grid.n for r in solves] == [16, 16, 24, 24]
         # V's solves start from the configured blob, each limit solve from
         # V's ground state on its grid
@@ -271,7 +258,7 @@ class TestCompareWithVinf:
             assert res.c_estimate <= bound < limit.c_estimate
             assert (res.c_estimate, bound, limit.c_estimate) == pytest.approx(pinned, rel=1e-9)
             # the breakdown algebra against energies evaluated at the projected field
-            fresh = nehari_project(limit.u, V.sample(limit.u.grid), 4.0, kinetic=kinetic).scaled_breakdown
+            fresh = nehari_project(limit.u, V.sample(limit.u.grid), 4.0).scaled_breakdown
             assert bound == pytest.approx(fresh.I, rel=1e-14)
         assert cmp_result.bound == bound
         assert cmp_result.bound_holds and cmp_result.bound_excess < 0.0
@@ -398,8 +385,7 @@ def test_pinned_levels():
     fd = find_ground_state(Constant(1.0), SolverConfig(p=4.0), GridSpec(L=4.0, n=24))
     assert fd.iterations == 6
     assert fd.c_estimate == pytest.approx(10.093318054749808, rel=1e-12)
-    sp_cfg = SolverConfig(p=4.0, kinetic="spectral")
-    sp = find_ground_state(Constant(1.0), sp_cfg, GridSpec(L=2.5, n=24))
+    sp = find_ground_state(Constant(1.0), SolverConfig(p=4.0), GridSpec(L=2.5, n=24, kinetic="spectral"))
     assert sp.iterations == 8
     assert sp.c_estimate == pytest.approx(10.434921971760058, rel=1e-12)
     _, _, c_radial = radial_ground_state(Constant(1.0), 4.0, r_max=30.0, n_r=1024)
@@ -413,10 +399,8 @@ def _gaussian_ray_max(sigma, v_inf, p):
 
 def test_closed_form_gaussian_energies_match_the_sampled_gaussian():
     # measured on this box: A1 and C to 1e-15, B to 5.2e-9 (the box's Poisson solve)
-    grid = GridSpec(L=6.0, n=64)
-    sampled = energy_breakdown(
-        gaussian_blob(grid, width=0.6), Constant(1.0).sample(grid), 4.0, kinetic="spectral"
-    )
+    grid = GridSpec(L=6.0, n=64, kinetic="spectral")
+    sampled = energy_breakdown(gaussian_blob(grid, width=0.6), Constant(1.0).sample(grid), 4.0)
     closed, mass = _gaussian_energies(0.6, 1.0, 4.0)
     assert closed.A1 == pytest.approx(sampled.A1, rel=1e-13)
     assert closed.B == pytest.approx(sampled.B, rel=2e-8)
@@ -455,16 +439,16 @@ def test_ritz_width_where_the_ray_maximum_has_no_fiber_root():
 
 
 @pytest.mark.parametrize(
-    "V, kinetic, grid",
+    "V, grid",
     [
-        (Constant(1.0), "fd", GridSpec(L=4.0, n=24)),
-        (Constant(1.0), "spectral", GridSpec(L=2.5, n=24)),
-        (CoulombSingular(1.0, 0.5, 1), "fd", GridSpec(L=6.0, n=16)),
+        (Constant(1.0), GridSpec(L=4.0, n=24)),
+        (Constant(1.0), GridSpec(L=2.5, n=24, kinetic="spectral")),
+        (CoulombSingular(1.0, 0.5, 1), GridSpec(L=6.0, n=16)),
     ],
     ids=["fd", "spectral", "coulomb"],
 )
-def test_ritz_start_reaches_the_box_start_level_in_no_more_iterations(V, kinetic, grid):
-    cfg = SolverConfig(p=4.0, kinetic=kinetic)
+def test_ritz_start_reaches_the_box_start_level_in_no_more_iterations(V, grid):
+    cfg = SolverConfig(p=4.0)
     ritz = find_ground_state(V, cfg, grid)
     box = find_ground_state(V, replace(cfg, init=GaussianBlob(width=grid.L / 6.0)), grid)
     assert ritz.converged and box.converged
@@ -485,17 +469,16 @@ def test_spectral_solve_asks_for_no_fd_table_of_its_own_n(monkeypatch):
     for module in (spgs.grid, spgs.functional, spgs.poisson):
         monkeypatch.setattr(module, "dirichlet_eigenvalues", spy)
     n = 24
-    res = find_ground_state(Constant(1.0), SolverConfig(p=4.0, kinetic="spectral"), GridSpec(L=4.0, n=n))
+    res = find_ground_state(Constant(1.0), SolverConfig(p=4.0), GridSpec(L=4.0, n=n, kinetic="spectral"))
     assert res.converged
     assert asked == {(n, "spectral")}
 
 
 def test_spectral_takes_no_more_iterations_than_fd():
     # measured 9 against 10; with the fd preconditioner spectral took 18
-    grid = GridSpec(L=4.0, n=32)
+    cfg = SolverConfig(p=4.0, tol_residual=1e-7)
     fd, sp = (
-        find_ground_state(Constant(1.0), SolverConfig(p=4.0, tol_residual=1e-7, kinetic=k), grid)
-        for k in ("fd", "spectral")
+        find_ground_state(Constant(1.0), cfg, GridSpec(L=4.0, n=32, kinetic=k)) for k in ("fd", "spectral")
     )
     assert fd.converged and sp.converged
     assert sp.iterations <= fd.iterations
@@ -503,8 +486,8 @@ def test_spectral_takes_no_more_iterations_than_fd():
 
 def test_spectral_n48_converges_at_tight_tolerance():
     # steepest descent raised NoDescentError at iteration 30 on this grid
-    cfg = SolverConfig(p=4.0, kinetic="spectral", tol_residual=1e-7)
-    res = find_ground_state(Constant(1.0), cfg, GridSpec(L=4.0, n=48))
+    cfg = SolverConfig(p=4.0, tol_residual=1e-7)
+    res = find_ground_state(Constant(1.0), cfg, GridSpec(L=4.0, n=48, kinetic="spectral"))
     assert res.status == "converged"
 
 
@@ -561,9 +544,9 @@ def test_failed_quasi_newton_step_resets_memory_and_retries_the_gradient(monkeyp
     events = []
     precondition = spgs.minimize.precondition
 
-    def gradient(r, kinetic):
+    def gradient(r):
         events.append("gradient")
-        return precondition(r, kinetic)
+        return precondition(r)
 
     monkeypatch.setattr(spgs.minimize, "_lbfgs_direction", _rising_quasi_newton(events))
     monkeypatch.setattr(spgs.minimize, "precondition", gradient)
@@ -581,11 +564,11 @@ def test_no_descent_error_only_after_the_gradient_retry(monkeypatch):
     events = []
     precondition = spgs.minimize.precondition
 
-    def gradient(r, kinetic):
+    def gradient(r):
         events.append("gradient")
         if ("quasi-newton", 1) in events:
             return SimpleNamespace(values=_rising_direction(r.values))
-        return precondition(r, kinetic)
+        return precondition(r)
 
     monkeypatch.setattr(spgs.minimize, "_lbfgs_direction", _rising_quasi_newton(events))
     monkeypatch.setattr(spgs.minimize, "precondition", gradient)

@@ -7,15 +7,18 @@ discretization the screened solve is compared with.
 import math
 import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import spgs.validate
 from lattice_reference import CELL_MEAN_INVERSE_DISTANCE, _convolve_fft
 from spgs.functional import energy_breakdown
 from spgs.grid import GridSpec, ScalarField, dirichlet_energy, h1_norm
 from spgs.poisson import _interior_defect, _lift, _screened_solve, interior_residual, solve_phi
 from spgs.potential import Constant
+from spgs.validate import run_validation
 from spgs.sampling import gaussian_blob, random_smooth_field
 from test_grid import c_ordered_eigenvalues, reference_sine_transform
 
@@ -64,6 +67,29 @@ class TestSolvePhi:
     def test_interior_residual_to_rounding(self, small_grid):
         for u in seeded_fields(small_grid, 3, seed=7):
             assert interior_residual(u, solve_phi(u)) < 1e-12
+
+    def test_solves_do_not_depend_on_the_grid_kinetic(self, small_grid):
+        # the raw solve and the 7-point correction are the same on a spectral grid
+        u = seeded_fields(small_grid, 1, seed=8)[0]
+        on_spectral = u.on(replace(small_grid, kinetic="spectral"))
+        for correction in (False, True):
+            phi = solve_phi(on_spectral, residual_correction=correction)
+            assert phi.grid.kinetic == "spectral"
+            assert np.array_equal(phi.values, solve_phi(u, residual_correction=correction).values)
+
+    def test_validate_checks_the_raw_solve_but_for_the_interior_residual(self, monkeypatch):
+        # scaling and positivity check K, the solve runs use; only the four
+        # fields of poisson.interior-residual get the corrected solve
+        corrected = []
+        solve = spgs.validate.solve_phi
+
+        def recording(u, residual_correction=True):
+            corrected.append(residual_correction)
+            return solve(u, residual_correction)
+
+        monkeypatch.setattr(spgs.validate, "solve_phi", recording)
+        assert all(check.passed for check in run_validation(seed=0))
+        assert corrected.count(True) == 4 and corrected.count(False) > 16
 
     @pytest.mark.parametrize("n", [16, 48])
     def test_correction_is_the_reference_dirichlet_solve_of_the_defect(self, n):
