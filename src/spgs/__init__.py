@@ -57,11 +57,6 @@ from .grid import (
     GridSpec,
     ScalarField,
     boundary_mass_fraction,
-    dirichlet_energy,
-    h1_norm,
-    integrate,
-    l2_norm,
-    lp_integral,
     minus_laplacian,
     radialize,
     read_field,

@@ -12,15 +12,16 @@ Fields are stored flat in x-fastest order (the dump format below); the
 outside the box (a zero ghost layer).  A grid owns its -Lap: the field
 `GridSpec.kinetic` names one of the `KINETICS`, the 7-point
 second-order stencil ("fd") or the exact sine-spectral operator
-("spectral"), and `minus_laplacian`, `dirichlet_energy` and `h1_norm`
-of a field apply its grid's.  Both have the DST-I sine modes as
-eigenvectors, and `in_sine_modes` applies an operator through them,
-forming each mode's eigenvalue from the cached `dirichlet_eigenvalues`
-of one axis: the spectral -Lap, the Sobolev preconditioner of the
-field's grid, and `poisson`'s defect solve.  Only this module maps a
-kinetic name to an operator or a table.  A field dump or a table
-read from outside a run holds a box and node values, not an operator;
-`ScalarField.on` puts its values on the run's grid.
+("spectral"), and `minus_laplacian` of a field applies its grid's.
+Both have the DST-I sine modes as eigenvectors, and `in_sine_modes`
+applies an operator through them, forming each mode's eigenvalue from
+the cached `dirichlet_eigenvalues` of one axis: the spectral -Lap, the
+Sobolev preconditioner of the field's grid, and `poisson`'s defect
+solve.  Only this module maps a kinetic name to an operator or a
+table.  A field dump or a table read from outside a run holds a box
+and node values, not an operator; `ScalarField.on` puts its values on
+the run's grid.  A field's integrals, the action's terms and its H^1
+norm, come from one pass in `functional.energy_breakdown`.
 
 Every n^3 pass of the package runs on two cores through one primitive,
 `_on_halves(task, size, unit)`.  `_halves` cuts the pass's `size` items
@@ -377,39 +378,6 @@ class ScalarField:
                 f"{what} box (L={g.L}, n={g.n}) does not match the run grid (L={grid.L}, n={grid.n})"
             )
         return self if g == grid else ScalarField(grid, self.values)
-
-
-def integrate(f: ScalarField) -> float:
-    """Midpoint-rule integral h^3 * sum(f); linear in f."""
-    return f.grid.h**3 * float(np.sum(f.values))
-
-
-def lp_integral(u: ScalarField, s: float) -> float:
-    """Integral of |u|^s for s >= 1."""
-    if s < 1:
-        raise ValueError(f"exponent must satisfy s >= 1, got s={s}")
-    a = np.abs(u.values)
-    a **= s  # in place: one field-size temporary, not two
-    return u.grid.h**3 * float(np.sum(a))
-
-
-def l2_norm(u: ScalarField) -> float:
-    """Quadrature-weighted L2 norm sqrt(integral of u^2)."""
-    return float(np.sqrt(u.grid.h**3 * np.sum(u.values * u.values)))
-
-
-def h1_norm(u: ScalarField) -> float:
-    """Sobolev norm sqrt(integral of |grad u|^2 + u^2), the gradient term in u's grid's kinetic."""
-    return float(np.sqrt(dirichlet_energy(u) + u.grid.h**3 * np.sum(u.values * u.values)))
-
-
-def dirichlet_energy(u: ScalarField) -> float:
-    """Discrete Dirichlet form h^3 <u, -Lap u>: integral of |grad u|^2.
-
-    -Lap is `minus_laplacian`, in u's grid's kinetic; each is symmetric,
-    so the form is exactly quadratic in u and its L^2 gradient is -2 Lap u.
-    """
-    return u.grid.h**3 * float(np.sum(u.values * minus_laplacian(u).values))
 
 
 @lru_cache(maxsize=16)

@@ -28,11 +28,12 @@ rounding.  It is exact, up to the sine solve, for a charge whose
 outside field is a monopole plus a dipole about the origin.  By the same
 symmetry <H_0, s> = <Phi_g, q> - Q <Phi_g, g> - <g, w> and <H_i, s> =
 <x_i f, q> - p_i <x f, g_x> - <g_i, w>, from moments of q, the two
-pairings <Phi_g, g> and <x f, g_x> taken once per grid, and the
+pairings <Phi_g, g> and <x f, g_x> taken once per box, and the
 g-weighted moments of the one sine solve w = S s.
 
-Only Phi_g and f are cached per grid, C-ordered [z, y, x], so they walk
-in the memory order of x-fastest fields.  Node radii are r = (h/2)
+Only Phi_g and f are cached, per box (L, n) whatever its kinetic,
+C-ordered [z, y, x], so they walk in the memory order of x-fastest
+fields.  Node radii are r = (h/2)
 sqrt(k) with k = sum of (2j + 1 - n)^2 over the three axes, an integer
 8m + 3, so both tables are gathered from `math.erf` at the few values
 of m up to the largest: no scipy on the 3-D path.  g enters only
@@ -75,7 +76,7 @@ from .grid import (
 
 @dataclass(frozen=True)
 class _Lift:
-    """Per-grid data of K: the two cached tables, g's 1-D factors and two pairings."""
+    """Per-box data of K: the two cached tables, g's 1-D factors and two pairings."""
 
     phi_g: np.ndarray  # Phi_g, C-ordered [z, y, x]
     f: np.ndarray  # f, C-ordered [z, y, x]
@@ -106,11 +107,13 @@ def _dipole(cell: float, along_x: np.ndarray, plane: np.ndarray, even, odd) -> n
 
 
 @lru_cache(maxsize=4)
-def _lift(grid: GridSpec) -> _Lift:
-    """Phi_g and f on the grid's nodes, g's 1-D factors and the pairings, built once per grid."""
-    n, h = grid.n, grid.h
-    sigma = grid.L / 4.0
-    x = grid.axis
+def _lift(L: float, n: int) -> _Lift:
+    """Phi_g and f on the nodes of the box (L, n), g's 1-D factors and the pairings, built once per box.
+
+    None of it depends on the kinetic, so the grids of one box share it.
+    """
+    grid = GridSpec(L, n)
+    h, sigma, x = grid.h, L / 4.0, grid.axis
     # (2j + 1 - n)^2 is an odd square 8T + 1, so the nodes' k = 8m + 3, m = T_x + T_y + T_z
     odd = np.abs(2 * np.arange(n) + 1 - n)
     tri = (odd * odd - 1) // 8
@@ -146,7 +149,7 @@ def _screened_solve(q: np.ndarray, grid: GridSpec) -> np.ndarray:
     """
     n = grid.n
     cell = grid.h**3
-    lift = _lift(grid)
+    lift = _lift(grid.L, grid.n)
     x, a, xa = grid.axis, lift.a, lift.xa
     src = q.reshape((n, n, n))
     # per plane (z, y), summed over x: q, x q, Phi_g q, f q and x f q

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from spgs.grid import KINETICS, GridSpec, ScalarField, dirichlet_energy, h1_norm, integrate, minus_laplacian
+from spgs.grid import KINETICS, GridSpec, ScalarField, minus_laplacian
 from spgs.functional import (
     EnergyBreakdown,
     el_residual,
@@ -16,6 +16,7 @@ from spgs.functional import (
 from spgs.poisson import solve_phi
 from spgs.potential import Constant, CoulombSingular
 from spgs.sampling import gaussian_blob, random_smooth_field
+from test_grid import kinetic_energy
 
 
 @pytest.fixture(scope="module")
@@ -96,11 +97,13 @@ class TestEnergyBreakdown:
                 assert fresh.h1 == pytest.approx(ray.h1, rel=1e-10)
 
     def test_h1_is_the_grid_h1_norm(self, grid):
-        # in each kinetic, the norm of the descent's stop test is the grid's
+        # in each kinetic, the norm of the descent's stop test squares to
+        # integral |grad u|^2 + u^2, which is A1 at V = 1
         for kinetic in KINETICS:
             g = replace(grid, kinetic=kinetic)
             for u in fields(g, 3, seed=9):
-                assert energy_breakdown(u, Constant(1.0).sample(g), 4.0).h1 == h1_norm(u), kinetic
+                eb = energy_breakdown(u, Constant(1.0).sample(g), 4.0)
+                assert eb.h1**2 == pytest.approx(eb.A1, rel=1e-13), kinetic
 
     @pytest.mark.parametrize("kinetic", ["fd", "spectral"])
     def test_residual_carries_the_breakdown(self, grid, kinetic):
@@ -170,22 +173,22 @@ class TestResidual:
     def test_norm_is_weighted_l2(self, grid, v_one):
         u = fields(grid, 1, seed=5)[0]
         r, norm, _ = el_residual(u, v_one, 4.0)
-        assert norm == pytest.approx(math.sqrt(integrate(ScalarField(grid, r.values**2))))
+        assert norm == pytest.approx(math.sqrt(grid.h**3 * float(np.sum(r.values**2))))
 
 
 class TestKineticVariants:
     def test_spectral_matches_fd_for_smooth_field(self):
         g = GridSpec(L=8.0, n=48)
         u = ScalarField.from_function(g, lambda x, y, z: np.exp(-(x * x + y * y + z * z) / 4.0))
-        t_fd = dirichlet_energy(u)
-        t_sp = dirichlet_energy(u.on(replace(g, kinetic="spectral")))
+        t_fd = kinetic_energy(u)
+        t_sp = kinetic_energy(u.on(replace(g, kinetic="spectral")))
         assert t_sp == pytest.approx(t_fd, rel=0.01)
 
     def test_spectral_is_quadratic_form_of_its_laplacian(self, grid):
         # both kinetics: the energy is the quadratic form of its -Lap
         for kinetic in ("fd", "spectral"):
             u = fields(replace(grid, kinetic=kinetic), 1, seed=6)[0]
-            t = dirichlet_energy(u)
+            t = kinetic_energy(u)
             ip = grid.h**3 * float(np.sum(u.values * minus_laplacian(u).values))
             assert t == pytest.approx(ip, rel=1e-12)
 

@@ -1,6 +1,5 @@
-"""Grid, quadrature, norm and dump-format tests."""
+"""Grid, -Lap, sine-transform, split-pass and dump-format tests."""
 
-import math
 import sys
 import threading
 import tracemalloc
@@ -11,18 +10,13 @@ import pytest
 import scipy.fft
 
 from spgs import grid as spgs_grid
-from spgs.functional import precondition
+from spgs.functional import energy_breakdown, precondition
 from spgs.grid import (
     KINETICS,
     GridSpec,
     ScalarField,
     boundary_mass_fraction,
     dirichlet_eigenvalues,
-    dirichlet_energy,
-    h1_norm,
-    integrate,
-    l2_norm,
-    lp_integral,
     minus_laplacian,
     radialize,
     read_field,
@@ -71,6 +65,11 @@ def padded_stencil(a, h):
         + p[1:-1, 1:-1, :-2]
         - 6.0 * a
     ) / -(h**2)
+
+
+def kinetic_energy(u):
+    # with V = 0, A1 is the Dirichlet form h^3 <u, -Lap u> of u's grid alone
+    return energy_breakdown(u, ScalarField.zeros(u.grid), 4.0).A1
 
 
 def gaussian(grid, width=1.0):
@@ -144,65 +143,36 @@ class TestScalarField:
                 f.on(other, "table")
 
 
-class TestIntegrate:
-    def test_zero_field(self):
-        g = GridSpec(L=1.0, n=8)
-        assert integrate(ScalarField.zeros(g)) == 0.0
-
-    def test_box_volume(self):
-        g = GridSpec(L=1.0, n=16)
-        one = ScalarField(g, np.ones(g.num_nodes))
-        assert integrate(one) == pytest.approx(8.0, rel=1e-12)
-
-    def test_gaussian_closed_form(self):
-        g = GridSpec(L=8.0, n=64)
-        f = ScalarField.from_function(g, lambda x, y, z: np.exp(-(x * x + y * y + z * z)))
-        assert integrate(f) == pytest.approx(math.pi**1.5, rel=1e-6)
-
-    def test_linearity(self):
-        g = GridSpec(L=2.0, n=12)
-        rng = np.random.default_rng(0)
-        f = ScalarField(g, rng.standard_normal(g.num_nodes))
-        gfield = ScalarField(g, rng.standard_normal(g.num_nodes))
-        for a, b in [(2.0, -3.0), (0.25, 11.0)]:
-            combo = ScalarField(g, a * f.values + b * gfield.values)
-            assert integrate(combo) == pytest.approx(
-                a * integrate(f) + b * integrate(gfield), rel=1e-12, abs=1e-12
-            )
-
-
 class TestDirichletEnergy:
     def test_zero(self):
         g = GridSpec(L=1.0, n=8)
-        assert dirichlet_energy(ScalarField.zeros(g)) == 0.0
+        assert kinetic_energy(ScalarField.zeros(g)) == 0.0
 
     def test_quadratic_homogeneity(self):
         g = GridSpec(L=3.0, n=16)
         u = gaussian(g)
-        assert dirichlet_energy(u.scaled(2.0)) == pytest.approx(
-            4.0 * dirichlet_energy(u), rel=1e-13
-        )
+        assert kinetic_energy(u.scaled(2.0)) == pytest.approx(4.0 * kinetic_energy(u), rel=1e-13)
 
     def test_matches_refined_quadrature_oracle(self):
-        # u = sin(pi x / L) * gaussian bump confined to the box; the oracle
-        # integrates the analytic |grad u|^2 by midpoint quadrature on a
-        # twice-refined grid, independent of the difference stencils.
+        # u = sin(pi x / L) * gaussian bump confined to the box; the oracle is
+        # the midpoint sum of the analytic |grad u|^2 on a twice-refined grid,
+        # independent of the difference stencils.  u = a(x) e(y) e(z) with
+        # a = s e, s = sin(pi x / L), e = exp(-t^2 / 2), so that 3-D sum is
+        # exactly h^3 (A' E^2 + 2 S E' E), from the 1-D sums A' of a'^2, S of
+        # a^2, E of e^2 and E' of e'^2 over the refined grid's axis
         L = 6.0
 
         def bump(x, y, z):
             return np.sin(np.pi * x / L) * np.exp(-(x * x + y * y + z * z) / 2.0)
 
-        def grad_sq(x, y, z):
-            e = np.exp(-(x * x + y * y + z * z) / 2.0)
-            s = np.sin(np.pi * x / L)
-            c = np.cos(np.pi * x / L)
-            gx = (np.pi / L * c - x * s) * e
-            gy = -y * s * e
-            gz = -z * s * e
-            return gx * gx + gy * gy + gz * gz
-
         oracle_grid = GridSpec(L=L, n=192)
-        oracle = integrate(ScalarField.from_function(oracle_grid, grad_sq))
+        t = oracle_grid.axis
+        e = np.exp(-t * t / 2.0)
+        s = np.sin(np.pi * t / L)
+        a, da = s * e, (np.pi / L * np.cos(np.pi * t / L) - t * s) * e
+        de = -t * e
+        A_prime, S, E, E_prime = (float(np.sum(f * f)) for f in (da, a, e, de))
+        oracle = oracle_grid.h**3 * (A_prime * E * E + 2.0 * S * E_prime * E)
 
         # the discrete Dirichlet form converges to the oracle at second
         # order; the refine-and-compare pair (n, 2n) extrapolates the h^2
@@ -210,12 +180,11 @@ class TestDirichletEnergy:
         vals = {}
         for n in (48, 96):
             u = ScalarField.from_function(GridSpec(L=L, n=n), bump)
-            vals[n] = dirichlet_energy(u)
+            vals[n] = kinetic_energy(u)
         errs = [abs(vals[n] - oracle) / oracle for n in (48, 96)]
         assert errs[1] < errs[0] / 3.0
         extrapolated = (4.0 * vals[96] - vals[48]) / 3.0
         assert extrapolated == pytest.approx(oracle, rel=1e-4)
-
 
     @pytest.mark.parametrize("g", [GridSpec(L=4.0, n=24)], ids=["staggered-24"])
     def test_fd_stencil_bit_identical_to_padded_sum(self, g):
@@ -442,33 +411,6 @@ class TestHelperThread:
         assert names == [threading.current_thread().name] * 2
 
 
-class TestLpIntegral:
-    def test_zero(self):
-        g = GridSpec(L=1.0, n=8)
-        assert lp_integral(ScalarField.zeros(g), 3.0) == 0.0
-
-    def test_volume(self):
-        g = GridSpec(L=1.0, n=12)
-        one = ScalarField(g, np.ones(g.num_nodes))
-        assert lp_integral(one, 2.0) == pytest.approx(8.0, rel=1e-12)
-
-    def test_gaussian_fourth_power(self):
-        g = GridSpec(L=8.0, n=64)
-        u = gaussian(g)  # exp(-r^2/2), so u^4 = exp(-2 r^2)
-        assert lp_integral(u, 4.0) == pytest.approx((math.pi / 2.0) ** 1.5, rel=1e-6)
-
-    def test_rejects_s_below_one(self):
-        g = GridSpec(L=1.0, n=8)
-        with pytest.raises(ValueError):
-            lp_integral(ScalarField.zeros(g), 0.5)
-
-    def test_in_place_power_is_bit_identical(self):
-        g = GridSpec(L=4.0, n=16)
-        u = ScalarField.from_function(g, lambda x, y, z: (x - 0.3) * np.exp(-(x * x + y * y + z * z)))
-        for s in (2.0, 4.5, 5.0):
-            assert lp_integral(u, s) == g.h**3 * float(np.sum(np.abs(u.values) ** s))
-
-
 class TestRefinementConvergence:
     def test_second_order_or_better(self):
         # doubling n shrinks the change for smooth concentrated fields
@@ -480,7 +422,13 @@ class TestRefinementConvergence:
         vals = {}
         for n in (16, 32, 64):
             u = ScalarField.from_function(GridSpec(L=L, n=n), field)
-            vals[n] = (integrate(u), dirichlet_energy(u), lp_integral(u, 2.5))
+            w = u.grid.h**3
+            # the integrals of u and of |u|^2.5, and the Dirichlet form
+            vals[n] = (
+                w * float(np.sum(u.values)),
+                kinetic_energy(u),
+                w * float(np.sum(np.abs(u.values) ** 2.5)),
+            )
         for idx in range(3):
             change_coarse = abs(vals[32][idx] - vals[16][idx])
             change_fine = abs(vals[64][idx] - vals[32][idx])
@@ -488,12 +436,6 @@ class TestRefinementConvergence:
 
 
 class TestHelpers:
-    def test_norms(self):
-        g = GridSpec(L=5.0, n=32)
-        u = gaussian(g)
-        assert l2_norm(u) == pytest.approx(math.sqrt(integrate(ScalarField(g, u.values**2))))
-        assert h1_norm(u) ** 2 == pytest.approx(dirichlet_energy(u) + l2_norm(u) ** 2)
-
     def test_radialize_fixes_radial_fields(self):
         g = GridSpec(L=4.0, n=24)
         u = ScalarField.from_3d(g, np.exp(-g.radius**2))

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from spgs.errors import NonCoerciveError, ZeroFieldError
-from spgs.grid import GridSpec, lp_integral
+from spgs.functional import energy_breakdown
+from spgs.grid import GridSpec
 from spgs.nehari import (
     _solve_fiber,
     nehari_project,
@@ -127,23 +128,26 @@ class TestProjection:
     def test_smooth_dependence_on_field(self, grid, v_one):
         # computational surrogate for manifold smoothness: t_bar moves
         # proportionally to small field perturbations
-        from spgs.grid import ScalarField, h1_norm
+        from spgs.grid import ScalarField
 
         rng = np.random.default_rng(4)
         u = random_smooth_field(grid, rng)
         du = random_smooth_field(grid, rng)
-        t0 = nehari_project(u, v_one, 4.0).t_bar
+        fs = nehari_project(u, v_one, 4.0)
+        t0, h1_u = fs.t_bar, fs.breakdown.h1
+        h1_du = energy_breakdown(du, v_one, 4.0).h1
         for eps in (1e-3, 1e-4):
             pert = ScalarField(grid, u.values + eps * du.values)
             t1 = nehari_project(pert, v_one, 4.0).t_bar
-            assert abs(t1 - t0) / t0 <= 50.0 * eps * h1_norm(du) / h1_norm(u)
+            assert abs(t1 - t0) / t0 <= 50.0 * eps * h1_du / h1_u
 
     def test_projected_norm_matches_scaling(self, grid, v_one):
         rng = np.random.default_rng(13)
         u = random_smooth_field(grid, rng)
         fs = nehari_project(u, v_one, 4.0)
-        direct = lp_integral(u.scaled(fs.t_bar), 5.0) ** 0.2
-        via_ray = fs.t_bar * lp_integral(u, 5.0) ** 0.2
+        # C is the L^5 integral at p = 4, of t_bar u fresh and of u
+        direct = fs.scaled_breakdown.C ** 0.2
+        via_ray = fs.t_bar * fs.breakdown.C ** 0.2
         assert direct == pytest.approx(via_ray, rel=1e-12)
 
 
@@ -153,7 +157,7 @@ class TestRayMax:
         for _ in range(5):
             u = random_smooth_field(grid, rng)
             fs = nehari_project(u, v_one, 4.0)
-            assert ray_max_check(u, fs, v_one, 4.0)
+            assert ray_max_check(fs)
 
     def test_equality_at_t_bar(self, grid, v_one):
         rng = np.random.default_rng(7)
@@ -174,5 +178,5 @@ class TestRayMax:
             t_bar=fs.t_bar * 1.01,
             scaled_breakdown=fs.scaled_breakdown.at_scale(1.01),
         )
-        assert not ray_max_check(u, fake, v_one, 4.0)
+        assert not ray_max_check(fake)
 

@@ -15,7 +15,7 @@ import pytest
 import spgs.validate
 from lattice_reference import CELL_MEAN_INVERSE_DISTANCE, _convolve_fft
 from spgs.functional import energy_breakdown
-from spgs.grid import GridSpec, ScalarField, dirichlet_energy, h1_norm
+from spgs.grid import GridSpec, ScalarField
 from spgs.poisson import _interior_defect, _lift, _screened_solve, interior_residual, solve_phi
 from spgs.potential import Constant
 from spgs.validate import run_validation
@@ -149,9 +149,21 @@ class TestScreenedSolve:
         erf = np.vectorize(math.erf)(r / sigma)
         phi_g = erf / (4.0 * math.pi * r)
         f = (erf - 2.0 / math.sqrt(math.pi) * (r / sigma) * np.exp(-((r / sigma) ** 2))) / (4.0 * math.pi * r**3)
-        lift = _lift(g)
+        lift = _lift(g.L, g.n)
         assert np.allclose(lift.phi_g, phi_g, rtol=1e-14, atol=0.0)
         assert np.allclose(lift.f, f, rtol=1e-12, atol=0.0)
+
+    def test_one_lift_per_box_whatever_the_kinetic(self):
+        # an fd and a spectral grid of one box build Phi_g and f once and get the same K
+        fd = GridSpec(L=3.5, n=16)
+        u = seeded_fields(fd, 1, seed=16)[0]
+        _lift.cache_clear()
+        raw = [
+            solve_phi(u.on(replace(fd, kinetic=kinetic)), residual_correction=False)
+            for kinetic in ("fd", "spectral")
+        ]
+        assert _lift.cache_info().misses == 1
+        assert np.array_equal(raw[0].values, raw[1].values)
 
     @pytest.mark.parametrize("n", [16, 48])
     def test_symmetric(self, n):
@@ -181,7 +193,7 @@ class TestScreenedSolve:
     def test_peak_memory_of_a_raw_solve_is_at_most_four_fields(self):
         g = GridSpec(L=5.0, n=48)
         u = seeded_fields(g, 1, seed=48)[0]
-        solve_phi(u, residual_correction=False)  # builds the grid's tables
+        solve_phi(u, residual_correction=False)  # builds the box's tables
         tracemalloc.start()
         try:
             solve_phi(u, residual_correction=False)
@@ -225,14 +237,15 @@ class TestNonlocalEnergy:
 
 class TestBoundednessConstant:
     def test_d12_norm_bounded_by_h1_squared(self):
-        # a single constant works across a fixed random sample
+        # a single constant works across a fixed random sample; ||phi_u||_D^2 =
+        # integral phi_u u^2 = B, since -Lap phi_u = u^2 (measured 0.095-0.129)
         g = GridSpec(L=5.0, n=12)
+        v_one = Constant(1.0).sample(g)
         rng = np.random.default_rng(17)
         ratios = []
         for _ in range(100):
-            u = random_smooth_field(g, rng)
-            phi = solve_phi(u, residual_correction=False)
-            ratios.append(math.sqrt(dirichlet_energy(phi)) / h1_norm(u) ** 2)
+            eb = energy_breakdown(random_smooth_field(g, rng), v_one, 4.0)
+            ratios.append(math.sqrt(eb.B) / eb.h1**2)
         ratios = np.array(ratios)
         assert np.all(np.isfinite(ratios))
         assert ratios.max() < 10.0 * ratios.min() + 1.0

@@ -26,6 +26,31 @@ from spgs.radial import (
 from spgs.validate import run_validation
 
 
+@pytest.fixture
+def stops_early():
+    """Requested by a test whose radial descents may end short of `converged` on purpose."""
+
+
+@pytest.fixture(autouse=True)
+def descents_converge(request, monkeypatch):
+    """Fail the test at any radial descent that ends other than `converged`.
+
+    `radial_ground_state` returns no status, so a level cut off at
+    max_iters would otherwise pass for a converged one.
+    """
+    if "stops_early" in request.fixturenames:
+        return
+    descend = spgs.radial._descend
+
+    def checked(*args, **kwargs):
+        out = descend(*args, **kwargs)
+        if out[6] != "converged":
+            pytest.fail(f"radial descent ended {out[6]!r} after {out[4]} iterations")
+        return out
+
+    monkeypatch.setattr(spgs.radial, "_descend", checked)
+
+
 def kinetic_energy(u):
     # with V = 0, A1 is the kinetic energy 4 pi int u'^2 r^2 dr alone
     return radial_energy_breakdown(u, np.zeros(u.n_r), 4.0, radial_solve_phi(u)).A1
@@ -250,8 +275,9 @@ def _record_descents(monkeypatch):
     return outs
 
 
-def test_split_radial_trace_matches_one_pass(on_cpus, monkeypatch):
-    # n_r = 131072 splits the per-node passes and runs the two shell sums side by side
+def test_split_radial_trace_matches_one_pass(on_cpus, monkeypatch, stops_early):
+    # n_r = 131072 splits the per-node passes and runs the two shell sums side by side;
+    # max_iters = 6 stops each descent short on purpose
     outs = _record_descents(monkeypatch)
     cfg = SolverConfig(p=4.0, max_iters=6)
     levels = []
