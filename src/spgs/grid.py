@@ -535,7 +535,8 @@ def in_sine_modes(a: np.ndarray, lam: np.ndarray, op, shift: float = 0.0) -> np.
 def boundary_mass_fraction(u: ScalarField) -> float:
     """Fraction of the mass integral u^2 carried by the outermost node layer.
 
-    Used to validate that the box truncation is benign (default gate 1e-8).
+    A small share says the box truncation is benign.  Each solve reports it
+    (`GroundStateResult.boundary_mass`, `summary.csv`); no run gates on it.
     """
     q = u.as3d ** 2
     total = float(np.sum(q))

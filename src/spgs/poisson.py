@@ -49,7 +49,7 @@ correction: the exact 7-point Dirichlet solve on the interior nodes
 values as boundary data.  The returned phi then satisfies -Lap_h(phi) =
 u^2 on interior nodes to rounding while retaining the free-space 1/|x|
 tail, and it stays positive by the discrete maximum principle.  The
-correction serves `solve_phi`'s default and the `validate` checks.  The
+correction serves `solve_phi`'s default only; no run mode calls it.  The
 uncorrected K (`residual_correction=False`) is symmetric to rounding; it
 is what the energy functional differentiates and the phi a ground state
 (`minimize.GroundStateResult`) reports.

@@ -1,9 +1,9 @@
 """Seeded random test fields.
 
-One shared family backs the validation suite and the randomized
-acceptance tests, so results are reproducible per seed.  Fields are
-smooth, decay inside the box (every component carries a Gaussian
-envelope) and are nonzero by construction.
+One shared family backs the randomized acceptance tests, so results
+are reproducible per seed.  Fields are smooth, decay inside the box
+(every component carries a Gaussian envelope) and are nonzero by
+construction.
 """
 
 from __future__ import annotations

@@ -14,6 +14,7 @@ import pytest
 
 import spgs.cli
 import spgs.minimize
+import spgs.validate
 from spgs.cli import main
 from spgs.grid import GridSpec, ScalarField, boundary_mass_fraction, read_field, write_field
 from spgs.minimize import GaussianBlob, SolverConfig, TraceRow, initial_field
@@ -333,6 +334,41 @@ def test_compare_vinf_after_unconverged_solves_is_not_strict(tmp_path, monkeypat
     assert row["strict"] == "0"
     (cmp_result,) = comparisons
     assert float(row["c_inf"]) - float(row["c"]) > cmp_result.margin
+
+
+def _validate_report(outdir: Path) -> list[str]:
+    """report.txt's lines after its `# generated` line."""
+    (path,) = outdir.glob("validate-*/report.txt")
+    return path.read_text(encoding="utf-8").splitlines()[1:]
+
+
+def test_validate_passes_each_check_on_one_line(tmp_path, capsys):
+    assert main(["validate", "--output", str(tmp_path)]) == 0
+    lines = _validate_report(tmp_path)
+    names = ["ground.positive", "ground.below-limit", "ground.monotone-in-V"]
+    assert [line.split(":")[0] for line in lines[:-1]] == [f"PASS {name}" for name in names]
+    assert lines[-1] == "3/3 checks passed"
+    assert capsys.readouterr().out.splitlines() == lines
+
+
+def test_validate_failed_check_exits_4_after_the_report(tmp_path, capsys, monkeypatch):
+    check = spgs.validate.monotone_in_v
+    monkeypatch.setattr(spgs.validate, "monotone_in_v", lambda *a: dataclasses.replace(check(*a), passed=False))
+    assert main(["validate", "--output", str(tmp_path)]) == 4
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("ERROR")]
+    assert len(errors) == 1 and errors[0].startswith("ERROR validation: ")
+    lines = _validate_report(tmp_path)
+    assert lines[2].startswith("FAIL ground.monotone-in-V: ") and lines[-1] == "2/3 checks passed"
+
+
+def test_validate_loads_no_scipy(tmp_path):
+    code = f"""
+import sys
+from spgs.cli import main
+rc = main(["validate", "--output", {str(tmp_path)!r}])
+print(rc, sorted(m for m in sys.modules if m.startswith('scipy')))
+"""
+    assert _fresh_python(code).splitlines()[-1] == "0 []"
 
 
 def test_spectral_compare_vinf_solves_both_grids_in_spectral(tmp_path, capsys, monkeypatch):

@@ -4,6 +4,7 @@ The lattice Coulomb sum of `lattice_reference` is the second
 discretization the screened solve is compared with.
 """
 
+import itertools
 import math
 import threading
 import tracemalloc
@@ -12,13 +13,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import spgs.validate
 from lattice_reference import CELL_MEAN_INVERSE_DISTANCE, _convolve_fft
 from spgs.functional import energy_breakdown
 from spgs.grid import GridSpec, ScalarField
 from spgs.poisson import _interior_defect, _lift, _screened_solve, interior_residual, solve_phi
 from spgs.potential import Constant
-from spgs.validate import run_validation
 from spgs.sampling import gaussian_blob, random_smooth_field
 from test_grid import c_ordered_eigenvalues, reference_sine_transform
 
@@ -53,15 +52,16 @@ class TestSolvePhi:
         assert interior_residual(u, phi) == 0.0
 
     def test_quadratic_scaling_entrywise(self, small_grid):
-        for u in seeded_fields(small_grid, 3, seed=5):
-            base = solve_phi(u).values
+        # both solves: K, which every run uses, and the corrected default
+        for u, correction in itertools.product(seeded_fields(small_grid, 3, seed=5), (False, True)):
+            base = solve_phi(u, correction).values
             for t in (0.5, 2.0, 3.0):
-                scaled = solve_phi(u.scaled(t)).values
+                scaled = solve_phi(u.scaled(t), correction).values
                 assert np.max(np.abs(scaled - t * t * base) / np.abs(t * t * base)) < 1e-12
 
     def test_positivity(self, small_grid):
-        for u in seeded_fields(small_grid, 5, seed=6):
-            phi = solve_phi(u).values
+        for u, correction in itertools.product(seeded_fields(small_grid, 5, seed=6), (False, True)):
+            phi = solve_phi(u, correction).values
             assert phi.min() >= -1e-10 * phi.max()
 
     def test_interior_residual_to_rounding(self, small_grid):
@@ -76,20 +76,6 @@ class TestSolvePhi:
             phi = solve_phi(on_spectral, residual_correction=correction)
             assert phi.grid.kinetic == "spectral"
             assert np.array_equal(phi.values, solve_phi(u, residual_correction=correction).values)
-
-    def test_validate_checks_the_raw_solve_but_for_the_interior_residual(self, monkeypatch):
-        # scaling and positivity check K, the solve runs use; only the four
-        # fields of poisson.interior-residual get the corrected solve
-        corrected = []
-        solve = spgs.validate.solve_phi
-
-        def recording(u, residual_correction=True):
-            corrected.append(residual_correction)
-            return solve(u, residual_correction)
-
-        monkeypatch.setattr(spgs.validate, "solve_phi", recording)
-        assert all(check.passed for check in run_validation(seed=0))
-        assert corrected.count(True) == 4 and corrected.count(False) > 16
 
     @pytest.mark.parametrize("n", [16, 48])
     def test_correction_is_the_reference_dirichlet_solve_of_the_defect(self, n):
@@ -125,6 +111,25 @@ class TestScreenedSolve:
     def test_centred_gaussian_is_exact(self):
         # a centred radial charge has a pure monopole outside field (measured 6.5e-9)
         assert abs(self.gaussian_b_error(GridSpec(L=4.0, n=64), (0.0, 0.0, 0.0), 0.5)) < 1e-7
+
+    def test_three_unequal_charges_off_centre(self):
+        # charges Q exp(-|x - c|^2 / w^2) / (pi^(3/2) w^3) against the continuum
+        # B = sum_ij Q_i Q_j erf(d_ij / s_ij) / (4 pi d_ij), s_ij^2 = w_i^2 + w_j^2,
+        # whose d -> 0 limit is Q_i Q_j / (2 pi^(3/2) s_ij) (measured -1.50e-4)
+        g = GridSpec(L=6.0, n=16)
+        charges = [(1.0, (0.0, 0.0, 0.0), 1.2), (0.5, (1.5, 0.5, 0.0), 1.0), (0.5, (-1.5, 0.0, -0.5), 1.0)]
+        density = sum(
+            q / (math.pi**1.5 * w**3) * gaussian_blob(g, c, w / math.sqrt(2.0)).values for q, c, w in charges
+        )
+        u = ScalarField(g, np.sqrt(density))
+        b = breakdown_b(u, solve_phi(u, residual_correction=False))
+        exact = 0.0
+        for qi, ci, wi in charges:
+            for qj, cj, wj in charges:
+                d, s = math.dist(ci, cj), math.hypot(wi, wj)
+                exact += qi * qj * (math.erf(d / s) / d if d else 2.0 / (math.sqrt(math.pi) * s))
+        exact /= 4.0 * math.pi
+        assert abs(b - exact) / exact < 1e-3
 
     def test_off_centre_blob_needs_the_dipole_terms(self):
         # measured -4.8e-4; the monopole terms alone give -6.7e-3

@@ -158,6 +158,15 @@ class TestCoercivity:
         assert c_bar == pytest.approx(coercivity_check(Tabulated(comp.sample(grid)), grid).c_bar)
         assert 0.5 < c_bar < 1.0
 
+    def test_grid_c_bar_falls_as_the_well_deepens(self, grid):
+        # the grid eigen-solve on tabulated copies, not the closed form
+        # (measured 0.9764 > 0.9529 > 0.9058)
+        c_bar = [
+            coercivity_check(Tabulated(CoulombSingular(1.0, lam, 1).sample(grid)), grid).c_bar
+            for lam in (0.05, 0.1, 0.2)
+        ]
+        assert c_bar[0] > c_bar[1] > c_bar[2]
+
     def test_spectral_c_bar_bounds_fd(self, grid):
         # the spectral sine-mode eigenvalues bound the fd ones from above, and
         # for V <= 1 the quotient grows with the kinetic term
