@@ -11,6 +11,21 @@ Sobolev metric, on a truncated cell-centred grid, and cross-validates
 against an independent 1-D radial discretisation that shares only the
 optimiser.
 
+A grid with `symmetry="octant"` stores the positive octant of the box,
+an eighth of its nodes, and solves in the subspace of fields that equal
+their mirror images in x, y and z; every 3-D layer then runs in that
+basis (see `spgs.grid`).  Library calls keep the full box unless asked.
+The CLI picks the octant for a run with one start whose sampled
+potential and start both equal their mirror images bit for bit: a
+radial well from a centred start does wherever the node coordinates
+mirror exactly (L = 4 at n = 16, 32 and 64, L = 6 at n = 16, 24, 32,
+48, 64 and 96, but not L = 4 at n = 24, 48 or 96).  Its field dumps
+are unfolded to the full box.  By Palais' principle of symmetric
+criticality (Comm. Math. Phys. 69 (1979) 19-30) a critical point found
+there is a critical point of the action, so `converged` keeps its
+meaning, but its level is the least over mirror-even states:
+c_oct >= c_box.
+
 The 3-D path resolves levels only up to about p = 4.2-4.3 on affordable
 grids (up to n = 96 at L = 4, h = 0.083).  The ground state's core
 narrows as p -> 5, and holding the mesh widths per core half-width that

@@ -25,7 +25,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .config import MODES, RunConfig, apply_assignments, canonical_text, describe_keys, parse_config
@@ -44,7 +44,7 @@ from .potential import Constant, Potential
 # trace.csv has one column per TraceRow field, in field order
 _TRACE_FIELDS = tuple(f.name for f in fields(TraceRow))
 SUMMARY_HEADER = (
-    "L,n,potential,p,tol,max_iters,seed,kinetic,c_estimate,residual_norm,iterations,converged,"
+    "L,n,potential,p,tol,max_iters,seed,kinetic,symmetry,c_estimate,residual_norm,iterations,converged,"
     "boundary_mass,pohozaev"
 )
 
@@ -90,6 +90,7 @@ def _summary_row(cfg: RunConfig, potential_echo: str, result: GroundStateResult)
             str(cfg.solver_max_iters),
             str(cfg.solver_seed),
             cfg.grid_kinetic,
+            result.u.grid.symmetry,
             repr(result.c_estimate),
             repr(result.residual_norm),
             str(result.iterations),
@@ -126,17 +127,25 @@ def _build(cfg: RunConfig) -> tuple[Potential, SolverConfig, GridSpec, ScalarFie
     `RunConfig.validate`, this holds in every mode, also in sweep-lambda,
     which replaces the potential by constants.  The solves on the run grid
     start from the field built here, so a field dump is read once per run.
+
+    The run goes onto the octant box (`GridSpec.symmetry`) when it has one
+    start and both the sampled potential and the initial field equal
+    their mirror images in x, y and z bit for bit; the start is then its
+    positive octant.
     """
     try:
         grid = cfg.build_grid()
         solver = cfg.build_solver()
         potential = cfg.build_potential()
-        potential.sample(grid)
+        v = potential.sample(grid)
         u0 = initial_field(solver.init, grid, potential.v_infinity(), solver.p)
     except (OSError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
     if not u0.values.any():
         raise ConfigError("solver.init: the initial field is zero on every node of the grid")
+    if solver.starts == 1 and v.mirror_even and u0.mirror_even:
+        grid = replace(grid, symmetry="octant")
+        u0 = u0.on(grid, "initial field")
     return potential, solver, grid, u0
 
 
@@ -146,7 +155,7 @@ def _run_solve(cfg: RunConfig, outdir: Path) -> int:
     _write_result(cfg, outdir, result)
     print(
         f"c_estimate = {result.c_estimate!r}  residual = {result.residual_norm:.3e}  "
-        f"iterations = {result.iterations}  converged = {result.converged}  "
+        f"iterations = {result.iterations}  converged = {result.converged}  box = {result.u.grid.symmetry}  "
         f"boundary_mass = {result.boundary_mass:.3e}  pohozaev = {result.pohozaev:+.3e}"
     )
     return 0
@@ -271,7 +280,15 @@ def build_parser() -> argparse.ArgumentParser:
             "The 3-D path resolves levels only up to about p = 4.2-4.3 on affordable grids\n"
             "(up to n = 96 at L = 4, h = 0.083): the ground state's core narrows as p -> 5.\n"
             "That limit is an estimate from interpolated radial core half-widths, not a\n"
-            "measurement."
+            "measurement.\n\n"
+            "A run with solver.starts = 1 whose sampled potential and initial field both\n"
+            "equal their mirror images in x, y and z bit for bit (a radial well from a\n"
+            "centred start, or such a table or dump) solves on the octant box, an eighth\n"
+            "of the nodes.  summary.csv's symmetry column and the solve line (box =\n"
+            "octant or none) say which box ran.  Its level is the least over mirror-even\n"
+            "states, so it lies at or above the full box's: lattice spikes and a saddle's\n"
+            "odd modes are out of its reach, and a check of them needs the unfolded state.\n"
+            "Field dumps (u.field, phi.field) always hold the full box."
         ),
         epilog="config keys and defaults:\n  " + "\n  ".join(describe_keys()),
         formatter_class=argparse.RawDescriptionHelpFormatter,

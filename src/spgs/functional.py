@@ -25,10 +25,10 @@ descent loop and is testable by central differences.
 Each evaluated field gets one -Lap u, from `grid.minus_laplacian` in the
 kinetic of u's grid, and the kinetic energy, the H^1 norm and the
 residual all come from it, in one pass over the nodes.  Above
-`grid._BLOCK_BYTES` (n >= 42) that pass runs in two halves, the second
-on the grid module's helper thread; each sum splits where numpy's
-pairwise summation does, so the values are the one thread's bit for
-bit.  The preconditioner inverts -Lap + 1 in the kinetic of r's grid.
+`grid._BLOCK_BYTES` (m >= 42 stored nodes per axis) that pass runs in
+two halves, the second on the grid module's helper thread; each sum
+splits where numpy's pairwise summation does, so the values are the
+one thread's bit for bit.  The preconditioner inverts -Lap + 1 in the kinetic of r's grid.
 Nothing here names a kinetic: the field's grid carries it.  The
 potential comes in sampled, as a `ScalarField` on u's grid
 (`Potential.sample`); nothing here samples it.
@@ -110,14 +110,16 @@ class EnergyBreakdown:
 def _evaluate(u: ScalarField, V: ScalarField, p: float, phi: ScalarField | None, residual: bool = False):
     """(breakdown, residual values or None, residual norm or None) at u from one -Lap u.
 
-    The breakdown's h1 is sqrt(h^3 <u, -Lap u> + h^3 sum u^2).
+    Each sum over the stored nodes is weighted by `GridSpec.weight`, h^3
+    (8 h^3 on the octant); the breakdown's h1 is
+    sqrt(w <u, -Lap u> + w sum u^2).
     `grid._on_halves` runs one task on each half of the nodes; it takes
     the five sums of the breakdown and, with `residual`, the residual's
     nodes and the sum of their squares, in a scratch field allocated
     here, so the helper thread allocates no array.  The halves' sums
     added are the one-pass sums bit for bit."""
     g = u.grid
-    w = g.h**3
+    w = g.weight
     if V.grid != g:
         raise ValueError("potential field lives on a different grid")
     if phi is None:
@@ -198,4 +200,4 @@ def precondition(r: ScalarField) -> ScalarField:
     """
     g = r.grid
     lam = dirichlet_eigenvalues(g.n, g.h, g.kinetic)
-    return ScalarField.from_3d(g, in_sine_modes(r.as3d, lam, np.divide, 1.0))
+    return ScalarField.from_3d(g, in_sine_modes(r.as3d, lam, np.divide, 1.0, g.octant))

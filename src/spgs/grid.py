@@ -23,6 +23,23 @@ and node values, not an operator; `ScalarField.on` puts its values on
 the run's grid.  A field's integrals, the action's terms and its H^1
 norm, come from one pass in `functional.energy_breakdown`.
 
+The octant box.  A field that equals its mirror images in x, y and z (a
+radial well's state from a centred start) is fixed by its positive
+octant, so a grid with `symmetry="octant"` keeps the box's L, n and h
+but stores m = n/2 nodes per axis, the upper half of the full axis bit
+for bit, and weighs each node 8 h^3 (`GridSpec.weight`).  Every layer
+runs in the mirror-even basis there: the sine transforms keep the odd
+modes k = 1, 3, ..., n - 1 (`sine_transform`), whose eigenvalues are the
+odd-index entries of the full axis's table, and the fd stencil takes the
+node's own value as the ghost beyond each centre face.  So an operator
+of the octant is the full box's on mirror-even fields, to rounding.
+`ScalarField.on` folds a mirror-even full-box field onto the octant
+(and refuses any other) and unfolds an octant field; `write_field` and
+`boundary_mass_fraction` see the unfolded field.  By Palais' principle
+of symmetric criticality a critical point found in the mirror-even
+subspace is one of the full action, but the octant's least level is the
+least over mirror-even states only.
+
 Every n^3 pass of the package runs on two cores through one primitive,
 `_on_halves(task, size, unit)`.  `_halves` cuts the pass's `size` items
 of `unit` float64 values each (a flat array's values, or a block's
@@ -58,15 +75,15 @@ it does not inherit, and starts its own when it first splits.
 
 Dump format (bit-exact round trip): one ASCII header line
 ``SPGS1 n=<n> L=<decimal> staggered=1\\n`` followed by n^3
-little-endian IEEE float64 values, x-fastest.  Dumps of the retired
-nodal layout, headed ``staggered=0``, are refused.
+little-endian IEEE float64 values, x-fastest, always of the full box.
+Dumps of the retired nodal layout, headed ``staggered=0``, are refused.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Callable
@@ -75,9 +92,12 @@ import numpy as np
 
 # kinetic discretisations of -Lap, all diagonal in the DST-I sine modes
 KINETICS = ("fd", "spectral")
+# stored parts of the box: all of it, or the positive octant of a mirror-even field
+SYMMETRIES = ("none", "octant")
 
 # `_halves` does not split a pass over at most this many bytes: a 3-D field
-# of n <= 40 or a radial mesh of n_r <= 65,536 stays on the caller's thread,
+# of at most 40 stored nodes per axis (n <= 40, or n <= 80 on the octant) or
+# a radial mesh of n_r <= 65,536 stays on the caller's thread,
 # where handing half of a cache-sized pass to the helper costs more than the
 # second core saves.  `_slabs` cuts a half into slabs of z planes of about
 # this size, for `poisson`'s scratch passes and `in_sine_modes`'s eigenvalues.
@@ -280,11 +300,18 @@ class GridSpec:
         nodes.
     kinetic : str
         The -Lap of fields on this grid, one of the `KINETICS`.
+    symmetry : str
+        One of the `SYMMETRIES`: "none" stores every node of the box,
+        "octant" the m = n/2 nodes per axis of its positive octant, for
+        fields that equal their mirror images in x, y and z.  The box's L,
+        n and h stay; `m` and `axis` are the stored nodes', and `weight`
+        is the quadrature weight of one stored node.
     """
 
     L: float
     n: int
     kinetic: str = "fd"
+    symmetry: str = "none"
 
     def __post_init__(self) -> None:
         if not 0 < self.L < np.inf:
@@ -295,19 +322,43 @@ class GridSpec:
             raise ValueError(f"need even n, otherwise a node lands on the origin; got n={self.n}")
         if self.kinetic not in KINETICS:
             raise ValueError(f"kinetic must be one of {KINETICS}, got kinetic={self.kinetic!r}")
+        if self.symmetry not in SYMMETRIES:
+            raise ValueError(f"symmetry must be one of {SYMMETRIES}, got symmetry={self.symmetry!r}")
 
     @property
     def h(self) -> float:
         return 2.0 * self.L / self.n
 
     @property
+    def octant(self) -> bool:
+        return self.symmetry == "octant"
+
+    @property
+    def full(self) -> "GridSpec":
+        """The grid of the whole box, with this grid's kinetic."""
+        return replace(self, symmetry="none")
+
+    @property
+    def m(self) -> int:
+        """Stored nodes per axis: n, or n/2 on the octant."""
+        return self.n // 2 if self.octant else self.n
+
+    @property
+    def weight(self) -> float:
+        """Quadrature weight of a stored node: h^3, or 8 h^3 on the octant, whose nodes stand for eight."""
+        return (8.0 if self.octant else 1.0) * self.h**3
+
+    @property
     def num_nodes(self) -> int:
-        return self.n**3
+        return self.m**3
 
     @cached_property
     def axis(self) -> np.ndarray:
-        """Node coordinates along one axis (shared by x, y, z)."""
-        j = np.arange(self.n, dtype=np.float64)
+        """Stored node coordinates along one axis (shared by x, y, z).
+
+        On the octant, the upper half of the full axis, bit for bit.
+        """
+        j = np.arange(self.n - self.m, self.n, dtype=np.float64)
         c = -self.L + (j + 0.5) * self.h
         c.setflags(write=False)
         return c
@@ -318,9 +369,9 @@ class GridSpec:
 
     @property
     def radius(self) -> np.ndarray:
-        """|x| at every node, shape (n, n, n), axes (x, y, z).
+        """|x| at every stored node, shape (m, m, m), axes (x, y, z).
 
-        Built on each use from the squared axis, so no n^3 array outlives
+        Built on each use from the squared axis, so no m^3 array outlives
         its caller; the sums run in the order x^2 + y^2 + z^2.
         """
         a2 = self.axis * self.axis
@@ -330,7 +381,7 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Real field sampled on a GridSpec, flat storage in x-fastest order."""
+    """Real field sampled on the stored nodes of a GridSpec, flat storage in x-fastest order."""
 
     grid: GridSpec
     values: np.ndarray
@@ -339,7 +390,7 @@ class ScalarField:
         v = np.ascontiguousarray(self.values, dtype=np.float64).reshape(-1)
         if v.size != self.grid.num_nodes:
             raise ValueError(
-                f"field length {v.size} does not match grid with n^3={self.grid.num_nodes}"
+                f"field length {v.size} does not match grid with m^3={self.grid.num_nodes}"
             )
         if not np.all(np.isfinite(v)):
             raise ValueError("field values must all be finite")
@@ -348,9 +399,17 @@ class ScalarField:
 
     @property
     def as3d(self) -> np.ndarray:
-        """(n, n, n) view with axes (x, y, z); x is the fastest flat index."""
-        n = self.grid.n
-        return self.values.reshape((n, n, n), order="F")
+        """(m, m, m) view with axes (x, y, z); x is the fastest flat index."""
+        m = self.grid.m
+        return self.values.reshape((m, m, m), order="F")
+
+    @property
+    def mirror_even(self) -> bool:
+        """Whether the values equal their mirror images in x, y and z; always so on the octant."""
+        if self.grid.octant:
+            return True
+        a = self.as3d
+        return all(np.array_equal(a, np.flip(a, axis)) for axis in range(3))
 
     @classmethod
     def from_function(
@@ -371,13 +430,27 @@ class ScalarField:
         return ScalarField(self.grid, t * self.values)
 
     def on(self, grid: GridSpec, what: str = "field") -> "ScalarField":
-        """These node values on `grid`, which must have this field's box (L, n); the kinetic is grid's."""
+        """These node values on `grid`, which must have this field's box (L, n); the kinetic is grid's.
+
+        A full-box field goes onto an octant grid as its positive octant,
+        and only when it is `mirror_even`; an octant field goes onto a
+        full grid as its mirror-even extension.
+        """
         g = self.grid
         if (g.L, g.n) != (grid.L, grid.n):
             raise ValueError(
                 f"{what} box (L={g.L}, n={g.n}) does not match the run grid (L={grid.L}, n={grid.n})"
             )
-        return self if g == grid else ScalarField(grid, self.values)
+        if g.symmetry == grid.symmetry:
+            return self if g == grid else ScalarField(grid, self.values)
+        if grid.octant:
+            if not self.mirror_even:
+                raise ValueError(f"{what} does not equal its mirror images in x, y and z, so the octant cannot hold it")
+            k = g.n // 2
+            return ScalarField.from_3d(grid, self.as3d[k:, k:, k:])
+        # full index j holds octant index |j - (n - 1)/2| - 1/2
+        mirror = np.concatenate([np.arange(g.m)[::-1], np.arange(g.m)])
+        return ScalarField.from_3d(grid, self.as3d[np.ix_(mirror, mirror, mirror)])
 
 
 @lru_cache(maxsize=16)
@@ -410,42 +483,73 @@ def _sine_matrix(m: int) -> np.ndarray:
     return s
 
 
-def sine_transform(a: np.ndarray, inverse: bool = False, overwrite: bool = False) -> np.ndarray:
+@lru_cache(maxsize=8)
+def _octant_sine_matrix(m: int, inverse: bool) -> tuple[np.ndarray, np.ndarray]:
+    """P and P^T of the octant transform: P = 2S forwards, S^T inverse (unscaled).
+
+    S_il = 2 sin(pi (2l + 1)(m + 1 + i) / (n + 1)), n = 2m: row i is the
+    stored node m + i of an n-node axis (0-based), column l the odd mode
+    k = 2l + 1.  A mirror-even axis has no even-mode coefficient, and its
+    odd ones are 2 sum_i S_il a_i, since the node and its mirror image
+    carry equal terms; S S^T = (n + 1) I, so S^T scaled by 1/(2(n + 1))
+    inverts.  Cached, contiguous and read-only.
+    """
+    n = 2 * m
+    s = 2.0 * np.sin(np.pi * np.outer(np.arange(m + 1, n + 1), np.arange(1, n, 2)) / (n + 1))
+    p = s.T if inverse else 2.0 * s
+    out = np.ascontiguousarray(p), np.ascontiguousarray(p.T)
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+def sine_transform(
+    a: np.ndarray, inverse: bool = False, overwrite: bool = False, octant: bool = False
+) -> np.ndarray:
     """Unnormalised 3-D DST-I of an (m, m, m) block, scipy.fft.dstn(a, type=1).
 
-    Runs as three products with the sine matrix S of `_sine_matrix`, one
-    per axis, each as m slab-by-slab products.  S is symmetric and
-    S S = 2(m + 1) I, so `inverse=True` (idstn) is the same three products
-    scaled by (2(m + 1))^-3.  The block is read as a C-ordered [k, j, i]
-    array (an F-ordered one through its transpose, which is how x-fastest
-    field storage comes in), where the three products need no transpose
-    or copy; the result has the input's memory order.  The transform is
-    the same along every axis, so the axis order of the block does not
-    matter.
+    Runs as three products with a one-axis matrix P, out_l = sum_i a_i P_il
+    along each axis, each as m slab-by-slab products.  On the full box P
+    is the sine matrix S of `_sine_matrix`, symmetric with S S = 2(m + 1) I,
+    so `inverse=True` (idstn) is the same three products scaled by
+    (2(m + 1))^-3.  With `octant` the block is the positive octant of a
+    mirror-even field on an n = 2m box, and the transform gives the odd
+    modes k = 1, 3, ..., n - 1 of its full DST-I, to rounding: P is
+    `_octant_sine_matrix`, and the inverse is scaled by (2(n + 1))^-3.
+    The block is read as a C-ordered [k, j, i] array (an F-ordered one
+    through its transpose, which is how x-fastest field storage comes
+    in), where the three products need no transpose or copy; the result
+    has the input's memory order.  The transform is the same along every
+    axis, so the axis order of the block does not matter.
 
-    The products run in two passes: t[k] = S (c[k] S) for every slab k,
-    then, once all of t is formed, out[:, j] = S t[:, j] for every j.
+    The products run in two passes: t[k] = P^T (c[k] P) for every slab k,
+    then, once all of t is formed, out[:, j] = P^T t[:, j] for every j.
     Each pass runs on the two halves of its m slabs of m^2 values
     (`_on_halves`).  Each slab is one product, computed whole by one
     half, so the result does not depend on the split.  With `overwrite` the first pass writes t over the block it
     has read, whose values are then lost, instead of into a new array.
     """
     m = a.shape[0]
-    s = _sine_matrix(m)
+    if octant:
+        p, pt = _octant_sine_matrix(m, inverse)
+        size = 2 * m
+    else:
+        p = pt = _sine_matrix(m)
+        size = m
     flip = a.flags.f_contiguous and not a.flags.c_contiguous
     c = np.ascontiguousarray(a.T if flip else a)
     t = c if overwrite and c.flags.writeable else np.empty_like(c)
     out = np.empty_like(c)
-    scale = 1.0 / (2.0 * (m + 1)) ** 3
+    scale = 1.0 / (2.0 * (size + 1)) ** 3
 
     def rows(sl):
         # out holds the slabs' first products until the second pass overwrites it
-        np.matmul(c[sl], s, out=out[sl])
-        np.matmul(s, out[sl], out=t[sl])
+        np.matmul(c[sl], p, out=out[sl])
+        np.matmul(pt, out[sl], out=t[sl])
 
     def columns(sl):
         dst = out[:, sl]
-        np.matmul(s, t[:, sl].transpose(1, 0, 2), out=dst.transpose(1, 0, 2))
+        np.matmul(pt, t[:, sl].transpose(1, 0, 2), out=dst.transpose(1, 0, 2))
         if inverse:
             dst *= scale
 
@@ -464,20 +568,23 @@ def minus_laplacian(u: ScalarField) -> ScalarField:
     half adds each neighbour as one contiguous shift of its flat values,
     writes only its own planes and reads the neighbours from the
     unchanged input, so every node sums the same terms in the same order
-    as in one pass.
+    as in one pass.  On the octant the neighbour beyond a centre face is
+    the node's mirror image, whose value is the node's own (a mirror
+    ghost); beyond an outer face it is a zero ghost.
     """
     g = u.grid
     if g.kinetic == "fd":
-        n, a = g.n, u.values
-        plane = n * n
+        m, a = g.m, u.values
+        plane = m * m
         out = np.empty(a.size)
-        out3 = out.reshape((n, n, n), order="F")
+        out3 = out.reshape((m, m, m), order="F")
+        a3 = a.reshape((m, m, m), order="F")
 
         def planes(sl):
             # the six neighbours summed in place, in the order x+, x-, y+, y-, z+, z-,
-            # each as one shift of the half's flat values; a neighbour beyond the box
-            # is a zero ghost, so the nodes where a shift wraps to the next row or
-            # plane keep the values they had before it
+            # each as one shift of the half's flat values; the nodes where a shift
+            # wraps to the next row or plane keep the values they had before it,
+            # plus the node's own on the octant's centre faces
             lo, hi = sl.start * plane, sl.stop * plane
             b, o, o3 = a[lo:hi], out[lo:hi], out3[:, :, sl]
             o[:-1] = b[1:]
@@ -485,38 +592,51 @@ def minus_laplacian(u: ScalarField) -> ScalarField:
             kept = o3[0].copy()
             o[1:] += b[:-1]
             o3[0] = kept
+            if g.octant:
+                o3[0] += a3[0, :, sl]
             kept = o3[:, -1].copy()
-            o[:-n] += b[n:]
+            o[:-m] += b[m:]
             o3[:, -1] = kept
             kept = o3[:, 0].copy()
-            o[n:] += b[:-n]
+            o[m:] += b[:-m]
             o3[:, 0] = kept
+            if g.octant:
+                o3[:, 0] += a3[:, 0, sl]
             top = min(hi, a.size - plane)
             out[lo:top] += a[lo + plane : top + plane]
             bottom = max(lo, plane)
             out[bottom:hi] += a[bottom - plane : hi - plane]
+            if g.octant and lo == 0:
+                out[:plane] += a[:plane]
             o -= 6.0 * b
             o /= -(g.h**2)
 
-        _on_halves(planes, n, plane)
+        _on_halves(planes, m, plane)
         return ScalarField(g, out)
     lam = dirichlet_eigenvalues(g.n, g.h, g.kinetic)
-    return ScalarField.from_3d(g, in_sine_modes(u.as3d, lam, np.multiply))
+    return ScalarField.from_3d(g, in_sine_modes(u.as3d, lam, np.multiply, octant=g.octant))
 
 
-def in_sine_modes(a: np.ndarray, lam: np.ndarray, op, shift: float = 0.0) -> np.ndarray:
+def in_sine_modes(
+    a: np.ndarray, lam: np.ndarray, op, shift: float = 0.0, octant: bool = False
+) -> np.ndarray:
     """idst(op(dst(a), table)) of an F-ordered (m, m, m) block, as an F-ordered block.
 
     The table entry of the mode (i, j, k) is (lam[i] + lam[j]) + lam[k],
     plus `shift` in a step of its own, with lam the one-axis
     `dirichlet_eigenvalues`; `op` is np.multiply (apply the operator) or
-    np.divide (invert it).  op runs in place on the coefficients, in
+    np.divide (invert it).  With `octant` the block is the positive
+    octant of a mirror-even field and lam the table of its whole axis of
+    2m nodes, whose odd modes k = 1, 3, ... (lam[::2]) the transform keeps
+    (`sine_transform`).  op runs in place on the coefficients, in
     halves of the k planes (`_on_halves`); each half forms its entries
     slab by slab in a scratch of about `_BLOCK_BYTES`, so no m^3 table is
     built.  The inverse transform works in the coefficients' memory.
     """
     m = a.shape[0]
-    coeff = sine_transform(np.asfortranarray(a))
+    if octant:
+        lam = lam[::2]
+    coeff = sine_transform(np.asfortranarray(a), octant=octant)
     # F-ordered, so its transpose is the C-ordered [k, j, i] view
     planes = coeff.T
     lam_ji = np.add.outer(lam, lam)
@@ -529,7 +649,7 @@ def in_sine_modes(a: np.ndarray, lam: np.ndarray, op, shift: float = 0.0) -> np.
             op(planes[sl], t, out=planes[sl])
 
     _on_halves(share, m, m * m)
-    return sine_transform(coeff, inverse=True, overwrite=True)
+    return sine_transform(coeff, inverse=True, overwrite=True, octant=octant)
 
 
 def boundary_mass_fraction(u: ScalarField) -> float:
@@ -537,8 +657,9 @@ def boundary_mass_fraction(u: ScalarField) -> float:
 
     A small share says the box truncation is benign.  Each solve reports it
     (`GroundStateResult.boundary_mass`, `summary.csv`); no run gates on it.
+    An octant field is measured on the full box, as `write_field` dumps it.
     """
-    q = u.as3d ** 2
+    q = u.on(u.grid.full).as3d ** 2
     total = float(np.sum(q))
     if total == 0.0:
         return 0.0
@@ -562,7 +683,11 @@ def radialize(u: ScalarField) -> ScalarField:
 
 
 def write_field(u: ScalarField, path: str | Path) -> None:
-    """Dump a field: ASCII header then raw little-endian float64, x-fastest."""
+    """Dump a field: ASCII header then raw little-endian float64, x-fastest.
+
+    An octant field is dumped on the full box, as its mirror-even extension.
+    """
+    u = u.on(u.grid.full)
     g = u.grid
     header = f"SPGS1 n={g.n} L={g.L!r} staggered=1\n"
     with open(path, "wb") as fh:

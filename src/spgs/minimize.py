@@ -235,9 +235,13 @@ def initial_field(init: InitSpec | ScalarField, grid: GridSpec, v_inf: float, p:
 
     A blob without a width takes `ritz_width(v_inf, p, grid.h, grid.L)`.
     A field or dump must have the run grid's box, and its values take the
-    run grid's kinetic.
+    run grid's kinetic (`ScalarField.on`).  An octant grid holds a blob
+    centred at the origin and a field equal to its mirror images only,
+    and raises ValueError for any other.
     """
     if isinstance(init, GaussianBlob):
+        if grid.octant and any(init.center):
+            raise ValueError(f"an octant grid holds only blobs centred at the origin, got center={init.center}")
         return gaussian_blob(grid, init.center, _blob_width(init, v_inf, p, grid.h, grid.L))
     return (init if isinstance(init, ScalarField) else read_field(init)).on(grid, "initial field")
 
@@ -423,9 +427,15 @@ def find_ground_state(
     cfg.coercivity_override), ZeroFieldError for a zero initial field,
     NoDescentError when backtracking stalls along the preconditioned
     gradient or floor steps stop lowering the residual (`_descend`),
-    ValueError for a u0 on another grid.  Hitting max_iters is not an
-    error: the best iterate is returned flagged converged=False.
+    ValueError for a u0 on another grid.  On an octant grid
+    (`GridSpec.symmetry`) the descent runs in the mirror-even subspace;
+    it raises ValueError for starts > 1 and for a start or potential
+    that is not mirror-even (`initial_field`, `Potential.sample`).
+    Hitting max_iters is not an error: the best iterate is returned
+    flagged converged=False.
     """
+    if grid.octant and cfg.starts > 1:
+        raise ValueError(f"an octant grid runs one centred start, got starts={cfg.starts}")
     v_inf = V.v_infinity()
     inits = [initial_field(cfg.init if u0 is None else u0, grid, v_inf, cfg.p)]
     if not cfg.coercivity_override:
@@ -468,7 +478,7 @@ def find_ground_state(
     u, eb, phi, rnorm, iterations, trace, status = best
 
     # the Pohozaev defect from the breakdown eb of u and two more weighted sums of u^2
-    w = grid.h**3
+    w = grid.weight
     u2 = u.as3d * u.as3d
     xdv = V.virial(grid.radius)
     virial = math.nan if xdv is None else w * float(np.sum(xdv * u2))
@@ -511,12 +521,12 @@ class VinfComparison:
 def _limit_ray_max(V: Potential, limit: GroundStateResult) -> float:
     """max_t I_V(t u_inf), u_inf the limit problem's ground state, from its breakdown.
 
-    B and C are u_inf's, and A1_V = A1_inf + h^3 sum (V - V_inf) u_inf^2:
-    one fiber root, no Poisson solve and no -Lap.
+    B and C are u_inf's, and A1_V = A1_inf + w sum (V - V_inf) u_inf^2 with
+    w the grid's `weight`: one fiber root, no Poisson solve and no -Lap.
     """
     u, eb = limit.u, limit.breakdown
     dv = V.sample(u.grid).values - V.v_infinity()
-    a1 = eb.A1 + u.grid.h**3 * float(np.sum(dv * (u.values * u.values)))
+    a1 = eb.A1 + u.grid.weight * float(np.sum(dv * (u.values * u.values)))
     t = _solve_fiber(a1, eb.B, eb.C, eb.p)
     return float(ray_profile(EnergyBreakdown(a1, eb.B, eb.C, eb.p), np.asarray(t)))
 

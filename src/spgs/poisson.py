@@ -31,9 +31,16 @@ symmetry <H_0, s> = <Phi_g, q> - Q <Phi_g, g> - <g, w> and <H_i, s> =
 pairings <Phi_g, g> and <x f, g_x> taken once per box, and the
 g-weighted moments of the one sine solve w = S s.
 
-Only Phi_g and f are cached, per box (L, n) whatever its kinetic,
-C-ordered [z, y, x], so they walk in the memory order of x-fastest
-fields.  Node radii are r = (h/2)
+On the octant box (`grid.GridSpec.symmetry`) the charge is mirror-even,
+so p = 0 exactly and <x_i f, q> = <g_i, w> = 0: every dipole term
+vanishes, the lift is the monopole Q g alone, and K q = S s + Q Phi_g +
+<H_0, s>, with S the octant's odd-mode sine solve and every pairing
+weighted 8 h^3 (`GridSpec.weight`).  That is the full box's K on
+mirror-even charges, to rounding.
+
+Only Phi_g and f are cached, per stored grid (L, n, symmetry) whatever
+its kinetic, C-ordered [z, y, x], so they walk in the memory order of
+x-fastest fields; the octant needs no f.  Node radii are r = (h/2)
 sqrt(k) with k = sum of (2j + 1 - n)^2 over the three axes, an integer
 8m + 3, so both tables are gathered from `math.erf` at the few values
 of m up to the largest: no scipy on the 3-D path.  g enters only
@@ -45,7 +52,8 @@ depend on the split.  No n^3 reduction goes through BLAS (see `grid`).
 K approximates the continuum operator, so its 7-point discrete residual
 is O(1) near the source.  `solve_phi` therefore adds a defect
 correction: the exact 7-point Dirichlet solve on the interior nodes
-(`grid.in_sine_modes` with the fd eigenvalues of that block), keeping K's
+(`grid.in_sine_modes` with the fd eigenvalues of that block; on the
+octant, every stored node but the outer layer), keeping K's
 values as boundary data.  The returned phi then satisfies -Lap_h(phi) =
 u^2 on interior nodes to rounding while retaining the free-space 1/|x|
 tail, and it stays positive by the discrete maximum principle.  The
@@ -76,10 +84,13 @@ from .grid import (
 
 @dataclass(frozen=True)
 class _Lift:
-    """Per-box data of K: the two cached tables, g's 1-D factors and two pairings."""
+    """Per-box data of K: the cached tables, g's 1-D factors and the pairings.
+
+    On the octant, f and <x f, g_x> serve no term, and are None and NaN.
+    """
 
     phi_g: np.ndarray  # Phi_g, C-ordered [z, y, x]
-    f: np.ndarray  # f, C-ordered [z, y, x]
+    f: np.ndarray | None  # f, C-ordered [z, y, x]
     a: np.ndarray  # g = a(z) a(y) a(x)
     xa: np.ndarray  # x a(x)
     slope: float  # 2 / sigma^2, so g_i = slope * x_i g
@@ -107,31 +118,34 @@ def _dipole(cell: float, along_x: np.ndarray, plane: np.ndarray, even, odd) -> n
 
 
 @lru_cache(maxsize=4)
-def _lift(L: float, n: int) -> _Lift:
-    """Phi_g and f on the nodes of the box (L, n), g's 1-D factors and the pairings, built once per box.
+def _lift(L: float, n: int, symmetry: str) -> _Lift:
+    """Phi_g and f on the stored nodes of the grid (L, n, symmetry), g's 1-D factors and the pairings.
 
-    None of it depends on the kinetic, so the grids of one box share it.
+    Built once per stored grid; none of it depends on the kinetic, so the
+    grids of one box and symmetry share it.
     """
-    grid = GridSpec(L, n)
-    h, sigma, x = grid.h, L / 4.0, grid.axis
+    grid = GridSpec(L, n, symmetry=symmetry)
+    h, sigma, x, cell = grid.h, L / 4.0, grid.axis, grid.weight
     # (2j + 1 - n)^2 is an odd square 8T + 1, so the nodes' k = 8m + 3, m = T_x + T_y + T_z
-    odd = np.abs(2 * np.arange(n) + 1 - n)
+    odd = np.abs(2 * np.arange(n - grid.m, n) + 1 - n)
     tri = (odd * odd - 1) // 8
     m = np.arange(3 * int(tri.max()) + 1)
     r = 0.5 * h * np.sqrt(8.0 * m + 3.0)
     erf = np.array([math.erf(v / sigma) for v in r])
     z = r / sigma
     phi_r = erf / (4.0 * math.pi * r)
-    f_r = (erf - (2.0 / math.sqrt(math.pi)) * z * np.exp(-z * z)) / (4.0 * math.pi * r**3)
     key = tri[:, None, None] + tri[None, :, None] + tri[None, None, :]
-    phi_g, f = phi_r.take(key), f_r.take(key)
-    del key
+    phi_g = phi_r.take(key)
     phi_g.setflags(write=False)
-    f.setflags(write=False)
-
     a = np.exp(-((x / sigma) ** 2)) / (math.sqrt(math.pi) * sigma)
-    xa, slope, cell = x * a, 2.0 / sigma**2, h**3
+    xa, slope = x * a, 2.0 / sigma**2
     phi_g_g = cell * float(np.einsum("zyx,z,y,x->", phi_g, a, a, a))
+    if grid.octant:
+        return _Lift(phi_g, None, a, xa, slope, phi_g_g, math.nan)
+    f_r = (erf - (2.0 / math.sqrt(math.pi)) * z * np.exp(-z * z)) / (4.0 * math.pi * r**3)
+    f = f_r.take(key)
+    del key
+    f.setflags(write=False)
     xf_gx = cell * slope * float(np.einsum("zyx,z,y,x->", f, a, a, x * xa))
     return _Lift(phi_g, f, a, xa, slope, phi_g_g, xf_gx)
 
@@ -141,86 +155,106 @@ def _screened_solve(q: np.ndarray, grid: GridSpec) -> np.ndarray:
 
     Returns the flat x-fastest values of K q.  Working on the C-ordered
     [z, y, x] view of q: one slab pass takes the planes' sums over x of
-    q, x q, Phi_g q, f q and x f q; a second turns q into s in place;
+    q, Phi_g q, x q, f q and x f q; a second turns q into s in place;
     the sine solve w = S s follows; a third pass takes the sums over x of
     a w and x a w; the last adds the remaining terms of K to w in place.
-    A call allocates the field the sine solve returns and, per half, a
-    slab of scratch.
+    On the octant the charge is even, so p = 0 and every x_i term
+    vanishes: the passes skip x q, f q, x f q and x a w, and the last
+    adds Q Phi_g + <H_0, s> alone.  A call allocates the field the sine
+    solve returns and, per half, a slab of scratch.
     """
-    n = grid.n
-    cell = grid.h**3
-    lift = _lift(grid.L, grid.n)
+    n, m, even = grid.n, grid.m, grid.octant
+    cell = grid.weight
+    lift = _lift(grid.L, grid.n, grid.symmetry)
     x, a, xa = grid.axis, lift.a, lift.xa
-    src = q.reshape((n, n, n))
-    # per plane (z, y), summed over x: q, x q, Phi_g q, f q and x f q
-    planes = np.empty((5, n, n))
+    src = q.reshape((m, m, m))
+    # per plane (z, y), summed over x: q, Phi_g q, then on the full box x q, f q and x f q
+    planes = np.empty((2 if even else 5, m, m))
 
     def moments(sl):
-        s, f = src[sl], lift.f[sl]
+        s = src[sl]
         np.einsum("zyx->zy", s, out=planes[0, sl])
-        np.einsum("zyx,x->zy", s, x, out=planes[1, sl])
-        np.einsum("zyx,zyx->zy", lift.phi_g[sl], s, out=planes[2, sl])
-        np.einsum("zyx,zyx->zy", f, s, out=planes[3, sl])
-        np.einsum("zyx,zyx,x->zy", f, s, x, out=planes[4, sl])
+        np.einsum("zyx,zyx->zy", lift.phi_g[sl], s, out=planes[1, sl])
+        if not even:
+            f = lift.f[sl]
+            np.einsum("zyx,x->zy", s, x, out=planes[2, sl])
+            np.einsum("zyx,zyx->zy", f, s, out=planes[3, sl])
+            np.einsum("zyx,zyx,x->zy", f, s, x, out=planes[4, sl])
 
-    _on_halves(moments, n, n * n)
-    ones = np.ones(n)
-    Q, p = _pair(cell, planes[0], ones, ones), _dipole(cell, planes[1], planes[0], ones, x)
-    # the lift g (Q + slope p.x) as [z, y] planes times the x factors a and x a
-    k = lift.slope * p
-    coeffs = np.empty((n, n, 2))
-    coeffs[:, :, 0] = np.multiply.outer(a, a * (Q + k[1] * x)) + np.multiply.outer(k[2] * xa, a)
-    coeffs[:, :, 1] = k[0] * np.multiply.outer(a, a)
-    factors = np.stack([a, xa])
+    _on_halves(moments, m, m * m)
+    ones = np.ones(m)
+    Q = _pair(cell, planes[0], ones, ones)
+    if even:
+        # the lift Q g as [z, y] planes times the x factor a
+        coeffs = np.multiply.outer(a, a * Q)[:, :, None]
+        factors = a[None]
+    else:
+        p = _dipole(cell, planes[2], planes[0], ones, x)
+        # the lift g (Q + slope p.x) as [z, y] planes times the x factors a and x a
+        k = lift.slope * p
+        coeffs = np.empty((m, m, 2))
+        coeffs[:, :, 0] = np.multiply.outer(a, a * (Q + k[1] * x)) + np.multiply.outer(k[2] * xa, a)
+        coeffs[:, :, 1] = k[0] * np.multiply.outer(a, a)
+        factors = np.stack([a, xa])
 
     # subtract and assemble walk their half through one cache-sized scratch slab
     def subtract(half):
-        for sl, t in _slabs(half, n):
+        for sl, t in _slabs(half, m):
             np.einsum("zyk,kx->zyx", coeffs[sl], factors, out=t)
             src[sl] -= t
 
-    _on_halves(subtract, n, n * n)
+    _on_halves(subtract, m, m * m)
     # w = S s of the [x, y, z] (F-ordered) view; its transpose is C-ordered [z, y, x]
-    out = in_sine_modes(src.T, dirichlet_eigenvalues(n, grid.h, "spectral"), np.divide).T
-    solved = np.empty((2, n, n))
+    lam = dirichlet_eigenvalues(n, grid.h, "spectral")
+    out = in_sine_modes(src.T, lam, np.divide, octant=even).T
+    solved = np.empty((len(factors), m, m))
 
     def sine_moments(sl):
         np.einsum("zyx,kx->kzy", out[sl], factors, out=solved[:, sl])
 
-    _on_halves(sine_moments, n, n * n)
+    _on_halves(sine_moments, m, m * m)
     # <H_0, s> and <H_i, s>
     g_w = _pair(cell, solved[0], a, a)
-    gi_w = lift.slope * _dipole(cell, solved[1], solved[0], a, xa)
-    const = _pair(cell, planes[2], ones, ones) - (g_w + Q * lift.phi_g_g)
-    c = _dipole(cell, planes[4], planes[3], ones, x) - (gi_w + p * lift.xf_gx)
-    dipole_zy = np.add.outer(p[2] * x, p[1] * x)
-    affine_zy = np.add.outer(c[2] * x, const + c[1] * x)
+    const = _pair(cell, planes[1], ones, ones) - (g_w + Q * lift.phi_g_g)
+    if not even:
+        gi_w = lift.slope * _dipole(cell, solved[1], solved[0], a, xa)
+        c = _dipole(cell, planes[4], planes[3], ones, x) - (gi_w + p * lift.xf_gx)
+        dipole_zy = np.add.outer(p[2] * x, p[1] * x)
+        affine_zy = np.add.outer(c[2] * x, const + c[1] * x)
 
     def assemble(half):
-        for sl, t in _slabs(half, n):
+        for sl, t in _slabs(half, m):
             o = out[sl]
             np.multiply(lift.phi_g[sl], Q, out=t)
             o += t
+            if even:
+                o += const
+                continue
             np.add(dipole_zy[sl, :, None], p[0] * x, out=t)
             t *= lift.f[sl]
             o += t
             np.add(affine_zy[sl, :, None], c[0] * x, out=t)
             o += t
 
-    _on_halves(assemble, n, n * n)
+    _on_halves(assemble, m, m * m)
     return out.reshape(-1)
+
+
+def _interior(grid: GridSpec) -> tuple[slice, ...]:
+    """The stored nodes whose 7-point stencil lies inside the box: all but the outer layer on the octant."""
+    return (slice(0 if grid.octant else 1, -1),) * 3
 
 
 def _interior_defect(u: ScalarField, phi: ScalarField) -> np.ndarray:
     """u^2 - (-Lap_h phi) on interior nodes (stencil fully inside the box), whatever phi's kinetic."""
-    inner = (slice(1, -1),) * 3
+    inner = _interior(u.grid)
     seven_point = minus_laplacian(phi.on(replace(phi.grid, kinetic="fd")))
     return u.as3d[inner] ** 2 - seven_point.as3d[inner]
 
 
 def interior_residual(u: ScalarField, phi: ScalarField) -> float:
     """Relative 7-point residual ||-Lap_h phi - u^2||_2 / ||u^2||_2, interior nodes."""
-    q = u.as3d[1:-1, 1:-1, 1:-1] ** 2
+    q = u.as3d[_interior(u.grid)] ** 2
     norm_q = float(np.sqrt(np.sum(q**2)))
     if norm_q == 0.0:
         return 0.0
@@ -246,5 +280,6 @@ def solve_phi(u: ScalarField, residual_correction: bool = True) -> ScalarField:
         return phi
     out = phi.as3d.copy(order="F")
     lam = dirichlet_eigenvalues(grid.n - 2, grid.h)
-    out[1:-1, 1:-1, 1:-1] += in_sine_modes(_interior_defect(u, phi), lam, np.divide)
+    inner = _interior(grid)
+    out[inner] += in_sine_modes(_interior_defect(u, phi), lam, np.divide, octant=grid.octant)
     return ScalarField.from_3d(grid, out)

@@ -89,7 +89,8 @@ class Potential:
             return lambda X: np.column_stack([op(ScalarField(grid, x)) for x in X.T])
 
         shift = self.sample(grid).values - 1.0
-        s = np.sin(np.pi * np.arange(1, grid.n + 1) / (grid.n + 1))
+        # the lowest sine mode on the grid's stored nodes
+        s = np.sin(np.pi * np.arange(1, grid.n + 1) / (grid.n + 1))[grid.n - grid.m :]
         x0 = (s[:, None, None] * s[:, None] * s).reshape(-1, 1)
         nu, _ = lobpcg(
             lambda X: shift[:, None] * X,
@@ -175,6 +176,8 @@ class Composite(Potential):
         base = self.base.sample(grid)
         if isinstance(self.perturbation, ScalarField):
             v2 = self.perturbation.on(grid, "perturbation field").values
+        elif grid.octant:
+            raise ValueError("an octant grid cannot check a callable perturbation for mirror symmetry")
         else:
             x, y, z = grid.coords()
             v2 = np.asarray(self.perturbation(x, y, z), dtype=np.float64).ravel(order="F")

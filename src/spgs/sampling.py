@@ -42,7 +42,7 @@ def random_smooth_field(
 ) -> ScalarField:
     """Sum of one to three random Gaussians of random sign, widths up to L/3."""
     lo = 2.0 * grid.h if min_width is None else min_width
-    out = np.zeros((grid.n,) * 3, order="F")
+    out = np.zeros((grid.m,) * 3, order="F")
     for _ in range(int(rng.integers(1, 4))):
         c = rng.uniform(-grid.L / 4.0, grid.L / 4.0, size=3)
         w = _log_uniform(rng, lo, grid.L / 3.0)

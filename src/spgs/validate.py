@@ -60,7 +60,7 @@ def monotone_in_v(deep: VinfComparison, shallow: VinfComparison) -> CheckResult:
 
 def run_validation(p: float = 4.0) -> list[CheckResult]:
     """Solve on the L = 6, n = 16 box and run the three checks; one CheckResult each."""
-    grid = GridSpec(L=6.0, n=16)
+    grid = GridSpec(L=6.0, n=16, symmetry="octant")
     cfg = SolverConfig(p=p, tol_residual=1e-6)
     deep, shallow = (compare_with_vinf(CoulombSingular(1.0, lam, 1), cfg, grid) for lam in (0.5, 0.25))
     return [

@@ -17,7 +17,7 @@ import spgs.minimize
 import spgs.validate
 from spgs.cli import main
 from spgs.grid import GridSpec, ScalarField, boundary_mass_fraction, read_field, write_field
-from spgs.minimize import GaussianBlob, SolverConfig, TraceRow, initial_field
+from spgs.minimize import GaussianBlob, SolverConfig, TraceRow, compare_with_vinf, initial_field
 from spgs.poisson import solve_phi
 from spgs.potential import Constant, CoulombSingular
 
@@ -372,8 +372,9 @@ print(rc, sorted(m for m in sys.modules if m.startswith('scipy')))
 
 
 def test_spectral_compare_vinf_solves_both_grids_in_spectral(tmp_path, capsys, monkeypatch):
-    # the refined grid keeps the run grid's kinetic; the levels are the ones
-    # the spectral run printed when the kinetic was a solver setting
+    # the refined grid keeps the run grid's kinetic and its octant box; the
+    # levels are the octant run's (the full box printed 8.74019141435643 and
+    # 11.714167301054323) and lie within 1e-12 of the library's full-box comparison
     grids = []
     solve = spgs.minimize.find_ground_state
 
@@ -385,8 +386,14 @@ def test_spectral_compare_vinf_solves_both_grids_in_spectral(tmp_path, capsys, m
     argv = [*_COULOMB_COMPARE, "--set", "grid.n=16", "--set", "solver.tol=1e-6"]
     argv += ["--set", "grid.kinetic=spectral", "--output", str(tmp_path)]
     assert main(argv) == 0
-    assert [(g.n, g.kinetic) for g in grids] == [(16, "spectral")] * 2 + [(24, "spectral")] * 2
-    assert capsys.readouterr().out.startswith("c = 8.74019141435643  c_inf = 11.714167301054323  ")
+    assert [(g.n, g.kinetic, g.symmetry) for g in grids] == (
+        [(16, "spectral", "octant")] * 2 + [(24, "spectral", "octant")] * 2
+    )
+    out = capsys.readouterr().out
+    assert out.startswith("c = 8.740191414356453  c_inf = 11.714167301054339  ")
+    full = compare_with_vinf(CoulombSingular(1.0, 0.5, 1), SolverConfig(tol_residual=1e-6), grids[0].full)
+    c, c_inf = (float(word) for word in out.split()[2:6:3])
+    assert abs(c - full.c) <= 1e-12 * full.c and abs(c_inf - full.c_inf) <= 1e-12 * full.c_inf
 
 
 def _spectral_solve(outdir: Path, *sets: str) -> tuple[Path, dict[str, str]]:
@@ -576,3 +583,49 @@ def test_coercivity_override_key_reaches_the_solve(tmp_path, monkeypatch, overri
     ]
     assert main(argv) == 0
     assert len(calls) == checks
+
+
+def _solve(capsys, outdir: Path, *sets: str) -> tuple[Path, dict[str, str], str]:
+    """The run directory, summary row and terminal line of a solve at L = 4, n = 16 with more --set items."""
+    argv = ["solve", "--set", "grid.L=4.0", "--set", "grid.n=16"]
+    for item in sets:
+        argv += ["--set", item]
+    assert main([*argv, "--output", str(outdir)]) == 0
+    (run_dir,) = outdir.iterdir()
+    text = (run_dir / "summary.csv").read_text(encoding="utf-8")
+    (row,) = csv.DictReader(line for line in text.splitlines() if not line.startswith("#"))
+    return run_dir, row, capsys.readouterr().out
+
+
+def test_a_radial_solve_runs_on_the_octant_and_dumps_the_full_box(tmp_path, capsys):
+    run_dir, row, line = _solve(capsys, tmp_path / "a")
+    assert row["symmetry"] == "octant" and "  box = octant  " in line
+    header = (run_dir / "summary.csv").read_text(encoding="utf-8").splitlines()[1].split(",")
+    assert header[header.index("kinetic") + 1] == "symmetry"
+    u = read_field(run_dir / "u.field")
+    assert u.grid == GridSpec(L=4.0, n=16) and u.mirror_even
+    # from that dump the run folds the converged state onto the octant again and
+    # stops at once, with the same row but for the iteration count and rounding
+    _, again, line = _solve(capsys, tmp_path / "b", "solver.init=file", f"solver.init_path={run_dir / 'u.field'}")
+    assert "  box = octant  " in line and again["iterations"] == "0"
+    rounded = ("c_estimate", "residual_norm", "boundary_mass", "pohozaev")
+    assert {k: v for k, v in again.items() if k not in rounded + ("iterations",)} == {
+        k: v for k, v in row.items() if k not in rounded + ("iterations",)
+    }
+    for key in rounded:
+        assert float(again[key]) == pytest.approx(float(row[key]), rel=1e-9), key
+    assert abs(float(again["c_estimate"]) - float(row["c_estimate"])) <= 1e-12 * float(row["c_estimate"])
+
+
+@pytest.mark.parametrize(
+    "sets",
+    [["solver.starts=2"], ["solver.init_center=0.5,0,0"], ["potential.kind=tabulated"]],
+    ids=["two-starts", "off-centre-start", "uneven-table"],
+)
+def test_a_solve_that_is_not_mirror_even_runs_the_full_box(tmp_path, capsys, sets):
+    if sets == ["potential.kind=tabulated"]:
+        table = tmp_path / "v.field"
+        write_field(ScalarField.from_function(GridSpec(L=4.0, n=16), lambda x, y, z: 1.0 + 0.01 * x), table)
+        sets = [*sets, f"potential.table_path={table}"]
+    _, row, line = _solve(capsys, tmp_path / "out", *sets)
+    assert row["symmetry"] == "none" and "  box = none  " in line

@@ -243,7 +243,7 @@ class TestSineTransform:
     def test_in_sine_modes_divides_by_the_table_entries(self, monkeypatch, split, m, shift):
         # with the transforms taken out, the op sees the entries (lam_i + lam_j) + lam_k,
         # plus shift, of the full table, bit for bit, in every slab of every half
-        def untransformed(c, inverse=False, overwrite=False):
+        def untransformed(c, inverse=False, overwrite=False, octant=False):
             return c if inverse else c.copy(order="F")
 
         monkeypatch.setattr(spgs_grid, "sine_transform", untransformed)

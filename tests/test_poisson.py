@@ -154,7 +154,7 @@ class TestScreenedSolve:
         erf = np.vectorize(math.erf)(r / sigma)
         phi_g = erf / (4.0 * math.pi * r)
         f = (erf - 2.0 / math.sqrt(math.pi) * (r / sigma) * np.exp(-((r / sigma) ** 2))) / (4.0 * math.pi * r**3)
-        lift = _lift(g.L, g.n)
+        lift = _lift(g.L, g.n, g.symmetry)
         assert np.allclose(lift.phi_g, phi_g, rtol=1e-14, atol=0.0)
         assert np.allclose(lift.f, f, rtol=1e-12, atol=0.0)
 

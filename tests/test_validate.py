@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import spgs.minimize
+import spgs.validate
 from spgs.grid import GridSpec, ScalarField
 from spgs.minimize import SolverConfig, compare_with_vinf, find_ground_state
 from spgs.potential import Constant, CoulombSingular
@@ -13,7 +14,8 @@ from spgs.validate import below_limit, monotone_in_v, positive, run_validation
 
 @pytest.fixture(scope="module")
 def grid():
-    return GridSpec(L=6.0, n=16)
+    # the suite's box: its solves are radial wells from centred starts
+    return GridSpec(L=6.0, n=16, symmetry="octant")
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +44,20 @@ def test_suite_runs_the_three_checks_and_all_pass():
 @pytest.mark.parametrize("p", [3.5, 4.5, 4.9])
 def test_suite_passes_across_the_range_of_p(p):
     assert all(r.passed for r in run_validation(p=p))
+
+
+def test_suite_solves_on_the_octant(grid, monkeypatch):
+    grids = []
+    solve = spgs.minimize.find_ground_state
+
+    def recording(V, cfg, g, *u0):
+        grids.append(g)
+        return solve(V, cfg, g, *u0)
+
+    monkeypatch.setattr(spgs.minimize, "find_ground_state", recording)
+    monkeypatch.setattr(spgs.validate, "find_ground_state", recording)
+    run_validation()
+    assert {g.symmetry for g in grids} == {"octant"} and grids[0] == grid
 
 
 def _with_node(field, k, value):
