@@ -15,12 +15,11 @@ A grid with `symmetry="octant"` stores the positive octant of the box,
 an eighth of its nodes, and solves in the subspace of fields that equal
 their mirror images in x, y and z; every 3-D layer then runs in that
 basis (see `spgs.grid`).  Library calls keep the full box unless asked.
-The CLI picks the octant for a run with one start whose sampled
-potential and start both equal their mirror images bit for bit: a
-radial well from a centred start does wherever the node coordinates
-mirror exactly (L = 4 at n = 16, 32 and 64, L = 6 at n = 16, 24, 32,
-48, 64 and 96, but not L = 4 at n = 24, 48 or 96).  Its field dumps
-are unfolded to the full box.  By Palais' principle of symmetric
+The CLI runs on the octant any run with one start whose potential and
+start are sampled on the octant: a radial well from a centred start on
+every box, or a table or dump that equals its mirror images bit for
+bit; an off-centre start runs the full box.  Its field dumps are
+unfolded to the full box.  By Palais' principle of symmetric
 criticality (Comm. Math. Phys. 69 (1979) 19-30) a critical point found
 there is a critical point of the action, so `converged` keeps its
 meaning, but its level is the least over mirror-even states:

@@ -32,6 +32,7 @@ from .config import MODES, RunConfig, apply_assignments, canonical_text, describ
 from .errors import ConfigError, SpgsError
 from .grid import GridSpec, ScalarField, write_field
 from .minimize import (
+    GaussianBlob,
     GroundStateResult,
     SolverConfig,
     TraceRow,
@@ -128,24 +129,42 @@ def _build(cfg: RunConfig) -> tuple[Potential, SolverConfig, GridSpec, ScalarFie
     which replaces the potential by constants.  The solves on the run grid
     start from the field built here, so a field dump is read once per run.
 
-    The run goes onto the octant box (`GridSpec.symmetry`) when it has one
-    start and both the sampled potential and the initial field equal
-    their mirror images in x, y and z bit for bit; the start is then its
-    positive octant.
+    A run with one start is sampled on the octant box (`GridSpec.symmetry`)
+    first, and runs there unless the octant refuses the potential or the
+    start: an off-centre blob, a table or dump that does not equal its
+    mirror images in x, y and z bit for bit.  Then it samples the full box,
+    where a value that is wrong on any box is a ConfigError.
     """
     try:
         grid = cfg.build_grid()
         solver = cfg.build_solver()
         potential = cfg.build_potential()
-        v = potential.sample(grid)
-        u0 = initial_field(solver.init, grid, potential.v_infinity(), solver.p)
+        v_inf = potential.v_infinity()
+        # a field dump is read here, once, and put on each box tried below
+        init = solver.init
+        if not isinstance(init, GaussianBlob):
+            init = initial_field(init, grid, v_inf, solver.p)
     except (OSError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
+
+    def start(box: GridSpec) -> ScalarField:
+        potential.sample(box)
+        return initial_field(init, box, v_inf, solver.p)
+
+    u0 = None
+    if solver.starts == 1:
+        octant = replace(grid, symmetry="octant")
+        try:
+            u0, grid = start(octant), octant
+        except ValueError:
+            pass  # the octant refuses it; the full box below holds it or names the error
+    if u0 is None:
+        try:
+            u0 = start(grid)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
     if not u0.values.any():
         raise ConfigError("solver.init: the initial field is zero on every node of the grid")
-    if solver.starts == 1 and v.mirror_even and u0.mirror_even:
-        grid = replace(grid, symmetry="octant")
-        u0 = u0.on(grid, "initial field")
     return potential, solver, grid, u0
 
 
@@ -281,13 +300,14 @@ def build_parser() -> argparse.ArgumentParser:
             "(up to n = 96 at L = 4, h = 0.083): the ground state's core narrows as p -> 5.\n"
             "That limit is an estimate from interpolated radial core half-widths, not a\n"
             "measurement.\n\n"
-            "A run with solver.starts = 1 whose sampled potential and initial field both\n"
-            "equal their mirror images in x, y and z bit for bit (a radial well from a\n"
-            "centred start, or such a table or dump) solves on the octant box, an eighth\n"
-            "of the nodes.  summary.csv's symmetry column and the solve line (box =\n"
-            "octant or none) say which box ran.  Its level is the least over mirror-even\n"
-            "states, so it lies at or above the full box's: lattice spikes and a saddle's\n"
-            "odd modes are out of its reach, and a check of them needs the unfolded state.\n"
+            "A run with solver.starts = 1 solves on the octant box, an eighth of the\n"
+            "nodes, when its potential and initial field are sampled there: a radial well\n"
+            "from a centred start on any box, or a table or dump that equals its mirror\n"
+            "images in x, y and z bit for bit.  Other runs sample and solve the full box.\n"
+            "summary.csv's symmetry column and the solve line (box = octant or none) say\n"
+            "which box ran.  The octant's level is the least over mirror-even states, so\n"
+            "it lies at or above the full box's: lattice spikes and a saddle's odd modes\n"
+            "are out of its reach, and a check of them needs the unfolded state.\n"
             "Field dumps (u.field, phi.field) always hold the full box."
         ),
         epilog="config keys and defaults:\n  " + "\n  ".join(describe_keys()),

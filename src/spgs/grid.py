@@ -33,12 +33,17 @@ modes k = 1, 3, ..., n - 1 (`sine_transform`), whose eigenvalues are the
 odd-index entries of the full axis's table, and the fd stencil takes the
 node's own value as the ghost beyond each centre face.  So an operator
 of the octant is the full box's on mirror-even fields, to rounding.
-`ScalarField.on` folds a mirror-even full-box field onto the octant
-(and refuses any other) and unfolds an octant field; `write_field` and
-`boundary_mass_fraction` see the unfolded field.  By Palais' principle
-of symmetric criticality a critical point found in the mirror-even
-subspace is one of the full action, but the octant's least level is the
-least over mirror-even states only.
+A radial well or a centred blob is sampled on the octant, at its
+stored nodes, with no full-box array.  A field from outside the run
+(a table, a dump) holds full-box values: `ScalarField.on` folds it onto
+the octant when it equals its mirror images bit for bit and refuses any
+other.  An octant field leaves the octant unfolded into one new
+F-ordered n^3 array by eight mirrored block copies (`_unfolded`), once
+per use: `ScalarField.on` wraps that array, `boundary_mass_fraction`
+squares it in place and `write_field` writes its buffer.  By Palais'
+principle of symmetric criticality a critical point found in the
+mirror-even subspace is one of the full action, but the octant's least
+level is the least over mirror-even states only.
 
 Every n^3 pass of the package runs on two cores through one primitive,
 `_on_halves(task, size, unit)`.  `_halves` cuts the pass's `size` items
@@ -81,6 +86,7 @@ Dumps of the retired nodal layout, headed ``staggered=0``, are refused.
 
 from __future__ import annotations
 
+import itertools
 import os
 import threading
 from dataclasses import dataclass, replace
@@ -369,14 +375,16 @@ class GridSpec:
 
     @property
     def radius(self) -> np.ndarray:
-        """|x| at every stored node, shape (m, m, m), axes (x, y, z).
+        """|x| at every stored node, shape (m, m, m), axes (x, y, z), x fastest in memory.
 
         Built on each use from the squared axis, so no m^3 array outlives
-        its caller; the sums run in the order x^2 + y^2 + z^2.
+        its caller; the sums run in the order (x^2 + y^2) + z^2.  It is
+        the transpose of a C-ordered [z, y, x] block, so a field sampled
+        from it ravels to x-fastest storage without a copy.
         """
         a2 = self.axis * self.axis
-        r = (a2[:, None, None] + a2[:, None]) + a2
-        return np.sqrt(r, out=r)
+        r = (a2 + a2[:, None]) + a2[:, None, None]
+        return np.sqrt(r, out=r).T
 
 
 @dataclass(frozen=True)
@@ -448,9 +456,22 @@ class ScalarField:
                 raise ValueError(f"{what} does not equal its mirror images in x, y and z, so the octant cannot hold it")
             k = g.n // 2
             return ScalarField.from_3d(grid, self.as3d[k:, k:, k:])
-        # full index j holds octant index |j - (n - 1)/2| - 1/2
-        mirror = np.concatenate([np.arange(g.m)[::-1], np.arange(g.m)])
-        return ScalarField.from_3d(grid, self.as3d[np.ix_(mirror, mirror, mirror)])
+        return ScalarField.from_3d(grid, _unfolded(self))
+
+
+def _unfolded(u: ScalarField) -> np.ndarray:
+    """The mirror-even extension of an octant field: a new F-ordered (n, n, n) array, axes (x, y, z).
+
+    Full index j holds octant index |j - (n - 1)/2| - 1/2, so each of the
+    eight blocks of the box is the stored block reversed along the axes
+    on which it lies below the centre, copied straight into place.
+    """
+    a, m = u.as3d, u.grid.m
+    out = np.empty((2 * m,) * 3, order="F")
+    halves = ((slice(None, m), slice(None, None, -1)), (slice(m, None), slice(None)))
+    for (ox, ix), (oy, iy), (oz, iz) in itertools.product(halves, repeat=3):
+        out[ox, oy, oz] = a[ix, iy, iz]
+    return out
 
 
 @lru_cache(maxsize=16)
@@ -657,9 +678,14 @@ def boundary_mass_fraction(u: ScalarField) -> float:
 
     A small share says the box truncation is benign.  Each solve reports it
     (`GroundStateResult.boundary_mass`, `summary.csv`); no run gates on it.
-    An octant field is measured on the full box, as `write_field` dumps it.
+    An octant field is measured on the full box, as `write_field` dumps it,
+    and its unfolded copy is squared in place.
     """
-    q = u.on(u.grid.full).as3d ** 2
+    if u.grid.octant:
+        q = _unfolded(u)
+        np.square(q, out=q)
+    else:
+        q = np.square(u.as3d)
     total = float(np.sum(q))
     if total == 0.0:
         return 0.0
@@ -687,12 +713,12 @@ def write_field(u: ScalarField, path: str | Path) -> None:
 
     An octant field is dumped on the full box, as its mirror-even extension.
     """
-    u = u.on(u.grid.full)
     g = u.grid
+    values = _unfolded(u).ravel(order="F") if g.octant else u.values
     header = f"SPGS1 n={g.n} L={g.L!r} staggered=1\n"
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        fh.write(u.values.astype("<f8", copy=False).tobytes())
+        fh.write(memoryview(values.astype("<f8", copy=False)))
 
 
 def read_field(path: str | Path) -> ScalarField:

@@ -109,7 +109,7 @@ class Constant(Potential):
     V1: float
 
     def profile(self, r: np.ndarray) -> np.ndarray:
-        return np.full(np.shape(r), float(self.V1))
+        return np.full_like(r, float(self.V1), dtype=np.float64)
 
     def v_infinity(self) -> float:
         return float(self.V1)

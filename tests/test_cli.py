@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -16,8 +17,9 @@ import spgs.cli
 import spgs.minimize
 import spgs.validate
 from spgs.cli import main
+from spgs.config import RunConfig
 from spgs.grid import GridSpec, ScalarField, boundary_mass_fraction, read_field, write_field
-from spgs.minimize import GaussianBlob, SolverConfig, TraceRow, compare_with_vinf, initial_field
+from spgs.minimize import GaussianBlob, SolverConfig, TraceRow, compare_with_vinf, find_ground_state, initial_field
 from spgs.poisson import solve_phi
 from spgs.potential import Constant, CoulombSingular
 
@@ -629,3 +631,71 @@ def test_a_solve_that_is_not_mirror_even_runs_the_full_box(tmp_path, capsys, set
         sets = [*sets, f"potential.table_path={table}"]
     _, row, line = _solve(capsys, tmp_path / "out", *sets)
     assert row["symmetry"] == "none" and "  box = none  " in line
+
+
+@pytest.mark.parametrize("n", [24, 48])
+def test_a_radial_well_runs_on_the_octant_where_the_axis_does_not_mirror(tmp_path, capsys, n):
+    # at L = 4 the node coordinates mirror bit for bit only for n = 8, 16, 32
+    # and 64; the octant holds the radial well from its own samples on the
+    # other boxes too, at the full box's level to rounding
+    assert not np.array_equal(GridSpec(4.0, n).axis[::-1], -GridSpec(4.0, n).axis)
+    _, row, line = _solve(capsys, tmp_path, f"grid.n={n}")
+    assert row["symmetry"] == "octant" and "  box = octant  " in line
+    full = find_ground_state(Constant(1.0), SolverConfig(), GridSpec(4.0, n))
+    assert row["iterations"] == str(full.iterations)
+    assert abs(float(row["c_estimate"]) - full.c_estimate) <= 1e-12 * full.c_estimate
+
+
+def _flip_test_box(cfg: RunConfig) -> str:
+    """The box `_build` picked while it tested full-box samples: the octant when
+    the run has one start and the samples of V and of the start equal their
+    mirror images bit for bit."""
+    grid, solver, V = cfg.build_grid(), cfg.build_solver(), cfg.build_potential()
+    u0 = initial_field(solver.init, grid, V.v_infinity(), solver.p)
+    return "octant" if solver.starts == 1 and V.sample(grid).mirror_even and u0.mirror_even else "none"
+
+
+_MIRRORED_BOXES = [
+    (L, n)
+    for L in (2.5, 4.0, 6.0)
+    for n in range(8, 49, 2)
+    if np.array_equal(GridSpec(L, n).axis[::-1], -GridSpec(L, n).axis)
+]
+
+
+@pytest.mark.parametrize("L, n", _MIRRORED_BOXES)
+def test_build_picks_the_flip_tests_box_where_the_axis_mirrors(tmp_path, L, n):
+    tables = {
+        "even": lambda x, y, z: 1.0 - 0.5 * np.exp(-(x * x + y * y + z * z)),
+        "uneven": lambda x, y, z: 1.0 + 0.01 * x,
+    }
+    wells = [
+        {"potential_kind": "constant"},
+        {"potential_kind": "coulomb_singular", "potential_lambda": 0.5, "potential_alpha": 1},
+        {"potential_kind": "coulomb_singular", "potential_lambda": 0.1, "potential_alpha": 2},
+    ]
+    for name, f in tables.items():
+        path = tmp_path / f"{name}.field"
+        write_field(ScalarField.from_function(GridSpec(L, n), f), path)
+        wells.append({"potential_kind": "tabulated", "potential_table_path": str(path)})
+    for well in wells:
+        for center in [(0.0, 0.0, 0.0), (0.5, 0.0, 0.0)]:
+            cfg = RunConfig(grid_L=L, grid_n=n, solver_init_center=center, **well)
+            V, _, grid, u0 = spgs.cli._build(cfg)
+            assert grid.symmetry == _flip_test_box(cfg), (well, center)
+            if grid.octant:
+                # the octant start is the full-box start's octant, bit for bit
+                full = initial_field(cfg.build_solver().init, grid.full, V.v_infinity(), cfg.solver_p)
+                assert np.array_equal(u0.values, full.on(grid).values)
+
+
+def test_build_samples_no_box_sized_array():
+    # the ground-n64 run: V and the start are sampled on the octant alone
+    cfg = RunConfig(grid_L=4.0, grid_n=64, potential_V1=1.0, solver_p=4.0)
+    tracemalloc.start()
+    try:
+        _, _, grid, _ = spgs.cli._build(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grid.octant and peak < 8 * grid.n**3

@@ -1,6 +1,7 @@
 """The octant box: mirror-even fields stored on the positive octant, each layer against the full box."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from spgs.functional import energy_breakdown, precondition
 from spgs.grid import (
     GridSpec,
     ScalarField,
+    _unfolded,
     boundary_mass_fraction,
     minus_laplacian,
     read_field,
@@ -33,7 +35,7 @@ def _even(grid, seed=0):
 
 
 def _unfold(a):
-    """The mirror-even (2m)^3 extension of an (m, m, m) block."""
+    """The mirror-even (2m)^3 extension of an (m, m, m) block, by a mirror gather."""
     m = a.shape[0]
     mirror = np.concatenate([np.arange(m)[::-1], np.arange(m)])
     return a[np.ix_(mirror, mirror, mirror)]
@@ -87,6 +89,43 @@ class TestGrid:
         write_field(u, tmp_path / "u.field")
         dumped = read_field(tmp_path / "u.field")
         assert dumped.grid == GridSpec(g.L, g.n) and np.array_equal(dumped.values, full.values)
+
+    @pytest.mark.parametrize("m", [4, 8, 12, 24, 32])
+    def test_unfold_is_the_mirror_gather_bit_for_bit(self, m):
+        u = _even(_octant(n=2 * m), seed=m)
+        got = _unfolded(u)
+        assert got.flags.f_contiguous and np.array_equal(got, _unfold(u.as3d))
+
+    def test_dump_holds_the_gathered_bytes(self, tmp_path):
+        g = _octant(L=6.0, n=24)
+        u = _even(g, seed=2)
+        write_field(u, tmp_path / "u.field")
+        header = f"SPGS1 n={g.n} L={g.L!r} staggered=1\n".encode("ascii")
+        payload = _unfold(u.as3d).ravel(order="F").astype("<f8").tobytes()
+        assert (tmp_path / "u.field").read_bytes() == header + payload
+
+
+def _peak_bytes(f, *args):
+    """The most memory numpy and Python held at once during f(*args), beyond what they held before."""
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("out", ["boundary-mass", "dump"])
+def test_octant_output_unfolds_into_one_box_array(tmp_path, out):
+    # one n^3 float64 array plus small change, where a gather, a ravel and a
+    # byte copy held three; small change is under an octant's array, (n/2)^3 float64
+    g = _octant(n=64)
+    u = _even(g)
+    if out == "boundary-mass":
+        peak = _peak_bytes(boundary_mass_fraction, u)
+    else:
+        peak = _peak_bytes(write_field, u, tmp_path / "u.field")
+    assert 8 * g.n**3 <= peak < 8 * g.n**3 + 8 * g.num_nodes
 
 
 class TestOddModeTransform:

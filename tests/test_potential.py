@@ -52,6 +52,22 @@ class TestSampling:
         # one formula for the 3-D grid and the radial mesh, bit for bit
         assert V.sample(grid).as3d.tobytes() == V.profile(grid.radius).tobytes()
 
+    @pytest.mark.parametrize(
+        "V",
+        [Constant(1.5), CoulombSingular(1.0, 0.3, 1), CoulombSingular(0.5, 0.1, 2)],
+        ids=["constant", "coulomb-1", "coulomb-2"],
+    )
+    @pytest.mark.parametrize("symmetry", ["none", "octant"])
+    def test_sample_is_the_c_ordered_constructions_bit_for_bit(self, V, symmetry):
+        # the radius sums (x^2 + y^2) + z^2 per node in either layout; built
+        # x-fastest, it samples into flat storage without a transposing copy
+        g = GridSpec(L=4.0, n=24, symmetry=symmetry)
+        a2 = g.axis * g.axis
+        r = np.sqrt((a2[:, None, None] + a2[:, None]) + a2)
+        old = np.full(r.shape, 1.5) if isinstance(V, Constant) else V.profile(r)
+        assert g.radius.flags.f_contiguous and V.profile(g.radius).flags.f_contiguous
+        assert np.array_equal(V.sample(g).values, old.ravel(order="F"))
+
     def test_alpha_validation(self):
         with pytest.raises(ValueError):
             CoulombSingular(1.0, 0.1, 3)
