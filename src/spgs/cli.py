@@ -180,24 +180,10 @@ def _run_solve(cfg: RunConfig, outdir: Path) -> int:
     return 0
 
 
-def _sweep_point(
-    args: tuple[float, SolverConfig, GridSpec, ScalarField],
-) -> tuple[float, GroundStateResult]:
-    lam, solver, grid, u0 = args
-    return lam, find_ground_state(Constant(lam), solver, grid, u0)
-
-
 def _run_sweep(cfg: RunConfig, outdir: Path) -> int:
     _, solver, grid, u0 = _build(cfg)
     lams = sorted(cfg.sweep_lambdas)
-    points = [(lam, solver, grid, u0) for lam in lams]
-    if cfg.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = dict(pool.map(_sweep_point, points))
-    else:
-        results = dict(map(_sweep_point, points))
+    results = {lam: find_ground_state(Constant(lam), solver, grid, u0) for lam in lams}
 
     _write_csv(
         outdir / "sweep.csv",
@@ -316,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("mode", nargs="?", choices=MODES, metavar="MODE",
                         help="run mode (overrides the config file): " + ", ".join(MODES))
     parser.add_argument("--config", type=Path, help="configuration file path")
-    parser.add_argument("--jobs", type=int, help="concurrent sweep points")
     parser.add_argument("--seed", type=int, help="solver seed override")
     parser.add_argument("--output", help="output directory")
     parser.add_argument(
@@ -351,8 +336,6 @@ def _effective_config(args: argparse.Namespace) -> RunConfig:
     updates: list[tuple[str, str]] = []
     if args.mode:
         updates.append(("mode", args.mode))
-    if args.jobs is not None:
-        updates.append(("jobs", str(args.jobs)))
     if args.seed is not None:
         updates.append(("solver.seed", str(args.seed)))
     if args.output is not None:

@@ -98,7 +98,6 @@ class RunConfig:
 
     mode: str = "solve"
     output_dir: str = "runs"
-    jobs: int = 1
     sweep_lambdas: tuple[float, ...] = (1.0, 2.0, 4.0)
     radial_r_max: float = 30.0
     radial_n_r: int = 2048
@@ -139,8 +138,6 @@ class RunConfig:
                 "potential.kind: compare-vinf also solves on a refined grid, which a table "
                 "does not fit; use constant or coulomb_singular"
             )
-        if self.jobs < 1:
-            raise ConfigError(f"jobs: must be at least 1, got {self.jobs}")
         if not self.sweep_lambdas:
             raise ConfigError("sweep.lambdas: need at least one value")
         if any(lam <= 0 for lam in self.sweep_lambdas):

@@ -25,7 +25,7 @@ descent loop and is testable by central differences.
 Each evaluated field gets one -Lap u, from `grid.minus_laplacian` in the
 kinetic of u's grid, and the kinetic energy, the H^1 norm and the
 residual all come from it, in one pass over the nodes.  Above
-`grid._BLOCK_BYTES` (m >= 42 stored nodes per axis) that pass runs in
+`grid._BLOCK_BYTES` (more than 40 stored nodes per axis) that pass runs in
 two halves, the second on the grid module's helper thread; each sum
 splits where numpy's pairwise summation does, so the values are the
 one thread's bit for bit.  The preconditioner inverts -Lap + 1 in the kinetic of r's grid.

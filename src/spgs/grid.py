@@ -75,8 +75,9 @@ process keeps one helper, a daemon thread started on the first split,
 never at import, and only when the process may run on at least two
 CPUs; otherwise the caller runs both halves in turn.  The caller hands
 the helper its half through a pair of locks (`_Helper`), with no queue
-and no future.  A forked child drops its parent's helper, whose thread
-it does not inherit, and starts its own when it first splits.
+and no future.  spgs never forks, but a caller may (multiprocessing on
+Linux): a forked child drops its parent's helper, whose thread it does
+not inherit, and starts its own when it first splits.
 
 Dump format (bit-exact round trip): one ASCII header line
 ``SPGS1 n=<n> L=<decimal> staggered=1\\n`` followed by n^3
@@ -728,9 +729,9 @@ def read_field(path: str | Path) -> ScalarField:
     n announces; anything else is a ValueError, as is a bad header.
     """
     with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii").strip()
+        header = fh.readline().decode("ascii", errors="replace").strip()
         parts = header.split()
-        if len(parts) != 4 or parts[0] != "SPGS1":
+        if len(parts) != 4 or parts[0] != "SPGS1" or not all("=" in p for p in parts[1:]):
             raise ValueError(f"not a field dump: bad header {header!r}")
         fields = dict(p.split("=", 1) for p in parts[1:])
         missing = [key for key in ("n", "L", "staggered") if key not in fields]
@@ -741,7 +742,11 @@ def read_field(path: str | Path) -> ScalarField:
                 f"field dump {header!r}: staggered=1 is the only layout; "
                 "the nodal layout (staggered=0) is retired"
             )
-        grid = GridSpec(L=float(fields["L"]), n=int(fields["n"]))
+        try:
+            L, n = float(fields["L"]), int(fields["n"])
+        except ValueError:
+            raise ValueError(f"not a field dump: bad header {header!r}") from None
+        grid = GridSpec(L=L, n=n)
         payload = os.fstat(fh.fileno()).st_size - fh.tell()
         if payload != 8 * grid.num_nodes:
             raise ValueError(

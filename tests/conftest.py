@@ -1,10 +1,35 @@
 """Fixtures shared by the test modules."""
 
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import spgs
 from spgs import grid
+
+
+@pytest.fixture
+def fresh_python():
+    """run(code, env=None): stdout of `code` run by a fresh interpreter that imports spgs from these sources.
+
+    The interpreter has none of pytest's threads or warning filters.  `env`
+    overrides this process's environment; a name mapped to None is removed.
+    """
+
+    def run(code: str, env: dict[str, str | None] | None = None) -> str:
+        src = str(Path(spgs.__file__).resolve().parents[1])
+        env = {**os.environ, **(env or {})}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {name: value for name, value in env.items() if value is not None}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120
+        )
+        return out.stdout.strip()
+
+    return run
 
 
 @pytest.fixture

@@ -2,9 +2,6 @@
 
 import csv
 import dataclasses
-import os
-import subprocess
-import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -24,29 +21,14 @@ from spgs.poisson import solve_phi
 from spgs.potential import Constant, CoulombSingular
 
 
-def _fresh_python(code: str, env: dict[str, str | None] | None = None) -> str:
-    """Stdout of `code` run by a fresh interpreter that imports spgs from these sources.
-
-    `env` overrides this process's environment; a name mapped to None is removed.
-    """
-    src = str(Path(spgs.__file__).resolve().parents[1])
-    env = {**os.environ, **(env or {})}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {name: value for name, value in env.items() if value is not None}
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120
-    )
-    return out.stdout.strip()
-
-
-def test_cli_import_loads_no_scipy_sparse():
+def test_cli_import_loads_no_scipy_sparse(fresh_python):
     # scipy.sparse costs RSS and import time on every run; only the grid
     # eigen-solve of tabulated and composite potentials imports it, lazily
     code = "import sys, spgs.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))"
-    assert _fresh_python(code) == "[]"
+    assert fresh_python(code) == "[]"
 
 
-def test_cli_import_loads_no_scipy():
+def test_cli_import_loads_no_scipy(fresh_python):
     # the 3-D path needs no scipy; the radial solver's LAPACK loads on the
     # first lookup of a radial name in the package
     code = """
@@ -62,10 +44,10 @@ try:
 except AttributeError:
     print('AttributeError')
 """
-    assert _fresh_python(code).splitlines() == ["[]", "1 False", "True", "True", "AttributeError"]
+    assert fresh_python(code).splitlines() == ["[]", "1 False", "True", "True", "AttributeError"]
 
 
-def test_3d_solve_loads_no_scipy():
+def test_3d_solve_loads_no_scipy(fresh_python):
     # the Poisson solve's erf tables come from math.erf: importing scipy.special
     # would cost 0.15-0.2 s of every run's set-up
     code = """
@@ -74,10 +56,10 @@ from spgs import Constant, GridSpec, SolverConfig, find_ground_state
 res = find_ground_state(Constant(1.0), SolverConfig(p=4.0), GridSpec(L=4.0, n=16))
 print(res.converged, sorted(m for m in sys.modules if m.startswith('scipy')))
 """
-    assert _fresh_python(code) == "True []"
+    assert fresh_python(code) == "True []"
 
 
-def test_split_solve_loads_no_executor():
+def test_split_solve_loads_no_executor(fresh_python):
     # n = 48 splits its passes; the helper is one thread handed work through
     # two locks, so neither concurrent.futures nor scipy comes in.  Importing
     # spgs starts numpy's and then scipy's OpenBLAS with no worker thread, so
@@ -97,7 +79,7 @@ spgs.radial_ground_state
 counts.append(threads())
 print(os.environ.get('OPENBLAS_NUM_THREADS', 'unset'), spgs.grid._helper is not None, *counts)
 """
-    lines = _fresh_python(code, env={"OPENBLAS_NUM_THREADS": None}).splitlines()
+    lines = fresh_python(code, env={"OPENBLAS_NUM_THREADS": None}).splitlines()
     assert lines[:2] == ["[]", "True"]
     blas, helper, *counts = lines[2].split()
     assert blas == "1"
@@ -106,30 +88,31 @@ print(os.environ.get('OPENBLAS_NUM_THREADS', 'unset'), spgs.grid._helper is not 
         assert [int(c) for c in counts] == [1, with_helper, with_helper]
 
 
-def test_callers_blas_thread_count_wins():
+def test_callers_blas_thread_count_wins(fresh_python):
     code = "import os, spgs; print(os.environ['OPENBLAS_NUM_THREADS'])"
-    assert _fresh_python(code, env={"OPENBLAS_NUM_THREADS": "2"}) == "2"
+    assert fresh_python(code, env={"OPENBLAS_NUM_THREADS": "2"}) == "2"
 
 
-def test_sweep_jobs_2_after_an_in_process_solve(tmp_path):
-    # the solve starts the helper thread; the sweep's forked workers inherit
-    # the helper's object but not its thread, and must start their own rather than wait on it
-    code = f"""
-from pathlib import Path
-from spgs.cli import main
-out = Path({str(tmp_path)!r})
-grid = ["--set", "grid.L=4.0", "--set", "grid.n=32"]
-assert main(["solve", *grid, "--output", str(out / "solve")]) == 0
-for jobs in ("2", "1"):
-    argv = ["sweep-lambda", *grid, "--set", "sweep.lambdas=1.0,2.0", "--jobs", jobs]
-    assert main([*argv, "--output", str(out / f"jobs{{jobs}}")]) == 0
-"""
-    _fresh_python(code)
-    (two,) = tmp_path.glob("jobs2/*/sweep.csv")
-    (one,) = tmp_path.glob("jobs1/*/sweep.csv")
-    rows = [[line for line in path.read_text(encoding="utf-8").splitlines() if not line.startswith("#")]
-            for path in (two, one)]
-    assert rows[0] == rows[1] and len(rows[0]) == 3
+def test_sweep_has_no_jobs_flag(tmp_path):
+    # sweep points run one after another in the caller's process
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep-lambda", "--jobs", "2", "--output", str(tmp_path)])
+    assert exc.value.code == 2
+
+
+def test_jobs_key_from_set_is_unknown(tmp_path, capsys):
+    assert main(["sweep-lambda", "--set", "jobs=2", "--output", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "ERROR config: unknown key 'jobs' (from --set)\n"
+
+
+def test_jobs_key_in_a_config_file_is_unknown(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "grid.L = 4.0\ngrid.n = 16\npotential.kind = constant\npotential.V1 = 1.0\nsolver.p = 4.0\njobs = 2\n",
+        encoding="utf-8",
+    )
+    assert main(["sweep-lambda", "--config", str(cfg), "--output", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "ERROR config: line 6: unknown key 'jobs'\n"
 
 
 def test_sweep_reads_its_field_dump_once(tmp_path, monkeypatch):
@@ -363,14 +346,14 @@ def test_validate_failed_check_exits_4_after_the_report(tmp_path, capsys, monkey
     assert lines[2].startswith("FAIL ground.monotone-in-V: ") and lines[-1] == "2/3 checks passed"
 
 
-def test_validate_loads_no_scipy(tmp_path):
+def test_validate_loads_no_scipy(tmp_path, fresh_python):
     code = f"""
 import sys
 from spgs.cli import main
 rc = main(["validate", "--output", {str(tmp_path)!r}])
 print(rc, sorted(m for m in sys.modules if m.startswith('scipy')))
 """
-    assert _fresh_python(code).splitlines()[-1] == "0 []"
+    assert fresh_python(code).splitlines()[-1] == "0 []"
 
 
 def test_spectral_compare_vinf_solves_both_grids_in_spectral(tmp_path, capsys, monkeypatch):
@@ -450,6 +433,16 @@ def _config_error_from_init_dump(tmp_path, capsys, data):
 
 def test_malformed_init_dump_is_a_config_error(tmp_path, capsys):
     assert "lacks n, L, staggered" in _config_error_from_init_dump(tmp_path, capsys, b"SPGS1 a=1 b=2 c=3\n")
+
+
+@pytest.mark.parametrize(
+    "header",
+    [b"SPGS1 n=16 L=4.0 staggered", b"SPGS1 n=16.0 L=4.0 staggered=1", b"\x89PNG"],
+    ids=["token-without-equals", "non-integer-n", "not-ascii"],
+)
+def test_bad_init_dump_header_is_a_config_error(tmp_path, capsys, header):
+    err = _config_error_from_init_dump(tmp_path, capsys, header + b"\n" + bytes(8 * 16**3))
+    assert err == f"ERROR config: not a field dump: bad header {header.decode('ascii', 'replace')!r}\n"
 
 
 @pytest.mark.parametrize(

@@ -38,7 +38,6 @@ NON_DEFAULT = {
     "solver_coercivity_override": True,
     "mode": "radial-crosscheck",
     "output_dir": "out/runs",
-    "jobs": 2,
     "sweep_lambdas": (0.5, 3.0),
     "radial_r_max": 20.0,
     "radial_n_r": 4096,
@@ -87,7 +86,7 @@ def test_missing_required_key_is_listed(key):
 
 def test_all_missing_required_keys_are_listed():
     with pytest.raises(ConfigError) as exc:
-        parse_config("jobs = 2\n")
+        parse_config("sweep.lambdas = 2.0\n")
     assert str(exc.value) == f"missing required keys: {', '.join(REQUIRED_KEYS)}"
 
 
@@ -128,7 +127,6 @@ DEFAULTS = [
     ("solver.coercivity_override", "false"),
     ("mode", "solve"),
     ("output_dir", "runs"),
-    ("jobs", "1"),
     ("sweep.lambdas", "1.0,2.0,4.0"),
     ("radial.r_max", "30.0"),
     ("radial.n_r", "2048"),

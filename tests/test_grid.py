@@ -448,6 +448,37 @@ class TestHelpers:
         assert boundary_mass_fraction(u) < 1e-8
 
 
+def test_forked_child_splits_on_its_own_helper(fresh_python):
+    # the child inherits the parent's helper object but not its thread: the
+    # at-fork hook drops it, else the child's first split waits forever
+    code = """
+import os, time
+import numpy as np
+from spgs import grid
+os.sched_getaffinity = lambda pid: {0, 1}
+a = np.random.default_rng(0).standard_normal(grid._BLOCK_BYTES // 8 + 1)
+assert len(grid._halves(a.size)) == 2
+parent = grid._sum_of_products(a, a)
+assert grid._helper.thread.is_alive()
+pid = os.fork()
+if pid == 0:
+    child = grid._sum_of_products(a, a)
+    os._exit(0 if child == parent and grid._helper.thread.is_alive() else 1)
+deadline = time.monotonic() + 30
+while time.monotonic() < deadline:
+    done, status = os.waitpid(pid, os.WNOHANG)
+    if done:
+        print(os.waitstatus_to_exitcode(status))
+        break
+    time.sleep(0.01)
+else:
+    os.kill(pid, 9)
+    os.waitpid(pid, 0)
+    print("timeout")
+"""
+    assert fresh_python(code) == "0"
+
+
 class TestFieldDump:
     def test_round_trip_bit_exact(self, tmp_path):
         g = GridSpec(L=7.25, n=16)
