@@ -43,10 +43,10 @@ potentials imports scipy.sparse.linalg's lobpcg when it runs.
 Importing the package sets OPENBLAS_NUM_THREADS to 1 unless the caller
 has set it, before numpy loads, so numpy's and scipy's OpenBLAS start no
 worker thread.  The 3-D path's BLAS calls are slab products small
-enough that OpenBLAS runs them on one thread anyway, and the second core
-belongs to the `spgs-helper` thread that runs half of each n^3 pass
-(`grid`).  An idle OpenBLAS worker busy-waits for about 0.13 s after
-it loads, on that core.  The caller's own setting wins, and the default
+enough that OpenBLAS runs them on one thread anyway, so a worker does
+no work for spgs, yet an idle OpenBLAS worker busy-waits for about
+0.13 s after it loads, on a core that other threads and processes of
+the host could use.  The caller's own setting wins, and the default
 has no effect in a process that loaded numpy before importing spgs.
 """
 

@@ -24,14 +24,11 @@ descent loop and is testable by central differences.
 
 Each evaluated field gets one -Lap u, from `grid.minus_laplacian` in the
 kinetic of u's grid, and the kinetic energy, the H^1 norm and the
-residual all come from it, in one pass over the nodes.  Above
-`grid._BLOCK_BYTES` (more than 40 stored nodes per axis) that pass runs in
-two halves, the second on the grid module's helper thread; each sum
-splits where numpy's pairwise summation does, so the values are the
-one thread's bit for bit.  The preconditioner inverts -Lap + 1 in the kinetic of r's grid.
-Nothing here names a kinetic: the field's grid carries it.  The
-potential comes in sampled, as a `ScalarField` on u's grid
-(`Potential.sample`); nothing here samples it.
+residual all come from it, in one pass over the nodes.  The
+preconditioner inverts -Lap + 1 in the kinetic of r's grid.  Nothing
+here names a kinetic: the field's grid carries it.  The potential comes
+in sampled, as a `ScalarField` on u's grid (`Potential.sample`);
+nothing here samples it.
 """
 
 from __future__ import annotations
@@ -41,14 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (
-    ScalarField,
-    _added,
-    _on_halves,
-    dirichlet_eigenvalues,
-    in_sine_modes,
-    minus_laplacian,
-)
+from .grid import ScalarField, dirichlet_eigenvalues, in_sine_modes, minus_laplacian
 from .poisson import solve_phi
 
 
@@ -112,52 +102,36 @@ def _evaluate(u: ScalarField, V: ScalarField, p: float, phi: ScalarField | None,
 
     Each sum over the stored nodes is weighted by `GridSpec.weight`, h^3
     (8 h^3 on the octant); the breakdown's h1 is
-    sqrt(w <u, -Lap u> + w sum u^2).
-    `grid._on_halves` runs one task on each half of the nodes; it takes
-    the five sums of the breakdown and, with `residual`, the residual's
-    nodes and the sum of their squares, in a scratch field allocated
-    here, so the helper thread allocates no array.  The halves' sums
-    added are the one-pass sums bit for bit."""
+    sqrt(w <u, -Lap u> + w sum u^2).  The sums run through one scratch
+    field allocated here."""
     g = u.grid
     w = g.weight
     if V.grid != g:
         raise ValueError("potential field lives on a different grid")
     if phi is None:
         phi = solve_phi(u, residual_correction=False)
-    uv, vv, pv = u.values, V.values, phi.values
+    x, vv, pv = u.values, V.values, phi.values
     mlap = minus_laplacian(u).values
-    r = np.empty(uv.size) if residual else None
-    scratch = np.empty(uv.size)
-
-    def share(sl):
-        x, t = uv[sl], scratch[sl]
-        sums = [np.sum(np.multiply(x, mlap[sl], out=t))]
-        for f in (vv, pv):
-            np.multiply(x, x, out=t)
-            t *= f[sl]
-            sums.append(np.sum(t))
-        np.abs(x, out=t)
-        t **= p + 1.0
-        sums += [np.sum(t), np.sum(np.multiply(x, x, out=t))]
-        if r is not None:
-            # (V + phi) u + (-Lap u) - |u|^(p-1) u, in that order
-            rs = r[sl]
-            np.add(vv[sl], pv[sl], out=rs)
-            rs *= x
-            rs += mlap[sl]
-            np.abs(x, out=t)
-            t **= p
-            np.copysign(t, x, out=t)
-            rs -= t
-            sums.append(np.sum(np.multiply(rs, rs, out=t)))
-        return sums
-
-    kin, vu2, phiu2, c, mass, *squares = _added(_on_halves(share, uv.size))
-    kin = w * kin
+    r = np.empty(x.size) if residual else None
+    t = np.empty(x.size)
+    kin = w * float(np.sum(np.multiply(x, mlap, out=t)))
+    vu2, phiu2 = (float(np.sum(np.multiply(np.multiply(x, x, out=t), f, out=t))) for f in (vv, pv))
+    np.abs(x, out=t)
+    t **= p + 1.0
+    c = float(np.sum(t))
+    mass = float(np.sum(np.multiply(x, x, out=t)))
     eb = EnergyBreakdown(kin + w * vu2, w * phiu2, w * c, p, math.sqrt(kin + w * mass))
-    if r is None:
+    if not residual:
         return eb, None, None
-    return eb, r, math.sqrt(w * squares[0])
+    # (V + phi) u + (-Lap u) - |u|^(p-1) u, in that order
+    np.add(vv, pv, out=r)
+    r *= x
+    r += mlap
+    np.abs(x, out=t)
+    t **= p
+    np.copysign(t, x, out=t)
+    r -= t
+    return eb, r, math.sqrt(w * float(np.sum(np.multiply(r, r, out=t))))
 
 
 def energy_breakdown(

@@ -45,39 +45,12 @@ principle of symmetric criticality a critical point found in the
 mirror-even subspace is one of the full action, but the octant's least
 level is the least over mirror-even states only.
 
-Every n^3 pass of the package runs on two cores through one primitive,
-`_on_halves(task, size, unit)`.  `_halves` cuts the pass's `size` items
-of `unit` float64 values each (a flat array's values, or a block's
-planes) into two halves above `_BLOCK_BYTES`, and the calling thread
-runs task on the first half while one helper thread runs it on the
-second.  Split this way are:
-
-- here, each pass of `sine_transform` and the stencil of
-  `minus_laplacian`, by planes, and the table op of `in_sine_modes`;
-- in `poisson`, the four plane passes of the screened solve around its
-  sine solve;
-- in `functional`, the sums of the energies and the residual field and
-  its norm;
-- in `minimize`, the descent's field updates and pairings
-  (`_scaled_add`, `_sum_of_products`), on the box and on the radial mesh;
-- in `radial`, the quadratures and residual of a profile.
-
-numpy's matmul, ufuncs, sums and einsum release the GIL, so the halves
-overlap, and since no half reads the other's output the result is bit
-for bit the one thread's.  Reductions of n^3 data use np.sum or
-np.einsum, never np.dot, np.vdot or @ with a vector, because a flat sum
-splits at the point where numpy's pairwise summation adds its two
-halves, so the two partial sums added are the one-pass sum; a BLAS
-dot's rounding follows its own blocking, not the split.  Nor would BLAS
-gain a core: importing spgs starts OpenBLAS with one thread (see the
-package docstring), and the second core is the helper's.  A
-process keeps one helper, a daemon thread started on the first split,
-never at import, and only when the process may run on at least two
-CPUs; otherwise the caller runs both halves in turn.  The caller hands
-the helper its half through a pair of locks (`_Helper`), with no queue
-and no future.  spgs never forks, but a caller may (multiprocessing on
-Linux): a forked child drops its parent's helper, whose thread it does
-not inherit, and starts its own when it first splits.
+Every n^3 pass of the package runs once, on the caller's thread.
+Reductions of n^3 data use np.sum or np.einsum, never np.dot, np.vdot or
+@ with a vector, because a BLAS dot's rounding follows its own blocking
+and OpenBLAS's thread count.  Passes that form a table entry by entry
+(`in_sine_modes`'s eigenvalues, `poisson`'s lift) walk the block in
+slabs of z planes through one cache-sized scratch array (`_slabs`).
 
 Dump format (bit-exact round trip): one ASCII header line
 ``SPGS1 n=<n> L=<decimal> staggered=1\\n`` followed by n^3
@@ -88,8 +61,8 @@ Dumps of the retired nodal layout, headed ``staggered=0``, are refused.
 from __future__ import annotations
 
 import itertools
+import operator
 import os
-import threading
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from pathlib import Path
@@ -102,196 +75,21 @@ KINETICS = ("fd", "spectral")
 # stored parts of the box: all of it, or the positive octant of a mirror-even field
 SYMMETRIES = ("none", "octant")
 
-# `_halves` does not split a pass over at most this many bytes: a 3-D field
-# of at most 40 stored nodes per axis (n <= 40, or n <= 80 on the octant) or
-# a radial mesh of n_r <= 65,536 stays on the caller's thread,
-# where handing half of a cache-sized pass to the helper costs more than the
-# second core saves.  `_slabs` cuts a half into slabs of z planes of about
-# this size, for `poisson`'s scratch passes and `in_sine_modes`'s eigenvalues.
+# `_slabs` cuts a block into slabs of z planes of about this many bytes
 _BLOCK_BYTES = 1 << 19
 
 
-class _Helper:
-    """One daemon thread that runs the second half of each split.
-
-    The hand-off is two locks, each held while its side has nothing to
-    do: the caller releases `go` once the task and its slice are in
-    place, the thread releases `done` once the result is.  `owner` is
-    held by the caller whose split is in flight, so a second thread that
-    splits meanwhile runs both of its halves itself.
-    """
-
-    def __init__(self) -> None:
-        self.go, self.done, self.owner = threading.Lock(), threading.Lock(), threading.Lock()
-        self.go.acquire()
-        self.done.acquire()
-        self.task = self.part = self.result = self.error = None
-        self.thread = threading.Thread(target=self._serve, name="spgs-helper", daemon=True)
-        self.thread.start()
-
-    def _serve(self) -> None:
-        while True:
-            self.go.acquire()
-            task, part = self.task, self.part
-            self.task = self.part = None
-            if task is None:
-                return
-            try:
-                self.result = task(part)
-            except BaseException as exc:  # re-raised in the caller by `run`
-                self.error = exc
-            # hold no reference to the task, and so to its arrays, until the next split
-            task = part = None
-            self.done.release()
-
-    def run(self, task, first: slice, second: slice) -> list:
-        """[task(first), task(second)], the second on the thread unless another split holds it."""
-        if not self.owner.acquire(blocking=False):
-            return [task(first), task(second)]
-        try:
-            self.task, self.part = task, second
-            self.go.release()
-            try:
-                out = task(first)
-            finally:
-                self.done.acquire()
-                other, error = self.result, self.error
-                self.result = self.error = None
-        finally:
-            self.owner.release()
-        if error is not None:
-            raise error
-        return [out, other]
-
-    def shutdown(self) -> None:
-        """Stop and join the thread; later splits given this helper run both halves on the caller."""
-        if self.thread.is_alive():
-            self.owner.acquire()
-            self.go.release()
-            self.thread.join()
-
-
-# The process's helper, started by its first split and dropped in a forked
-# child, which does not inherit the thread.
-_helper: _Helper | None = None
-_helper_lock = threading.Lock()
-
-
-def _drop_helper() -> None:
-    global _helper, _helper_lock
-    _helper = None
-    _helper_lock = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_helper)
-
-
-def _started_helper() -> _Helper | None:
-    """The helper, started on first use; None when the process may use one CPU."""
-    global _helper
-    with _helper_lock:
-        if _helper is None:
-            affinity = getattr(os, "sched_getaffinity", None)
-            if (len(affinity(0)) if affinity else os.cpu_count() or 1) >= 2:
-                _helper = _Helper()
-        return _helper
-
-
-def _halves(size: int, unit: int = 1) -> list[slice]:
-    """range(size) as one slice, or as two above _BLOCK_BYTES, for items of `unit` float64 values.
-
-    The cut is the item nearest the point h = half - half % 8, half =
-    size * unit // 2, where numpy's pairwise summation of size * unit
-    values adds the sums of its two halves, each taken the same way.  So
-    for a contiguous flat float64 array a (unit 1), np.sum(a[:h]) +
-    np.sum(a[h:]) is np.sum(a) bit for bit, and a block of m planes of
-    m^2 values (unit m^2, m even) cuts at its middle plane
-    (tests/test_grid.py pins both for every size split here).
-    """
-    if 8 * size * unit <= _BLOCK_BYTES:
-        return [slice(0, size)]
-    half = size * unit // 2
-    mid = round((half - half % 8) / unit)
-    return [slice(0, mid), slice(mid, size)]
-
-
-def _on_halves(task, size: int, unit: int = 1) -> list:
-    """[task(sl) for sl in _halves(size, unit)]: the caller runs the first half, the helper the second.
-
-    Every item must be independent of the others, so the halves give the
-    same result together as in turn.  Without a helper, or while it
-    serves another thread's split, the caller runs both halves, in turn;
-    so does a split made inside a task.  An exception raised in the
-    helper's half is raised here once the caller's half is done.
-    """
-    first, *rest = _halves(size, unit)
-    if not rest:
-        return [task(first)]
-    helper = _helper or _started_helper()
-    if helper is None:
-        return [task(first), task(rest[0])]
-    return helper.run(task, first, rest[0])
-
-
-def _slabs(half: slice, m: int):
-    """(planes, scratch) per slab of the half's planes of m^2 values, each slab about _BLOCK_BYTES.
+def _slabs(m: int):
+    """(planes, scratch) per slab of the m planes of m^2 values of a block, each slab about _BLOCK_BYTES.
 
     One scratch array serves every slab; each yields a view of it with
     the slab's shape.
     """
     width = max(1, _BLOCK_BYTES // (8 * m * m))
-    scratch = np.empty((min(width, half.stop - half.start), m, m))
-    for z in range(half.start, half.stop, width):
-        sl = slice(z, min(z + width, half.stop))
+    scratch = np.empty((min(width, m), m, m))
+    for z in range(0, m, width):
+        sl = slice(z, min(z + width, m))
         yield sl, scratch[: sl.stop - z]
-
-
-def _added(parts: list) -> list[float]:
-    """Sums from the halves' partial sums: position k of each part, added in order.
-
-    With the flat halves of `_halves` that is the one-pass np.sum at each position.
-    """
-    return [float(sum(column[1:], column[0])) for column in zip(*parts)]
-
-
-def _scaled_add(a: float, x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
-    """a * x + y (a * x without y) of flat float64 arrays, as a new array, in halves.
-
-    Each node rounds as in the one-pass expression, and y - a * x is
-    _scaled_add(-a, x, y) bit for bit, since negation is exact.
-    """
-    out = np.empty(x.size)
-
-    def share(sl):
-        o = out[sl]
-        np.multiply(x[sl], a, out=o)
-        if y is not None:
-            o += y[sl]
-
-    _on_halves(share, x.size)
-    return out
-
-
-def _sum_of_products(a: np.ndarray, b: np.ndarray, weight: np.ndarray | None = None) -> float:
-    """np.sum(a * b) (np.sum(weight * a * b)) of flat arrays, in halves.
-
-    An elementwise sum, not a BLAS dot, whose rounding depends on the
-    thread count.
-    """
-
-    products = np.empty(a.size)
-
-    def share(sl):
-        t = products[sl]
-        if weight is None:
-            np.multiply(a[sl], b[sl], out=t)
-        else:
-            np.multiply(weight[sl], a[sl], out=t)
-            t *= b[sl]
-        return (np.sum(t),)
-
-    return _added(_on_halves(share, a.size))[0]
 
 
 @dataclass(frozen=True)
@@ -323,6 +121,10 @@ class GridSpec:
     def __post_init__(self) -> None:
         if not 0 < self.L < np.inf:
             raise ValueError(f"half-width must be positive and finite, got L={self.L}")
+        try:
+            object.__setattr__(self, "n", operator.index(self.n))
+        except TypeError:
+            raise ValueError(f"n must be an integer, got n={self.n!r}") from None
         if self.n < 8:
             raise ValueError(f"need at least 8 nodes per axis, got n={self.n}")
         if self.n % 2 != 0:
@@ -546,10 +348,8 @@ def sine_transform(
 
     The products run in two passes: t[k] = P^T (c[k] P) for every slab k,
     then, once all of t is formed, out[:, j] = P^T t[:, j] for every j.
-    Each pass runs on the two halves of its m slabs of m^2 values
-    (`_on_halves`).  Each slab is one product, computed whole by one
-    half, so the result does not depend on the split.  With `overwrite` the first pass writes t over the block it
-    has read, whose values are then lost, instead of into a new array.
+    With `overwrite` the first pass writes t over the block it has read,
+    whose values are then lost, instead of into a new array.
     """
     m = a.shape[0]
     if octant:
@@ -562,21 +362,12 @@ def sine_transform(
     c = np.ascontiguousarray(a.T if flip else a)
     t = c if overwrite and c.flags.writeable else np.empty_like(c)
     out = np.empty_like(c)
-    scale = 1.0 / (2.0 * (size + 1)) ** 3
-
-    def rows(sl):
-        # out holds the slabs' first products until the second pass overwrites it
-        np.matmul(c[sl], p, out=out[sl])
-        np.matmul(pt, out[sl], out=t[sl])
-
-    def columns(sl):
-        dst = out[:, sl]
-        np.matmul(pt, t[:, sl].transpose(1, 0, 2), out=dst.transpose(1, 0, 2))
-        if inverse:
-            dst *= scale
-
-    _on_halves(rows, m, m * m)
-    _on_halves(columns, m, m * m)
+    # out holds the slabs' first products until the second pass overwrites it
+    np.matmul(c, p, out=out)
+    np.matmul(pt, out, out=t)
+    np.matmul(pt, t.transpose(1, 0, 2), out=out.transpose(1, 0, 2))
+    if inverse:
+        out *= 1.0 / (2.0 * (size + 1)) ** 3
     return out.T if flip else out
 
 
@@ -586,54 +377,42 @@ def minus_laplacian(u: ScalarField) -> ScalarField:
     "fd" is the 7-point stencil, "spectral" the DST-I operator with the
     exact eigenvalue of each sine mode; both have the sine modes as
     eigenvectors and sums of `dirichlet_eigenvalues` as eigenvalues.  The
-    stencil runs on the two halves of the z planes (`_on_halves`); each
-    half adds each neighbour as one contiguous shift of its flat values,
-    writes only its own planes and reads the neighbours from the
-    unchanged input, so every node sums the same terms in the same order
-    as in one pass.  On the octant the neighbour beyond a centre face is
-    the node's mirror image, whose value is the node's own (a mirror
-    ghost); beyond an outer face it is a zero ghost.
+    stencil adds each neighbour as one contiguous shift of the flat
+    values.  On the octant the neighbour beyond a centre face is the
+    node's mirror image, whose value is the node's own (a mirror ghost);
+    beyond an outer face it is a zero ghost.
     """
     g = u.grid
     if g.kinetic == "fd":
         m, a = g.m, u.values
         plane = m * m
         out = np.empty(a.size)
-        out3 = out.reshape((m, m, m), order="F")
+        o3 = out.reshape((m, m, m), order="F")
         a3 = a.reshape((m, m, m), order="F")
-
-        def planes(sl):
-            # the six neighbours summed in place, in the order x+, x-, y+, y-, z+, z-,
-            # each as one shift of the half's flat values; the nodes where a shift
-            # wraps to the next row or plane keep the values they had before it,
-            # plus the node's own on the octant's centre faces
-            lo, hi = sl.start * plane, sl.stop * plane
-            b, o, o3 = a[lo:hi], out[lo:hi], out3[:, :, sl]
-            o[:-1] = b[1:]
-            o3[-1] = 0.0
-            kept = o3[0].copy()
-            o[1:] += b[:-1]
-            o3[0] = kept
-            if g.octant:
-                o3[0] += a3[0, :, sl]
-            kept = o3[:, -1].copy()
-            o[:-m] += b[m:]
-            o3[:, -1] = kept
-            kept = o3[:, 0].copy()
-            o[m:] += b[:-m]
-            o3[:, 0] = kept
-            if g.octant:
-                o3[:, 0] += a3[:, 0, sl]
-            top = min(hi, a.size - plane)
-            out[lo:top] += a[lo + plane : top + plane]
-            bottom = max(lo, plane)
-            out[bottom:hi] += a[bottom - plane : hi - plane]
-            if g.octant and lo == 0:
-                out[:plane] += a[:plane]
-            o -= 6.0 * b
-            o /= -(g.h**2)
-
-        _on_halves(planes, m, plane)
+        # the six neighbours summed in place, in the order x+, x-, y+, y-, z+, z-;
+        # the nodes where a shift wraps to the next row or plane keep the values
+        # they had before it, plus the node's own on the octant's centre faces
+        out[:-1] = a[1:]
+        o3[-1] = 0.0
+        kept = o3[0].copy()
+        out[1:] += a[:-1]
+        o3[0] = kept
+        if g.octant:
+            o3[0] += a3[0]
+        kept = o3[:, -1].copy()
+        out[:-m] += a[m:]
+        o3[:, -1] = kept
+        kept = o3[:, 0].copy()
+        out[m:] += a[:-m]
+        o3[:, 0] = kept
+        if g.octant:
+            o3[:, 0] += a3[:, 0]
+        out[:-plane] += a[plane:]
+        out[plane:] += a[:-plane]
+        if g.octant:
+            out[:plane] += a[:plane]
+        out -= 6.0 * a
+        out /= -(g.h**2)
         return ScalarField(g, out)
     lam = dirichlet_eigenvalues(g.n, g.h, g.kinetic)
     return ScalarField.from_3d(g, in_sine_modes(u.as3d, lam, np.multiply, octant=g.octant))
@@ -650,10 +429,10 @@ def in_sine_modes(
     np.divide (invert it).  With `octant` the block is the positive
     octant of a mirror-even field and lam the table of its whole axis of
     2m nodes, whose odd modes k = 1, 3, ... (lam[::2]) the transform keeps
-    (`sine_transform`).  op runs in place on the coefficients, in
-    halves of the k planes (`_on_halves`); each half forms its entries
-    slab by slab in a scratch of about `_BLOCK_BYTES`, so no m^3 table is
-    built.  The inverse transform works in the coefficients' memory.
+    (`sine_transform`).  op runs in place on the coefficients, whose
+    entries it forms slab by slab in a scratch of about `_BLOCK_BYTES`
+    (`_slabs`), so no m^3 table is built.  The inverse transform works in
+    the coefficients' memory.
     """
     m = a.shape[0]
     if octant:
@@ -662,15 +441,12 @@ def in_sine_modes(
     # F-ordered, so its transpose is the C-ordered [k, j, i] view
     planes = coeff.T
     lam_ji = np.add.outer(lam, lam)
-
-    def share(half):
-        for sl, t in _slabs(half, m):
-            np.add(lam_ji, lam[sl, None, None], out=t)
-            if shift:
-                t += shift
-            op(planes[sl], t, out=planes[sl])
-
-    _on_halves(share, m, m * m)
+    for sl, t in _slabs(m):
+        np.add(lam_ji, lam[sl, None, None], out=t)
+        if shift:
+            t += shift
+        op(planes[sl], t, out=planes[sl])
+    del t  # the last slab's view would keep the scratch alive through the inverse
     return sine_transform(coeff, inverse=True, overwrite=True, octant=octant)
 
 

@@ -25,10 +25,10 @@ than re-solved.
 discretisation through a few callables on its field type, so the 3-D box
 here and the independent radial mesh in `radial.py` run the same
 optimiser.  Its field arithmetic (the L-BFGS updates, the curvature
-pairs, the trial field and its projection) goes through
-`grid._scaled_add`, and the 3-D pairing is `grid._sum_of_products`: on
-arrays above `grid._BLOCK_BYTES` each runs in two halves, one on the
-grid module's helper thread, with the one thread's values bit for bit.
+pairs, the trial field and its projection) is numpy on the node values
+(`_scaled_add`), and the 3-D pairing is an elementwise sum,
+np.sum(a * b), never a BLAS dot, whose rounding follows OpenBLAS's
+thread count.
 
 Runs refuse to start when the potential's coercivity constant c_bar
 (`potential.coercivity_check`, on the run grid) is not positive,
@@ -55,8 +55,6 @@ from .functional import EnergyBreakdown, el_residual, energy_breakdown, precondi
 from .grid import (
     GridSpec,
     ScalarField,
-    _scaled_add,
-    _sum_of_products,
     boundary_mass_fraction,
     radialize,
     read_field,
@@ -256,6 +254,18 @@ def relative_asymmetry(u: ScalarField) -> float:
     return math.sqrt(float(np.sum(d * d)) / denom) if denom > 0 else 0.0
 
 
+def _scaled_add(a: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """a * x + y as a new array; y - a * x is _scaled_add(-a, x, y) bit for bit, since negation is exact.
+
+    The expression a * x + y gives the same bits, but with numpy's in-place
+    reuse of its temporary the heap grew: ground-n64's peak RSS rose by
+    0.5 MB under glibc malloc.
+    """
+    out = np.multiply(x, a)
+    out += y
+    return out
+
+
 def _lbfgs_direction(r, pairs, precondition, inner):
     """Two-loop recursion: H r for the L-BFGS inverse Hessian H with H0 = precondition.
 
@@ -318,8 +328,8 @@ def _descend(u0, cfg: SolverConfig, *, field, solve, breakdown, residual, precon
     phi = solve(u0)
     eb = breakdown(u0, phi)
     t0 = _solve_fiber(eb.A1, eb.B, eb.C, eb.p)
-    u = field(_scaled_add(t0, u0.values))
-    phi = field(_scaled_add(t0 * t0, phi.values))
+    u = field(t0 * u0.values)
+    phi = field(t0 * t0 * phi.values)
 
     def line_search(u, d, level, slack):
         """(u, phi, alpha, rose) of the first step along -d whose projection has I <= level + slack.
@@ -339,8 +349,7 @@ def _descend(u0, cfg: SolverConfig, *, field, solve, breakdown, residual, precon
                 # re-projection, and the floor guard stops a run of them
                 value = float(ray_profile(eb_c, np.asarray(t)))
                 if value <= level + slack:
-                    u_t, phi_t = _scaled_add(t, u_c.values), _scaled_add(t * t, phi_c.values)
-                    return field(u_t), field(phi_t), alpha, value > level
+                    return field(t * u_c.values), field(t * t * phi_c.values), alpha, value > level
             alpha *= 0.5
         return None
 
@@ -379,7 +388,7 @@ def _descend(u0, cfg: SolverConfig, *, field, solve, breakdown, residual, precon
             break
 
         if previous is not None:
-            s, y = _scaled_add(-1.0, previous[0], u.values), _scaled_add(-1.0, previous[1], r)
+            s, y = u.values - previous[0], r - previous[1]
             sy = inner(s, y)
             if sy > 0.0:
                 pairs.append((s, y, 1.0 / sy))
@@ -471,7 +480,7 @@ def find_ground_state(
             breakdown=lambda u, phi: energy_breakdown(u, v_field, cfg.p, phi=phi),
             residual=residual,
             precondition=lambda r: precondition(ScalarField(grid, r)).values,
-            inner=_sum_of_products,
+            inner=lambda a, b: float(np.sum(a * b)),
         )
         if best is None or out[1].I < best[1].I:
             best = out

@@ -44,10 +44,9 @@ x-fastest fields; the octant needs no f.  Node radii are r = (h/2)
 sqrt(k) with k = sum of (2j + 1 - n)^2 over the three axes, an integer
 8m + 3, so both tables are gathered from `math.erf` at the few values
 of m up to the largest: no scipy on the 3-D path.  g enters only
-through its 1-D factors.  The passes over the nodes run on the two
-halves of the z planes (`grid._on_halves`); every pass reduces over x
-alone, and the caller adds the planes' sums, so the result does not
-depend on the split.  No n^3 reduction goes through BLAS (see `grid`).
+through its 1-D factors.  Every pass over the nodes reduces over x
+alone, to a [z, y] plane of sums that `_pair` weighs and adds.  No n^3
+reduction goes through BLAS (see `grid`).
 
 K approximates the continuum operator, so its 7-point discrete residual
 is O(1) near the source.  `solve_phi` therefore adds a defect
@@ -71,15 +70,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import (
-    GridSpec,
-    ScalarField,
-    _on_halves,
-    _slabs,
-    dirichlet_eigenvalues,
-    in_sine_modes,
-    minus_laplacian,
-)
+from .grid import GridSpec, ScalarField, _slabs, dirichlet_eigenvalues, in_sine_modes, minus_laplacian
 
 
 @dataclass(frozen=True)
@@ -161,7 +152,8 @@ def _screened_solve(q: np.ndarray, grid: GridSpec) -> np.ndarray:
     On the octant the charge is even, so p = 0 and every x_i term
     vanishes: the passes skip x q, f q, x f q and x a w, and the last
     adds Q Phi_g + <H_0, s> alone.  A call allocates the field the sine
-    solve returns and, per half, a slab of scratch.
+    solve returns and, for each of the two slab passes, a cache-sized
+    slab of scratch (`grid._slabs`).
     """
     n, m, even = grid.n, grid.m, grid.octant
     cell = grid.weight
@@ -170,18 +162,12 @@ def _screened_solve(q: np.ndarray, grid: GridSpec) -> np.ndarray:
     src = q.reshape((m, m, m))
     # per plane (z, y), summed over x: q, Phi_g q, then on the full box x q, f q and x f q
     planes = np.empty((2 if even else 5, m, m))
-
-    def moments(sl):
-        s = src[sl]
-        np.einsum("zyx->zy", s, out=planes[0, sl])
-        np.einsum("zyx,zyx->zy", lift.phi_g[sl], s, out=planes[1, sl])
-        if not even:
-            f = lift.f[sl]
-            np.einsum("zyx,x->zy", s, x, out=planes[2, sl])
-            np.einsum("zyx,zyx->zy", f, s, out=planes[3, sl])
-            np.einsum("zyx,zyx,x->zy", f, s, x, out=planes[4, sl])
-
-    _on_halves(moments, m, m * m)
+    np.einsum("zyx->zy", src, out=planes[0])
+    np.einsum("zyx,zyx->zy", lift.phi_g, src, out=planes[1])
+    if not even:
+        np.einsum("zyx,x->zy", src, x, out=planes[2])
+        np.einsum("zyx,zyx->zy", lift.f, src, out=planes[3])
+        np.einsum("zyx,zyx,x->zy", lift.f, src, x, out=planes[4])
     ones = np.ones(m)
     Q = _pair(cell, planes[0], ones, ones)
     if even:
@@ -197,22 +183,16 @@ def _screened_solve(q: np.ndarray, grid: GridSpec) -> np.ndarray:
         coeffs[:, :, 1] = k[0] * np.multiply.outer(a, a)
         factors = np.stack([a, xa])
 
-    # subtract and assemble walk their half through one cache-sized scratch slab
-    def subtract(half):
-        for sl, t in _slabs(half, m):
-            np.einsum("zyk,kx->zyx", coeffs[sl], factors, out=t)
-            src[sl] -= t
-
-    _on_halves(subtract, m, m * m)
+    # subtract the lift, walking the planes through one cache-sized scratch slab
+    for sl, t in _slabs(m):
+        np.einsum("zyk,kx->zyx", coeffs[sl], factors, out=t)
+        src[sl] -= t
+    del t  # the last slab's view would keep the scratch alive through the sine solve
     # w = S s of the [x, y, z] (F-ordered) view; its transpose is C-ordered [z, y, x]
     lam = dirichlet_eigenvalues(n, grid.h, "spectral")
     out = in_sine_modes(src.T, lam, np.divide, octant=even).T
     solved = np.empty((len(factors), m, m))
-
-    def sine_moments(sl):
-        np.einsum("zyx,kx->kzy", out[sl], factors, out=solved[:, sl])
-
-    _on_halves(sine_moments, m, m * m)
+    np.einsum("zyx,kx->kzy", out, factors, out=solved)
     # <H_0, s> and <H_i, s>
     g_w = _pair(cell, solved[0], a, a)
     const = _pair(cell, planes[1], ones, ones) - (g_w + Q * lift.phi_g_g)
@@ -222,21 +202,19 @@ def _screened_solve(q: np.ndarray, grid: GridSpec) -> np.ndarray:
         dipole_zy = np.add.outer(p[2] * x, p[1] * x)
         affine_zy = np.add.outer(c[2] * x, const + c[1] * x)
 
-    def assemble(half):
-        for sl, t in _slabs(half, m):
-            o = out[sl]
-            np.multiply(lift.phi_g[sl], Q, out=t)
-            o += t
-            if even:
-                o += const
-                continue
-            np.add(dipole_zy[sl, :, None], p[0] * x, out=t)
-            t *= lift.f[sl]
-            o += t
-            np.add(affine_zy[sl, :, None], c[0] * x, out=t)
-            o += t
-
-    _on_halves(assemble, m, m * m)
+    # add the remaining terms of K to w, through the same slabs
+    for sl, t in _slabs(m):
+        o = out[sl]
+        np.multiply(lift.phi_g[sl], Q, out=t)
+        o += t
+        if even:
+            o += const
+            continue
+        np.add(dipole_zy[sl, :, None], p[0] * x, out=t)
+        t *= lift.f[sl]
+        o += t
+        np.add(affine_zy[sl, :, None], c[0] * x, out=t)
+        o += t
     return out.reshape(-1)
 
 

@@ -191,7 +191,9 @@ class Composite(Potential):
 @dataclass(frozen=True)
 class Tabulated(Potential):
     """Potential given only by node values; v_infinity is estimated as the
-    mean of the outermost node layer."""
+    mean of the box's outermost node layer.  On the octant that layer's
+    stored nodes are those with some index at m - 1, each standing for
+    eight nodes of the box's layer, so their mean is the box's."""
 
     table: ScalarField
 
@@ -201,7 +203,7 @@ class Tabulated(Potential):
     def v_infinity(self) -> float:
         a = self.table.as3d
         inner = np.zeros(a.shape, dtype=bool)
-        inner[1:-1, 1:-1, 1:-1] = True
+        inner[(slice(0 if self.table.grid.octant else 1, -1),) * 3] = True
         return float(np.mean(a[~inner]))
 
 

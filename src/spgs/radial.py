@@ -12,12 +12,7 @@ that mesh shares them.  None of the 3-D grid code is reused, which is
 the point: agreement of the two ground levels validates both
 discretizations.  Only the optimiser is shared: `radial_ground_state`
 hands these operators to the projected descent `minimize._descend` that
-the 3-D path runs.  So is the grid module's helper thread: on a mesh of
-more than 65,536 nodes `grid._on_halves` runs the energies and residual
-of a profile in two halves, one per thread, bit for bit the one thread's
-levels.  The Poisson solve's two shell sums stay whole on the caller's
-thread: a cumulative sum cut in two rounds differently.
-The potential enters only as `Potential.profile` at the mesh
+the 3-D path runs.  The potential enters only as `Potential.profile` at the mesh
 nodes, the formula the 3-D grid samples at its node radii; a kind
 without a profile (tabulated, composite) is refused.
 
@@ -42,7 +37,6 @@ import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .functional import EnergyBreakdown
-from .grid import _added, _on_halves, _sum_of_products
 from .minimize import SolverConfig, _blob_width, _descend
 from .potential import Potential
 
@@ -156,64 +150,51 @@ def _radial_evaluate(
     The link sum, times 4*pi dr the kinetic energy, is the one evaluated:
     its positive terms round better at the descent's rounding floor.
 
-    `grid._on_halves` runs one task on each half of the mesh: the link
-    sum, the four quadratures of the breakdown and, with `residual`, the
-    residual's nodes and its weighted sum of squares, in scratch rows
-    allocated here, so the helper thread allocates no array.  The halves'
-    sums added are the one-pass sums bit for bit; a half's first node
-    recomputes the flux on the link before it from the same nodes.
+    The link sum, the four quadratures of the breakdown and, with
+    `residual`, the residual and its weighted sum of squares run through
+    scratch rows allocated here.
     """
     n = u.n_r
     dr = u.dr
     mesh = u.mesh
-    uv, pv = u.values, phi.values
+    w, r2, x, pv = mesh.w, mesh.r2, u.values, phi.values
     res = np.empty(n) if residual else None
     scratch = np.empty((2 if residual else 1, n))
-
-    def share(sl):
-        lo, hi = sl.start, sl.stop
-        # g, the last scratch row, keeps u' for the residual's flux; without it g is t
-        t, g = scratch[0][sl], scratch[-1][sl]
-        w, r2, x = mesh.w[sl], mesh.r2[sl], uv[sl]
-        # u' on the links of the nodes sl, the last one reading the zero ghost beyond r_max
-        within = min(hi, n - 1) - lo
-        np.subtract(uv[lo + 1 : lo + 1 + within], uv[lo : lo + within], out=g[:within])
-        np.subtract(0.0, uv[n - 1 : hi], out=g[within:])
-        g /= dr
-        sums = [np.sum(np.multiply(np.square(g, out=t), w, out=t))]
-        for f in (v_vals[sl], pv[sl]):
-            np.multiply(x, x, out=t)
-            t *= f
-            sums.append(np.sum(np.multiply(t, r2, out=t)))
-        np.abs(x, out=t)
-        t **= p + 1.0
+    # g, the last scratch row, keeps u' for the residual's flux; without it g is t
+    t, g = scratch[0], scratch[-1]
+    # u' on the links, the last one reading the zero ghost beyond r_max
+    np.subtract(x[1:], x[:-1], out=g[:-1])
+    np.subtract(0.0, x[-1:], out=g[-1:])
+    g /= dr
+    sums = [np.sum(np.multiply(np.square(g, out=t), w, out=t))]
+    for f in (v_vals, pv):
+        np.multiply(x, x, out=t)
+        t *= f
         sums.append(np.sum(np.multiply(t, r2, out=t)))
-        sums.append(np.sum(np.multiply(np.multiply(x, x, out=t), r2, out=t)))
-        if res is not None:
-            rs = res[sl]
-            g *= w  # the flux r^2 u'
-            before = mesh.w[lo - 1] * ((uv[lo] - uv[lo - 1]) / dr) if lo else 0.0
-            np.subtract(g[1:], g[:-1], out=rs[1:])
-            rs[0] = g[0] - before
-            np.negative(rs, out=rs)
-            rs /= np.multiply(r2, dr, out=t)
-            np.add(v_vals[sl], pv[sl], out=t)
-            t *= x
-            rs += t
-            np.abs(x, out=t)
-            t **= p
-            t *= np.sign(x, out=g)
-            rs -= t
-            sums.append(np.sum(np.multiply(np.multiply(rs, rs, out=t), r2, out=t)))
-        return sums
-
-    links, vq, phiq, c, mass, *squares = _added(_on_halves(share, n))
+    np.abs(x, out=t)
+    t **= p + 1.0
+    sums.append(np.sum(np.multiply(t, r2, out=t)))
+    sums.append(np.sum(np.multiply(np.multiply(x, x, out=t), r2, out=t)))
+    links, vq, phiq, c, mass = map(float, sums)
     scale = FOUR_PI * dr
     kin = scale * links
     eb = EnergyBreakdown(kin + scale * vq, scale * phiq, scale * c, p, math.sqrt(kin + scale * mass))
-    if res is None:
+    if not residual:
         return None, None, eb
-    return res, math.sqrt(scale * squares[0]), eb
+    g *= w  # the flux r^2 u'
+    np.subtract(g[1:], g[:-1], out=res[1:])
+    res[0] = g[0]
+    np.negative(res, out=res)
+    res /= np.multiply(r2, dr, out=t)
+    np.add(v_vals, pv, out=t)
+    t *= x
+    res += t
+    np.abs(x, out=t)
+    t **= p
+    t *= np.sign(x, out=g)
+    res -= t
+    squares = float(np.sum(np.multiply(np.multiply(res, res, out=t), r2, out=t)))
+    return res, math.sqrt(scale * squares), eb
 
 
 def radial_energy_breakdown(u: RadialProfile, v_vals: np.ndarray, p: float, phi: RadialProfile):
@@ -278,7 +259,7 @@ def radial_ground_state(
         breakdown=lambda prof, phi: radial_energy_breakdown(prof, v_vals, p, phi),
         residual=lambda prof, phi: _radial_evaluate(prof, v_vals, p, phi, residual=True),
         precondition=lambda res: _radial_precondition(res, mesh),
-        inner=lambda a, b: _sum_of_products(a, b, mesh.r2),
+        inner=lambda a, b: float(np.sum(mesh.r2 * a * b)),
     )
     return u, phi, eb.I
 

@@ -33,26 +33,30 @@ def fresh_python():
 
 
 @pytest.fixture
-def on_cpus(monkeypatch):
-    """pin(cpus): the process may use `cpus` CPUs, as grid sees it, and has no helper yet."""
+def on_cpus():
+    """pin(cpus): the process runs on at most `cpus` of the CPUs it was allowed, until the test ends.
+
+    A pass's bits must not follow the CPUs the process may use.  Where the
+    platform cannot pin, pin leaves the process as it is.
+    """
+    pinnable = hasattr(os, "sched_setaffinity")
+    allowed = os.sched_getaffinity(0) if pinnable else None
 
     def pin(cpus):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        monkeypatch.setattr(grid, "_helper", None)
+        if pinnable:
+            os.sched_setaffinity(0, sorted(allowed)[:cpus])
 
     yield pin
-    if grid._helper is not None:
-        grid._helper.shutdown()
+    if pinnable:
+        os.sched_setaffinity(0, allowed)
 
 
 @pytest.fixture(params=["as-built", "forced"])
-def split(request, monkeypatch):
-    """forced: every pass over more than 128 float64 values splits into halves (`grid._halves`).
+def slabs(request, monkeypatch):
+    """forced: `grid._slabs` cuts every block into slabs of one plane from m = 12 on.
 
-    So an n = 8 box splits by planes too, and the halves' edges meet the
-    box's faces.  Yields the split threshold in values, for a test to size
-    its arrays above it.
+    So a slab pass crosses a slab edge at every plane, and the last slab
+    of a block of 8 planes is a partial one.
     """
     if request.param == "forced":
         monkeypatch.setattr(grid, "_BLOCK_BYTES", 8 * 128)
-    yield grid._BLOCK_BYTES // 8

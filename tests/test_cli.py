@@ -34,7 +34,7 @@ def test_cli_import_loads_no_scipy(fresh_python):
     code = """
 import sys, threading, spgs, spgs.cli
 print(sorted(m for m in sys.modules if m.startswith('scipy')))
-# the helper thread starts at the first split pass, not at import
+# importing starts no thread and loads no executor
 print(threading.active_count(), 'concurrent.futures' in sys.modules)
 print(spgs.radial_ground_state is spgs.radial.radial_ground_state)
 from spgs import RadialProfile
@@ -59,33 +59,22 @@ print(res.converged, sorted(m for m in sys.modules if m.startswith('scipy')))
     assert fresh_python(code) == "True []"
 
 
-def test_split_solve_loads_no_executor(fresh_python):
-    # n = 48 splits its passes; the helper is one thread handed work through
-    # two locks, so neither concurrent.futures nor scipy comes in.  Importing
-    # spgs starts numpy's and then scipy's OpenBLAS with no worker thread, so
-    # the process's threads are the caller and the helper
+def test_solves_run_on_the_callers_thread_alone(fresh_python):
+    # every pass runs on the caller's thread: after a full-box n = 48 solve and an
+    # n_r = 131072 radial solve the process has one thread.  The 3-D solve loads no
+    # executor; scipy, which the radial solver loads, imports concurrent.futures itself.
+    # Importing spgs starts numpy's and then scipy's OpenBLAS with no worker thread
     code = """
-import os, sys
-def threads():
-    return len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else '-'
-import spgs.grid
-counts = [threads()]
+import os, sys, threading
 from spgs import Constant, GridSpec, SolverConfig, find_ground_state
 find_ground_state(Constant(1.0), SolverConfig(p=4.0, max_iters=3), GridSpec(L=4.0, n=48))
-counts.append(threads())
 print(sorted(m for m in sys.modules if m.startswith(('scipy', 'concurrent'))))
-print((spgs.grid._helper is None) == (len(os.sched_getaffinity(0)) < 2))
-spgs.radial_ground_state
-counts.append(threads())
-print(os.environ.get('OPENBLAS_NUM_THREADS', 'unset'), spgs.grid._helper is not None, *counts)
+from spgs import radial_ground_state
+radial_ground_state(Constant(1.0), 4.0, r_max=30.0, n_r=131072, cfg=SolverConfig(p=4.0, max_iters=3))
+tasks = len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else 1
+print(os.environ.get('OPENBLAS_NUM_THREADS', 'unset'), threading.active_count(), tasks)
 """
-    lines = fresh_python(code, env={"OPENBLAS_NUM_THREADS": None}).splitlines()
-    assert lines[:2] == ["[]", "True"]
-    blas, helper, *counts = lines[2].split()
-    assert blas == "1"
-    if counts != ["-"] * 3:
-        with_helper = 1 + (helper == "True")
-        assert [int(c) for c in counts] == [1, with_helper, with_helper]
+    assert fresh_python(code, env={"OPENBLAS_NUM_THREADS": None}).splitlines() == ["[]", "1 1 1"]
 
 
 def test_callers_blas_thread_count_wins(fresh_python):

@@ -37,8 +37,9 @@ def fields(grid, count, seed=0):
 @pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize("n", [16, 64])
 @pytest.mark.parametrize("kinetic", ["fd", "spectral"])
-def test_split_sums_and_residual_match_one_pass(on_cpus, split, cpus, n, kinetic):
-    # the one-pass formulas the shares replace, over whole fields
+def test_split_sums_and_residual_match_one_pass(on_cpus, slabs, cpus, n, kinetic):
+    # the energy's split into A1, B, C and the residual match their one-pass
+    # formulas over whole fields, with as-built or one-plane slabs, on one CPU or two
     on_cpus(cpus)
     g = GridSpec(L=4.0, n=n, kinetic=kinetic)
     rng = np.random.default_rng(n)

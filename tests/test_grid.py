@@ -1,7 +1,5 @@
-"""Grid, -Lap, sine-transform, split-pass and dump-format tests."""
+"""Grid, -Lap, sine-transform and dump-format tests."""
 
-import sys
-import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -31,7 +29,7 @@ def sine_matrix(m):
 
 
 def reference_sine_transform(a, inverse=False):
-    # the transform as one call per product, before its passes were split
+    # the transform as one call per product
     m = a.shape[0]
     s = sine_matrix(m)
     flip = a.flags.f_contiguous and not a.flags.c_contiguous
@@ -92,6 +90,17 @@ class TestGridSpec:
             GridSpec(L=1.0, n=9)
         with pytest.raises(ValueError, match="kinetic must be one of"):
             GridSpec(L=1.0, n=8, kinetic="bogus")
+
+    def test_n_must_be_an_integer(self, tmp_path):
+        # a float n would head a dump with n=16.0, which read_field refuses
+        for bad in (16.0, "16"):
+            with pytest.raises(ValueError, match="n must be an integer"):
+                GridSpec(L=4.0, n=bad)
+        g = GridSpec(L=4.0, n=np.int64(16))
+        assert type(g.n) is int and g == GridSpec(L=4.0, n=16)
+        path = tmp_path / "field.spgs"
+        write_field(ScalarField.zeros(g), path)
+        assert read_field(path).grid == g
 
     def test_staggered_keeps_origin_clear(self):
         g = GridSpec(L=4.0, n=16)
@@ -240,9 +249,9 @@ class TestSineTransform:
 
     @pytest.mark.parametrize("shift", [0.0, 1.0])
     @pytest.mark.parametrize("m", [8, 30, 64])
-    def test_in_sine_modes_divides_by_the_table_entries(self, monkeypatch, split, m, shift):
+    def test_in_sine_modes_divides_by_the_table_entries(self, monkeypatch, slabs, m, shift):
         # with the transforms taken out, the op sees the entries (lam_i + lam_j) + lam_k,
-        # plus shift, of the full table, bit for bit, in every slab of every half
+        # plus shift, of the full table, bit for bit, in every slab
         def untransformed(c, inverse=False, overwrite=False, octant=False):
             return c if inverse else c.copy(order="F")
 
@@ -271,12 +280,12 @@ class TestSineTransform:
 
 @pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize("n", [8, 16, 32, 48, 64, 96])
-# the forced mode keeps these tests' earlier id, one-slab, so their ids stay stable
-@pytest.mark.parametrize("split", ["as-built", "forced"], ids=["as-built", "one-slab"], indirect=True)
-@pytest.mark.usefixtures("split")
+# the forced mode keeps these tests' earlier id, one-slab: slabs of one plane
+@pytest.mark.parametrize("slabs", ["as-built", "forced"], ids=["as-built", "one-slab"], indirect=True)
+@pytest.mark.usefixtures("slabs")
 class TestSplitPassesBitIdentical:
-    # one CPU runs the halves in turn on the caller, two on the caller and
-    # the helper; both must give the one-call values bit for bit
+    # passes cut into slabs give the one-call references bit for bit, on one
+    # CPU or two
 
     def field(self, n):
         g = GridSpec(L=4.0, n=n)
@@ -304,111 +313,6 @@ class TestSplitPassesBitIdentical:
             coeff /= c_ordered_eigenvalues(n, r.grid.h, kinetic) + 1.0
             ref = reference_sine_transform(coeff, inverse=True)
             assert np.array_equal(precondition(r.on(replace(r.grid, kinetic=kinetic))).as3d, ref), kinetic
-
-
-class TestHalves:
-    # every flat size a per-node pass may split: the 3-D fields above the
-    # threshold, the radial ladder's meshes and 2^18
-    SIZES = [n**3 for n in range(42, 129, 2)] + [8192, 32768, 131072, 262144]
-
-    def test_halves_add_to_numpys_one_pass_sum(self, monkeypatch):
-        # numpy's pairwise summation adds the sums of the two halves `_halves`
-        # cuts; a numpy with another summation tree fails here instead of
-        # moving levels
-        monkeypatch.setattr(spgs_grid, "_BLOCK_BYTES", 0)
-        rng = np.random.default_rng(0)
-        a = rng.standard_normal(128**3) * np.exp(5.0 * rng.standard_normal(128**3))
-        for size in self.SIZES:
-            x = a[:size]
-            first, second = spgs_grid._halves(size)
-            assert first.start == 0 and first.stop == second.start and second.stop == size
-            assert np.sum(x) == np.sum(x[first]) + np.sum(x[second]), size
-
-    def test_fields_of_n_40_stay_whole(self):
-        # as 40^3 values, so 40 planes of 40^2
-        assert spgs_grid._halves(40**3) == [slice(0, 40**3)]
-        assert spgs_grid._halves(40, 40 * 40) == [slice(0, 40)]
-        assert len(spgs_grid._halves(42**3)) == 2
-        assert len(spgs_grid._halves(42, 42 * 42)) == 2
-
-    def test_planes_cut_at_the_middle_plane(self):
-        # every even n that splits, so also the n - 2 block of each defect
-        # correction from n = 44 on
-        for m in range(42, 129, 2):
-            assert spgs_grid._halves(m, m * m) == [slice(0, m // 2), slice(m // 2, m)], m
-
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_pairings_and_updates_match_one_pass(self, on_cpus, split, cpus):
-        on_cpus(cpus)
-        rng = np.random.default_rng(cpus)
-        for size in (100, 4 * split + 3, 262144):
-            a, b, w = rng.standard_normal((3, size))
-            assert spgs_grid._sum_of_products(a, b) == float(np.sum(a * b))
-            assert spgs_grid._sum_of_products(a, b, w) == float(np.sum(w * a * b))
-            assert np.array_equal(spgs_grid._scaled_add(-0.3, a, b), b - 0.3 * a)
-            assert np.array_equal(spgs_grid._scaled_add(0.7, a), 0.7 * a)
-
-
-class TestHelperThread:
-    SIZE = 1 << 17  # flat values, above the split size
-
-    def test_an_error_in_the_helpers_half_reaches_the_caller(self, on_cpus):
-        on_cpus(2)
-        ran = []
-
-        def failing(sl):
-            ran.append((sl.start, threading.current_thread().name))
-            if sl.start > 0:
-                raise ValueError("second half")
-            return sl.start
-
-        with pytest.raises(ValueError, match="second half"):
-            spgs_grid._on_halves(failing, self.SIZE)
-        assert sorted(start for start, _ in ran) == [0, self.SIZE // 2]
-        # the next split still runs its second half on the helper
-        names = spgs_grid._on_halves(lambda sl: threading.current_thread().name, self.SIZE)
-        assert names == [threading.current_thread().name, "spgs-helper"]
-
-    def test_threads_splitting_at_once_get_the_one_pass_bits(self, on_cpus):
-        # more user threads than cores, switching often: a split that finds the helper
-        # busy runs both halves itself, and no result crosses to another thread
-        on_cpus(2)
-        rng = np.random.default_rng(5)
-        inputs = [rng.standard_normal((2, self.SIZE)) for _ in range(4)]
-        wrong = []
-
-        def work(a, b):
-            dot, axpy = float(np.sum(a * b)), b - 0.3 * a
-            try:
-                for _ in range(25):
-                    if spgs_grid._sum_of_products(a, b) != dot:
-                        wrong.append("sum")
-                    if not np.array_equal(spgs_grid._scaled_add(-0.3, a, b), axpy):
-                        wrong.append("update")
-            except Exception as exc:  # reported by the assertion below, not lost in the thread
-                wrong.append(repr(exc))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            threads = [threading.Thread(target=work, args=(a, b)) for a, b in inputs]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert wrong == []
-
-    def test_shutdown_stops_the_thread_and_later_splits_run_on_the_caller(self, on_cpus):
-        on_cpus(2)
-        spgs_grid._on_halves(lambda sl: None, self.SIZE)
-        helper = spgs_grid._helper
-        helper.shutdown()
-        assert not helper.thread.is_alive()
-        names = spgs_grid._on_halves(lambda sl: threading.current_thread().name, self.SIZE)
-        assert names == [threading.current_thread().name] * 2
 
 
 class TestRefinementConvergence:
@@ -446,37 +350,6 @@ class TestHelpers:
         g = GridSpec(L=8.0, n=32)
         u = gaussian(g)
         assert boundary_mass_fraction(u) < 1e-8
-
-
-def test_forked_child_splits_on_its_own_helper(fresh_python):
-    # the child inherits the parent's helper object but not its thread: the
-    # at-fork hook drops it, else the child's first split waits forever
-    code = """
-import os, time
-import numpy as np
-from spgs import grid
-os.sched_getaffinity = lambda pid: {0, 1}
-a = np.random.default_rng(0).standard_normal(grid._BLOCK_BYTES // 8 + 1)
-assert len(grid._halves(a.size)) == 2
-parent = grid._sum_of_products(a, a)
-assert grid._helper.thread.is_alive()
-pid = os.fork()
-if pid == 0:
-    child = grid._sum_of_products(a, a)
-    os._exit(0 if child == parent and grid._helper.thread.is_alive() else 1)
-deadline = time.monotonic() + 30
-while time.monotonic() < deadline:
-    done, status = os.waitpid(pid, os.WNOHANG)
-    if done:
-        print(os.waitstatus_to_exitcode(status))
-        break
-    time.sleep(0.01)
-else:
-    os.kill(pid, 9)
-    os.waitpid(pid, 0)
-    print("timeout")
-"""
-    assert fresh_python(code) == "0"
 
 
 class TestFieldDump:

@@ -1,7 +1,6 @@
 """Descent loop, ground levels, comparisons, diagnostics."""
 
 import math
-import threading
 from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
@@ -496,28 +495,6 @@ def test_tight_tolerance_does_not_report_a_spike_as_converged():
     cfg = SolverConfig(p=4.0, tol_residual=1e-13, max_iters=300)
     with pytest.raises(NoDescentError, match=r"level 10\.0933180547"):
         find_ground_state(Constant(1.0), cfg, GridSpec(L=4.0, n=24))
-
-
-def test_a_solve_runs_every_split_on_one_helper_thread(on_cpus):
-    # n = 48 splits the Poisson passes, the sine transforms and the stencil
-    on_cpus(2)
-    before = set(threading.enumerate())
-    find_ground_state(Constant(1.0), SolverConfig(p=4.0, max_iters=4), GridSpec(L=4.0, n=48))
-    (started,) = set(threading.enumerate()) - before
-    assert started.name.startswith("spgs-helper")
-
-
-def test_split_descent_traces_match_one_pass(on_cpus, monkeypatch):
-    # n = 48 is above the per-node split size; every row must equal the unsplit run's
-    cfg, g = SolverConfig(p=4.0, max_iters=4), GridSpec(L=4.0, n=48)
-    with monkeypatch.context() as m:
-        m.setattr(spgs.grid, "_BLOCK_BYTES", 1 << 40)
-        reference = find_ground_state(Constant(1.0), cfg, g)
-    for cpus in (1, 2):
-        on_cpus(cpus)
-        res = find_ground_state(Constant(1.0), cfg, g)
-        assert repr(res.trace) == repr(reference.trace)
-        assert np.array_equal(res.u.values, reference.u.values)
 
 
 def _rising_direction(r):

@@ -180,8 +180,9 @@ class TestOperators:
         assert abs(w * float(np.sum(a * kb)) - w * float(np.sum(ka * b))) <= 1e-14 * scale
 
     @pytest.mark.parametrize("kinetic", ["fd", "spectral"])
-    def test_split_passes_give_the_one_thread_bits(self, on_cpus, split, kinetic):
-        # m = 48 splits as built, and every pass splits when forced
+    def test_split_passes_give_the_one_thread_bits(self, on_cpus, slabs, kinetic):
+        # m = 48 passes, cut into slabs as built or into one-plane slabs, give
+        # the same bits on one CPU as on two
         u = _even(_octant(L=5.0, n=96, kinetic=kinetic), seed=11)
         out = {}
         for cpus in (1, 2):

@@ -13,6 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import spgs.grid
 from lattice_reference import CELL_MEAN_INVERSE_DISTANCE, _convolve_fft
 from spgs.functional import energy_breakdown
 from spgs.grid import GridSpec, ScalarField
@@ -182,9 +183,8 @@ class TestScreenedSolve:
         assert abs(float(np.sum(a * kb)) - float(np.sum(ka * b))) <= 1e-14 * scale
 
     @pytest.mark.parametrize("n", [32, 48, 64])
-    def test_same_bits_on_one_and_two_cpus(self, on_cpus, split, n):
-        # one CPU: the caller runs both halves and no thread starts; two: one helper
-        # starts once the passes split
+    def test_same_bits_on_one_and_two_cpus(self, on_cpus, slabs, n):
+        # the solve starts no thread, and its bits do not follow the CPUs it may use
         g = GridSpec(L=5.0, n=n)
         q = np.random.default_rng(n).random(g.num_nodes)
         out = {}
@@ -192,8 +192,18 @@ class TestScreenedSolve:
             on_cpus(cpus)
             threads = threading.active_count()
             out[cpus] = _screened_solve(q.copy(), g)
-            assert threading.active_count() == threads + (cpus - 1 if g.num_nodes > split else 0)
+            assert threading.active_count() == threads
         assert np.array_equal(out[1], out[2])
+
+    @pytest.mark.parametrize("symmetry", ["none", "octant"])
+    def test_slab_size_does_not_change_the_bits(self, monkeypatch, symmetry):
+        # the lift's subtraction and K's last terms walk the planes in cache-sized slabs;
+        # slabs of one plane give the same values
+        g = GridSpec(L=5.0, n=48, symmetry=symmetry)
+        q = np.random.default_rng(48).random(g.num_nodes)
+        as_built = _screened_solve(q.copy(), g)
+        monkeypatch.setattr(spgs.grid, "_BLOCK_BYTES", 8 * 128)
+        assert np.array_equal(_screened_solve(q.copy(), g), as_built)
 
     def test_peak_memory_of_a_raw_solve_is_at_most_four_fields(self):
         g = GridSpec(L=5.0, n=48)

@@ -118,6 +118,13 @@ class TestVInfinity:
         tab = Tabulated(ScalarField(grid, vals))
         assert tab.v_infinity() == pytest.approx(3.0)
 
+    def test_tabulated_octant_is_the_full_boxs(self):
+        # the octant's nodes with an index at m - 1 stand for the box's outer layer
+        box = GridSpec(L=4.0, n=16)
+        V = CoulombSingular(1.0, 0.5, 1)
+        full, octant = (Tabulated(V.sample(g)).v_infinity() for g in (box, replace(box, symmetry="octant")))
+        assert octant == pytest.approx(full, rel=1e-15, abs=0.0)
+
 
 class TestCoercivity:
     def test_constant_is_exactly_one(self, grid):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-import spgs.grid
 import spgs.radial
 from spgs.errors import NoDescentError
 from spgs.grid import GridSpec
@@ -25,20 +24,13 @@ from spgs.radial import (
 )
 
 
-@pytest.fixture
-def stops_early():
-    """Requested by a test whose radial descents may end short of `converged` on purpose."""
-
-
 @pytest.fixture(autouse=True)
-def descents_converge(request, monkeypatch):
+def descents_converge(monkeypatch):
     """Fail the test at any radial descent that ends other than `converged`.
 
     `radial_ground_state` returns no status, so a level cut off at
     max_iters would otherwise pass for a converged one.
     """
-    if "stops_early" in request.fixturenames:
-        return
     descend = spgs.radial._descend
 
     def checked(*args, **kwargs):
@@ -261,23 +253,6 @@ def _record_descents(monkeypatch):
 
     monkeypatch.setattr(spgs.radial, "_descend", recording)
     return outs
-
-
-def test_split_radial_trace_matches_one_pass(on_cpus, monkeypatch, stops_early):
-    # n_r = 131072 splits the per-node passes and runs the two shell sums side by side;
-    # max_iters = 6 stops each descent short on purpose
-    outs = _record_descents(monkeypatch)
-    cfg = SolverConfig(p=4.0, max_iters=6)
-    levels = []
-    with monkeypatch.context() as m:
-        m.setattr(spgs.grid, "_BLOCK_BYTES", 1 << 40)
-        levels.append(radial_ground_state(Constant(1.0), 4.0, r_max=30.0, n_r=131072, cfg=cfg)[2])
-    for cpus in (1, 2):
-        on_cpus(cpus)
-        levels.append(radial_ground_state(Constant(1.0), 4.0, r_max=30.0, n_r=131072, cfg=cfg)[2])
-    traces = [repr(out[5]) for out in outs]
-    assert traces[0] == traces[1] == traces[2]
-    assert levels[0] == levels[1] == levels[2]
 
 
 class TestRadialGroundState:
